@@ -4,16 +4,13 @@ Every subcommand reads and writes JSON; the exchange graph can also be
 rendered as DOT, and --format text switches any report to a terse
 human-readable summary.  Exit status is 0 when every requested check
 passes, 1 when some check fails (the failure payload still goes to
-stdout), and 2 for unreadable or malformed input.  Check suites run on a
-thread pool sized by the CLUSTERKIT_THREADS environment variable, with
-results assembled in a fixed order so reports are diffable.
+stdout), and 2 for unreadable or malformed input, which includes seed
+files that are not seeds of any pattern.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations, permutations, product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -90,21 +87,8 @@ def _finish(ok: bool) -> None:
     raise SystemExit(0 if ok else 1)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("CLUSTERKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise InputFault({"error": "invalid CLUSTERKIT_THREADS", "value": raw})
-
-
 def _run_suites(suites: Sequence[Tuple[str, Callable[[], Payload]]]) -> List[Payload]:
-    workers = _thread_count()
-    if workers == 1:
-        return [check() for _, check in suites]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(check) for _, check in suites]
-        return [future.result() for future in futures]
+    return [check() for _, check in suites]
 
 
 def _suite(name: str, cases: int, failures: List[str]) -> Payload:
@@ -163,7 +147,7 @@ def mutate(seed_file: str, word: str, out: Optional[str], fmt: str) -> None:
         removed = lp.to_str(current.cluster[k], current.var_names)
         try:
             current = sd.mutate_seed(current, k)
-        except lp.NotDivisible as exc:
+        except (lp.NotDivisible, sd.InvalidSeed) as exc:
             raise InputFault(
                 {"error": "mutation failed", "step": pos, "label": k, "reason": str(exc)}
             )
@@ -200,7 +184,12 @@ def _explore_lines(payload: Payload) -> List[str]:
 def explore(seed_file: str, max_depth: int, max_nodes: int, fmt: str) -> None:
     """Breadth-first exchange-graph closure up to relabeling."""
     seed = _load_seed(seed_file)
-    graph = pt.explore(seed, max_depth=max_depth, max_nodes=max_nodes)
+    try:
+        graph = pt.explore(seed, max_depth=max_depth, max_nodes=max_nodes)
+    except (lp.NotDivisible, sd.InvalidSeed) as exc:
+        raise InputFault(
+            {"error": "not a seed of any pattern", "path": seed_file, "reason": str(exc)}
+        )
     if fmt == "dot":
         click.echo(pt.graph_to_dot(graph))
         return

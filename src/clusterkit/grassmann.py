@@ -68,15 +68,6 @@ def y_arity(ctx: GenericMatrixContext) -> int:
     return ctx.rows * (ctx.k + 1)
 
 
-def generic_matrix(ctx: GenericMatrixContext) -> List[List[Poly]]:
-    """The full matrix of independent indeterminates, row-major."""
-    arity = x_arity(ctx)
-    return [
-        [lp.variable(r * ctx.n + c, arity) for c in range(ctx.n)]
-        for r in range(ctx.rows)
-    ]
-
-
 def band_matrix(ctx: GenericMatrixContext) -> List[List[Poly]]:
     """The band-supported matrix: row i holds y_{i,j} for i <= j <= i+k."""
     arity = y_arity(ctx)

@@ -36,10 +36,6 @@ def transpose(a: Sequence[Sequence[int]]) -> Matrix:
     return [list(col) for col in zip(*a)] if a else []
 
 
-def negate(a: Sequence[Sequence[int]]) -> Matrix:
-    return [[-x for x in row] for row in a]
-
-
 def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     assert not a or not b or len(a[0]) == len(b), "inner dimensions differ"
     bt = transpose(b)

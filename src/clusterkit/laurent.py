@@ -139,10 +139,6 @@ def is_zero(f: Poly) -> bool:
     return not f
 
 
-def is_monomial(f: Poly) -> bool:
-    return len(f) == 1
-
-
 def equal(f: Poly, g: Poly) -> bool:
     return f == g
 

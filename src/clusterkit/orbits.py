@@ -80,16 +80,10 @@ def seedlike_from_seed(seed: sd.Seed) -> SeedLike:
 
 
 def seedlike_hatted(sl: SeedLike, j: int) -> sd.RationalPair:
-    """Hatted variable (p+_j / p-_j) * prod_i x_i^b_ij as a polynomial pair."""
-    num: Poly = lp.monomial(sl.pairs[j][0])
-    den: Poly = lp.monomial(sl.pairs[j][1])
-    for i in range(sl.n):
-        e = sl.b[i][j]
-        if e > 0:
-            num = lp.mul(num, lp.power(sl.cluster[i], e))
-        elif e < 0:
-            den = lp.mul(den, lp.power(sl.cluster[i], -e))
-    return num, den
+    """Hatted variable (p+_j / p-_j) * prod_i x_i^b_ij as a polynomial pair:
+    the two exchange terms at j."""
+    plus, minus = sl.pairs[j]
+    return sd.exchange_terms(sl.b, sl.cluster, j, lp.monomial(plus), lp.monomial(minus))
 
 
 def _scaled(e: Exponent, s: int) -> Exponent:
@@ -145,16 +139,8 @@ def mutate_seedlike(sl: SeedLike, k: int) -> SeedLike:
     """
     n = sl.n
     assert 0 <= k < n
-    plus: Poly = lp.monomial(sl.pairs[k][0])
-    minus: Poly = lp.monomial(sl.pairs[k][1])
-    for j in range(n):
-        e = sl.b[j][k]
-        if e > 0:
-            plus = lp.mul(plus, lp.power(sl.cluster[j], e))
-        elif e < 0:
-            minus = lp.mul(minus, lp.power(sl.cluster[j], -e))
     cluster = list(sl.cluster)
-    cluster[k] = lp.exact_div(lp.add(plus, minus), sl.cluster[k])
+    cluster[k] = lp.exact_div(lp.add(*seedlike_hatted(sl, k)), sl.cluster[k])
     pairs: List[Pair] = []
     for j in range(n):
         if j == k:

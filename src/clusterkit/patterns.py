@@ -3,10 +3,12 @@
 Exploration walks the mutation tree breadth-first and merges vertices whose
 seeds agree up to a simultaneous permutation of the mutable indices, which
 is exactly the unlabeled exchange graph.  Identity is decided by a
-canonical form: the lexicographically least serialization over all index
-permutations, guarded to small ranks where the full orbit is affordable; a
-permutation-invariant bucket key keeps the factorial work off the common
-path.
+canonical form: the serialization with the mutable indices ordered by their
+cluster variables.  The cluster of a seed is algebraically independent
+(Fomin & Zelevinsky, "Cluster algebras I", 2002), so its entries are
+pairwise distinct and that order leaves no relabeling free; the form costs
+one sort, at any rank.  Data whose cluster repeats an entry is not a seed of
+any pattern and is rejected as `InvalidSeed`.
 
 The quasi-automorphism search then relabels each explored seed every
 possible way, keeps the relabelings whose principal part matches the base
@@ -18,9 +20,9 @@ target are deduplicated up to proportionality.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import laurent as lp
 from . import orbits as ob
@@ -28,8 +30,6 @@ from . import quasihom as qh
 from . import seeds as sd
 from .laurent import Poly
 from .quasihom import NerveEdge
-
-MAX_CANONICAL_RANK = 8
 
 
 class IncompleteNode(Exception):
@@ -48,29 +48,25 @@ def permute_btilde(
     return out
 
 
-def _serialize(btilde: Sequence[Sequence[int]], cluster: Sequence[Poly]):
-    return (
-        tuple(tuple(row) for row in btilde),
-        tuple(tuple(sorted(x.items())) for x in cluster),
-    )
-
-
 def canonical_key(seed: sd.Seed):
-    """Least serialization over all relabelings of the mutable indices."""
-    assert seed.n <= MAX_CANONICAL_RANK, "full permutation orbit too large"
-    best = None
-    for perm in permutations(range(seed.n)):
-        candidate = _serialize(
-            permute_btilde(seed.btilde, seed.n, perm),
-            [seed.cluster[perm[i]] for i in range(seed.n)],
-        )
-        if best is None or candidate < best:
-            best = candidate
-    return best
+    """Serialization of the seed relabeled so its cluster is sorted.
 
-
-def _bucket_key(seed: sd.Seed):
-    return tuple(sorted(tuple(sorted(x.items())) for x in seed.cluster))
+    Two seeds get equal keys exactly when a permutation of the mutable
+    indices carries one onto the other: a relabeling moves cluster entries
+    and exchange-matrix rows and columns together, and with pairwise
+    distinct entries the sorted order fixes it uniquely.  Equal entries
+    would leave the order ambiguous and cannot occur in a seed, so they
+    raise `InvalidSeed`.
+    """
+    terms = [tuple(sorted(x.items())) for x in seed.cluster]
+    perm = sorted(range(seed.n), key=terms.__getitem__)
+    for a, b in zip(perm, perm[1:]):
+        if terms[a] == terms[b]:
+            raise sd.InvalidSeed(f"cluster entries {a} and {b} are equal")
+    return (
+        tuple(tuple(row) for row in permute_btilde(seed.btilde, seed.n, perm)),
+        tuple(terms[i] for i in perm),
+    )
 
 
 @dataclass
@@ -82,12 +78,6 @@ class PatternNode:
     seed: sd.Seed
     word: Tuple[int, ...]
     normalized_cluster: List[Poly]
-    _canonical: Optional[tuple] = field(default=None, repr=False)
-
-    def canonical(self):
-        if self._canonical is None:
-            self._canonical = canonical_key(self.seed)
-        return self._canonical
 
 
 @dataclass
@@ -115,12 +105,14 @@ def explore(
 
     Nodes are deduplicated through the canonical form; hitting either limit
     flags the graph as truncated instead of failing, since infinite-type
-    patterns never close.
+    patterns never close.  Input that is not a seed of any pattern raises
+    `lp.NotDivisible` or `sd.InvalidSeed` from the first mutation or
+    canonical form that exposes it.
     """
     assert max_depth >= 0 and max_nodes >= 1
     nodes = [PatternNode(initial, (), _normalize_cluster(initial))]
     adjacency: List[Dict[int, int]] = [{}]
-    buckets: Dict[tuple, List[int]] = {_bucket_key(initial): [0]}
+    index = {canonical_key(initial): 0}
     hit_depth = hit_nodes = False
     queue = deque([0])
     while queue:
@@ -131,14 +123,8 @@ def explore(
             continue
         for k in range(initial.n):
             neighbor = sd.mutate_seed(node.seed, k)
-            bucket = buckets.setdefault(_bucket_key(neighbor), [])
-            found = None
-            if bucket:
-                key = canonical_key(neighbor)
-                for j in bucket:
-                    if nodes[j].canonical() == key:
-                        found = j
-                        break
+            key = canonical_key(neighbor)
+            found = index.get(key)
             if found is None:
                 if len(nodes) >= max_nodes:
                     hit_nodes = True
@@ -150,7 +136,7 @@ def explore(
                     )
                 )
                 adjacency.append({})
-                bucket.append(found)
+                index[key] = found
                 queue.append(found)
             adjacency[idx][k] = found
     return ExplorationGraph(nodes, adjacency, hit_depth, hit_nodes)

@@ -386,17 +386,6 @@ def nerve_vertices(nerve: Iterable[NerveEdge], n: int) -> List[Tuple[int, ...]]:
     return sorted(adjacency)
 
 
-def _exchange_terms(seed: sd.Seed, k: int) -> Tuple[Poly, Poly]:
-    plus, minus = sd.coefficient_pair(seed, k)
-    for j in range(seed.n):
-        e = seed.btilde[j][k]
-        if e > 0:
-            plus = lp.mul(plus, lp.power(seed.cluster[j], e))
-        elif e < 0:
-            minus = lp.mul(minus, lp.power(seed.cluster[j], -e))
-    return plus, minus
-
-
 def check_on_nerve(
     m: MonomialMap,
     nerve: Iterable[NerveEdge],
@@ -431,8 +420,8 @@ def check_on_nerve(
             image = apply_map(m, src_at[v].cluster[label])
             if _frozen_ratio(image, dst_at[v].cluster[label], dst_seed.n) is None:
                 return "fail"
-        src_plus, src_minus = _exchange_terms(src_at[a], label)
-        dst_plus, dst_minus = _exchange_terms(dst_at[a], label)
+        src_plus, src_minus = sd.hatted(src_at[a], label)
+        dst_plus, dst_minus = sd.hatted(dst_at[a], label)
         ip, im = apply_map(m, src_plus), apply_map(m, src_minus)
         r_pp = _frozen_ratio(ip, dst_plus, dst_seed.n)
         r_mm = _frozen_ratio(im, dst_minus, dst_seed.n)

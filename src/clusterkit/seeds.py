@@ -161,9 +161,6 @@ class Seed:
     def principal(self) -> Matrix:
         return [row[: self.n] for row in self.btilde[: self.n]]
 
-    def copy(self) -> "Seed":
-        return Seed(self.btilde, self.cluster, self.var_names)
-
     def __repr__(self) -> str:
         xs = ", ".join(lp.to_str(x, self.var_names) for x in self.cluster)
         return f"Seed(n={self.n}, m={self.m}, cluster=[{xs}])"
@@ -199,16 +196,24 @@ def coefficient_pair(seed: Seed, k: int) -> Tuple[Poly, Poly]:
     return lp.monomial(plus), lp.monomial(minus)
 
 
+def exchange_terms(
+    b: Sequence[Sequence[int]], cluster: Sequence[Poly], k: int, plus: Poly, minus: Poly
+) -> Tuple[Poly, Poly]:
+    """The two terms of the exchange relation at k:
+    (plus * prod x_j^[b_jk]+, minus * prod x_j^[-b_jk]+), with j running
+    over the cluster (the mutable rows of b)."""
+    for j, x in enumerate(cluster):
+        e = b[j][k]
+        if e > 0:
+            plus = lp.mul(plus, lp.power(x, e))
+        elif e < 0:
+            minus = lp.mul(minus, lp.power(x, -e))
+    return plus, minus
+
+
 def exchange_polynomial(seed: Seed, k: int) -> Poly:
     """p+_k * prod x_j^[b_jk]+ + p-_k * prod x_j^[-b_jk]+."""
-    plus, minus = coefficient_pair(seed, k)
-    for j in range(seed.n):
-        e = seed.btilde[j][k]
-        if e > 0:
-            plus = lp.mul(plus, lp.power(seed.cluster[j], e))
-        elif e < 0:
-            minus = lp.mul(minus, lp.power(seed.cluster[j], -e))
-    return lp.add(plus, minus)
+    return lp.add(*hatted(seed, k))
 
 
 def mutate_seed(seed: Seed, k: int) -> Seed:
@@ -217,12 +222,21 @@ def mutate_seed(seed: Seed, k: int) -> Seed:
     The new cluster variable is the exchange polynomial divided exactly by
     the old one; NotDivisible propagating out of here means the input was
     not a seed of any pattern (the Laurent property fails).
+
+    The result skips `Seed._check`: mutation keeps the shape, the ambient
+    arity and the skew-symmetrizer, so only a vanishing new entry (possible
+    when the input cluster has signed coefficients) needs a check.
     """
     assert 0 <= k < seed.n, f"direction {k} out of range"
-    new_btilde = mutate_matrix(seed.btilde, k)
-    new_cluster = list(seed.cluster)
-    new_cluster[k] = lp.exact_div(exchange_polynomial(seed, k), seed.cluster[k])
-    return Seed(new_btilde, new_cluster, seed.var_names)
+    new_x = lp.exact_div(exchange_polynomial(seed, k), seed.cluster[k])
+    if not new_x:
+        raise InvalidSeed("zero cluster variable")
+    out = Seed.__new__(Seed)
+    out.n, out.m, out.var_names = seed.n, seed.m, seed.var_names
+    out.btilde = mutate_matrix(seed.btilde, k)
+    out.cluster = list(seed.cluster)
+    out.cluster[k] = new_x
+    return out
 
 
 def mutate_word(seed: Seed, word: Sequence[int]) -> Seed:
@@ -265,15 +279,9 @@ def rp_equal(a: RationalPair, b: RationalPair) -> bool:
 
 
 def hatted(seed: Seed, j: int) -> RationalPair:
-    """The hatted variable at j: (p+_j / p-_j) * prod_i x_i^b_ij."""
-    num, den = coefficient_pair(seed, j)
-    for i in range(seed.n):
-        e = seed.btilde[i][j]
-        if e > 0:
-            num = lp.mul(num, lp.power(seed.cluster[i], e))
-        elif e < 0:
-            den = lp.mul(den, lp.power(seed.cluster[i], -e))
-    return num, den
+    """The hatted variable at j: (p+_j / p-_j) * prod_i x_i^b_ij, whose
+    numerator and denominator are the two exchange terms at j."""
+    return exchange_terms(seed.btilde, seed.cluster, j, *coefficient_pair(seed, j))
 
 
 def hatted_tuple(seed: Seed) -> List[RationalPair]:

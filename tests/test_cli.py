@@ -188,6 +188,39 @@ def test_explore_text_output(runner, gr25):
     assert "complete: True" in result.output
 
 
+X1, X2 = lp.variable(0, 2), lp.variable(1, 2)
+
+
+def a2_path(tmp_path, cluster):
+    return write_seed(tmp_path, "a2", sd.Seed([[0, 1], [-1, 0]], cluster, ["x1", "x2"]))
+
+
+def error_payload(result):
+    return json.loads(result.output.split("Error: ", 1)[1])
+
+
+def test_explore_rejects_failed_division(runner, tmp_path):
+    result = runner.invoke(cl.main, ["explore", a2_path(tmp_path, [lp.add(lp.mul(X1, X1), X1), X2])])
+    assert result.exit_code == 2
+    assert error_payload(result)["error"] == "not a seed of any pattern"
+
+
+def test_explore_rejects_equal_cluster_entries(runner, tmp_path):
+    result = runner.invoke(cl.main, ["explore", a2_path(tmp_path, [X1, X1])])
+    assert result.exit_code == 2
+    assert "equal" in error_payload(result)["reason"]
+
+
+def test_mutate_rejects_vanishing_cluster_variable(runner, tmp_path):
+    path = a2_path(tmp_path, [X1, lp.constant(-1, 2)])
+    result = runner.invoke(cl.main, ["mutate", path, "--word", "0"])
+    assert result.exit_code == 2
+    payload = error_payload(result)
+    assert payload["error"] == "mutation failed"
+    assert (payload["step"], payload["label"]) == (0, 0)
+    assert payload["reason"] == "zero cluster variable"
+
+
 def test_verify_qh_fixture_report(runner, gr25):
     _, paths = gr25
     result = runner.invoke(
@@ -393,16 +426,3 @@ def test_grassmann_rectangle_fixture(runner):
 def test_grassmann_rejects_unsupported_dimensions(runner):
     assert runner.invoke(cl.main, ["grassmann", "--kn", "4", "9"]).exit_code == 2
     assert runner.invoke(cl.main, ["grassmann", "--kn", "1", "4"]).exit_code == 2
-
-
-def test_thread_count_is_cosmetic(runner):
-    single = runner.invoke(cl.main, ["surface"], env={"CLUSTERKIT_THREADS": "1"})
-    pooled = runner.invoke(cl.main, ["surface"], env={"CLUSTERKIT_THREADS": "4"})
-    assert single.output == pooled.output
-    assert pooled.exit_code == 0
-
-
-def test_thread_count_rejects_garbage(runner):
-    result = runner.invoke(cl.main, ["surface"], env={"CLUSTERKIT_THREADS": "many"})
-    assert result.exit_code == 2
-    assert "CLUSTERKIT_THREADS" in result.output

@@ -1,5 +1,7 @@
 """Exchange-graph exploration, nerves, and quasi-automorphism search."""
 
+from itertools import permutations
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,11 @@ BAND_BTILDE = [
 BAND_NAMES = ["Y1223", "Y12", "Y11", "Y22", "Y33", "Y13", "Y24", "Y35", "Y123234"]
 
 MARKOV = [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]
+
+
+def a_n(n):
+    """Linearly oriented A_n quiver."""
+    return [[(j == i + 1) - (i == j + 1) for j in range(n)] for i in range(n)]
 
 
 def pentagon_cases():
@@ -97,6 +104,30 @@ def test_depth_cap_reported():
     assert len(graph.nodes) == 3
 
 
+def test_a6_closes_on_the_catalan_count():
+    graph = pt.explore(sd.initial_seed(a_n(6), [f"x{i}" for i in range(6)]))
+    assert graph.complete
+    assert len(graph.nodes) == 429
+    assert sum(len(nbrs) for nbrs in graph.adjacency) == 2574
+
+
+def test_explore_has_no_rank_cap():
+    graph = pt.explore(sd.initial_seed(a_n(9), [f"x{i}" for i in range(9)]), max_nodes=30)
+    assert graph.hit_nodes
+    assert len(graph.nodes) == 30
+
+
+def test_canonical_key_rejects_equal_cluster_entries():
+    # constant entries are no seed of a pattern; one mutation makes them equal
+    seed = sd.Seed([[0, 0], [0, 0]], [lp.constant(1, 2), lp.constant(2, 2)], ["a", "b"])
+    twin = sd.mutate_seed(seed, 0)
+    assert twin.cluster == [lp.constant(2, 2)] * 2
+    with pytest.raises(sd.InvalidSeed):
+        pt.canonical_key(twin)
+    with pytest.raises(sd.InvalidSeed):
+        pt.explore(seed)
+
+
 def relabeled(seed, perm):
     return sd.Seed(
         pt.permute_btilde(seed.btilde, seed.n, perm),
@@ -107,19 +138,25 @@ def relabeled(seed, perm):
 
 @st.composite
 def small_seeds(draw):
-    n = 2
+    n = draw(st.integers(2, 4))
     m = draw(st.integers(0, 2))
-    e = draw(st.integers(-2, 2))
-    principal = [[0, e], [-e, 0]]
+    principal = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = draw(st.integers(-2, 2))
+            principal[i][j], principal[j][i] = e, -e
     frozen = [[draw(st.integers(-1, 1)) for _ in range(n)] for _ in range(m)]
     names = [f"u{i}" for i in range(n)] + [f"f{i}" for i in range(m)]
     return sd.initial_seed(principal + frozen, names)
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)
-@given(small_seeds())
-def test_canonical_key_is_relabeling_invariant(seed):
-    assert pt.canonical_key(relabeled(seed, (1, 0))) == pt.canonical_key(seed)
+@given(small_seeds(), st.data())
+def test_canonical_key_is_relabeling_invariant(seed, data):
+    word = data.draw(st.lists(st.integers(0, seed.n - 1), max_size=2))
+    seed = sd.mutate_word(seed, word)
+    perm = data.draw(st.permutations(range(seed.n)))
+    assert pt.canonical_key(relabeled(seed, perm)) == pt.canonical_key(seed)
 
 
 @settings(max_examples=10, derandomize=True, deadline=None)
@@ -129,7 +166,7 @@ def test_dedup_merges_exactly_permutation_matches(seed):
     for i in range(len(graph.nodes)):
         for j in range(i + 1, len(graph.nodes)):
             a, b = graph.nodes[i].seed, graph.nodes[j].seed
-            for perm in [(0, 1), (1, 0)]:
+            for perm in permutations(range(a.n)):
                 assert not sd.seed_equal(relabeled(a, perm), b)
 
 
