@@ -255,6 +255,10 @@ def verify_qh(map_file: str, src_file: str, dst_file: str,
             payload["quasi_inverse"] = qh.quasi_inverse_check(m, w, src)
         except qh.InvalidMap as exc:
             raise InputFault({"error": "maps do not chain", "reason": str(exc)})
+        except (lp.NotDivisible, sd.InvalidSeed) as exc:
+            raise InputFault(
+                {"error": "not a seed of any pattern", "path": src_file, "reason": str(exc)}
+            )
         payload["verdict"] = bool(payload["verdict"]) and bool(payload["quasi_inverse"])
     _emit(payload, fmt, _verify_lines)
     _finish(bool(payload["verdict"]))

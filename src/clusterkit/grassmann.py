@@ -104,57 +104,24 @@ def reduce_plucker_index(
     return (-1 if inversions % 2 else 1), tuple(sorted(residues))
 
 
-# Exponent vectors are packed into one integer, 16 bits per variable, so a
-# monomial product is a single addition.  Determinant work never leaves
-# nonnegative exponents and stays far below the lane bound.
-_LANE = 16
-_LANE_MASK = (1 << _LANE) - 1
-
-FastPoly = Dict[int, int]
-
-
-def _pack_exp(exp: Sequence[int]) -> int:
-    key = 0
-    for idx, e in enumerate(exp):
-        if not 0 <= e <= _LANE_MASK:
-            raise InvalidIndex("exponent outside the packed-lane range")
-        key |= e << (_LANE * idx)
-    return key
+# Determinants run on laurent's packed kernel: exponent tuples become int
+# keys, so a monomial product is a single addition.  Each Plücker coordinate
+# is multilinear in the generic entries, and every packed product below
+# multiplies at most ctx.rows of them (minors of at most ctx.rows distinct
+# rows, runs of fewer than ctx.rows coordinates times one more), so
+# ctx.rows bounds every exponent and fixes one lane width per context.
 
 
-def _unpack_exp(key: int, arity: int) -> Tuple[int, ...]:
-    return tuple((key >> (_LANE * idx)) & _LANE_MASK for idx in range(arity))
+def _width(ctx: GenericMatrixContext) -> int:
+    return lp.lane_width(ctx.rows)
 
 
-def _to_fast(f: Poly) -> FastPoly:
-    return {_pack_exp(exp): coef for exp, coef in f.items()}
-
-
-def _from_fast(fp: FastPoly, arity: int) -> Poly:
-    return {_unpack_exp(key, arity): coef for key, coef in fp.items()}
-
-
-def _fast_mul(f: FastPoly, g: FastPoly) -> FastPoly:
-    if len(f) < len(g):
-        f, g = g, f
-    out: FastPoly = {}
-    for kg, cg in g.items():
-        for kf, cf in f.items():
-            key = kf + kg
-            c = out.get(key, 0) + cf * cg
-            if c:
-                out[key] = c
-            elif key in out:
-                del out[key]
-    return out
-
-
-def _fast_det(entries: Sequence[Sequence[FastPoly]]) -> FastPoly:
+def _fast_det(entries: Sequence[Sequence[lp.Packed]]) -> lp.Packed:
     """Cofactor expansion row by row, sharing minors across column subsets."""
     size = len(entries)
-    level: Dict[int, FastPoly] = {0: {0: 1}}
+    level: Dict[int, lp.Packed] = {0: {0: 1}}
     for t in range(size):
-        nxt: Dict[int, FastPoly] = {}
+        nxt: Dict[int, lp.Packed] = {}
         row = entries[t]
         for mask, minor in level.items():
             if not minor:
@@ -166,7 +133,7 @@ def _fast_det(entries: Sequence[Sequence[FastPoly]]) -> FastPoly:
                 below = bin(mask & (bit - 1)).count("1")
                 sign = -1 if (t + below) % 2 else 1
                 acc = nxt.setdefault(mask | bit, {})
-                for key, coef in _fast_mul(minor, row[j]).items():
+                for key, coef in lp.mul_packed(minor, row[j]).items():
                     c = acc.get(key, 0) + sign * coef
                     if c:
                         acc[key] = c
@@ -177,23 +144,30 @@ def _fast_det(entries: Sequence[Sequence[FastPoly]]) -> FastPoly:
 
 
 def poly_det(entries: Sequence[Sequence[Poly]], arity: int) -> Poly:
-    """Determinant of a square matrix of polynomials with nonnegative
-    exponents."""
+    """Determinant of a square matrix of Laurent polynomials."""
     if not entries:
         return lp.constant(1, arity)
-    return _from_fast(_fast_det([[_to_fast(e) for e in row] for row in entries]), arity)
+    # a product of one entry per row has no exponent above the sum of the
+    # rows' largest exponents
+    bound = sum(
+        max((lp.max_abs_exponent(e) for e in row if e), default=0) for row in entries
+    )
+    width = lp.lane_width(bound)
+    det = _fast_det([[lp.pack(e, width) for e in row] for row in entries])
+    return lp.unpack(det, arity, width)
 
 
 @lru_cache(maxsize=None)
-def _sorted_plucker_fast(ctx: GenericMatrixContext, cols: IndexSet) -> FastPoly:
+def _sorted_plucker_fast(ctx: GenericMatrixContext, cols: IndexSet) -> lp.Packed:
+    arity, width = x_arity(ctx), _width(ctx)
     entries = [
-        [{1 << (_LANE * (r * ctx.n + c - 1)): 1} for c in cols]
+        [lp.pack(lp.variable(r * ctx.n + c - 1, arity), width) for c in cols]
         for r in range(ctx.rows)
     ]
     return _fast_det(entries)
 
 
-def _plucker_fast(ctx: GenericMatrixContext, raw: Sequence[int]) -> FastPoly:
+def _plucker_fast(ctx: GenericMatrixContext, raw: Sequence[int]) -> lp.Packed:
     sign, cols = reduce_plucker_index(ctx, raw)
     if sign == 0:
         return {}
@@ -201,9 +175,13 @@ def _plucker_fast(ctx: GenericMatrixContext, raw: Sequence[int]) -> FastPoly:
     return dict(det) if sign > 0 else {k: -c for k, c in det.items()}
 
 
+def _unpack_x(ctx: GenericMatrixContext, fp: lp.Packed) -> Poly:
+    return lp.unpack(fp, x_arity(ctx), _width(ctx))
+
+
 def plucker(ctx: GenericMatrixContext, raw: Sequence[int]) -> Poly:
     """Signed maximal minor of the generic matrix on the given columns."""
-    return _from_fast(_plucker_fast(ctx, raw), x_arity(ctx))
+    return _unpack_x(ctx, _plucker_fast(ctx, raw))
 
 
 def band_minor(
@@ -234,7 +212,7 @@ def f_star(ctx: GenericMatrixContext, raw: Sequence[int]) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def _g_entry_fast(ctx: GenericMatrixContext, i: int, j: int) -> FastPoly:
+def _g_entry_fast(ctx: GenericMatrixContext, i: int, j: int) -> lp.Packed:
     run = tuple(range(i + ctx.k + 1, ctx.n + i)) + (j,)
     return _plucker_fast(ctx, run)
 
@@ -244,12 +222,12 @@ def g_star(ctx: GenericMatrixContext, i: int, j: int) -> Poly:
     columns after i, completed by column j."""
     if not (1 <= i <= ctx.rows and i <= j <= i + ctx.k):
         raise InvalidIndex(f"entry ({i}, {j}) outside the band")
-    return _from_fast(_g_entry_fast(ctx, i, j), x_arity(ctx))
+    return _unpack_x(ctx, _g_entry_fast(ctx, i, j))
 
 
 def _g_minor_fast(
     ctx: GenericMatrixContext, i_set: IndexSet, j_set: IndexSet
-) -> FastPoly:
+) -> lp.Packed:
     entries = [
         [
             _g_entry_fast(ctx, i, j) if i <= j <= i + ctx.k else {}
@@ -268,7 +246,11 @@ def g_star_minor(
     j_set = tuple(sorted(cols_j))
     if len(i_set) != len(j_set):
         raise InvalidIndex("row and column sets differ in size")
-    return _from_fast(_g_minor_fast(ctx, i_set, j_set), x_arity(ctx))
+    if len(set(i_set)) != len(i_set):
+        raise InvalidIndex("repeated row index")
+    if i_set and not (1 <= i_set[0] and i_set[-1] <= ctx.rows):
+        raise InvalidIndex(f"rows outside [1, {ctx.rows}]")
+    return _unpack_x(ctx, _g_minor_fast(ctx, i_set, j_set))
 
 
 def _interval(lo: int, hi: int) -> List[int]:
@@ -276,10 +258,11 @@ def _interval(lo: int, hi: int) -> List[int]:
 
 
 @lru_cache(maxsize=None)
-def _run_product_fast(ctx: GenericMatrixContext, a: int, s: int) -> FastPoly:
-    out: FastPoly = {0: 1}
+def _run_product_fast(ctx: GenericMatrixContext, a: int, s: int) -> lp.Packed:
+    out: lp.Packed = {0: 1}
     for i in range(a, a + s - 1):
-        out = _fast_mul(out, _plucker_fast(ctx, tuple(_interval(i + ctx.k + 1, ctx.n + i))))
+        run = tuple(_interval(i + ctx.k + 1, ctx.n + i))
+        out = lp.mul_packed(out, _plucker_fast(ctx, run))
     return out
 
 
@@ -305,7 +288,7 @@ def flattoband_check(
     completed = _plucker_fast(
         ctx, tuple(_interval(a + ctx.k + s, ctx.n + a - 1)) + j_set
     )
-    return lhs == _fast_mul(rhs, completed)
+    return lhs == lp.mul_packed(rhs, completed)
 
 
 def flattoband_cases(ctx: GenericMatrixContext) -> List[Tuple[int, int, IndexSet]]:

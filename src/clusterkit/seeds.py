@@ -38,7 +38,7 @@ def mutate_matrix(btilde: Sequence[Sequence[int]], k: int) -> Matrix:
     sign(b_ik) * [b_ik * b_kj]_+.
     """
     n = len(btilde[0])
-    assert 0 <= k < n, f"direction {k} out of range"
+    _check_direction(k, n)
     out = []
     for i, row in enumerate(btilde):
         new_row = []
@@ -51,6 +51,11 @@ def mutate_matrix(btilde: Sequence[Sequence[int]], k: int) -> Matrix:
                 new_row.append(row[j] + (correction if bik > 0 else -correction))
         out.append(new_row)
     return out
+
+
+def _check_direction(k: int, n: int) -> None:
+    if not 0 <= k < n:
+        raise ValueError(f"direction {k} out of range for rank {n}")
 
 
 def skew_symmetrizer(b: Sequence[Sequence[int]]) -> Optional[List[int]]:
@@ -227,7 +232,7 @@ def mutate_seed(seed: Seed, k: int) -> Seed:
     arity and the skew-symmetrizer, so only a vanishing new entry (possible
     when the input cluster has signed coefficients) needs a check.
     """
-    assert 0 <= k < seed.n, f"direction {k} out of range"
+    _check_direction(k, seed.n)
     new_x = lp.exact_div(exchange_polynomial(seed, k), seed.cluster[k])
     if not new_x:
         raise InvalidSeed("zero cluster variable")

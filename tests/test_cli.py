@@ -221,6 +221,26 @@ def test_mutate_rejects_vanishing_cluster_variable(runner, tmp_path):
     assert payload["reason"] == "zero cluster variable"
 
 
+def test_verify_qh_inverse_rejects_non_pattern_seed(runner, tmp_path):
+    # the quasi-inverse star mutates the source, and x1^2 + x1 does not
+    # divide x2 + y1, the exchange polynomial in direction 0
+    x1, x2 = lp.variable(0, 3), lp.variable(1, 3)
+    cluster = [lp.add(lp.mul(x1, x1), x1), x2]
+    bad = sd.Seed([[0, 1], [-1, 0], [1, 1]], cluster, ["x1", "x2", "y1"])
+    path = write_seed(tmp_path, "bad", bad)
+    identity = tmp_path / "m.json"
+    built = runner.invoke(cl.main, ["construct-qh", path, path, "--out", str(identity)])
+    assert built.exit_code == 0
+    result = runner.invoke(
+        cl.main, ["verify-qh", str(identity), path, path, "--inverse", str(identity)]
+    )
+    assert result.exit_code == 2
+    payload = error_payload(result)
+    assert payload["error"] == "not a seed of any pattern"
+    assert payload["path"] == path
+    assert payload["reason"] == "leading monomial not divisible"
+
+
 def test_verify_qh_fixture_report(runner, gr25):
     _, paths = gr25
     result = runner.invoke(

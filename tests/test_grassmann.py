@@ -288,6 +288,10 @@ def test_poly_det_edge_cases():
     assert gr.poly_det(two, 1) == lp.constant(-1, 1)
     x = lp.variable(0, 1)
     assert gr.poly_det([[x, x], [x, x]], 1) == {}
+    # Laurent entries pack into signed lanes
+    inv = lp.monomial((-1,))
+    laurent = [[inv, lp.constant(2, 1)], [lp.constant(1, 1), x]]
+    assert gr.poly_det(laurent, 1) == lp.constant(-1, 1)
 
 
 def test_band_minor_literal_expansion():
@@ -501,6 +505,11 @@ def test_reverse_minors():
         assert lp.equal(got, plucker_product(CTX25, sets))
     with pytest.raises(gr.InvalidIndex):
         gr.g_star_minor(CTX25, (1, 2), (2,))
+    # the packed lanes hold minors of at most ctx.rows distinct rows
+    with pytest.raises(gr.InvalidIndex):
+        gr.g_star_minor(CTX25, (1, 1), (1, 2))
+    with pytest.raises(gr.InvalidIndex):
+        gr.g_star_minor(CTX25, (0, 1), (1, 2))
 
 
 def test_substitution_ring_map():

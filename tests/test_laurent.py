@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -12,18 +13,36 @@ from hypothesis import strategies as st
 from clusterkit import laurent as lp
 
 ARITY = 3
+MAX_ARITY = 6
+BIG = 2 ** 20
+
+# One arity (0..6) and one offset per variable (up to +-2^20) per test case,
+# shared by every polynomial and exponent that case draws.  The offset moves
+# the support far from the origin; `spread` keeps the terms of a polynomial
+# within a few steps of it (SMALL) or lets them lie up to 2^20 apart (WIDE),
+# so products and quotients run at every lane width up to 32 bits.
+ARITIES = st.shared(st.integers(0, MAX_ARITY), key="arity")
+OFFSETS = st.shared(
+    st.lists(st.integers(-BIG, BIG), min_size=MAX_ARITY, max_size=MAX_ARITY),
+    key="offset",
+)
+MUTABLE_COUNTS = ARITIES.flatmap(lambda n: st.integers(0, n))
+SMALL = st.integers(-4, 4)
+WIDE = st.one_of(SMALL, st.integers(-BIG, BIG))
 
 
 @st.composite
-def exponents(draw, arity: int = ARITY, lo: int = -4, hi: int = 4):
-    return tuple(draw(st.integers(lo, hi)) for _ in range(arity))
+def exponents(draw, spread=WIDE, offset: bool = True):
+    arity = draw(ARITIES)
+    base = draw(OFFSETS) if offset else [0] * MAX_ARITY
+    return tuple(base[i] + draw(spread) for i in range(arity))
 
 
 @st.composite
-def polys(draw, arity: int = ARITY, max_terms: int = 5, coef_bound: int = 9):
+def polys(draw, max_terms: int = 5, coef_bound: int = 9, **exp_kw):
     f = {}
     for _ in range(draw(st.integers(0, max_terms))):
-        e = draw(exponents(arity))
+        e = draw(exponents(**exp_kw))
         c = draw(st.integers(-coef_bound, coef_bound))
         if c:
             f[e] = c
@@ -31,19 +50,18 @@ def polys(draw, arity: int = ARITY, max_terms: int = 5, coef_bound: int = 9):
 
 
 @st.composite
-def nonzero_polys(draw, **kw):
-    f = draw(polys(**kw))
+def nonzero_polys(draw, spread=WIDE):
+    f = draw(polys(spread=spread))
     if not f:
-        e = draw(exponents())
-        f[e] = draw(st.integers(1, 9))
+        f[draw(exponents(spread))] = draw(st.integers(1, 9))
     return f
 
 
 @st.composite
-def positive_polys(draw, arity: int = ARITY, max_terms: int = 4):
+def positive_polys(draw, max_terms: int = 4):
     f = {}
     for _ in range(draw(st.integers(1, max_terms))):
-        f[draw(exponents(arity))] = draw(st.integers(1, 9))
+        f[draw(exponents())] = draw(st.integers(1, 9))
     return f
 
 
@@ -57,7 +75,7 @@ def to_sympy(f, syms):
     return sympy.expand(expr)
 
 
-SYMS = sympy.symbols("s0 s1 s2")
+SYMS = sympy.symbols("s0:6")
 
 
 class TestRingAxioms:
@@ -91,9 +109,9 @@ class TestRingAxioms:
         rhs = lp.add(lp.mul(f, g), lp.mul(f, h))
         assert lhs == rhs
 
-    @given(polys())
-    def test_mul_one_identity(self, f):
-        assert lp.mul(f, lp.constant(1, ARITY)) == f
+    @given(polys(), ARITIES)
+    def test_mul_one_identity(self, f, arity):
+        assert lp.mul(f, lp.constant(1, arity)) == f
 
     @given(polys())
     def test_coefficients_stay_int(self, f):
@@ -115,7 +133,7 @@ class TestExactDivision:
     def test_div_undoes_mul(self, f, g):
         assert lp.exact_div(lp.mul(f, g), g) == f
 
-    @given(nonzero_polys(), nonzero_polys())
+    @given(nonzero_polys(SMALL), nonzero_polys(SMALL))
     @settings(max_examples=60)
     def test_failed_div_means_no_integer_quotient(self, f, g):
         # shifting by the minimum exponent turns Laurent divisibility into
@@ -144,11 +162,73 @@ class TestExactDivision:
         with pytest.raises(lp.NotDivisible):
             lp.exact_div(lp.constant(1, ARITY), {})
 
+    def test_non_leading_term_fails(self):
+        x = lambda k, c=1: lp.monomial((k, 0), c)
+        # (2x + 1)(x + 1) - x: the leading step divides, the next one needs
+        # x / 2x over Z
+        f = lp.add(lp.add(x(2, 2), x(1, 2)), x(0))
+        with pytest.raises(lp.NotDivisible, match="coefficient"):
+            lp.exact_div(f, lp.add(x(1, 2), x(0)))
+        # (x + 1)^2 + 1: two steps divide, then the constant 1 is left over
+        f = lp.add(lp.add(x(2), x(1, 2)), x(0, 2))
+        with pytest.raises(lp.NotDivisible, match="monomial"):
+            lp.exact_div(f, lp.add(x(1), x(0)))
+
     def test_laurent_shift_divides(self):
         f = lp.monomial((-2, 1, 0), 3)
         g = lp.monomial((-3, 0, 1))
         q = lp.exact_div(f, g)
         assert q == lp.monomial((1, 1, -1), 3)
+
+
+class TestPackedKernel:
+    @pytest.mark.parametrize("big", [2 ** 6, 2 ** 14, 2 ** 30, 2 ** 62, 2 ** 70])
+    def test_every_lane_width_matches_sympy(self, big):
+        syms = SYMS[:3]
+        f = {(big, -1, 0): 3, (0, big, -big): -2, (1, 1, 1): 5}
+        g = {(-big, 2, big): 1, (0, 0, 0): -4}
+        product = lp.mul(f, g)
+        theirs = sympy.expand(to_sympy(f, syms) * to_sympy(g, syms))
+        assert sympy.expand(to_sympy(product, syms) - theirs) == 0
+        assert lp.exact_div(product, g) == f
+        assert lp.exact_div(product, f) == g
+        assert lp.power(f, 2) == lp.mul(f, f)
+        assert lp.power(f, 3) == lp.mul(f, lp.mul(f, f))
+
+    @pytest.mark.parametrize("bound", [0, 1, 127, 128, 2 ** 31, 2 ** 63, 2 ** 80])
+    def test_pack_round_trip_at_the_lane_bound(self, bound):
+        f = {(bound, -bound, 0): 1, (-bound, 0, bound): 2, (0, 1, 0): 3, (0, 0, 0): 4}
+        width = lp.lane_width(bound)
+        packed = lp.pack(f, width)
+        assert lp.unpack(packed, 3, width) == f
+        # integer order on keys is graded lex order on exponents
+        order = [next(iter(lp.unpack({key: 1}, 3, width))) for key in sorted(packed)]
+        assert order == sorted(f, key=lp.grlex_key)
+        half = 1 << (width - 1)
+        assert lp.unpack(lp.pack({(-half + 1, half - 1): 1}, width), 2, width)
+        for e in ((half, 0), (0, -half)):
+            with pytest.raises(ValueError):
+                lp.pack({e: 1}, width)
+
+    def test_arity_checks_survive_optimize(self, run_optimized):
+        # typed errors, not asserts that python -O would strip
+        run_optimized(textwrap.dedent("""
+            from clusterkit import laurent as lp
+            calls = [
+                lambda: lp.mul({(1, 0): 1}, {(1, 0, 0): 1}),
+                lambda: lp.add({(1, 0): 1}, {(1, 0, 0): 1}),
+                lambda: lp.exact_div({(1, 0): 1}, {(1, 0, 0): 1}),
+                lambda: lp.trop_add((1, 0), (1, 0, 0)),
+                lambda: lp.leading_exponent({}),
+                lambda: lp.min_exponent({}),
+            ]
+            for i, call in enumerate(calls):
+                try:
+                    call()
+                except ValueError:
+                    continue
+                raise SystemExit(f"call {i} raised no ValueError")
+        """))
 
 
 class TestMonomialRatio:
@@ -193,7 +273,7 @@ class TestTropical:
         rhs = lp.trop_add(lp.exp_add(u, v), lp.exp_add(u, w))
         assert lhs == rhs
 
-    @given(positive_polys(), positive_polys(), st.integers(0, ARITY))
+    @given(positive_polys(), positive_polys(), MUTABLE_COUNTS)
     def test_tropicalize_is_semifield_hom(self, f, g, n_mut):
         t = lambda h: lp.tropicalize(h, n_mut)
         assert t(lp.add(f, g)) == lp.trop_add(t(f), t(g))
@@ -210,17 +290,17 @@ class TestTropical:
 
 
 class TestEvaluationAndJson:
-    @given(polys(), polys())
+    @given(polys(spread=SMALL, offset=False), polys(spread=SMALL, offset=False))
     @settings(max_examples=60)
     def test_evaluation_respects_mul(self, f, g):
-        vals = [Fraction(2), Fraction(3), Fraction(5, 7)]
+        vals = [Fraction(v) for v in (2, 3, Fraction(5, 7), -1, Fraction(1, 2), 4)]
         lhs = lp.evaluate(lp.mul(f, g), vals)
         rhs = lp.evaluate(f, vals) * lp.evaluate(g, vals)
         assert lhs == rhs
 
-    @given(polys())
-    def test_json_round_trip(self, f):
-        names = ["a", "b", "c"]
+    @given(polys(), ARITIES)
+    def test_json_round_trip(self, f, arity):
+        names = [f"v{i}" for i in range(arity)]
         g, back_names = lp.from_json(lp.to_json(f, names))
         assert g == f and back_names == names
 

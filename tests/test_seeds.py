@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -129,9 +127,27 @@ class TestSeedMutation:
     def test_markov_quiver_deep_walk(self):
         b = [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]
         seed = sd.initial_seed(b, ["x1", "x2", "x3"])
-        rng = random.Random(7)
-        word = [rng.randrange(3) for _ in range(8)]
-        sd.mutate_word(seed, word)  # depth-8 walk stays Laurent
+        reached = sd.mutate_word(seed, [1, 2, 1, 0, 2, 0, 1, 0])
+        # at (1, 1, 1) every cluster of the Markov quiver is a Markov triple
+        a, b, c = (lp.evaluate(x, [1, 1, 1]) for x in reached.cluster)
+        assert (a, b, c) == (151620880341401, 6684339842, 7561)
+        assert a * a + b * b + c * c == 3 * a * b * c
+
+    def test_direction_out_of_range_survives_optimize(self, run_optimized):
+        # a typed error, not an assert that python -O would strip
+        code = (
+            "from clusterkit import seeds as sd\n"
+            "seed = sd.initial_seed([[0, 1], [-1, 0]], ['x1', 'x2'])\n"
+            "for call in (lambda: sd.mutate_seed(seed, 2),\n"
+            "             lambda: sd.mutate_matrix(seed.btilde, -1)):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except ValueError as exc:\n"
+            "        assert 'out of range' in str(exc)\n"
+            "    else:\n"
+            "        raise SystemExit('no error')\n"
+        )
+        run_optimized(code)
 
 
 class TestHatted:
