@@ -11,6 +11,20 @@ relations, and a reverse substitution assembled from cyclic-interval
 minors composes with it to a frozen multiple of the identity.  Cluster
 presentations of both sides are emitted as seeds over formal generator
 names, wired back to the determinants through the value tables.
+
+The flat-to-band and composite identities are checked in the affine chart
+[I | Y]: the generic matrix with its first m = n−k columns set to the
+identity, leaving an m×k block Y of indeterminates.  The verdict is the
+same as on the generic matrix.  Let F be a polynomial in the Plücker
+coordinates, homogeneous of degree s.  For an m×m matrix g, every maximal
+minor of gX is det(g) times that of X, so F(gX) = det(g)^s·F(X).  Write
+the generic matrix as [A | B].  Wherever det A ≠ 0, [A | B] = A·[I | A⁻¹B],
+so F([A | B]) = det(A)^s·F([I | A⁻¹B]).  If F vanishes on the chart, it
+thus vanishes on the Zariski-dense set det A ≠ 0, hence identically; the
+converse holds because the chart is a specialization.  Each side of each
+identity is a sum of products of s Plücker coordinates, so their
+difference is such an F, decided exactly as a polynomial in Y.  The
+public `plucker`, `g_star` and `g_star_minor` stay on the generic matrix.
 """
 
 from __future__ import annotations
@@ -106,10 +120,12 @@ def reduce_plucker_index(
 
 # Determinants run on laurent's packed kernel: exponent tuples become int
 # keys, so a monomial product is a single addition.  Each Plücker coordinate
-# is multilinear in the generic entries, and every packed product below
-# multiplies at most ctx.rows of them (minors of at most ctx.rows distinct
-# rows, runs of fewer than ctx.rows coordinates times one more), so
-# ctx.rows bounds every exponent and fixes one lane width per context.
+# is multilinear in the rows, on the generic matrix and in the chart alike,
+# and every packed product below multiplies at most ctx.rows of them (minors
+# of at most ctx.rows distinct rows, runs of fewer than ctx.rows coordinates
+# times one more), so ctx.rows bounds every exponent and fixes one lane
+# width per context.  The caches in this module share their values with
+# every caller inside it; public functions hand out fresh dicts.
 
 
 def _width(ctx: GenericMatrixContext) -> int:
@@ -157,21 +173,30 @@ def poly_det(entries: Sequence[Sequence[Poly]], arity: int) -> Poly:
     return lp.unpack(det, arity, width)
 
 
+def _matrix_entry(ctx: GenericMatrixContext, chart: bool, r: int, c: int) -> lp.Packed:
+    """Entry in row r (from 0) and column c (from 1) of the generic matrix,
+    or of the chart [I | Y], which sets the first ctx.rows columns to I."""
+    if chart and c <= ctx.rows:
+        return {0: 1} if c == r + 1 else {}
+    return lp.pack(lp.variable(r * ctx.n + c - 1, x_arity(ctx)), _width(ctx))
+
+
 @lru_cache(maxsize=None)
-def _sorted_plucker_fast(ctx: GenericMatrixContext, cols: IndexSet) -> lp.Packed:
-    arity, width = x_arity(ctx), _width(ctx)
-    entries = [
-        [lp.pack(lp.variable(r * ctx.n + c - 1, arity), width) for c in cols]
-        for r in range(ctx.rows)
-    ]
-    return _fast_det(entries)
+def _sorted_plucker_fast(
+    ctx: GenericMatrixContext, cols: IndexSet, chart: bool
+) -> lp.Packed:
+    return _fast_det(
+        [[_matrix_entry(ctx, chart, r, c) for c in cols] for r in range(ctx.rows)]
+    )
 
 
-def _plucker_fast(ctx: GenericMatrixContext, raw: Sequence[int]) -> lp.Packed:
+def _plucker_fast(
+    ctx: GenericMatrixContext, raw: Sequence[int], chart: bool
+) -> lp.Packed:
     sign, cols = reduce_plucker_index(ctx, raw)
     if sign == 0:
         return {}
-    det = _sorted_plucker_fast(ctx, cols)
+    det = _sorted_plucker_fast(ctx, cols, chart)
     return dict(det) if sign > 0 else {k: -c for k, c in det.items()}
 
 
@@ -181,7 +206,13 @@ def _unpack_x(ctx: GenericMatrixContext, fp: lp.Packed) -> Poly:
 
 def plucker(ctx: GenericMatrixContext, raw: Sequence[int]) -> Poly:
     """Signed maximal minor of the generic matrix on the given columns."""
-    return _unpack_x(ctx, _plucker_fast(ctx, raw))
+    return _unpack_x(ctx, _plucker_fast(ctx, raw, False))
+
+
+@lru_cache(maxsize=None)
+def _band_minor(ctx: GenericMatrixContext, i_set: IndexSet, j_set: IndexSet) -> Poly:
+    b = band_matrix(ctx)
+    return poly_det([[b[i - 1][j - 1] for j in j_set] for i in i_set], y_arity(ctx))
 
 
 def band_minor(
@@ -198,8 +229,7 @@ def band_minor(
         raise InvalidIndex(f"rows outside [1, {ctx.rows}]")
     if j_set and not (1 <= j_set[0] and j_set[-1] <= ctx.n):
         raise InvalidIndex(f"columns outside [1, {ctx.n}]")
-    b = band_matrix(ctx)
-    return poly_det([[b[i - 1][j - 1] for j in j_set] for i in i_set], y_arity(ctx))
+    return dict(_band_minor(ctx, i_set, j_set))
 
 
 def f_star(ctx: GenericMatrixContext, raw: Sequence[int]) -> Poly:
@@ -212,9 +242,9 @@ def f_star(ctx: GenericMatrixContext, raw: Sequence[int]) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def _g_entry_fast(ctx: GenericMatrixContext, i: int, j: int) -> lp.Packed:
+def _g_entry_fast(ctx: GenericMatrixContext, i: int, j: int, chart: bool) -> lp.Packed:
     run = tuple(range(i + ctx.k + 1, ctx.n + i)) + (j,)
-    return _plucker_fast(ctx, run)
+    return _plucker_fast(ctx, run, chart)
 
 
 def g_star(ctx: GenericMatrixContext, i: int, j: int) -> Poly:
@@ -222,15 +252,15 @@ def g_star(ctx: GenericMatrixContext, i: int, j: int) -> Poly:
     columns after i, completed by column j."""
     if not (1 <= i <= ctx.rows and i <= j <= i + ctx.k):
         raise InvalidIndex(f"entry ({i}, {j}) outside the band")
-    return _unpack_x(ctx, _g_entry_fast(ctx, i, j))
+    return _unpack_x(ctx, _g_entry_fast(ctx, i, j, False))
 
 
 def _g_minor_fast(
-    ctx: GenericMatrixContext, i_set: IndexSet, j_set: IndexSet
+    ctx: GenericMatrixContext, i_set: IndexSet, j_set: IndexSet, chart: bool
 ) -> lp.Packed:
     entries = [
         [
-            _g_entry_fast(ctx, i, j) if i <= j <= i + ctx.k else {}
+            _g_entry_fast(ctx, i, j, chart) if i <= j <= i + ctx.k else {}
             for j in j_set
         ]
         for i in i_set
@@ -250,7 +280,7 @@ def g_star_minor(
         raise InvalidIndex("repeated row index")
     if i_set and not (1 <= i_set[0] and i_set[-1] <= ctx.rows):
         raise InvalidIndex(f"rows outside [1, {ctx.rows}]")
-    return _unpack_x(ctx, _g_minor_fast(ctx, i_set, j_set))
+    return _unpack_x(ctx, _g_minor_fast(ctx, i_set, j_set, False))
 
 
 def _interval(lo: int, hi: int) -> List[int]:
@@ -258,11 +288,13 @@ def _interval(lo: int, hi: int) -> List[int]:
 
 
 @lru_cache(maxsize=None)
-def _run_product_fast(ctx: GenericMatrixContext, a: int, s: int) -> lp.Packed:
+def _run_product_fast(
+    ctx: GenericMatrixContext, a: int, s: int, chart: bool
+) -> lp.Packed:
     out: lp.Packed = {0: 1}
     for i in range(a, a + s - 1):
         run = tuple(_interval(i + ctx.k + 1, ctx.n + i))
-        out = lp.mul_packed(out, _plucker_fast(ctx, run))
+        out = lp.mul_packed(out, _plucker_fast(ctx, run, chart))
     return out
 
 
@@ -270,7 +302,7 @@ def flattoband_check(
     ctx: GenericMatrixContext, a: int, s: int, cols_j: Sequence[int]
 ) -> bool:
     """Exact identity between a row-solid minor of the g_star matrix and a
-    product of cyclic-interval Plücker coordinates.
+    product of cyclic-interval Plücker coordinates, decided in the chart.
 
     Rows are the interval [a, a+s−1]; the columns must come from the band
     window [a, a+s−1+k], where sorted distinct columns always meet the
@@ -283,10 +315,10 @@ def flattoband_check(
         raise InvalidIndex("repeated column index")
     if s and not (a <= j_set[0] and j_set[-1] <= a + s - 1 + ctx.k):
         raise InvalidIndex("columns outside the band window")
-    lhs = _g_minor_fast(ctx, tuple(_interval(a, a + s - 1)), j_set)
-    rhs = _run_product_fast(ctx, a, s)
+    lhs = _g_minor_fast(ctx, tuple(_interval(a, a + s - 1)), j_set, True)
+    rhs = _run_product_fast(ctx, a, s, True)
     completed = _plucker_fast(
-        ctx, tuple(_interval(a + ctx.k + s, ctx.n + a - 1)) + j_set
+        ctx, tuple(_interval(a + ctx.k + s, ctx.n + a - 1)) + j_set, True
     )
     return lhs == lp.mul_packed(rhs, completed)
 
@@ -401,6 +433,26 @@ def _polynomial_quotient(f: Poly, gen: Poly) -> Optional[Poly]:
     return quot
 
 
+@lru_cache(maxsize=None)
+def _split_image(
+    ctx: GenericMatrixContext, cols: IndexSet
+) -> Tuple[Dict[str, int], Poly, Optional[Tuple[IndexSet, IndexSet]]]:
+    """The band image on sorted `cols` with the frozen generators divided
+    out greedily: their exponents, the remainder, and the non-frozen
+    irreducible minor equal to the remainder, if one is."""
+    remainder = f_star(ctx, cols)
+    content: Dict[str, int] = {}
+    for name, gen in _frozen_generators(ctx):
+        quot = _polynomial_quotient(remainder, gen)
+        while quot is not None:
+            remainder = quot
+            content[name] = content.get(name, 0) + 1
+            quot = _polynomial_quotient(remainder, gen)
+    minors = non_frozen_irreducible_minors(ctx)
+    match = (p for p in minors if lp.equal(remainder, band_minor(ctx, *p)))
+    return content, remainder, next(match, None)
+
+
 def factor_fstar(
     ctx: GenericMatrixContext, raw: Sequence[int]
 ) -> Tuple[Dict[str, int], IndexSet, IndexSet]:
@@ -415,20 +467,12 @@ def factor_fstar(
         raise InvalidIndex("zero coordinate has no factorization")
     if is_frozen_plucker(ctx, cols):
         raise NoFactorization(f"{plucker_name(cols)} is frozen")
-    remainder = f_star(ctx, cols)
-    content: Dict[str, int] = {}
-    for name, gen in _frozen_generators(ctx):
-        quot = _polynomial_quotient(remainder, gen)
-        while quot is not None:
-            remainder = quot
-            content[name] = content.get(name, 0) + 1
-            quot = _polynomial_quotient(remainder, gen)
-    for i_set, j_set in non_frozen_irreducible_minors(ctx):
-        if lp.equal(remainder, band_minor(ctx, i_set, j_set)):
-            return content, i_set, j_set
-    raise NoFactorization(
-        f"image of {plucker_name(cols)} left a non-catalog remainder"
-    )
+    content, _, minor = _split_image(ctx, cols)
+    if minor is None:
+        raise NoFactorization(
+            f"image of {plucker_name(cols)} left a non-catalog remainder"
+        )
+    return dict(content), minor[0], minor[1]
 
 
 def content_exponents(ctx: GenericMatrixContext, raw: Sequence[int]) -> Dict[str, int]:
@@ -439,19 +483,12 @@ def content_exponents(ctx: GenericMatrixContext, raw: Sequence[int]) -> Dict[str
         raise InvalidIndex("zero coordinate has no content")
     if not is_frozen_plucker(ctx, cols):
         return factor_fstar(ctx, cols)[0]
-    remainder = f_star(ctx, cols)
-    content: Dict[str, int] = {}
-    for name, gen in _frozen_generators(ctx):
-        quot = _polynomial_quotient(remainder, gen)
-        while quot is not None:
-            remainder = quot
-            content[name] = content.get(name, 0) + 1
-            quot = _polynomial_quotient(remainder, gen)
+    content, remainder, _ = _split_image(ctx, cols)
     if not lp.equal(remainder, lp.constant(1, y_arity(ctx))):
         raise NoFactorization(
             f"image of frozen {plucker_name(cols)} is not a frozen monomial"
         )
-    return content
+    return dict(content)
 
 
 def tropical_c_check(
@@ -509,9 +546,32 @@ def substitute(f: Poly, images: Sequence[Poly], arity: int) -> Poly:
     return out
 
 
+def composite_identity(ctx: GenericMatrixContext) -> List[Tuple[IndexSet, bool]]:
+    """Whether substituting the g_star entries into f_star of a coordinate
+    gives the frozen run times that coordinate, for every sorted column set
+    in lexicographic order, decided in the chart."""
+    arity, width = x_arity(ctx), _width(ctx)
+    images = [
+        lp.unpack(_g_entry_fast(ctx, i, i + d, True), arity, width)
+        for i in range(1, ctx.rows + 1)
+        for d in range(ctx.k + 1)
+    ]
+    run = _run_product_fast(ctx, 1, ctx.rows, True)
+    out = []
+    for cols in combinations(range(1, ctx.n + 1), ctx.rows):
+        got = substitute(f_star(ctx, cols), images, arity)
+        want = lp.mul_packed(run, _plucker_fast(ctx, cols, True))
+        out.append((cols, lp.equal(got, lp.unpack(want, arity, width))))
+    return out
+
+
 def _rectangle_index(ctx: GenericMatrixContext, a: int, b: int) -> IndexSet:
     m = ctx.rows
     return tuple(_interval(1, m - a) + _interval(m - a + b + 1, m + b))
+
+
+def _rectangle_grid(ctx: GenericMatrixContext) -> List[Tuple[int, int]]:
+    return [(a, b) for a in range(1, ctx.rows) for b in range(1, ctx.k)]
 
 
 def rectangle_seed(ctx: GenericMatrixContext) -> sd.Seed:
@@ -525,13 +585,12 @@ def rectangle_seed(ctx: GenericMatrixContext) -> sd.Seed:
     coordinate accumulate, so a corner coordinate shared by both sides of
     an exchange cancels out.
     """
-    m, k = ctx.rows, ctx.k
-    if m < 2 or k < 2 or ctx.n > 9:
+    if ctx.rows < 2 or ctx.k < 2 or ctx.n > 9:
         raise UnsupportedContext(
             f"rectangle cluster needs rows >= 2, k >= 2, n <= 9; "
             f"got k={ctx.k}, n={ctx.n}"
         )
-    grid = [(a, b) for a in range(1, m) for b in range(1, k)]
+    grid = _rectangle_grid(ctx)
     mutable_sets = [_rectangle_index(ctx, a, b) for a, b in grid]
     frozen_sets = plucker_frozen_sets(ctx)
     order = {cols: row for row, cols in enumerate(mutable_sets + frozen_sets)}
@@ -768,11 +827,8 @@ def build_fixture(ctx: GenericMatrixContext) -> GrassmannFixture:
     if key == (2, 5):
         return _assemble_fixture(ctx, GR25_BTILDE, GR25_MUTABLE_SETS, GSTAR25_MATRIX)
     if key in ((2, 6), (3, 6)):
-        seed = rectangle_seed(ctx)
-        mutable_sets = [
-            tuple(int(d) for d in name[1:]) for name in seed.var_names[: seed.n]
-        ]
-        return _assemble_fixture(ctx, seed.btilde, mutable_sets, None)
+        mutable_sets = [_rectangle_index(ctx, a, b) for a, b in _rectangle_grid(ctx)]
+        return _assemble_fixture(ctx, rectangle_seed(ctx).btilde, mutable_sets, None)
     raise UnsupportedContext(
         f"no fixture for k={ctx.k}, n={ctx.n}; supported: (2,5), (2,6), (3,6)"
     )

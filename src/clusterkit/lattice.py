@@ -37,14 +37,16 @@ def transpose(a: Sequence[Sequence[int]]) -> Matrix:
 
 
 def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    assert not a or not b or len(a[0]) == len(b), "inner dimensions differ"
+    if a and b and len(a[0]) != len(b):
+        raise ValueError("inner dimensions differ")
     bt = transpose(b)
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def vec_mat(v: Sequence[int], a: Sequence[Sequence[int]]) -> Vector:
     """Row vector times matrix."""
-    assert len(v) == len(a), "inner dimensions differ"
+    if len(v) != len(a):
+        raise ValueError("inner dimensions differ")
     return [sum(x * row[j] for x, row in zip(v, a)) for j in range(len(a[0]))] if a else []
 
 
@@ -131,7 +133,8 @@ def solve_left(a: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[Vector]
     if z is None or any(x.denominator != 1 for x in z):
         return None
     out = [int(x) for x in z]
-    assert not a or vec_mat(out, a) == list(b)
+    if a and vec_mat(out, a) != list(b):
+        raise ArithmeticError("integer solution fails z * a = b")
     return out
 
 
@@ -148,7 +151,8 @@ def _solve_left(a, b, field) -> Optional[List[Fraction]]:
     h, u = hermite_normal_form(a)
     m = len(h)
     n = len(h[0]) if h else 0
-    assert len(b) == n, "right-hand side has wrong length"
+    if len(b) != n:
+        raise ValueError("right-hand side has wrong length")
     # pivots of h, in row order
     pivots = []
     for i in range(m):
@@ -180,7 +184,8 @@ def lattice_equal(
 def det(a: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix, by fraction-free elimination."""
     n = len(a)
-    assert all(len(row) == n for row in a), "matrix is not square"
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
     if n == 0:
         return 1
     m = copy(a)

@@ -32,7 +32,8 @@ class Rescaling:
     d: Tuple[Exponent, ...]
 
     def __post_init__(self):
-        assert len(self.c) == len(self.d), "c and d must have equal rank"
+        if len(self.c) != len(self.d):
+            raise ValueError("c and d must have equal rank")
 
 
 class SeedLike:
@@ -52,9 +53,10 @@ class SeedLike:
         self.cluster = [dict(x) for x in cluster]
         self.pairs = [(tuple(p), tuple(q)) for p, q in pairs]
         self.var_names = list(var_names)
-        assert len(self.cluster) == self.n and len(self.pairs) == self.n
-        for x in self.cluster:
-            assert x, "zero cluster variable"
+        if len(self.cluster) != self.n or len(self.pairs) != self.n:
+            raise sd.InvalidSeed("cluster and pairs must match the rank")
+        if not all(self.cluster):
+            raise sd.InvalidSeed("zero cluster variable")
 
     def __repr__(self) -> str:
         xs = ", ".join(lp.to_str(x, self.var_names) for x in self.cluster)
@@ -112,7 +114,8 @@ def compose_rescalings(r1: Rescaling, r2: Rescaling) -> Rescaling:
 def apply_rescaling(sl: SeedLike, r: Rescaling) -> SeedLike:
     """x_j divided by c_j; pairs divided by d_j and corrected by c powers."""
     n = sl.n
-    assert len(r.c) == n, "rescaling rank mismatch"
+    if len(r.c) != n:
+        raise ValueError("rescaling rank mismatch")
     cluster = [lp.shift(x, lp.exp_neg(c)) for x, c in zip(sl.cluster, r.c)]
     pairs = []
     for j in range(n):
@@ -138,7 +141,8 @@ def mutate_seedlike(sl: SeedLike, k: int) -> SeedLike:
     absorbs.
     """
     n = sl.n
-    assert 0 <= k < n
+    if not 0 <= k < n:
+        raise ValueError(f"direction {k} out of range for rank {n}")
     cluster = list(sl.cluster)
     cluster[k] = lp.exact_div(lp.add(*seedlike_hatted(sl, k)), sl.cluster[k])
     pairs: List[Pair] = []
@@ -158,7 +162,8 @@ def mutate_seedlike(sl: SeedLike, k: int) -> SeedLike:
 def frozen_content(x: Poly, num_mutable: int) -> Exponent:
     """Largest frozen monomial dividing x: componentwise minimum exponent
     over the terms, with mutable positions zeroed."""
-    assert x, "zero polynomial has no frozen content"
+    if not x:
+        raise ValueError("zero polynomial has no frozen content")
     m = lp.min_exponent(x)
     return (0,) * num_mutable + m[num_mutable:]
 

@@ -109,7 +109,8 @@ def explore(
     `lp.NotDivisible` or `sd.InvalidSeed` from the first mutation or
     canonical form that exposes it.
     """
-    assert max_depth >= 0 and max_nodes >= 1
+    if max_depth < 0 or max_nodes < 1:
+        raise ValueError("need max_depth >= 0 and max_nodes >= 1")
     nodes = [PatternNode(initial, (), _normalize_cluster(initial))]
     adjacency: List[Dict[int, int]] = [{}]
     index = {canonical_key(initial): 0}

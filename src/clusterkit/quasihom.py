@@ -187,9 +187,10 @@ def verify_qh(
     extended matrix to the target one, and every source cluster variable
     maps to a frozen-monomial multiple of its target counterpart.  With
     allow_opposite, the same conditions against the opposite target seed
-    also count.
+    also count.  Seeds of different rank raise PrincipalMismatch.
     """
-    assert src.n == dst.n, "principal ranks must agree"
+    if src.n != dst.n:
+        raise PrincipalMismatch("principal ranks must agree")
     if _verify_qh_direct(m, src, dst):
         return True
     return allow_opposite and _verify_qh_direct(m, src, sd.opposite_seed(dst))
@@ -307,8 +308,10 @@ def proportional(
 ) -> Optional[Grading]:
     """Grading carrying one map to the other, absent when they differ in
     mutable rows or the difference fails to annihilate the source matrix."""
-    assert m1.src_vars == m2.src_vars and m1.dst_vars == m2.dst_vars
-    assert m1.src_mutable == m2.src_mutable and m1.dst_mutable == m2.dst_mutable
+    if (m1.src_vars, m1.dst_vars, m1.src_mutable, m1.dst_mutable) != (
+        m2.src_vars, m2.dst_vars, m2.src_mutable, m2.dst_mutable
+    ):
+        raise InvalidMap("maps differ in variables or mutable counts")
     diff = [
         [a - b for a, b in zip(r1, r2)] for r1, r2 in zip(m1.matrix, m2.matrix)
     ]

@@ -221,6 +221,17 @@ def test_mutate_rejects_vanishing_cluster_variable(runner, tmp_path):
     assert payload["reason"] == "zero cluster variable"
 
 
+def test_verify_qh_rejects_rank_mismatch(runner, tmp_path):
+    src = write_seed(tmp_path, "a1", sd.initial_seed([[0]], ["x1"]))
+    dst = write_seed(tmp_path, "a2", sd.initial_seed([[0, 1], [-1, 0]], ["y1", "y2"]))
+    path = tmp_path / "m.json"
+    m = qh.MonomialMap([[1], [0]], ["x1"], ["y1", "y2"], 1, 2)
+    path.write_text(json.dumps(qh.map_to_json(m)))
+    result = runner.invoke(cl.main, ["verify-qh", str(path), src, dst])
+    assert result.exit_code == 2
+    assert error_payload(result) == {"error": "principal ranks differ", "src": 1, "dst": 2}
+
+
 def test_verify_qh_inverse_rejects_non_pattern_seed(runner, tmp_path):
     # the quasi-inverse star mutates the source, and x1^2 + x1 does not
     # divide x2 + y1, the exchange polynomial in direction 0

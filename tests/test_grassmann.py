@@ -762,3 +762,51 @@ def test_fixture_unsupported():
         gr.build_fixture(gr.make_context(1, 4))
     assert gr.build_fixture(CTX26).gstar_map is None
     assert gr.build_fixture(CTX36).gstar_map is None
+
+
+def flattoband_verdict(ctx, a, s, j_set, chart, shift=0):
+    # the flat-to-band identity with its completed run shifted by `shift`
+    # columns: any shift keeps both sides products of s Plücker coordinates
+    lhs = gr._g_minor_fast(ctx, tuple(range(a, a + s)), j_set, chart)
+    rhs = gr._run_product_fast(ctx, a, s, chart)
+    run = tuple(range(a + ctx.k + s + shift, ctx.n + a + shift))
+    return lhs == lp.mul_packed(rhs, gr._plucker_fast(ctx, run + j_set, chart))
+
+
+def test_chart_agrees_with_generic_matrix():
+    rejected = 0
+    for ctx in (CTX25, CTX36):
+        for a, s, j_set in gr.flattoband_cases(ctx):
+            assert flattoband_verdict(ctx, a, s, j_set, False)
+            assert gr.flattoband_check(ctx, a, s, j_set)
+            for shift in (-1, 1):
+                generic = flattoband_verdict(ctx, a, s, j_set, False, shift)
+                assert flattoband_verdict(ctx, a, s, j_set, True, shift) == generic
+                rejected += not generic
+    # true identities hold on any specialization; only the false ones show
+    # that the chart keeps their verdict
+    assert rejected == 106
+
+
+def test_composite_identity_in_chart():
+    for ctx, count in ((CTX25, 10), (CTX36, 20), (CTX26, 15)):
+        results = gr.composite_identity(ctx)
+        assert [cols for cols, _ in results] == list(
+            combinations(range(1, ctx.n + 1), ctx.rows)
+        )
+        assert len(results) == count and all(holds for _, holds in results)
+
+
+def test_caches_hand_out_fresh_values():
+    minor = gr.band_minor(CTX26, (1, 2), (2, 3))
+    expected = dict(minor)
+    minor.clear()
+    assert gr.band_minor(CTX26, (1, 2), (2, 3)) == expected
+    content, i_set, j_set = gr.factor_fstar(CTX26, (1, 3, 4, 6))
+    expected = dict(content)
+    content["Y11"] = 99
+    assert gr.factor_fstar(CTX26, (1, 3, 4, 6)) == (expected, i_set, j_set)
+    frozen = gr.content_exponents(CTX26, (1, 2, 3, 4))
+    expected = dict(frozen)
+    frozen.clear()
+    assert gr.content_exponents(CTX26, (1, 2, 3, 4)) == expected

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import textwrap
 
 import sympy
 from hypothesis import given, settings
@@ -205,3 +206,22 @@ class TestUnimodular:
     def test_rejects_scaling(self):
         assert not lattice.is_unimodular([[2, 0], [0, 1]])
         assert not lattice.is_unimodular([[1, 0]])
+
+
+def test_shape_checks_survive_optimize(run_optimized):
+    # typed errors, not asserts that python -O would strip
+    run_optimized(textwrap.dedent("""
+        from clusterkit import lattice as la
+        calls = [
+            lambda: la.matmul([[1, 2]], [[1, 2]]),
+            lambda: la.vec_mat([1], [[1], [2]]),
+            lambda: la.solve_left([[1, 0]], [1]),
+            lambda: la.det([[1, 2]]),
+        ]
+        for i, call in enumerate(calls):
+            try:
+                call()
+            except ValueError:
+                continue
+            raise SystemExit(f"call {i} raised no ValueError")
+    """))

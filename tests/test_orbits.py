@@ -1,5 +1,7 @@
 """Rescaling action and orbit equivalence of non-normalized seeds."""
 
+import textwrap
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
@@ -262,3 +264,27 @@ def test_frozen_content_examples():
     assert ob.frozen_content(x, 0) == (0, 0, 1, 3)
     mono = {(0, -1, 2, 0): 5}
     assert ob.frozen_content(mono, 2) == (0, 0, 2, 0)
+
+
+def test_input_checks_survive_optimize(run_optimized):
+    # typed errors, not asserts that python -O would strip
+    run_optimized(textwrap.dedent("""
+        from clusterkit import laurent as lp, orbits as ob, seeds as sd
+        x = lp.variable(0, 1)
+        pairs = [((0,), (0,))]
+        sl = ob.SeedLike([[0]], [x], pairs, ["x"])
+        calls = [
+            (lambda: ob.Rescaling(((0,),), ()), ValueError),
+            (lambda: ob.SeedLike([[0]], [x, x], pairs, ["x"]), sd.InvalidSeed),
+            (lambda: ob.SeedLike([[0]], [{}], pairs, ["x"]), sd.InvalidSeed),
+            (lambda: ob.apply_rescaling(sl, ob.identity_rescaling(2, 1)), ValueError),
+            (lambda: ob.mutate_seedlike(sl, 1), ValueError),
+            (lambda: ob.frozen_content({}, 0), ValueError),
+        ]
+        for i, (call, error) in enumerate(calls):
+            try:
+                call()
+            except error:
+                continue
+            raise SystemExit(f"call {i} raised no {error.__name__}")
+    """))

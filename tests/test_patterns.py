@@ -1,5 +1,6 @@
 """Exchange-graph exploration, nerves, and quasi-automorphism search."""
 
+import textwrap
 from itertools import permutations
 
 import hypothesis.strategies as st
@@ -270,3 +271,17 @@ def test_graph_dot_shape():
     assert lines[0] == "graph exchange {"
     assert lines[-1] == "}"
     assert sum(1 for line in lines if " -- " in line) == 5
+
+
+def test_limit_checks_survive_optimize(run_optimized):
+    # a typed error, not an assert that python -O would strip
+    run_optimized(textwrap.dedent("""
+        from clusterkit import patterns as pt, seeds as sd
+        seed = sd.initial_seed([[0, 1], [-1, 0]], ["x1", "x2"])
+        for limits in ({"max_depth": -1}, {"max_nodes": 0}):
+            try:
+                pt.explore(seed, **limits)
+            except ValueError:
+                continue
+            raise SystemExit(f"explore accepted {limits}")
+    """))

@@ -1,5 +1,7 @@
 """Monomial maps, quasi-homomorphism checks, gradings, and nerves."""
 
+import textwrap
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -388,3 +390,24 @@ def test_construct_round_trip_on_equal_spans(pair):
     composite = qh.compose_maps(backward, forward)
     g = qh.proportional(composite, qh.identity_map(seed_a), src)
     assert g is not None
+
+
+def test_input_checks_survive_optimize(run_optimized):
+    # typed errors, not asserts that python -O would strip
+    run_optimized(textwrap.dedent("""
+        from clusterkit import quasihom as qh, seeds as sd
+        a1 = sd.initial_seed([[0]], ["x1"])
+        a2 = sd.initial_seed([[0, 1], [-1, 0]], ["y1", "y2"])
+        m = qh.MonomialMap([[1], [0]], ["x1"], ["y1", "y2"], 1, 2)
+        ident1, ident2 = qh.identity_map(a1), qh.identity_map(a2)
+        calls = [
+            (lambda: qh.verify_qh(m, a1, a2), qh.PrincipalMismatch),
+            (lambda: qh.proportional(ident1, ident2, a1.btilde), qh.InvalidMap),
+        ]
+        for i, (call, error) in enumerate(calls):
+            try:
+                call()
+            except error:
+                continue
+            raise SystemExit(f"call {i} raised no {error.__name__}")
+    """))
