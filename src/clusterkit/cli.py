@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from itertools import combinations, permutations, product
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import click
 
@@ -85,10 +85,6 @@ def _emit(payload: Payload, fmt: str, lines: Callable[[Payload], List[str]]) -> 
 
 def _finish(ok: bool) -> None:
     raise SystemExit(0 if ok else 1)
-
-
-def _run_suites(suites: Sequence[Tuple[str, Callable[[], Payload]]]) -> List[Payload]:
-    return [check() for _, check in suites]
 
 
 def _suite(name: str, cases: int, failures: List[str]) -> Payload:
@@ -230,27 +226,11 @@ def verify_qh(map_file: str, src_file: str, dst_file: str,
     if src.n != dst.n:
         raise InputFault({"error": "principal ranks differ", "src": src.n, "dst": dst.n})
     m = _load_map(map_file, src.n, dst.n)
-    variables = []
-    for i in range(src.n):
-        try:
-            image = qh.apply_map(m, src.cluster[i])
-        except ValueError as exc:
-            raise InputFault({"error": "map does not fit the source seed", "reason": str(exc)})
-        ratio = lp.monomial_ratio(image, dst.cluster[i])
-        ok = ratio is not None and not any(ratio[: dst.n])
-        variables.append(
-            {
-                "name": src.var_names[i],
-                "frozen_ratio": list(ratio) if ok and ratio is not None else None,
-                "ok": ok,
-            }
-        )
-    payload: Payload = {
-        "principal_equal": src.principal == dst.principal,
-        "matrix_identity": la.matmul(m.matrix, src.btilde) == dst.btilde,
-        "variables": variables,
-        "verdict": qh.verify_qh(m, src, dst, allow_opposite=opposite),
-    }
+    for side, seed, names in (("source", src, m.src_vars), ("target", dst, m.dst_vars)):
+        if len(names) != seed.n + seed.m:
+            reason = f"{len(names)} {side} variables, the seed has {seed.n + seed.m}"
+            raise InputFault({"error": f"map does not fit the {side} seed", "reason": reason})
+    payload: Payload = qh.verify_report(m, src, dst, allow_opposite=opposite)
     if inverse_file is not None:
         w = _load_map(inverse_file, dst.n, src.n)
         try:
@@ -286,21 +266,9 @@ def construct_qh(src_file: str, dst_file: str, out: Optional[str], fmt: str) -> 
     """Solve for the canonical monomial map between two seed files."""
     src = _load_seed(src_file)
     dst = _load_seed(dst_file)
-    try:
-        payload: Payload = qh.construct_qh_diagnostics(
-            src.btilde, dst.btilde, src.var_names, dst.var_names
-        )
-    except qh.PrincipalMismatch as exc:
-        payload = {
-            "principal_equal": False,
-            "rows": [],
-            "map": None,
-            "reason": str(exc),
-            "src_vars": list(src.var_names),
-            "dst_vars": list(dst.var_names),
-        }
-        _emit(payload, fmt, _construct_lines)
-        _finish(False)
+    payload: Payload = qh.construct_qh_diagnostics(
+        src.btilde, dst.btilde, src.var_names, dst.var_names
+    )
     if payload["map"] is not None and out is not None:
         built = qh.MonomialMap(
             payload["map"], src.var_names, dst.var_names, src.n, dst.n
@@ -382,7 +350,7 @@ def _signed_permutation_group(r: int) -> List[sf.SignedPermutation]:
     return out
 
 
-def _surface_suites(fx: sf.AnnulusFixture) -> List[Tuple[str, Callable[[], Payload]]]:
+def _surface_suites(fx: sf.AnnulusFixture) -> List[Callable[[], Payload]]:
     def twist_realized() -> Payload:
         failures = []
         if not qh.verify_qh(fx.twist_map, fx.seed, fx.twist_seed):
@@ -456,15 +424,8 @@ def _surface_suites(fx: sf.AnnulusFixture) -> List[Tuple[str, Callable[[], Paylo
                     failures.append(f"{name} component {comp}: {got} != {pairing[comp]}")
         return _suite("residues_match_pairings", cases, failures)
 
-    return [
-        ("twist_realized", twist_realized),
-        ("half_turn_inequivalent", half_turn_inequivalent),
-        ("doubled_pairing", doubled_pairing),
-        ("stabilizer_indices", stabilizer_indices),
-        ("shear_relations", shear_relations),
-        ("kernel_basis", kernel_basis),
-        ("residues_match_pairings", residues_match),
-    ]
+    return [twist_realized, half_turn_inequivalent, doubled_pairing, stabilizer_indices,
+            shear_relations, kernel_basis, residues_match]
 
 
 def _checks_lines(payload: Payload) -> List[str]:
@@ -483,7 +444,7 @@ def _checks_lines(payload: Payload) -> List[str]:
 def surface(fmt: str) -> None:
     """Annulus fixture report: twist, subgroup indices, shear identities."""
     fx = sf.annulus_fixture()
-    results = _run_suites(_surface_suites(fx))
+    results = [check() for check in _surface_suites(fx)]
     payload: Payload = {
         "seed": sd.seed_to_json(fx.seed),
         "twist_map": qh.map_to_json(fx.twist_map),
@@ -499,10 +460,11 @@ def surface(fmt: str) -> None:
 
 
 def _grassmann_suites(
-    ctx: gx.GenericMatrixContext, fx: gx.GrassmannFixture
-) -> List[Tuple[str, Callable[[], Payload]]]:
+    ctx: gx.GenericMatrixContext,
+    fx: gx.GrassmannFixture,
+    records: Optional[List[Payload]],
+) -> List[Callable[[], Payload]]:
     def relations() -> Payload:
-        records = gx.quintic_relation_checks(ctx)
         failures = [
             f"{r['kind']} relation {r['index']} fails"
             for r in records
@@ -566,17 +528,14 @@ def _grassmann_suites(
         failures = [gx.plucker_name(cols) for cols, holds in results if not holds]
         return _suite("composite_identity", len(results), failures)
 
-    suites: List[Tuple[str, Callable[[], Payload]]] = []
-    if (ctx.k, ctx.n) == (2, 5):
-        suites.append(("relation_identities", relations))
-    suites.append(("map_verification", map_verification))
-    suites.append(("factorization", factorization))
-    suites.append(("flat_to_band_minors", flat_to_band))
-    suites.append(("tropical_contents", tropical))
+    suites: List[Callable[[], Payload]] = []
+    if records is not None:
+        suites.append(relations)
+    suites += [map_verification, factorization, flat_to_band, tropical]
     # the suite list per size is part of the CLI contract: (2,6) runs no
     # composite suite
     if (ctx.k, ctx.n) in ((2, 5), (3, 6)):
-        suites.append(("composite_identity", composite))
+        suites.append(composite)
     return suites
 
 
@@ -624,7 +583,7 @@ def grassmann(kn: Tuple[int, int], all_checks: bool, fmt: str) -> None:
             f"factorizations: {len(p['factorizations'])}",
         ])
         return
-    results = _run_suites(_grassmann_suites(ctx, fx))
+    results = [check() for check in _grassmann_suites(ctx, fx, payload.get("relations"))]
     payload["checks"] = results
     payload["verdict"] = all(entry["ok"] for entry in results)
     _emit(payload, fmt, _checks_lines)

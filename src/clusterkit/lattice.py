@@ -1,8 +1,8 @@
 """Integer matrices, Hermite normal form, and exact linear solving.
 
 Matrices are lists of int rows.  Everything here is exact; the only
-non-integer type is `fractions.Fraction`, used when a caller explicitly asks
-whether a system is solvable over the rationals.
+non-integer type is `fractions.Fraction`, used in back-substitution against
+a Hermite form and in the rational solutions of `solve_left_rational`.
 
 The Hermite normal form used throughout is the row-style canonical one: the
 result is in row echelon form with positive pivots, entries above each pivot
@@ -129,45 +129,64 @@ def left_kernel_basis(a: Sequence[Sequence[int]]) -> Matrix:
 
 def solve_left(a: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[Vector]:
     """An integer solution z of z * a = b, or None if none exists."""
-    z = _solve_left(a, b, Fraction)
-    if z is None or any(x.denominator != 1 for x in z):
-        return None
-    out = [int(x) for x in z]
-    if a and vec_mat(out, a) != list(b):
-        raise ArithmeticError("integer solution fails z * a = b")
-    return out
+    return solve_left_all(a, [b])[0][0]
 
 
 def solve_left_rational(
     a: Sequence[Sequence[int]], b: Sequence[int]
 ) -> Optional[List[Fraction]]:
     """A rational solution z of z * a = b, or None; used for diagnostics."""
-    return _solve_left(a, b, Fraction)
-
-
-def _solve_left(a, b, field) -> Optional[List[Fraction]]:
     if not a:
         return None if any(b) else []
     h, u = hermite_normal_form(a)
-    m = len(h)
-    n = len(h[0]) if h else 0
-    if len(b) != n:
-        raise ValueError("right-hand side has wrong length")
-    # pivots of h, in row order
-    pivots = []
-    for i in range(m):
-        c = next((j for j in range(n) if h[i][j]), None)
-        if c is not None:
-            pivots.append((i, c))
-    y = [field(0)] * m
-    residual = [field(x) for x in b]
-    for i, c in pivots:
-        y[i] = residual[c] / h[i][c]
-        for j in range(n):
-            residual[j] -= y[i] * h[i][j]
-    if any(residual):
+    y = _pivot_coordinates(h, b)
+    if y is None:
         return None
-    return [sum((y[i] * u[i][j] for i in range(m)), field(0)) for j in range(m)]
+    return [sum((c * u[i][j] for i, c in y), Fraction(0)) for j in range(len(u))]
+
+
+def solve_left_all(
+    a: Sequence[Sequence[int]], bs: Sequence[Sequence[int]]
+) -> List[Tuple[Optional[Vector], bool]]:
+    """(integer solution or None, whether a rational one exists) of z * a = b
+    for each b in bs, all from one Hermite transform u * a = h.
+
+    The solutions are z = y * u with y * h = b.  The nonzero rows of h are
+    independent, so back-substitution over its pivot rows gives the only
+    candidate y, and since u is unimodular z is integral exactly when y is.
+    """
+    if not a:
+        return [(None, False) if any(b) else ([], True) for b in bs]
+    h, u = hermite_normal_form(a)
+    out: List[Tuple[Optional[Vector], bool]] = []
+    for b in bs:
+        y = _pivot_coordinates(h, b)
+        if y is None or any(c.denominator != 1 for _, c in y):
+            out.append((None, y is not None))
+            continue
+        z = [sum(int(c) * u[i][j] for i, c in y) for j in range(len(u))]
+        if vec_mat(z, a) != list(b):
+            raise ArithmeticError("integer solution fails z * a = b")
+        out.append((z, True))
+    return out
+
+
+def _pivot_coordinates(h: Matrix, b: Sequence[int]) -> Optional[List[Tuple[int, Fraction]]]:
+    """The nonzero (row, y_row) of y * h = b for a Hermite form h, or None
+    when b is outside its rational row span."""
+    if len(b) != len(h[0]):
+        raise ValueError("right-hand side has wrong length")
+    residual = [Fraction(x) for x in b]
+    y = []
+    for i, row in enumerate(h):
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is None:
+            break
+        coef = residual[c] / row[c]
+        if coef:
+            y.append((i, coef))
+            residual[c:] = [r - coef * x for r, x in zip(residual[c:], row[c:])]
+    return None if any(residual) else y
 
 
 def lattice_equal(

@@ -168,6 +168,14 @@ def frozen_content(x: Poly, num_mutable: int) -> Exponent:
     return (0,) * num_mutable + m[num_mutable:]
 
 
+def frozen_ratio(f: Poly, g: Poly, num_mutable: int) -> Optional[Exponent]:
+    """Exponent e with f = x^e * g when x^e is a frozen monomial, else None."""
+    ratio = lp.monomial_ratio(f, g)
+    if ratio is None or any(ratio[:num_mutable]):
+        return None
+    return ratio
+
+
 def seeds_equivalent(a: SeedLike, b: SeedLike) -> Optional[Rescaling]:
     """The rescaling carrying a to b, or None when the seeds are not in one
     orbit.
@@ -182,8 +190,8 @@ def seeds_equivalent(a: SeedLike, b: SeedLike) -> Optional[Rescaling]:
     n = a.n
     cs: List[Exponent] = []
     for j in range(n):
-        ratio = lp.monomial_ratio(a.cluster[j], b.cluster[j])
-        if ratio is None or any(ratio[:n]):
+        ratio = frozen_ratio(a.cluster[j], b.cluster[j], n)
+        if ratio is None:
             return None
         cs.append(ratio)
     ds: List[Exponent] = []

@@ -171,44 +171,52 @@ def map_seed(m: MonomialMap, seed: sd.Seed) -> ob.SeedLike:
     return ob.SeedLike(seed.principal, cluster, pairs, m.dst_vars)
 
 
-def _frozen_ratio(f: Poly, g: Poly, num_mutable: int) -> Optional[Exponent]:
-    ratio = lp.monomial_ratio(f, g)
-    if ratio is None or any(ratio[:num_mutable]):
-        return None
-    return ratio
+def verify_report(
+    m: MonomialMap, src: sd.Seed, dst: sd.Seed, allow_opposite: bool = False
+) -> dict:
+    """Witness report of the quasi-homomorphism test at one seed pair.
+
+    Records whether the principal parts agree, whether the matrix carries
+    the source extended matrix to the target one, and the frozen monomial
+    ratio of each source cluster variable's image to its target counterpart
+    (None when there is none).  The verdict is their conjunction; with
+    allow_opposite, a failed direct test is retried against the opposite
+    target seed.  Seeds of different rank raise PrincipalMismatch, and a map
+    that does not fit the seeds raises InvalidMap.
+    """
+    if src.n != dst.n:
+        raise PrincipalMismatch("principal ranks must agree")
+    if (len(m.src_vars), m.src_mutable, len(m.dst_vars), m.dst_mutable) != (
+        src.n + src.m, src.n, dst.n + dst.m, dst.n
+    ):
+        raise InvalidMap("map does not fit the seeds")
+    ratios = [
+        ob.frozen_ratio(apply_map(m, x), y, dst.n)
+        for x, y in zip(src.cluster, dst.cluster)
+    ]
+    report = {
+        "principal_equal": src.principal == dst.principal,
+        "matrix_identity": la.matmul(m.matrix, src.btilde) == dst.btilde,
+        "variables": [
+            {"name": name, "frozen_ratio": None if r is None else list(r), "ok": r is not None}
+            for name, r in zip(src.var_names, ratios)
+        ],
+    }
+    report["verdict"] = (
+        report["principal_equal"] and report["matrix_identity"] and None not in ratios
+    ) or (allow_opposite and verify_report(m, src, sd.opposite_seed(dst))["verdict"])
+    return report
 
 
 def verify_qh(
     m: MonomialMap, src: sd.Seed, dst: sd.Seed, allow_opposite: bool = False
 ) -> bool:
-    """Quasi-homomorphism test at one seed pair.
-
-    True iff the principal parts agree, the matrix carries the source
-    extended matrix to the target one, and every source cluster variable
-    maps to a frozen-monomial multiple of its target counterpart.  With
-    allow_opposite, the same conditions against the opposite target seed
-    also count.  Seeds of different rank raise PrincipalMismatch.
-    """
-    if src.n != dst.n:
-        raise PrincipalMismatch("principal ranks must agree")
-    if _verify_qh_direct(m, src, dst):
-        return True
-    return allow_opposite and _verify_qh_direct(m, src, sd.opposite_seed(dst))
-
-
-def _verify_qh_direct(m: MonomialMap, src: sd.Seed, dst: sd.Seed) -> bool:
-    if len(m.src_vars) != src.n + src.m or len(m.dst_vars) != dst.n + dst.m:
+    """The verdict of verify_report, and False for a map that does not fit
+    the seeds.  Seeds of different rank raise PrincipalMismatch."""
+    try:
+        return verify_report(m, src, dst, allow_opposite)["verdict"]
+    except InvalidMap:
         return False
-    if m.src_mutable != src.n or m.dst_mutable != dst.n:
-        return False
-    if src.principal != dst.principal:
-        return False
-    if la.matmul(m.matrix, src.btilde) != dst.btilde:
-        return False
-    for i in range(src.n):
-        if _frozen_ratio(apply_map(m, src.cluster[i]), dst.cluster[i], dst.n) is None:
-            return False
-    return True
 
 
 def construct_qh(
@@ -222,9 +230,12 @@ def construct_qh(
     The top block is fixed to (identity | 0), so all freedom sits in the
     frozen rows; each target coefficient row must be an integer combination
     of source rows, found through the Hermite transform.  Absent when some
-    row is not in the integer row span.
+    row is not in the integer row span; PrincipalMismatch when the principal
+    parts differ.
     """
     report = construct_qh_diagnostics(src_btilde, dst_btilde, src_vars, dst_vars)
+    if not report["principal_equal"]:
+        raise PrincipalMismatch(report["reason"])
     if report["map"] is None:
         return None
     return MonomialMap(
@@ -242,34 +253,27 @@ def construct_qh_diagnostics(
 
     Each failed coefficient row records whether a rational combination
     exists, separating lattice obstructions from genuine span mismatches.
+    Every row is solved against one Hermite transform of the source matrix.
+    Different principal parts give a report with principal_equal False, no
+    rows and the reason.
     """
     n = len(src_btilde[0])
-    src_top = [list(r) for r in src_btilde[:n]]
-    dst_top = [list(r) for r in dst_btilde[:n]]
-    if len(dst_btilde[0]) != n or src_top != dst_top:
-        raise PrincipalMismatch("extended matrices have different principal parts")
-    src_arity = len(src_btilde)
-    rows: List[dict] = []
-    matrix: Optional[List[List[int]]] = [
-        [1 if i == j else 0 for j in range(src_arity)] for i in range(n)
+    equal = len(dst_btilde[0]) == n and (
+        [list(r) for r in src_btilde[:n]] == [list(r) for r in dst_btilde[:n]]
+    )
+    solved = la.solve_left_all(src_btilde, dst_btilde[n:]) if equal else []
+    rows = [
+        {"row": i, "integer": True} if z is not None
+        else {"row": i, "integer": False, "rational": rational}
+        for i, (z, rational) in enumerate(solved, n)
     ]
-    for i in range(n, len(dst_btilde)):
-        target = list(dst_btilde[i])
-        z = la.solve_left(src_btilde, target)
-        entry = {"row": i, "integer": z is not None}
-        if z is None:
-            entry["rational"] = la.solve_left_rational(src_btilde, target) is not None
-            matrix = None
-        elif matrix is not None:
-            matrix.append(z)
-        rows.append(entry)
-    return {
-        "principal_equal": True,
-        "rows": rows,
-        "map": matrix,
-        "src_vars": list(src_vars),
-        "dst_vars": list(dst_vars),
-    }
+    matrix = None
+    if equal and all(z is not None for z, _ in solved):
+        matrix = la.identity(len(src_btilde))[:n] + [z for z, _ in solved]
+    report: dict = {"principal_equal": equal, "rows": rows, "map": matrix}
+    if not equal:
+        report["reason"] = "extended matrices have different principal parts"
+    return {**report, "src_vars": list(src_vars), "dst_vars": list(dst_vars)}
 
 
 def normalization_map(m: MonomialMap) -> Callable[[Poly], Exponent]:
@@ -338,7 +342,7 @@ def quasi_inverse_check(m: MonomialMap, w: MonomialMap, src: sd.Seed) -> bool:
     neighborhood = [src] + [sd.mutate_seed(src, k) for k in range(src.n)]
     for seed in neighborhood:
         for x in seed.cluster:
-            if _frozen_ratio(apply_map(composite, x), x, src.n) is None:
+            if ob.frozen_ratio(apply_map(composite, x), x, src.n) is None:
                 return False
     return True
 
@@ -421,15 +425,15 @@ def check_on_nerve(
         b = reduce_word(list(word) + [label])
         for v in (a, b):
             image = apply_map(m, src_at[v].cluster[label])
-            if _frozen_ratio(image, dst_at[v].cluster[label], dst_seed.n) is None:
+            if ob.frozen_ratio(image, dst_at[v].cluster[label], dst_seed.n) is None:
                 return "fail"
         src_plus, src_minus = sd.hatted(src_at[a], label)
         dst_plus, dst_minus = sd.hatted(dst_at[a], label)
         ip, im = apply_map(m, src_plus), apply_map(m, src_minus)
-        r_pp = _frozen_ratio(ip, dst_plus, dst_seed.n)
-        r_mm = _frozen_ratio(im, dst_minus, dst_seed.n)
-        r_pm = _frozen_ratio(ip, dst_minus, dst_seed.n)
-        r_mp = _frozen_ratio(im, dst_plus, dst_seed.n)
+        r_pp = ob.frozen_ratio(ip, dst_plus, dst_seed.n)
+        r_mm = ob.frozen_ratio(im, dst_minus, dst_seed.n)
+        r_pm = ob.frozen_ratio(ip, dst_minus, dst_seed.n)
+        r_mp = ob.frozen_ratio(im, dst_plus, dst_seed.n)
         if not (r_pp is not None and r_pp == r_mm):
             direct_all = False
         if not (r_pm is not None and r_pm == r_mp):

@@ -457,3 +457,86 @@ def test_grassmann_rectangle_fixture(runner):
 def test_grassmann_rejects_unsupported_dimensions(runner):
     assert runner.invoke(cl.main, ["grassmann", "--kn", "4", "9"]).exit_code == 2
     assert runner.invoke(cl.main, ["grassmann", "--kn", "1", "4"]).exit_code == 2
+
+
+def write_map(tmp_path, m):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(qh.map_to_json(m)))
+    return str(path)
+
+
+def test_verify_qh_rejects_map_that_misses_target(runner, tmp_path):
+    src = a2_path(tmp_path, [X1, X2])
+    y1 = sd.Seed([[0, 1], [-1, 0], [0, 0]], [lp.variable(0, 3), lp.variable(1, 3)],
+                 ["x1", "x2", "y1"])
+    dst = write_seed(tmp_path, "a2y", y1)
+    identity = write_map(tmp_path, qh.MonomialMap(
+        [[1, 0], [0, 1]], ["x1", "x2"], ["x1", "x2"], 2, 2))
+    result = runner.invoke(cl.main, ["verify-qh", identity, src, dst])
+    assert result.exit_code == 2
+    assert error_payload(result) == {
+        "error": "map does not fit the target seed",
+        "reason": "2 target variables, the seed has 3",
+    }
+
+
+def test_verify_qh_rejects_map_that_misses_source(runner, tmp_path):
+    src = a2_path(tmp_path, [X1, X2])
+    m = qh.MonomialMap([[1, 0, 0], [0, 1, 0]], ["x1", "x2", "y1"], ["x1", "x2"], 2, 2)
+    result = runner.invoke(cl.main, ["verify-qh", write_map(tmp_path, m), src, src])
+    assert result.exit_code == 2
+    assert error_payload(result)["error"] == "map does not fit the source seed"
+
+
+SEED_READERS = {
+    "mutate": lambda bad, good: ["mutate", bad, "--word", "0"],
+    "explore": lambda bad, good: ["explore", bad],
+    "verify-qh": lambda bad, good: ["verify-qh", good, bad, good],
+    "construct-qh": lambda bad, good: ["construct-qh", good, bad],
+    "gradings": lambda bad, good: ["gradings", bad],
+    "orbit-eq": lambda bad, good: ["orbit-eq", good, bad],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEED_READERS))
+@pytest.mark.parametrize("text, error", [
+    ('{"n": 2}', "invalid seed"),
+    ('{"n": 2, ', "invalid JSON"),
+])
+def test_malformed_seed_exits_2(runner, tmp_path, command, text, error):
+    bad = tmp_path / "broken.json"
+    bad.write_text(text)
+    good = a2_path(tmp_path, [X1, X2])
+    result = runner.invoke(cl.main, SEED_READERS[command](str(bad), good))
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert error_payload(result)["error"] == error
+
+
+@pytest.mark.parametrize("command", ["construct-qh", "gradings", "orbit-eq"])
+def test_non_pattern_seed_is_answered(runner, tmp_path, command):
+    # x1^2 + x1 does not divide the exchange polynomial in direction 0;
+    # these commands never mutate, so they answer without a traceback
+    x1, x2 = lp.variable(0, 3), lp.variable(1, 3)
+    bad = sd.Seed([[0, 1], [-1, 0], [1, 1]], [lp.add(lp.mul(x1, x1), x1), x2],
+                  ["x1", "x2", "y1"])
+    path = write_seed(tmp_path, "bad", bad)
+    argv = [command, path] if command == "gradings" else [command, path, path]
+    result = runner.invoke(cl.main, argv)
+    assert result.exit_code in (0, 1)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    json.loads(result.stdout)
+
+
+def test_grassmann_relations_computed_once(runner, monkeypatch):
+    calls = []
+    checks = gx.quintic_relation_checks
+    monkeypatch.setattr(gx, "quintic_relation_checks",
+                        lambda ctx: calls.append(ctx) or checks(ctx))
+    result = runner.invoke(cl.main, ["grassmann", "--kn", "2", "5", "--all-checks"])
+    assert result.exit_code == 0
+    assert len(calls) == 1
+    payload = json.loads(result.output)
+    assert payload["checks"][0]["cases"] == len(payload["relations"]) == 15

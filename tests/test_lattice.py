@@ -153,6 +153,30 @@ class TestSolveLeft:
                 for j in range(len(b))
             ] == [sympy.Rational(x) for x in b]
 
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_all_rows_agree_with_single_solves(self, data):
+        a = data.draw(matrices())
+        n = len(a[0])
+        bs = []
+        for _ in range(data.draw(st.integers(0, 4))):
+            z = [data.draw(st.integers(-3, 3)) for _ in range(len(a))]
+            # halving an image, or bumping one entry, leaves the integer span
+            b = lattice.vec_mat(z, a)
+            kind = data.draw(st.integers(0, 2))
+            if kind == 1:
+                b = [x // 2 for x in b]
+            elif kind == 2:
+                b[data.draw(st.integers(0, n - 1))] += 1
+            bs.append(b)
+        solved = lattice.solve_left_all(a, bs)
+        assert len(solved) == len(bs)
+        for b, (z, rational) in zip(bs, solved):
+            assert z == lattice.solve_left(a, b)
+            assert rational == (lattice.solve_left_rational(a, b) is not None)
+            if z is not None:
+                assert lattice.vec_mat(z, a) == b
+
     def test_integer_gap(self):
         # (1,1) is in the rational but not the integer row span of (2,2)
         assert lattice.solve_left([[2, 2]], [1, 1]) is None

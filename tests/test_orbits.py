@@ -288,3 +288,14 @@ def test_input_checks_survive_optimize(run_optimized):
                 continue
             raise SystemExit(f"call {i} raised no {error.__name__}")
     """))
+
+
+def test_frozen_ratio():
+    x1, y1 = lp.variable(0, 2), lp.variable(1, 2)
+    f = lp.add(x1, y1)
+    assert ob.frozen_ratio(lp.mul(f, y1), f, 1) == (0, 1)
+    assert ob.frozen_ratio(f, f, 1) == (0, 0)
+    # a mutable factor, a sign and a non-monomial quotient are all refused
+    assert ob.frozen_ratio(lp.mul(f, x1), f, 1) is None
+    assert ob.frozen_ratio(lp.neg(f), f, 1) is None
+    assert ob.frozen_ratio(lp.mul(f, f), f, 1) is None

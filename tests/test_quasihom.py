@@ -196,6 +196,82 @@ def test_construct_reports_rational_obstruction():
     assert report["rows"] == [{"row": 1, "integer": False, "rational": False}]
 
 
+# A3 with a rank-2 principal part whose rows all lie in 2Z^3: among the
+# target coefficient rows, (1, -1, 0) is half a source row (rational, not
+# integer) and (1, 0, 0) leaves the plane x + y + z = 0 (not even rational).
+EVEN_A3 = [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]
+
+
+def test_construct_diagnostics_take_one_hermite_transform(monkeypatch):
+    src = EVEN_A3 + [[2, -2, 0]]
+    dst = EVEN_A3 + [[0, 2, -2], [1, -1, 0], [1, 0, 0], [4, -4, 0]]
+    calls = []
+    hnf = la.hermite_normal_form
+    monkeypatch.setattr(la, "hermite_normal_form", lambda a: calls.append(a) or hnf(a))
+    report = qh.construct_qh_diagnostics(src, dst, list("abcf"), list("abcghij"))
+    assert len(calls) == 1
+    assert report["map"] is None
+    assert report["rows"] == [
+        {"row": 3, "integer": True},
+        {"row": 4, "integer": False, "rational": True},
+        {"row": 5, "integer": False, "rational": False},
+        {"row": 6, "integer": True},
+    ]
+    monkeypatch.undo()
+    # each verdict agrees with a solve of its own row
+    for entry in report["rows"]:
+        target = dst[entry["row"]]
+        assert entry["integer"] == (la.solve_left(src, target) is not None)
+        if not entry["integer"]:
+            rational = la.solve_left_rational(src, target) is not None
+            assert entry["rational"] == rational
+
+
+def test_construct_diagnostics_report_principal_mismatch():
+    report = qh.construct_qh_diagnostics(
+        [[0, 1], [-1, 0]], [[0, 2], [-2, 0]], ["a", "b"], ["c", "d"]
+    )
+    assert report == {
+        "principal_equal": False,
+        "rows": [],
+        "map": None,
+        "reason": "extended matrices have different principal parts",
+        "src_vars": ["a", "b"],
+        "dst_vars": ["c", "d"],
+    }
+
+
+def test_verify_report_witnesses():
+    report = qh.verify_report(fstar(), gr_seed(), band_seed())
+    assert report["principal_equal"] and report["matrix_identity"]
+    assert report["verdict"] is True
+    assert [v["name"] for v in report["variables"]] == GR35_NAMES[:2]
+    for entry in report["variables"]:
+        assert entry["ok"] is True
+        assert entry["frozen_ratio"][:2] == [0, 0]
+
+
+def test_verify_report_keeps_direct_witnesses_under_opposite():
+    src, dst = gr_seed(), sd.opposite_seed(band_seed())
+    direct = qh.verify_report(fstar(), src, dst)
+    either = qh.verify_report(fstar(), src, dst, allow_opposite=True)
+    assert direct["verdict"] is False and either["verdict"] is True
+    assert {k: v for k, v in either.items() if k != "verdict"} == {
+        k: v for k, v in direct.items() if k != "verdict"
+    }
+    assert direct["principal_equal"] is False
+
+
+def test_verify_report_rejects_map_that_does_not_fit():
+    a2 = sd.initial_seed([[0, 1], [-1, 0]], ["x1", "x2"])
+    a2y = sd.initial_seed([[0, 1], [-1, 0], [0, 0]], ["x1", "x2", "y1"])
+    m = qh.identity_map(a2)
+    with pytest.raises(qh.InvalidMap):
+        qh.verify_report(m, a2, a2y)
+    assert qh.verify_qh(m, a2, a2y) is False
+    assert qh.verify_qh(m, a2, a2y, allow_opposite=True) is False
+
+
 def test_normalization_values():
     c = qh.normalization_map(fstar())
     assert c(lp.variable(0, 7)) == exp(9, p7=1)
