@@ -209,6 +209,13 @@ def _verify_lines(payload: Payload) -> List[str]:
     return out
 
 
+def _check_fit(label: str, m: qh.MonomialMap, fits: List[Tuple[str, sd.Seed]]) -> None:
+    for own, names, (side, seed) in zip(("source", "target"), (m.src_vars, m.dst_vars), fits):
+        if len(names) != seed.n + seed.m:
+            reason = f"{len(names)} {own} variables, the seed has {seed.n + seed.m}"
+            raise InputFault({"error": f"{label} does not fit the {side} seed", "reason": reason})
+
+
 @main.command("verify-qh")
 @click.argument("map_file")
 @click.argument("src_file")
@@ -226,13 +233,11 @@ def verify_qh(map_file: str, src_file: str, dst_file: str,
     if src.n != dst.n:
         raise InputFault({"error": "principal ranks differ", "src": src.n, "dst": dst.n})
     m = _load_map(map_file, src.n, dst.n)
-    for side, seed, names in (("source", src, m.src_vars), ("target", dst, m.dst_vars)):
-        if len(names) != seed.n + seed.m:
-            reason = f"{len(names)} {side} variables, the seed has {seed.n + seed.m}"
-            raise InputFault({"error": f"map does not fit the {side} seed", "reason": reason})
+    _check_fit("map", m, [("source", src), ("target", dst)])
     payload: Payload = qh.verify_report(m, src, dst, allow_opposite=opposite)
     if inverse_file is not None:
         w = _load_map(inverse_file, dst.n, src.n)
+        _check_fit("inverse map", w, [("target", dst), ("source", src)])
         try:
             payload["quasi_inverse"] = qh.quasi_inverse_check(m, w, src)
         except qh.InvalidMap as exc:

@@ -2,7 +2,7 @@
 
 Matrices are lists of int rows.  Everything here is exact; the only
 non-integer type is `fractions.Fraction`, used in back-substitution against
-a Hermite form and in the rational solutions of `solve_left_rational`.
+a Hermite form, which also decides whether a rational solution exists.
 
 The Hermite normal form used throughout is the row-style canonical one: the
 result is in row echelon form with positive pivots, entries above each pivot
@@ -130,19 +130,6 @@ def left_kernel_basis(a: Sequence[Sequence[int]]) -> Matrix:
 def solve_left(a: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[Vector]:
     """An integer solution z of z * a = b, or None if none exists."""
     return solve_left_all(a, [b])[0][0]
-
-
-def solve_left_rational(
-    a: Sequence[Sequence[int]], b: Sequence[int]
-) -> Optional[List[Fraction]]:
-    """A rational solution z of z * a = b, or None; used for diagnostics."""
-    if not a:
-        return None if any(b) else []
-    h, u = hermite_normal_form(a)
-    y = _pivot_coordinates(h, b)
-    if y is None:
-        return None
-    return [sum((c * u[i][j] for i, c in y), Fraction(0)) for j in range(len(u))]
 
 
 def solve_left_all(

@@ -10,6 +10,12 @@ pairwise distinct and that order leaves no relabeling free; the form costs
 one sort, at any rank.  Data whose cluster repeats an entry is not a seed of
 any pattern and is rejected as `InvalidSeed`.
 
+Each edge is mutated once, not from both ends.  Mutation is an involution,
+as mu_k negates column k of the exchange matrix and keeps the exchange
+polynomial at k, and it commutes with relabeling: if direction k from a node
+reaches a representative holding the new variable at j, direction j leads
+back.  N seeds of rank n thus take n*N/2 mutations in place of n*N.
+
 The quasi-automorphism search then relabels each explored seed every
 possible way, keeps the relabelings whose principal part matches the base
 (or its negative, for maps into the opposite pattern), and asks the
@@ -71,13 +77,17 @@ def canonical_key(seed: sd.Seed):
 
 @dataclass
 class PatternNode:
-    """One unlabeled seed: the first representative reached, its mutation
-    word, and the cluster with frozen content divided out for comparisons
-    across coefficient choices."""
+    """One unlabeled seed: the first representative reached and its mutation
+    word.  `normalized_cluster`, the cluster with frozen content divided out
+    for comparisons across coefficient choices, is computed on access."""
 
     seed: sd.Seed
     word: Tuple[int, ...]
-    normalized_cluster: List[Poly]
+
+    @property
+    def normalized_cluster(self) -> List[Poly]:
+        n = self.seed.n
+        return [lp.shift(x, lp.exp_neg(ob.frozen_content(x, n))) for x in self.seed.cluster]
 
 
 @dataclass
@@ -92,12 +102,6 @@ class ExplorationGraph:
         return not (self.hit_depth or self.hit_nodes)
 
 
-def _normalize_cluster(seed: sd.Seed) -> List[Poly]:
-    return [
-        lp.shift(x, lp.exp_neg(ob.frozen_content(x, seed.n))) for x in seed.cluster
-    ]
-
-
 def explore(
     initial: sd.Seed, max_depth: int = 16, max_nodes: int = 500
 ) -> ExplorationGraph:
@@ -108,10 +112,14 @@ def explore(
     patterns never close.  Input that is not a seed of any pattern raises
     `lp.NotDivisible` or `sd.InvalidSeed` from the first mutation or
     canonical form that exposes it.
+
+    By the involution (module docstring), an edge into a later node that is
+    still to be expanded also records its reverse, which is not mutated
+    again; a complete run of N nodes of rank n mutates n*N/2 times.
     """
     if max_depth < 0 or max_nodes < 1:
         raise ValueError("need max_depth >= 0 and max_nodes >= 1")
-    nodes = [PatternNode(initial, (), _normalize_cluster(initial))]
+    nodes = [PatternNode(initial, ())]
     adjacency: List[Dict[int, int]] = [{}]
     index = {canonical_key(initial): 0}
     hit_depth = hit_nodes = False
@@ -123,6 +131,8 @@ def explore(
             hit_depth = True
             continue
         for k in range(initial.n):
+            if k in adjacency[idx]:
+                continue
             neighbor = sd.mutate_seed(node.seed, k)
             key = canonical_key(neighbor)
             found = index.get(key)
@@ -131,15 +141,13 @@ def explore(
                     hit_nodes = True
                     continue
                 found = len(nodes)
-                nodes.append(
-                    PatternNode(
-                        neighbor, node.word + (k,), _normalize_cluster(neighbor)
-                    )
-                )
+                nodes.append(PatternNode(neighbor, node.word + (k,)))
                 adjacency.append({})
                 index[key] = found
                 queue.append(found)
             adjacency[idx][k] = found
+            if found > idx and len(nodes[found].word) < max_depth:
+                adjacency[found][nodes[found].seed.cluster.index(neighbor.cluster[k])] = idx
     return ExplorationGraph(nodes, adjacency, hit_depth, hit_nodes)
 
 

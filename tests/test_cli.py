@@ -488,6 +488,31 @@ def test_verify_qh_rejects_map_that_misses_source(runner, tmp_path):
     assert error_payload(result)["error"] == "map does not fit the source seed"
 
 
+def test_verify_qh_rejects_inverse_that_misses_a_seed(runner, tmp_path):
+    # the inverse runs target -> source, so its sides swap
+    src = a2_path(tmp_path, [X1, X2])
+    y1 = sd.Seed([[0, 1], [-1, 0], [0, 0]], [lp.variable(0, 3), lp.variable(1, 3)],
+                 ["x1", "x2", "y1"])
+    dst = write_seed(tmp_path, "a2y", y1)
+    forward = write_map(tmp_path, qh.MonomialMap(
+        [[1, 0], [0, 1], [0, 0]], ["x1", "x2"], ["x1", "x2", "y1"], 2, 2))
+    for name, matrix, src_vars, dst_vars, side, reason in [
+        ("w3", [[1, 0, 0], [0, 1, 0], [0, 0, 1]], ["x1", "x2", "y1"], ["x1", "x2", "y1"],
+         "source", "3 target variables, the seed has 2"),
+        ("w2", [[1, 0], [0, 1]], ["x1", "x2"], ["x1", "x2"],
+         "target", "2 source variables, the seed has 3"),
+    ]:
+        inverse = tmp_path / f"{name}.json"
+        inverse.write_text(json.dumps(
+            {"matrix": matrix, "src_vars": src_vars, "dst_vars": dst_vars}))
+        result = runner.invoke(
+            cl.main, ["verify-qh", forward, src, dst, "--inverse", str(inverse)])
+        assert result.exit_code == 2
+        assert error_payload(result) == {
+            "error": f"inverse map does not fit the {side} seed", "reason": reason,
+        }
+
+
 SEED_READERS = {
     "mutate": lambda bad, good: ["mutate", bad, "--word", "0"],
     "explore": lambda bad, good: ["explore", bad],

@@ -145,13 +145,10 @@ class TestSolveLeft:
         b = [1] + [0] * (len(a[0]) - 1)
         augmented = [list(row) for row in a] + [b]
         rank_jump = sympy.Matrix(augmented).rank() > sympy.Matrix(a).rank()
-        rational = lattice.solve_left_rational(a, b)
-        assert (rational is None) == rank_jump
-        if rational is not None:
-            assert [
-                sum(x * row[j] for x, row in zip(rational, a))
-                for j in range(len(b))
-            ] == [sympy.Rational(x) for x in b]
+        [(z, rational)] = lattice.solve_left_all(a, [b])
+        assert rational == (not rank_jump)
+        if z is not None:
+            assert lattice.vec_mat(z, a) == b
 
     @given(st.data())
     @settings(max_examples=60)
@@ -173,14 +170,16 @@ class TestSolveLeft:
         assert len(solved) == len(bs)
         for b, (z, rational) in zip(bs, solved):
             assert z == lattice.solve_left(a, b)
-            assert rational == (lattice.solve_left_rational(a, b) is not None)
+            augmented = [list(row) for row in a] + [b]
+            rank_jump = sympy.Matrix(augmented).rank() > sympy.Matrix(a).rank()
+            assert rational == (not rank_jump)
             if z is not None:
                 assert lattice.vec_mat(z, a) == b
 
     def test_integer_gap(self):
         # (1,1) is in the rational but not the integer row span of (2,2)
         assert lattice.solve_left([[2, 2]], [1, 1]) is None
-        assert lattice.solve_left_rational([[2, 2]], [1, 1]) is not None
+        assert lattice.solve_left_all([[2, 2]], [[1, 1]]) == [(None, True)]
 
 
 class TestLeftKernel:

@@ -1,6 +1,7 @@
 """Exchange-graph exploration, nerves, and quasi-automorphism search."""
 
 import textwrap
+from collections import deque
 from itertools import permutations
 
 import hypothesis.strategies as st
@@ -116,6 +117,95 @@ def test_explore_has_no_rank_cap():
     graph = pt.explore(sd.initial_seed(a_n(9), [f"x{i}" for i in range(9)]), max_nodes=30)
     assert graph.hit_nodes
     assert len(graph.nodes) == 30
+
+
+def d_n(n):
+    """D_n quiver: a path on 0..n-2 with n-1 attached to n-3."""
+    b = a_n(n - 1)
+    b = [row + [0] for row in b] + [[0] * n]
+    b[n - 3][n - 1], b[n - 1][n - 3] = 1, -1
+    return b
+
+
+def reference_explore(initial, max_depth, max_nodes):
+    """The exchange graph by brute force: every node is mutated in every
+    direction, and nodes are merged by canonical key."""
+    nodes, adjacency = [(initial, ())], [{}]
+    index = {pt.canonical_key(initial): 0}
+    hit_depth = hit_nodes = False
+    queue = deque([0])
+    while queue:
+        idx = queue.popleft()
+        seed, word = nodes[idx]
+        if len(word) >= max_depth:
+            hit_depth = True
+            continue
+        for k in range(seed.n):
+            neighbor = sd.mutate_seed(seed, k)
+            key = pt.canonical_key(neighbor)
+            if key not in index:
+                if len(nodes) >= max_nodes:
+                    hit_nodes = True
+                    continue
+                index[key] = len(nodes)
+                nodes.append((neighbor, word + (k,)))
+                adjacency.append({})
+                queue.append(index[key])
+            adjacency[idx][k] = index[key]
+    return nodes, adjacency, hit_depth, hit_nodes
+
+
+def assert_matches_reference(seed, max_depth=16, max_nodes=500):
+    graph = pt.explore(seed, max_depth=max_depth, max_nodes=max_nodes)
+    nodes, adjacency, hit_depth, hit_nodes = reference_explore(seed, max_depth, max_nodes)
+    assert [node.word for node in graph.nodes] == [word for _, word in nodes]
+    assert [node.seed.cluster for node in graph.nodes] == [s.cluster for s, _ in nodes]
+    assert [node.seed.btilde for node in graph.nodes] == [s.btilde for s, _ in nodes]
+    assert graph.adjacency == adjacency
+    assert (graph.hit_depth, graph.hit_nodes) == (hit_depth, hit_nodes)
+
+
+@st.composite
+def finite_type_seeds(draw):
+    """A_n (n = 2..5) or D_n (n = 4, 5) with every edge oriented at random,
+    over 0-3 random frozen rows."""
+    n = draw(st.integers(2, 5))
+    b = d_n(n) if n >= 4 and draw(st.booleans()) else a_n(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if b[i][j] and draw(st.booleans()):
+                b[i][j], b[j][i] = b[j][i], b[i][j]
+    m = draw(st.integers(0, 3))
+    frozen = [[draw(st.integers(-1, 1)) for _ in range(n)] for _ in range(m)]
+    names = [f"x{i}" for i in range(n)] + [f"y{i}" for i in range(m)]
+    return sd.initial_seed(b + frozen, names)
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(finite_type_seeds())
+def test_explore_matches_brute_force(seed):
+    for max_depth in (1, 2, 3):
+        for max_nodes in (1, 7, 20, 500):
+            assert_matches_reference(seed, max_depth, max_nodes)
+    assert_matches_reference(seed)
+
+
+def test_explore_matches_brute_force_on_markov():
+    assert_matches_reference(
+        sd.initial_seed(MARKOV + [[1, -1, 0]], ["a", "b", "c", "f"]), max_nodes=60
+    )
+
+
+@pytest.mark.parametrize("b, nodes, mutations", [(a_n(4), 42, 84), (d_n(5), 182, 455)])
+def test_complete_explore_mutates_each_edge_once(monkeypatch, b, nodes, mutations):
+    # n * N / 2: the reverse of every edge is read off, not mutated again
+    calls = []
+    mutate = sd.mutate_seed
+    monkeypatch.setattr(sd, "mutate_seed", lambda seed, k: calls.append(k) or mutate(seed, k))
+    graph = pt.explore(sd.initial_seed(b, [f"x{i}" for i in range(len(b))]))
+    assert graph.complete
+    assert len(graph.nodes) == nodes
+    assert len(calls) == mutations
 
 
 def test_canonical_key_rejects_equal_cluster_entries():
