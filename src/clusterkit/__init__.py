@@ -13,7 +13,8 @@ Subpackage layout, roughly bottom-up:
     cli        command line entry points
 
 All arithmetic is exact: integers and integer exponent vectors throughout,
-`fractions.Fraction` where a rational quotient is unavoidable in tests.
+with fraction-free elimination in the linear algebra; `fractions.Fraction`
+appears only in `laurent.evaluate`, which substitutes rational values.
 """
 
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ files that are not seeds of any pattern.
 from __future__ import annotations
 
 import json
+import sys
 from itertools import combinations, permutations, product
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -94,6 +95,9 @@ def _suite(name: str, cases: int, failures: List[str]) -> Payload:
 @click.group()
 def main() -> None:
     """Exact-arithmetic workbench for cluster patterns of geometric type."""
+    # exact integers are read and printed in full, however many digits
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
 
 
 # ---------------------------------------------------------------------------

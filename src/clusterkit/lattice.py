@@ -1,8 +1,9 @@
 """Integer matrices, Hermite normal form, and exact linear solving.
 
-Matrices are lists of int rows.  Everything here is exact; the only
-non-integer type is `fractions.Fraction`, used in back-substitution against
-a Hermite form, which also decides whether a rational solution exists.
+Matrices are lists of int rows, and everything here is exact integer
+arithmetic.  Back-substitution against a Hermite form is fraction-free over
+one running denominator, which also decides whether a rational solution
+exists.
 
 The Hermite normal form used throughout is the row-style canonical one: the
 result is in row echelon form with positive pivots, entries above each pivot
@@ -13,7 +14,7 @@ checks rely on.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 Matrix = List[List[int]]
@@ -37,17 +38,18 @@ def transpose(a: Sequence[Sequence[int]]) -> Matrix:
 
 
 def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("inner dimensions differ")
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [vec_mat(row, b) for row in a]
 
 
 def vec_mat(v: Sequence[int], a: Sequence[Sequence[int]]) -> Vector:
-    """Row vector times matrix."""
+    """Row vector times matrix, summing x * row over the nonzero x of v."""
     if len(v) != len(a):
         raise ValueError("inner dimensions differ")
-    return [sum(x * row[j] for x, row in zip(v, a)) for j in range(len(a[0]))] if a else []
+    out = [0] * len(a[0]) if a else []
+    for x, row in zip(v, a):
+        if x:
+            out = [s + x * y for s, y in zip(out, row)]
+    return out
 
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> Vector:
@@ -147,33 +149,43 @@ def solve_left_all(
     h, u = hermite_normal_form(a)
     out: List[Tuple[Optional[Vector], bool]] = []
     for b in bs:
-        y = _pivot_coordinates(h, b)
-        if y is None or any(c.denominator != 1 for _, c in y):
-            out.append((None, y is not None))
+        solved = _pivot_coordinates(h, b)
+        if solved is None or solved[1] != 1:
+            out.append((None, solved is not None))
             continue
-        z = [sum(int(c) * u[i][j] for i, c in y) for j in range(len(u))]
+        z = vec_mat(solved[0], u)
         if vec_mat(z, a) != list(b):
             raise ArithmeticError("integer solution fails z * a = b")
         out.append((z, True))
     return out
 
 
-def _pivot_coordinates(h: Matrix, b: Sequence[int]) -> Optional[List[Tuple[int, Fraction]]]:
-    """The nonzero (row, y_row) of y * h = b for a Hermite form h, or None
-    when b is outside its rational row span."""
+def _pivot_coordinates(h: Matrix, b: Sequence[int]) -> Optional[Tuple[Vector, int]]:
+    """(y, d) with y * h = d * b and d >= 1 for a Hermite form h, or None
+    when b is outside its rational row span.
+
+    Fraction-free back-substitution: the residual d * b - y * h stays
+    integral, and d grows by the part of a pivot that the residual entry
+    does not cancel, which leaves that y_row / d non-integral.  So d == 1
+    exactly when y * h = b has an integer solution.
+    """
     if len(b) != len(h[0]):
         raise ValueError("right-hand side has wrong length")
-    residual = [Fraction(x) for x in b]
-    y = []
+    residual, y, d = list(b), [0] * len(h), 1
     for i, row in enumerate(h):
         c = next((j for j, x in enumerate(row) if x), None)
         if c is None:
             break
-        coef = residual[c] / row[c]
-        if coef:
-            y.append((i, coef))
-            residual[c:] = [r - coef * x for r, x in zip(residual[c:], row[c:])]
-    return None if any(residual) else y
+        if not residual[c]:
+            continue
+        scale = row[c] // gcd(residual[c], row[c])
+        if scale != 1:
+            d *= scale
+            residual = [r * scale for r in residual]
+            y = [x * scale for x in y]
+        y[i] = coef = residual[c] // row[c]
+        residual[c:] = [r - coef * x for r, x in zip(residual[c:], row[c:])]
+    return None if any(residual) else (y, d)
 
 
 def lattice_equal(

@@ -48,11 +48,12 @@ class MonomialMap:
     """Exponent matrix of a coefficient-preserving monomial map.
 
     Rows index target generators, columns source generators; column k is the
-    image of the k-th source variable.  Frozen source columns must have zero
-    entries in mutable target rows, so frozen monomials stay frozen.
+    image of the k-th source variable (`columns` holds them).  Frozen source
+    columns must have zero entries in mutable target rows, so frozen
+    monomials stay frozen.
     """
 
-    __slots__ = ("matrix", "src_vars", "dst_vars", "src_mutable", "dst_mutable")
+    __slots__ = ("matrix", "columns", "src_vars", "dst_vars", "src_mutable", "dst_mutable")
 
     def __init__(
         self,
@@ -83,6 +84,7 @@ class MonomialMap:
                     raise InvalidMap(
                         f"frozen source column {k} hits mutable target row {i}"
                     )
+        self.columns = list(zip(*self.matrix))
 
     def __repr__(self) -> str:
         return (
@@ -129,11 +131,8 @@ def map_from_json(obj: dict, src_mutable: int, dst_mutable: int) -> MonomialMap:
 def apply_map(m: MonomialMap, f: Poly) -> Poly:
     """Term-by-term monomial substitution; exponents go through the matrix."""
     out: Poly = {}
-    cols = len(m.src_vars)
     for e, c in f.items():
-        if len(e) != cols:
-            raise ValueError(f"arity {len(e)} does not match {cols} source variables")
-        image = tuple(la.mat_vec(m.matrix, list(e)))
+        image = map_exponent(m, e)
         got = out.get(image, 0) + c
         if got:
             out[image] = got
@@ -155,7 +154,14 @@ def compose_maps(outer: MonomialMap, inner: MonomialMap) -> MonomialMap:
 
 
 def map_exponent(m: MonomialMap, e: Exponent) -> Exponent:
-    return tuple(la.mat_vec(m.matrix, list(e)))
+    """The image exponent: the sum of e_j * column_j over nonzero e_j."""
+    if len(e) != len(m.columns):
+        raise ValueError(f"arity {len(e)} does not match {len(m.src_vars)} source variables")
+    image = [0] * len(m.dst_vars)
+    for k, col in zip(e, m.columns):
+        if k:
+            image = [x + k * y for x, y in zip(image, col)]
+    return tuple(image)
 
 
 def map_seed(m: MonomialMap, seed: sd.Seed) -> ob.SeedLike:

@@ -13,8 +13,7 @@ cross multiplication; no rational-function normal form is ever needed.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import laurent as lp
@@ -35,20 +34,22 @@ def mutate_matrix(btilde: Sequence[Sequence[int]], k: int) -> Matrix:
     """Matrix mutation in direction k, applied to all rows.
 
     Row and column k flip sign; entry (i, j) otherwise gains
-    sign(b_ik) * [b_ik * b_kj]_+.
+    sign(b_ik) * [b_ik * b_kj]_+: b_ik times [row k]_+ or [-row k]_+.
     """
     n = len(btilde[0])
     _check_direction(k, n)
+    pos = [max(x, 0) for x in btilde[k]]
+    neg = [max(-x, 0) for x in btilde[k]]
     out = []
     for i, row in enumerate(btilde):
-        new_row = []
-        for j in range(n):
-            if i == k or j == k:
-                new_row.append(-row[j])
-            else:
-                bik, bkj = row[k], btilde[k][j]
-                correction = max(bik * bkj, 0)
-                new_row.append(row[j] + (correction if bik > 0 else -correction))
+        bik = row[k]
+        if i == k:
+            new_row = [-x for x in row]
+        elif bik:
+            new_row = [x + bik * y for x, y in zip(row, pos if bik > 0 else neg)]
+        else:
+            new_row = list(row)
+        new_row[k] = -bik
         out.append(new_row)
     return out
 
@@ -61,43 +62,41 @@ def _check_direction(k: int, n: int) -> None:
 def skew_symmetrizer(b: Sequence[Sequence[int]]) -> Optional[List[int]]:
     """Positive integers d with d_i b_ij = -d_j b_ji, or None.
 
-    Works per connected component of the nonzero pattern, propagating the
-    ratio constraints by breadth-first search and scaling each component to
-    the smallest positive integer solution.
+    Propagates integer d_i through each connected component of the nonzero
+    pattern, checking d_i |b_ij| == d_j |b_ji| by cross multiplication.
+    Each component starts at d_0, and a forced value that is not an integer
+    rescales all values by its denominator, so the result is the smallest
+    positive solution whose component starts are all equal.
     """
     n = len(b)
     if any(len(row) != n for row in b):
         return None
-    for i in range(n):
-        for j in range(n):
-            # zero entries must pair with zero entries, opposite signs else
-            if (b[i][j] == 0) != (b[j][i] == 0):
-                return None
-            if b[i][j] * b[j][i] > 0:
-                return None
-    ratio: List[Optional[Fraction]] = [None] * n
+    d = [0] * n
     for start in range(n):
-        if ratio[start] is not None:
+        if d[start]:
             continue
-        ratio[start] = Fraction(1)
+        d[start] = d[0] or 1
         queue = [start]
         while queue:
             i = queue.pop()
-            for j in range(n):
-                if not b[i][j]:
-                    continue
-                forced = ratio[i] * Fraction(abs(b[i][j]), abs(b[j][i]))
-                if ratio[j] is None:
-                    ratio[j] = forced
-                    queue.append(j)
-                elif ratio[j] != forced:
+            for j, bij in enumerate(b[i]):
+                bji = b[j][i]
+                # zero entries must pair with zero entries, opposite signs else
+                if (bij == 0) != (bji == 0) or bij * bji > 0:
                     return None
-    if not n:
-        return []
-    scale = lcm(*(r.denominator for r in ratio))
-    d = [int(r * scale) for r in ratio]
-    g = gcd(*d)
-    return [x // g for x in d]
+                if not bij:
+                    continue
+                num, den = d[i] * abs(bij), abs(bji)
+                if not d[j]:
+                    scale = den // gcd(num, den)
+                    if scale != 1:
+                        d = [x * scale for x in d]
+                        num *= scale
+                    d[j] = num // den
+                    queue.append(j)
+                elif num != d[j] * den:
+                    return None
+    return d
 
 
 def is_skew_symmetrizable(b: Sequence[Sequence[int]]) -> bool:

@@ -1,6 +1,7 @@
 """Command line drivers: payload shapes, formats, and exit codes."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from click.testing import CliRunner
 
 import clusterkit.cli as cl
 import clusterkit.grassmann as gx
+import clusterkit.lattice as la
 import clusterkit.laurent as lp
 import clusterkit.quasihom as qh
 import clusterkit.seeds as sd
@@ -565,3 +567,67 @@ def test_grassmann_relations_computed_once(runner, monkeypatch):
     assert len(calls) == 1
     payload = json.loads(result.output)
     assert payload["checks"][0]["cases"] == len(payload["relations"]) == 15
+
+
+# A random 22 x 15 extended matrix: skew-symmetric principal part, frozen rows
+# and upper entries drawn uniformly from [-3, 3] by random.Random(176) (the
+# first seed below 400 whose grading basis has entries past Python's default
+# 4300-digit int-to-str limit; its largest has 9112 digits).
+RANK15_BTILDE = [
+    [ 0, -3,  3, -2,  3, -3,  3,  0,  2, -1,  2,  2,  1,  0, -3],
+    [ 3,  0, -3, -3, -1,  1, -1, -1,  0, -1, -1,  3, -1,  1,  2],
+    [-3,  3,  0,  0,  0,  2, -3, -2,  0, -2,  3,  2,  2,  0, -3],
+    [ 2,  3,  0,  0,  3, -3, -1,  0,  0,  2, -1, -1,  1, -1,  0],
+    [-3,  1,  0, -3,  0, -1, -3,  0, -1, -3,  0,  0, -3,  3,  0],
+    [ 3, -1, -2,  3,  1,  0, -3,  0, -3, -2,  1,  3, -1, -1,  1],
+    [-3,  1,  3,  1,  3,  3,  0,  3, -1, -1,  1, -2,  1, -3,  2],
+    [ 0,  1,  2,  0,  0,  0, -3,  0,  0, -1, -3, -2,  3, -2, -1],
+    [-2,  0,  0,  0,  1,  3,  1,  0,  0, -3,  1, -1,  0, -2,  1],
+    [ 1,  1,  2, -2,  3,  2,  1,  1,  3,  0,  0,  0, -3, -1,  1],
+    [-2,  1, -3,  1,  0, -1, -1,  3, -1,  0,  0,  3,  0, -1,  1],
+    [-2, -3, -2,  1,  0, -3,  2,  2,  1,  0, -3,  0,  0, -2,  3],
+    [-1,  1, -2, -1,  3,  1, -1, -3,  0,  3,  0,  0,  0,  3,  2],
+    [ 0, -1,  0,  1, -3,  1,  3,  2,  2,  1,  1,  2, -3,  0, -2],
+    [ 3, -2,  3,  0,  0, -1, -2,  1, -1, -1, -1, -3, -2,  2,  0],
+    [-2, -1, -2, -3, -3, -2, -3, -1, -2,  0,  0, -2, -3,  1, -1],
+    [ 2,  0, -3, -1, -3, -2, -3,  3,  3, -1,  1,  2,  1, -2, -2],
+    [ 1,  0, -1, -3, -3,  0, -1,  2,  1,  1, -3, -1,  3,  2, -1],
+    [-2, -1, -1, -2, -1,  1,  1, -3,  1, -1, -1, -2,  3,  0,  0],
+    [ 0, -3, -2, -1,  0, -1, -3, -3,  3, -2,  0, -1, -1, -1,  3],
+    [ 2,  1,  1, -3,  3,  3, -1, -2,  3, -3, -3,  2, -1,  2, -3],
+    [ 3,  3, -2,  2,  0, -3,  2,  0, -2,  2, -2, -1,  1, -1,  1],
+]
+
+
+@pytest.fixture
+def int_str_limit():
+    """Python's default int-to-str limit during the test, the old one after:
+    the CLI lifts the limit for the whole process."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    before = get() if get else None
+    if get:
+        sys.set_int_max_str_digits(4300)
+    yield
+    if get:
+        sys.set_int_max_str_digits(before)
+
+
+def test_mutate_echoes_long_coefficient(runner, tmp_path, int_str_limit):
+    coef = "7" * 5001
+    seed = {"n": 1, "m": 0, "btilde": [[0]], "var_names": ["x1"],
+            "cluster": [{"vars": ["x1"], "terms": [{"exp": [1], "coef": coef}]}]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(seed))
+    result = runner.invoke(cl.main, ["mutate", str(path), "--word", ""])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["seed"]["cluster"][0]["terms"][0]["coef"] == coef
+
+
+def test_gradings_prints_long_rows(runner, tmp_path, int_str_limit):
+    names = [f"x{i}" for i in range(1, 16)] + [f"y{i}" for i in range(1, 8)]
+    path = write_seed(tmp_path, "rank15", sd.initial_seed(RANK15_BTILDE, names))
+    result = runner.invoke(cl.main, ["gradings", path])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.stdout)
+    assert payload["corank"] == len(payload["basis"]) == 7
+    assert all(not any(la.vec_mat(row, RANK15_BTILDE)) for row in payload["basis"])

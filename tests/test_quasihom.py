@@ -122,6 +122,8 @@ def test_apply_map_arity_mismatch():
     m = qh.MonomialMap([[1, 1]], ["a", "b"], ["z"], 2, 1)
     with pytest.raises(ValueError):
         qh.apply_map(m, {(1, 0, 0): 1})
+    with pytest.raises(ValueError):
+        qh.map_exponent(m, (1,))
 
 
 def test_map_json_round_trip():

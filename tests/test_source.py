@@ -18,3 +18,14 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} has assert statements on lines {lines}"
+
+
+@pytest.mark.parametrize("name", ["lattice.py", "seeds.py"])
+def test_integer_kernels_import_no_fractions(name):
+    # the linear algebra and the symmetrizer run fraction-free
+    path = SOURCES[0].parent / name
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "fractions" not in modules, f"{name} imports fractions"
