@@ -25,6 +25,12 @@ converse holds because the chart is a specialization.  Each side of each
 identity is a sum of products of s Plücker coordinates, so their
 difference is such an F, decided exactly as a polynomial in Y.  The
 public `plucker`, `g_star` and `g_star_minor` stay on the generic matrix.
+
+Two facts spare the band side any search.  The band entries are distinct
+variables, so each term of a minor on (I, J) uses every row of I and column
+of J once: one exponent of a remainder names the only minor it can equal.
+Substitution is a ring map, so f_star of a coordinate at the g_star entries
+is the determinant of the g_star entries on its columns.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from . import seeds as sd
 from .laurent import Poly
 
 IndexSet = Tuple[int, ...]
+MinorSpec = Tuple[IndexSet, IndexSet]
 
 
 class InvalidIndex(Exception):
@@ -350,7 +357,7 @@ def plucker_frozen_sets(ctx: GenericMatrixContext) -> List[IndexSet]:
 
 
 def is_frozen_plucker(ctx: GenericMatrixContext, cols: Sequence[int]) -> bool:
-    return tuple(sorted(cols)) in plucker_frozen_sets(ctx)
+    return tuple(sorted(cols)) in _catalogs(ctx)[0]
 
 
 def band_frozen_specs(
@@ -358,16 +365,10 @@ def band_frozen_specs(
 ) -> List[Tuple[str, IndexSet, IndexSet]]:
     """Frozen band generators: the two diagonals of the band, then the
     maximal row-solid minors on windows of consecutive columns."""
-    specs: List[Tuple[str, IndexSet, IndexSet]] = []
-    for i in range(1, ctx.rows + 1):
-        specs.append((band_name((i,), (i,)), (i,), (i,)))
-    for i in range(1, ctx.rows + 1):
-        specs.append((band_name((i,), (i + ctx.k,)), (i,), (i + ctx.k,)))
-    full = tuple(range(1, ctx.rows + 1))
-    for t in range(1, ctx.k):
-        window = tuple(range(t + 1, ctx.rows + t + 1))
-        specs.append((band_name(full, window), full, window))
-    return specs
+    full = tuple(_interval(1, ctx.rows))
+    pairs = [((i,), (i,)) for i in full] + [((i,), (i + ctx.k,)) for i in full]
+    pairs += [(full, tuple(_interval(t + 1, ctx.rows + t))) for t in range(1, ctx.k)]
+    return [(band_name(i, j), i, j) for i, j in pairs]
 
 
 def row_solid_nonzero(ctx: GenericMatrixContext, p: int, cols_j: Sequence[int]) -> bool:
@@ -396,28 +397,27 @@ def row_solid_irreducible(
     return True
 
 
-def irreducible_minors(ctx: GenericMatrixContext) -> List[Tuple[IndexSet, IndexSet]]:
+def irreducible_minors(ctx: GenericMatrixContext) -> List[MinorSpec]:
     """All irreducible row-solid minors, frozen ones included."""
-    out = []
-    for s in range(1, ctx.rows + 1):
-        for p in range(1, ctx.rows - s + 2):
-            for j_set in combinations(range(p, p + s + ctx.k), s):
-                if row_solid_irreducible(ctx, p, j_set):
-                    out.append((tuple(range(p, p + s)), j_set))
-    return out
-
-
-def non_frozen_irreducible_minors(
-    ctx: GenericMatrixContext,
-) -> List[Tuple[IndexSet, IndexSet]]:
-    frozen = {(i, j) for _, i, j in band_frozen_specs(ctx)}
-    return [pair for pair in irreducible_minors(ctx) if pair not in frozen]
-
-
-def _frozen_generators(ctx: GenericMatrixContext) -> List[Tuple[str, Poly]]:
     return [
-        (name, band_minor(ctx, i, j)) for name, i, j in band_frozen_specs(ctx)
+        (tuple(_interval(a, a + s - 1)), j_set)
+        for a, s, j_set in flattoband_cases(ctx)
+        if row_solid_irreducible(ctx, a, j_set)
     ]
+
+
+def non_frozen_irreducible_minors(ctx: GenericMatrixContext) -> List[MinorSpec]:
+    return list(_catalogs(ctx)[1])
+
+
+@lru_cache(maxsize=None)
+def _catalogs(ctx: GenericMatrixContext) -> Tuple[frozenset, dict, tuple]:
+    """Frozen Plücker sets, non-frozen catalog, frozen band generators."""
+    specs = band_frozen_specs(ctx)
+    frozen = {(i, j) for _, i, j in specs}
+    minors = dict.fromkeys(p for p in irreducible_minors(ctx) if p not in frozen)
+    gens = tuple((name, _band_minor(ctx, i, j)) for name, i, j in specs)
+    return frozenset(plucker_frozen_sets(ctx)), minors, gens
 
 
 def _polynomial_quotient(f: Poly, gen: Poly) -> Optional[Poly]:
@@ -433,24 +433,41 @@ def _polynomial_quotient(f: Poly, gen: Poly) -> Optional[Poly]:
     return quot
 
 
+def _name_minor(ctx: GenericMatrixContext, remainder: Poly) -> Optional[MinorSpec]:
+    """The non-frozen catalog minor equal to `remainder`, if one is; any one
+    exponent names the only candidate (see the module docstring)."""
+    exp = next(iter(remainder), ())
+    used = [divmod(idx, ctx.k + 1) for idx, e in enumerate(exp) if e]
+    pair = (tuple(r + 1 for r, _ in used), tuple(sorted(r + 1 + d for r, d in used)))
+    if pair in _catalogs(ctx)[1] and lp.equal(remainder, _band_minor(ctx, *pair)):
+        return pair
+    return None
+
+
 @lru_cache(maxsize=None)
 def _split_image(
     ctx: GenericMatrixContext, cols: IndexSet
-) -> Tuple[Dict[str, int], Poly, Optional[Tuple[IndexSet, IndexSet]]]:
+) -> Tuple[Dict[str, int], Poly, Optional[MinorSpec]]:
     """The band image on sorted `cols` with the frozen generators divided
     out greedily: their exponents, the remainder, and the non-frozen
-    irreducible minor equal to the remainder, if one is."""
+    irreducible minor equal to the remainder, if one is.  A one-variable
+    generator divides out to the least exponent of its variable at once."""
     remainder = f_star(ctx, cols)
     content: Dict[str, int] = {}
-    for name, gen in _frozen_generators(ctx):
+    for name, gen in _catalogs(ctx)[2]:
+        if len(gen) == 1:
+            (var,) = gen
+            e = min(exp[var.index(1)] for exp in remainder)
+            if e:
+                remainder = lp.shift(remainder, tuple(-e * v for v in var))
+                content[name] = e
+            continue
         quot = _polynomial_quotient(remainder, gen)
         while quot is not None:
             remainder = quot
             content[name] = content.get(name, 0) + 1
             quot = _polynomial_quotient(remainder, gen)
-    minors = non_frozen_irreducible_minors(ctx)
-    match = (p for p in minors if lp.equal(remainder, band_minor(ctx, *p)))
-    return content, remainder, next(match, None)
+    return content, remainder, _name_minor(ctx, remainder)
 
 
 def factor_fstar(
@@ -533,7 +550,8 @@ def tropical_cases(
 
 
 def substitute(f: Poly, images: Sequence[Poly], arity: int) -> Poly:
-    """Composition f(images); exponents must be nonnegative."""
+    """Composition f(images); exponents must be nonnegative.  Kept as the
+    direct form of the composite; `composite_identity` does not use it."""
     out: Poly = {}
     for exp, coef in f.items():
         term = lp.constant(coef, arity)
@@ -549,20 +567,15 @@ def substitute(f: Poly, images: Sequence[Poly], arity: int) -> Poly:
 def composite_identity(ctx: GenericMatrixContext) -> List[Tuple[IndexSet, bool]]:
     """Whether substituting the g_star entries into f_star of a coordinate
     gives the frozen run times that coordinate, for every sorted column set
-    in lexicographic order, decided in the chart."""
-    arity, width = x_arity(ctx), _width(ctx)
-    images = [
-        lp.unpack(_g_entry_fast(ctx, i, i + d, True), arity, width)
-        for i in range(1, ctx.rows + 1)
-        for d in range(ctx.k + 1)
-    ]
+    in lexicographic order, decided in the chart.  The substituted band
+    minor is the determinant of the g_star entries on the same columns."""
     run = _run_product_fast(ctx, 1, ctx.rows, True)
-    out = []
-    for cols in combinations(range(1, ctx.n + 1), ctx.rows):
-        got = substitute(f_star(ctx, cols), images, arity)
-        want = lp.mul_packed(run, _plucker_fast(ctx, cols, True))
-        out.append((cols, lp.equal(got, lp.unpack(want, arity, width))))
-    return out
+    full = tuple(range(1, ctx.rows + 1))
+    return [
+        (cols, _g_minor_fast(ctx, full, cols, True)
+         == lp.mul_packed(run, _sorted_plucker_fast(ctx, cols, True)))
+        for cols in combinations(range(1, ctx.n + 1), ctx.rows)
+    ]
 
 
 def _rectangle_index(ctx: GenericMatrixContext, a: int, b: int) -> IndexSet:
@@ -751,7 +764,8 @@ def quintic_relation_checks(ctx: GenericMatrixContext) -> List[Dict[str, object]
 @dataclass
 class GrassmannFixture:
     """Matched cluster presentations of the two sides, with the monomial
-    map between them and the determinant value of every generator."""
+    map between them; the determinant value of every generator is computed
+    on access."""
 
     ctx: GenericMatrixContext
     gr_seed: sd.Seed
@@ -760,8 +774,15 @@ class GrassmannFixture:
     gstar_map: Optional[qh.MonomialMap]
     gr_sets: List[IndexSet]
     band_specs: List[Tuple[str, IndexSet, IndexSet]]
-    gr_values: Dict[str, Poly]
-    band_values: Dict[str, Poly]
+
+    @property
+    def gr_values(self) -> Dict[str, Poly]:
+        names = self.gr_seed.var_names
+        return {name: plucker(self.ctx, c) for name, c in zip(names, self.gr_sets)}
+
+    @property
+    def band_values(self) -> Dict[str, Poly]:
+        return {name: band_minor(self.ctx, i, j) for name, i, j in self.band_specs}
 
 
 def _assemble_fixture(
@@ -792,7 +813,7 @@ def _assemble_fixture(
             matrix[row_of[name]][len(mutable_sets) + offset] += e
     band_btilde = la.matmul(matrix, [list(row) for row in gr_btilde])
     num = len(mutable_sets)
-    fixture = GrassmannFixture(
+    return GrassmannFixture(
         ctx=ctx,
         gr_seed=gr_seed,
         band_seed=sd.initial_seed(band_btilde, band_names),
@@ -806,14 +827,7 @@ def _assemble_fixture(
         ),
         gr_sets=all_sets,
         band_specs=band_specs,
-        gr_values={
-            name: plucker(ctx, cols) for name, cols in zip(gr_names, all_sets)
-        },
-        band_values={
-            name: band_minor(ctx, i_set, j_set) for name, i_set, j_set in band_specs
-        },
     )
-    return fixture
 
 
 def build_fixture(ctx: GenericMatrixContext) -> GrassmannFixture:

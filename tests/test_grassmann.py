@@ -797,6 +797,11 @@ def test_composite_identity_in_chart():
         assert len(results) == count and all(holds for _, holds in results)
 
 
+def test_composite_identity_rectangle_4_9():
+    results = gr.composite_identity(gr.make_context(4, 9))
+    assert len(results) == 126 and all(holds for _, holds in results)
+
+
 def test_caches_hand_out_fresh_values():
     minor = gr.band_minor(CTX26, (1, 2), (2, 3))
     expected = dict(minor)
@@ -810,3 +815,57 @@ def test_caches_hand_out_fresh_values():
     expected = dict(frozen)
     frozen.clear()
     assert gr.content_exponents(CTX26, (1, 2, 3, 4)) == expected
+    catalog = gr.non_frozen_irreducible_minors(CTX26)
+    expected = list(catalog)
+    catalog.clear()
+    assert gr.non_frozen_irreducible_minors(CTX26) == expected
+    frozen_sets = gr.plucker_frozen_sets(CTX26)
+    frozen_sets.clear()
+    assert gr.is_frozen_plucker(CTX26, (1, 2, 3, 4))
+    assert len(gr.plucker_frozen_sets(CTX26)) == 6
+
+
+def test_factoring_divides_only_by_window_minors(monkeypatch):
+    # from cold caches: one-variable generators leave by a shift, the minor
+    # is named from one exponent, and the catalog is enumerated once
+    for cache in (gr._catalogs, gr._split_image, gr._band_minor):
+        cache.cache_clear()
+    divisors, enumerations = [], []
+    exact_div, irreducible = lp.exact_div, gr.irreducible_minors
+    monkeypatch.setattr(lp, "exact_div", lambda f, g: divisors.append(g) or exact_div(f, g))
+    monkeypatch.setattr(
+        gr, "irreducible_minors", lambda ctx: enumerations.append(ctx) or irreducible(ctx)
+    )
+    for cols in combinations(range(1, CTX36.n + 1), CTX36.rows):
+        gr.content_exponents(CTX36, cols)
+    gr.non_frozen_irreducible_minors(CTX36)
+    windows = [
+        gr.band_minor(CTX36, i_set, j_set)
+        for _, i_set, j_set in gr.band_frozen_specs(CTX36)
+        if len(i_set) > 1
+    ]
+    assert all(len(w) > 1 for w in windows)
+    assert divisors and all(g in windows for g in divisors)
+    assert enumerations == [CTX36]
+
+
+def test_name_minor_edge_cases():
+    one = lp.constant(1, gr.y_arity(CTX36))
+    # a frozen coordinate leaves remainder 1, which names no minor
+    content, remainder, minor = gr._split_image(CTX36, (1, 2, 3))
+    assert content == {"Y11": 1, "Y22": 1, "Y33": 1} and remainder == one
+    assert minor is None and gr._name_minor(CTX36, one) is None
+    # the zero polynomial has no exponent to read
+    assert gr._name_minor(CTX36, {}) is None
+    # a frozen generator is not in the non-frozen catalog
+    assert gr._name_minor(CTX36, gr.band_minor(CTX36, (1,), (1,))) is None
+    # a product of entries names a catalog candidate but is not equal to it
+    product = lp.mul(gr.band_minor(CTX36, (1,), (2,)), gr.band_minor(CTX36, (2,), (3,)))
+    assert gr._name_minor(CTX36, product) is None
+    for pair in gr.non_frozen_irreducible_minors(CTX36):
+        minor = gr.band_minor(CTX36, *pair)
+        # whichever term comes first names the minor
+        for exp in minor:
+            assert gr._name_minor(CTX36, {exp: minor[exp], **minor}) == pair
+        assert gr._name_minor(CTX36, lp.scale(minor, 2)) is None
+        assert gr._name_minor(CTX36, lp.add(minor, one)) is None

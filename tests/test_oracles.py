@@ -1,4 +1,4 @@
-"""The integer row kernels against their straightforward reference forms.
+"""Fast kernels against their straightforward reference forms.
 
 `skew_symmetrizer`, `solve_left_all`, `apply_map`/`map_exponent`, `matmul`
 and `mutate_matrix` run on plain integer row operations.  The references
@@ -6,17 +6,26 @@ below are the direct versions they replaced: rational back-substitution in
 `Fraction`s, ratio propagation in `Fraction`s, and entry-by-entry sums.  Each
 property draws inputs from the cases the fast forms treat specially and
 requires the same result.
+
+The band-side factorization names its minor from one exponent and shifts
+out one-variable generators; `composite_identity` takes one determinant of
+the g_star entries.  Their references are the catalog scan, the trial
+division by every frozen generator, and term-by-term substitution.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterkit import grassmann as gr
 from clusterkit import lattice as la
+from clusterkit import laurent as lp
 from clusterkit import quasihom as qh
 from clusterkit import seeds as sd
 
@@ -116,6 +125,52 @@ def ref_apply_map(matrix, f):
             out[image] = got
         else:
             del out[image]
+    return out
+
+
+def ref_catalog(ctx):
+    frozen = {(i, j) for _, i, j in gr.band_frozen_specs(ctx)}
+    out = []
+    for s in range(1, ctx.rows + 1):
+        for p in range(1, ctx.rows - s + 2):
+            for j_set in combinations(range(p, p + s + ctx.k), s):
+                if gr.row_solid_irreducible(ctx, p, j_set):
+                    out.append((tuple(range(p, p + s)), j_set))
+    return [pair for pair in out if pair not in frozen]
+
+
+def ref_split_image(ctx, cols):
+    remainder = gr.f_star(ctx, cols)
+    content = {}
+    for name, i_set, j_set in gr.band_frozen_specs(ctx):
+        gen = gr.band_minor(ctx, i_set, j_set)
+        while True:
+            try:
+                quot = lp.exact_div(remainder, gen)
+            except lp.NotDivisible:
+                break
+            if any(e < 0 for exp in quot for e in exp):
+                break
+            remainder = quot
+            content[name] = content.get(name, 0) + 1
+    minors = ref_catalog(ctx)
+    match = (p for p in minors if lp.equal(remainder, gr.band_minor(ctx, *p)))
+    return content, remainder, next(match, None)
+
+
+def ref_composite_identity(ctx):
+    arity, width = gr.x_arity(ctx), gr._width(ctx)
+    images = [
+        lp.unpack(gr._g_entry_fast(ctx, i, i + d, True), arity, width)
+        for i in range(1, ctx.rows + 1)
+        for d in range(ctx.k + 1)
+    ]
+    run = gr._run_product_fast(ctx, 1, ctx.rows, True)
+    out = []
+    for cols in combinations(range(1, ctx.n + 1), ctx.rows):
+        got = gr.substitute(gr.f_star(ctx, cols), images, arity)
+        want = lp.mul_packed(run, gr._plucker_fast(ctx, cols, True))
+        out.append((cols, lp.equal(got, lp.unpack(want, arity, width))))
     return out
 
 
@@ -259,3 +314,41 @@ def test_matmul_matches_reference(btilde, data):
     assert la.matmul(btilde, right) == ref_matmul(btilde, right)
     for row in left:
         assert la.vec_mat(row, btilde) == ref_vec_mat(row, btilde)
+
+
+@pytest.mark.parametrize("kn", [(2, 5), (2, 6), (3, 6), (2, 7), (3, 7), (4, 8)])
+def test_factorization_matches_reference(kn):
+    ctx = gr.make_context(*kn)
+    assert gr.non_frozen_irreducible_minors(ctx) == ref_catalog(ctx)
+    frozen = gr.plucker_frozen_sets(ctx)
+    for cols in combinations(range(1, ctx.n + 1), ctx.rows):
+        content, remainder, minor = ref_split_image(ctx, cols)
+        assert gr.is_frozen_plucker(ctx, cols) == (cols in frozen)
+        assert gr.content_exponents(ctx, cols) == content
+        if cols in frozen:
+            assert remainder == lp.constant(1, gr.y_arity(ctx)) and minor is None
+            with pytest.raises(gr.NoFactorization):
+                gr.factor_fstar(ctx, cols)
+        else:
+            assert gr.factor_fstar(ctx, cols) == (content, *minor)
+
+
+@pytest.mark.parametrize("kn", [(2, 5), (3, 6), (2, 7)])
+def test_composite_identity_matches_substitution(kn, monkeypatch):
+    ctx = gr.make_context(*kn)
+    results = gr.composite_identity(ctx)
+    assert results == ref_composite_identity(ctx)
+    assert all(holds for _, holds in results)
+    # one g_star entry plus 1: both forms see it, case by case
+    g_entry = gr._g_entry_fast
+
+    def perturbed(ctx, i, j, chart):
+        entry = dict(g_entry(ctx, i, j, chart))
+        if (i, j) == (1, 1 + ctx.k):
+            entry[0] = entry.get(0, 0) + 1
+        return entry
+
+    monkeypatch.setattr(gr, "_g_entry_fast", perturbed)
+    results = gr.composite_identity(ctx)
+    assert results == ref_composite_identity(ctx)
+    assert not all(holds for _, holds in results)
