@@ -6,6 +6,11 @@ human-readable summary.  Exit status is 0 when every requested check
 passes, 1 when some check fails (the failure payload still goes to
 stdout), and 2 for unreadable or malformed input, which includes seed
 files that are not seeds of any pattern.
+
+JSON text on stdout, in --out files and in exit-2 stderr payloads is exactly
+`json.dumps(obj, indent=2)`, written by `_json_text`, since CPython's C
+encoder ignores `indent` before 3.14 and the pure-Python one costs about as
+much as the mutations it reports.  With a 3.14 floor the writer can go.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import json
 import sys
 from itertools import combinations, permutations, product
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Callable, Dict, List, Optional, Tuple
 
 import click
@@ -39,7 +45,48 @@ class InputFault(click.ClickException):
         self.payload = payload
 
     def format_message(self) -> str:
-        return json.dumps(self.payload, indent=2)
+        return _json_text(self.payload)
+
+
+def _json_text(obj: object, nl: str = "\n") -> str:
+    """`json.dumps(obj, indent=2)` for dicts with str keys, lists, tuples,
+    str, int, bool and None, by exact type; others raise TypeError.  `nl` is
+    the line prefix.  Scalar dict values and all-int or all-str lists are
+    written inline, without a call per item."""
+    kind = type(obj)
+    if kind is str:
+        return _encode_str(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    inner = nl + "  "
+    if kind is dict:
+        if not obj:
+            return "{}"
+        # a key that is not a str raises TypeError in the encoder
+        pairs = [
+            _encode_str(key) + ": " + (
+                _encode_str(value) if type(value) is str
+                else int.__repr__(value) if type(value) is int
+                else _json_text(value, inner)
+            )
+            for key, value in obj.items()
+        ]
+        return "{" + inner + ("," + inner).join(pairs) + nl + "}"
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        if all(type(x) is int for x in obj):
+            items = map(int.__repr__, obj)
+        elif all(type(x) is str for x in obj):
+            items = map(_encode_str, obj)
+        else:
+            items = [_json_text(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _load_json(path: str) -> dict:
@@ -71,8 +118,7 @@ def _load_map(path: str, src_mutable: int, dst_mutable: int) -> qh.MonomialMap:
 def _write_json(path: str, obj: dict) -> None:
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(obj, handle, indent=2)
-            handle.write("\n")
+            handle.write(_json_text(obj) + "\n")
     except OSError as exc:
         raise InputFault({"error": "unwritable file", "path": path, "reason": str(exc)})
 
@@ -81,7 +127,7 @@ def _emit(payload: Payload, fmt: str, lines: Callable[[Payload], List[str]]) -> 
     if fmt == "text":
         click.echo("\n".join(lines(payload)))
     else:
-        click.echo(json.dumps(payload, indent=2))
+        click.echo(_json_text(payload))
 
 
 def _finish(ok: bool) -> None:
@@ -143,22 +189,18 @@ def mutate(seed_file: str, word: str, out: Optional[str], fmt: str) -> None:
     seed = _load_seed(seed_file)
     steps: List[Payload] = []
     current = seed
+    # label -> rendering of the variable it holds, so each is rendered once
+    rendered: Dict[int, str] = {}
     for pos, k in enumerate(_parse_word(word, seed.n)):
-        removed = lp.to_str(current.cluster[k], current.var_names)
+        removed = rendered.get(k) or lp.to_str(current.cluster[k], current.var_names)
         try:
             current = sd.mutate_seed(current, k)
         except (lp.NotDivisible, sd.InvalidSeed) as exc:
             raise InputFault(
                 {"error": "mutation failed", "step": pos, "label": k, "reason": str(exc)}
             )
-        steps.append(
-            {
-                "step": pos,
-                "label": k,
-                "removed": removed,
-                "introduced": lp.to_str(current.cluster[k], current.var_names),
-            }
-        )
+        rendered[k] = lp.to_str(current.cluster[k], current.var_names)
+        steps.append({"step": pos, "label": k, "removed": removed, "introduced": rendered[k]})
     payload: Payload = {"word": [s["label"] for s in steps], "steps": steps}
     if out is None:
         payload["seed"] = sd.seed_to_json(current)

@@ -89,19 +89,21 @@ def y_arity(ctx: GenericMatrixContext) -> int:
     return ctx.rows * (ctx.k + 1)
 
 
+@lru_cache(maxsize=None)
+def _band_entries(ctx: GenericMatrixContext) -> Tuple[Tuple[Poly, ...], ...]:
+    arity = y_arity(ctx)
+    return tuple(
+        tuple(
+            lp.variable((i - 1) * (ctx.k + 1) + (j - i), arity) if i <= j <= i + ctx.k else {}
+            for j in range(1, ctx.n + 1)
+        )
+        for i in range(1, ctx.rows + 1)
+    )
+
+
 def band_matrix(ctx: GenericMatrixContext) -> List[List[Poly]]:
     """The band-supported matrix: row i holds y_{i,j} for i <= j <= i+k."""
-    arity = y_arity(ctx)
-    out = []
-    for i in range(1, ctx.rows + 1):
-        row = []
-        for j in range(1, ctx.n + 1):
-            if i <= j <= i + ctx.k:
-                row.append(lp.variable((i - 1) * (ctx.k + 1) + (j - i), arity))
-            else:
-                row.append({})
-        out.append(row)
-    return out
+    return [[dict(entry) for entry in row] for row in _band_entries(ctx)]
 
 
 def reduce_plucker_index(
@@ -218,7 +220,7 @@ def plucker(ctx: GenericMatrixContext, raw: Sequence[int]) -> Poly:
 
 @lru_cache(maxsize=None)
 def _band_minor(ctx: GenericMatrixContext, i_set: IndexSet, j_set: IndexSet) -> Poly:
-    b = band_matrix(ctx)
+    b = _band_entries(ctx)
     return poly_det([[b[i - 1][j - 1] for j in j_set] for i in i_set], y_arity(ctx))
 
 

@@ -50,6 +50,8 @@ from functools import lru_cache
 from heapq import heappop, heappush
 from operator import add as _iadd
 from operator import mul as _imul
+from operator import neg as _ineg
+from operator import sub as _isub
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
@@ -88,15 +90,15 @@ def variable(index: int, arity: int) -> Poly:
 
 
 def exp_add(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(_iadd, a, b))
 
 
 def exp_sub(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(_isub, a, b))
 
 
 def exp_neg(a: Exponent) -> Exponent:
-    return tuple(-x for x in a)
+    return tuple(map(_ineg, a))
 
 
 # ---------------------------------------------------------------------------

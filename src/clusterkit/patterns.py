@@ -219,15 +219,27 @@ def find_quasi_automorphisms(
     return out
 
 
-def graph_to_json(graph: ExplorationGraph) -> dict:
+def _rendered_clusters(graph: ExplorationGraph) -> List[List[str]]:
+    """Every node's cluster as strings, each variable object rendered once.
+
+    Mutation shares a cluster's untouched entries with the seed it came
+    from, so one dict sits in many nodes.  Keying renderings by `id` is
+    sound: `graph.nodes` keeps every keyed dict alive for the whole call, so
+    no id is reused, and cluster polynomials are never changed in place.
+    """
     names = graph.nodes[0].seed.var_names
+    rendered: Dict[int, str] = {}
+    for node in graph.nodes:
+        for x in node.seed.cluster:
+            if id(x) not in rendered:
+                rendered[id(x)] = lp.to_str(x, names)
+    return [[rendered[id(x)] for x in node.seed.cluster] for node in graph.nodes]
+
+
+def graph_to_json(graph: ExplorationGraph) -> dict:
     nodes = [
-        {
-            "id": i,
-            "word": list(node.word),
-            "cluster": [lp.to_str(x, names) for x in node.seed.cluster],
-        }
-        for i, node in enumerate(graph.nodes)
+        {"id": i, "word": list(node.word), "cluster": cluster}
+        for i, (node, cluster) in enumerate(zip(graph.nodes, _rendered_clusters(graph)))
     ]
     edges = [
         {"from": i, "label": k, "to": j}
@@ -244,10 +256,10 @@ def graph_to_json(graph: ExplorationGraph) -> dict:
 
 
 def graph_to_dot(graph: ExplorationGraph) -> str:
-    names = graph.nodes[0].seed.var_names
+    """The exchange graph in DOT, each node labeled by its cluster."""
     lines = ["graph exchange {"]
-    for i, node in enumerate(graph.nodes):
-        label = "\\n".join(lp.to_str(x, names) for x in node.seed.cluster)
+    for i, cluster in enumerate(_rendered_clusters(graph)):
+        label = "\\n".join(x.replace("\\", "\\\\").replace('"', '\\"') for x in cluster)
         lines.append(f'  n{i} [label="{label}"];')
     # endpoints may label one exchange differently; emit each edge once
     undirected: Dict[Tuple[int, int], int] = {}

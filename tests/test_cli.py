@@ -4,8 +4,10 @@ import json
 import sys
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
 
 import clusterkit.cli as cl
 import clusterkit.grassmann as gx
@@ -631,3 +633,101 @@ def test_gradings_prints_long_rows(runner, tmp_path, int_str_limit):
     payload = json.loads(result.stdout)
     assert payload["corank"] == len(payload["basis"]) == 7
     assert all(not any(la.vec_mat(row, RANK15_BTILDE)) for row in payload["basis"])
+
+
+# ---------------------------------------------------------------------------
+# the JSON text writer
+
+JSON_STRINGS = st.text(st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\u20ac\U0001f600'),
+    st.characters(),
+))
+LONG_INTS = st.builds(lambda sign, digits: sign * (10 ** digits - 1),
+                      st.sampled_from([1, -1]), st.integers(4290, 4310))
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), LONG_INTS, JSON_STRINGS)
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(JSON_STRINGS, inner, max_size=5),
+        st.lists(st.integers(), max_size=5),
+        st.lists(JSON_STRINGS, max_size=5),
+        st.lists(st.one_of(st.integers(), st.booleans()), max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@pytest.fixture(scope="module")
+def unlimited_int_str():
+    """No int-to-str limit during these tests, the old one after."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    before = get() if get else None
+    if get:
+        sys.set_int_max_str_digits(0)
+    yield
+    if get:
+        sys.set_int_max_str_digits(before)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_TREES)
+def test_json_text_is_json_dumps_indent_2(unlimited_int_str, obj):
+    assert cl._json_text(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [1.5, {"a": object()}, [{1, 2}], {1: "one"}, {None: 0}])
+def test_json_text_rejects_other_types(obj):
+    # floats and non-str keys never occur in a payload
+    with pytest.raises(TypeError):
+        cl._json_text(obj)
+
+
+# every subcommand, and one stderr payload: (argv, files written by --out)
+COMMANDS = {
+    "mutate": lambda p, out: (["mutate", p["seed"], "--word", "1,0,1"], []),
+    "mutate-out": lambda p, out: (["mutate", p["seed"], "--word", "0", "--out", out], [out]),
+    "explore": lambda p, out: (["explore", p["seed"]], []),
+    "verify-qh": lambda p, out: (
+        ["verify-qh", p["map"], p["seed"], p["band"], "--inverse", p["wmap"]], []),
+    "construct-qh": lambda p, out: (["construct-qh", p["seed"], p["band"], "--out", out], [out]),
+    "gradings": lambda p, out: (["gradings", p["band"]], []),
+    "orbit-eq": lambda p, out: (["orbit-eq", p["seed"], p["seed"]], []),
+    "surface": lambda p, out: (["surface"], []),
+    "grassmann": lambda p, out: (["grassmann", "--kn", "2", "5", "--all-checks"], []),
+    "exit-2": lambda p, out: (["mutate", p["seed"], "--word", "0,7"], []),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_json_output_is_indented_json_dumps(runner, gr25, tmp_path, command):
+    _, paths = gr25
+    argv, written = COMMANDS[command](paths, str(tmp_path / "out.json"))
+    result = runner.invoke(cl.main, argv)
+    texts = [result.output]
+    if command == "exit-2":
+        assert result.exit_code == 2
+        texts = [result.output.split("Error: ", 1)[1]]
+    else:
+        assert result.exit_code == 0, result.output
+    texts += [open(path, encoding="utf-8").read() for path in written]
+    for text in texts:
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_mutate_renders_each_variable_once(runner, gr25, monkeypatch):
+    fx, paths = gr25
+    word = [1, 0, 1, 1, 0, 1]
+    calls = []
+    to_str = lp.to_str
+    monkeypatch.setattr(lp, "to_str", lambda f, names: calls.append(f) or to_str(f, names))
+    result = runner.invoke(cl.main, ["mutate", paths["seed"], "--word", "1,0,1,1,0,1"])
+    assert result.exit_code == 0
+    assert len(calls) == len(word) + len(set(word))
+    steps = json.loads(result.output)["steps"]
+    seed = fx.gr_seed
+    for k, step in zip(word, steps):
+        assert step["removed"] == to_str(seed.cluster[k], seed.var_names)
+        seed = sd.mutate_seed(seed, k)
+        assert step["introduced"] == to_str(seed.cluster[k], seed.var_names)

@@ -823,6 +823,24 @@ def test_caches_hand_out_fresh_values():
     frozen_sets.clear()
     assert gr.is_frozen_plucker(CTX26, (1, 2, 3, 4))
     assert len(gr.plucker_frozen_sets(CTX26)) == 6
+    band = gr.band_matrix(CTX26)
+    band[0][0].clear()
+    band[1].clear()
+    assert gr.band_matrix(CTX26)[0][0] == lp.variable(0, gr.y_arity(CTX26))
+    assert len(gr.band_matrix(CTX26)[1]) == CTX26.n
+
+
+def test_band_minors_build_the_band_matrix_once(monkeypatch):
+    for cache in (gr._band_entries, gr._band_minor):
+        cache.cache_clear()
+    made, copies = [], []
+    variable, band_matrix = lp.variable, gr.band_matrix
+    monkeypatch.setattr(lp, "variable", lambda i, arity: made.append(i) or variable(i, arity))
+    monkeypatch.setattr(gr, "band_matrix", lambda ctx: copies.append(ctx) or band_matrix(ctx))
+    for i_set, j_set in gr.irreducible_minors(CTX36):
+        gr.band_minor(CTX36, i_set, j_set)
+    assert sorted(made) == list(range(gr.y_arity(CTX36)))
+    assert copies == []
 
 
 def test_factoring_divides_only_by_window_minors(monkeypatch):

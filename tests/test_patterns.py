@@ -363,6 +363,36 @@ def test_graph_dot_shape():
     assert sum(1 for line in lines if " -- " in line) == 5
 
 
+def test_graph_renders_each_variable_object_once(monkeypatch):
+    graph = pt.explore(sd.initial_seed(a_n(4), ["a", "b", "c", "d"]))
+    names = graph.nodes[0].seed.var_names
+    expected = [[lp.to_str(x, names) for x in node.seed.cluster] for node in graph.nodes]
+    distinct = {id(x) for node in graph.nodes for x in node.seed.cluster}
+    calls = []
+    to_str = lp.to_str
+    monkeypatch.setattr(lp, "to_str", lambda f, names: calls.append(f) or to_str(f, names))
+    dump = pt.graph_to_json(graph)
+    assert len(graph.nodes) == 42
+    assert len(calls) == len(distinct) < 4 * len(graph.nodes)
+    assert [node["cluster"] for node in dump["nodes"]] == expected
+    calls.clear()
+    dot = pt.graph_to_dot(graph)
+    assert len(calls) == len(distinct)
+    assert '  n41 [label="' + "\\n".join(expected[41]) + '"];' in dot.splitlines()
+
+
+def test_graph_dot_escapes_quotes_and_backslashes():
+    plain = pt.graph_to_dot(pt.explore(sd.initial_seed([[0, 1], [-1, 0]], ["x1", "x2"])))
+    assert plain.splitlines()[1] == '  n0 [label="x1\\nx2"];'
+    graph = pt.explore(sd.initial_seed([[0, 1], [-1, 0]], ['a"b', "c\\d"]))
+    lines = pt.graph_to_dot(graph).splitlines()
+    assert lines[1] == '  n0 [label="a\\"b\\nc\\\\d"];'
+    for line in lines[1:6]:
+        label = line.split('[label="', 1)[1][: -len('"];')]
+        # every quote inside the label is escaped
+        assert '"' not in label.replace('\\\\', "").replace('\\"', "")
+
+
 def test_limit_checks_survive_optimize(run_optimized):
     # a typed error, not an assert that python -O would strip
     run_optimized(textwrap.dedent("""

@@ -29,3 +29,18 @@ def test_integer_kernels_import_no_fractions(name):
                for alias in node.names]
     modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     assert "fractions" not in modules, f"{name} imports fractions"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_indented_json_dumps(path):
+    # indented JSON text goes through cli._json_text, which writes it in one
+    # pass; json.dump(s) with indent runs the pure-Python encoder
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("dump", "dumps")
+        and any(kw.arg == "indent" for kw in node.keywords)
+    ]
+    assert lines == [], f"{path.name} calls json.dump(s) with indent on lines {lines}"
