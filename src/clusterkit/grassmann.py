@@ -10,7 +10,8 @@ minor, the content exponents satisfy a tropical form of the short Plücker
 relations, and a reverse substitution assembled from cyclic-interval
 minors composes with it to a frozen multiple of the identity.  Cluster
 presentations of both sides are emitted as seeds over formal generator
-names, wired back to the determinants through the value tables.
+names, wired back to the determinants through the value tables; the
+Plücker side starts from the rectangle cluster for every 2 <= k <= n−2.
 
 The flat-to-band and composite identities are checked in the affine chart
 [I | Y]: the generic matrix with its first m = n−k columns set to the
@@ -36,7 +37,7 @@ is the determinant of the g_star entries on its columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -59,7 +60,7 @@ class NoFactorization(Exception):
 
 
 class UnsupportedContext(Exception):
-    """No pinned fixture exists for the requested dimensions."""
+    """The rectangle cluster needs k >= 2 and n − k >= 2."""
 
 
 @dataclass(frozen=True)
@@ -141,31 +142,34 @@ def _width(ctx: GenericMatrixContext) -> int:
     return lp.lane_width(ctx.rows)
 
 
-def _fast_det(entries: Sequence[Sequence[lp.Packed]]) -> lp.Packed:
-    """Cofactor expansion row by row, sharing minors across column subsets."""
-    size = len(entries)
-    level: Dict[int, lp.Packed] = {0: {0: 1}}
-    for t in range(size):
+def _fast_minors(entries: Sequence[Sequence[lp.Packed]]) -> List[Dict[int, lp.Packed]]:
+    """Minors on the first t rows keyed by column mask, for t = 0 .. rows:
+    cofactor expansion row by row, sharing minors across column subsets."""
+    levels: List[Dict[int, lp.Packed]] = [{0: {0: 1}}]
+    for t, row in enumerate(entries):
         nxt: Dict[int, lp.Packed] = {}
-        row = entries[t]
-        for mask, minor in level.items():
+        for mask, minor in levels[-1].items():
             if not minor:
                 continue
-            for j in range(size):
+            for j, entry in enumerate(row):
                 bit = 1 << j
-                if mask & bit or not row[j]:
+                if mask & bit or not entry:
                     continue
                 below = bin(mask & (bit - 1)).count("1")
                 sign = -1 if (t + below) % 2 else 1
                 acc = nxt.setdefault(mask | bit, {})
-                for key, coef in lp.mul_packed(minor, row[j]).items():
+                for key, coef in lp.mul_packed(minor, entry).items():
                     c = acc.get(key, 0) + sign * coef
                     if c:
                         acc[key] = c
                     elif key in acc:
                         del acc[key]
-        level = nxt
-    return level.get((1 << size) - 1, {}) if size else {0: 1}
+        levels.append(nxt)
+    return levels
+
+
+def _fast_det(entries: Sequence[Sequence[lp.Packed]]) -> lp.Packed:
+    return _fast_minors(entries)[-1].get((1 << len(entries)) - 1, {})
 
 
 def poly_det(entries: Sequence[Sequence[Poly]], arity: int) -> Poly:
@@ -252,6 +256,9 @@ def f_star(ctx: GenericMatrixContext, raw: Sequence[int]) -> Poly:
 
 @lru_cache(maxsize=None)
 def _g_entry_fast(ctx: GenericMatrixContext, i: int, j: int, chart: bool) -> lp.Packed:
+    """The g_star entry (i, j); zero outside the band."""
+    if not i <= j <= i + ctx.k:
+        return {}
     run = tuple(range(i + ctx.k + 1, ctx.n + i)) + (j,)
     return _plucker_fast(ctx, run, chart)
 
@@ -267,14 +274,23 @@ def g_star(ctx: GenericMatrixContext, i: int, j: int) -> Poly:
 def _g_minor_fast(
     ctx: GenericMatrixContext, i_set: IndexSet, j_set: IndexSet, chart: bool
 ) -> lp.Packed:
-    entries = [
-        [
-            _g_entry_fast(ctx, i, j, chart) if i <= j <= i + ctx.k else {}
-            for j in j_set
-        ]
-        for i in i_set
-    ]
-    return _fast_det(entries)
+    return _fast_det([[_g_entry_fast(ctx, i, j, chart) for j in j_set] for i in i_set])
+
+
+@lru_cache(maxsize=None)
+def _g_row_minors(
+    ctx: GenericMatrixContext, a: int, chart: bool
+) -> List[Dict[int, lp.Packed]]:
+    """Minors of the g_star matrix on rows [a, a+t−1] for every t, keyed by
+    column mask (bit c−1 for column c); one expansion serves every case."""
+    return _fast_minors([
+        [_g_entry_fast(ctx, i, j, chart) for j in range(1, ctx.n + 1)]
+        for i in range(a, ctx.rows + 1)
+    ])
+
+
+def _mask(cols: Sequence[int]) -> int:
+    return sum(1 << (c - 1) for c in cols)
 
 
 def g_star_minor(
@@ -324,7 +340,7 @@ def flattoband_check(
         raise InvalidIndex("repeated column index")
     if s and not (a <= j_set[0] and j_set[-1] <= a + s - 1 + ctx.k):
         raise InvalidIndex("columns outside the band window")
-    lhs = _g_minor_fast(ctx, tuple(_interval(a, a + s - 1)), j_set, True)
+    lhs = _g_row_minors(ctx, a, True)[s].get(_mask(j_set), {})
     rhs = _run_product_fast(ctx, a, s, True)
     completed = _plucker_fast(
         ctx, tuple(_interval(a + ctx.k + s, ctx.n + a - 1)) + j_set, True
@@ -342,12 +358,18 @@ def flattoband_cases(ctx: GenericMatrixContext) -> List[Tuple[int, int, IndexSet
     return out
 
 
+def _joined(indices: Sequence[int]) -> str:
+    """Indices written out with no separator while each is a single digit,
+    else joined by "_", so names stay distinct for any n."""
+    return ("" if all(i < 10 for i in indices) else "_").join(map(str, indices))
+
+
 def plucker_name(cols: Sequence[int]) -> str:
-    return "D" + "".join(str(c) for c in sorted(cols))
+    return "D" + _joined(sorted(cols))
 
 
 def band_name(rows_i: Sequence[int], cols_j: Sequence[int]) -> str:
-    return "Y" + "".join(str(i) for i in rows_i) + "".join(str(j) for j in cols_j)
+    return "Y" + _joined(list(rows_i) + list(cols_j))
 
 
 def plucker_frozen_sets(ctx: GenericMatrixContext) -> List[IndexSet]:
@@ -572,26 +594,45 @@ def composite_identity(ctx: GenericMatrixContext) -> List[Tuple[IndexSet, bool]]
     in lexicographic order, decided in the chart.  The substituted band
     minor is the determinant of the g_star entries on the same columns."""
     run = _run_product_fast(ctx, 1, ctx.rows, True)
-    full = tuple(range(1, ctx.rows + 1))
+    minors = _g_row_minors(ctx, 1, True)[ctx.rows]
     return [
-        (cols, _g_minor_fast(ctx, full, cols, True)
+        (cols, minors.get(_mask(cols), {})
          == lp.mul_packed(run, _sorted_plucker_fast(ctx, cols, True)))
         for cols in combinations(range(1, ctx.n + 1), ctx.rows)
     ]
 
 
-def _rectangle_index(ctx: GenericMatrixContext, a: int, b: int) -> IndexSet:
+def _rectangle_layout(
+    ctx: GenericMatrixContext, turn: int
+) -> Tuple[List[IndexSet], la.Matrix]:
+    """Mutable column sets and btilde of the rectangle cluster with every
+    column c turned to c + turn mod n, frozen rows in the fixed order."""
+    if ctx.rows < 2 or ctx.k < 2:
+        raise UnsupportedContext(
+            f"rectangle cluster needs k >= 2 and n - k >= 2; got k={ctx.k}, n={ctx.n}"
+        )
     m = ctx.rows
-    return tuple(_interval(1, m - a) + _interval(m - a + b + 1, m + b))
 
+    def index(a: int, b: int) -> IndexSet:
+        cols = _interval(1, m - a) + _interval(m - a + b + 1, m + b)
+        return tuple(sorted((c + turn - 1) % ctx.n + 1 for c in cols))
 
-def _rectangle_grid(ctx: GenericMatrixContext) -> List[Tuple[int, int]]:
-    return [(a, b) for a in range(1, ctx.rows) for b in range(1, ctx.k)]
+    grid = [(a, b) for a in range(1, m) for b in range(1, ctx.k)]
+    mutable_sets = [index(a, b) for a, b in grid]
+    all_sets = mutable_sets + plucker_frozen_sets(ctx)
+    order = {cols: row for row, cols in enumerate(all_sets)}
+    btilde = la.zeros(len(order), len(grid))
+    for col, (a, b) in enumerate(grid):
+        for pa, pb in ((a - 1, b), (a, b - 1), (a + 1, b + 1)):
+            btilde[order[index(pa, pb)]][col] += 1
+        for pa, pb in ((a + 1, b), (a, b + 1), (a - 1, b - 1)):
+            btilde[order[index(pa, pb)]][col] -= 1
+    return mutable_sets, btilde
 
 
 def rectangle_seed(ctx: GenericMatrixContext) -> sd.Seed:
     """Initial cluster of rectangle coordinates on the (rows−1) x (k−1)
-    grid, with all cyclic-interval coordinates frozen.
+    grid, with all cyclic-interval coordinates frozen (Scott's initial seed).
 
     The quiver is the grid with one diagonal per face: at position (a, b)
     arrows arrive from (a−1,b), (a,b−1), (a+1,b+1) and leave to (a+1,b),
@@ -600,37 +641,10 @@ def rectangle_seed(ctx: GenericMatrixContext) -> sd.Seed:
     coordinate accumulate, so a corner coordinate shared by both sides of
     an exchange cancels out.
     """
-    if ctx.rows < 2 or ctx.k < 2 or ctx.n > 9:
-        raise UnsupportedContext(
-            f"rectangle cluster needs rows >= 2, k >= 2, n <= 9; "
-            f"got k={ctx.k}, n={ctx.n}"
-        )
-    grid = _rectangle_grid(ctx)
-    mutable_sets = [_rectangle_index(ctx, a, b) for a, b in grid]
-    frozen_sets = plucker_frozen_sets(ctx)
-    order = {cols: row for row, cols in enumerate(mutable_sets + frozen_sets)}
-    btilde = la.zeros(len(order), len(grid))
-    for col, (a, b) in enumerate(grid):
-        for pa, pb in ((a - 1, b), (a, b - 1), (a + 1, b + 1)):
-            btilde[order[_rectangle_index(ctx, pa, pb)]][col] += 1
-        for pa, pb in ((a + 1, b), (a, b + 1), (a - 1, b - 1)):
-            btilde[order[_rectangle_index(ctx, pa, pb)]][col] -= 1
-    names = [plucker_name(cols) for cols in mutable_sets + frozen_sets]
+    mutable_sets, btilde = _rectangle_layout(ctx, 0)
+    names = [plucker_name(cols) for cols in mutable_sets + plucker_frozen_sets(ctx)]
     return sd.initial_seed(btilde, names)
 
-
-# Base cluster {D235, D245} with the frozen cyclic intervals in the fixed
-# order; the five-vertex exchange pattern of triple indices on five columns.
-GR25_BTILDE = [
-    [0, 1],
-    [-1, 0],
-    [-1, 0],
-    [1, 0],
-    [0, -1],
-    [0, 1],
-    [1, -1],
-]
-GR25_MUTABLE_SETS = ((2, 3, 5), (2, 4, 5))
 
 # Reverse substitution on the band generators of the same fixture, one
 # column per band generator, rows over the nine cluster-side generators.
@@ -698,68 +712,40 @@ def quintic_relation_checks(ctx: GenericMatrixContext) -> List[Dict[str, object]
     if (ctx.k, ctx.n) != (2, 5):
         raise UnsupportedContext("relation tables are pinned for k=2, n=5 only")
 
-    def minors(sets: Sequence[IndexSet]) -> Poly:
-        out = lp.constant(1, x_arity(ctx))
-        for cols in sets:
-            out = lp.mul(out, plucker(ctx, cols))
-        return out
+    # a spec is a Plücker column set or a band (rows, columns) pair
+    def value(spec: Sequence) -> Poly:
+        if isinstance(spec[0], int):
+            return plucker(ctx, spec)
+        return band_minor(ctx, *spec)
 
-    def bands(specs: Sequence[Tuple[IndexSet, IndexSet]]) -> Poly:
-        out = lp.constant(1, y_arity(ctx))
-        for rows_i, cols_j in specs:
-            out = lp.mul(out, band_minor(ctx, rows_i, cols_j))
+    def product(specs: Sequence) -> Poly:
+        return reduce(lp.mul, map(value, specs))
+
+    def names(specs: Sequence) -> List[str]:
+        return [plucker_name(x) if isinstance(x[0], int) else band_name(*x) for x in specs]
+
+    def record(kind: str, idx: int, left: Sequence, lhs: Poly, first: Sequence,
+               second: Sequence, cofactor: Sequence = ()) -> Dict[str, object]:
+        """Whether `lhs` equals the cofactor times the sum of the summands."""
+        rhs = lp.add(product(first), product(second))
+        out: Dict[str, object] = {"kind": kind, "index": idx, "left": names(left)}
+        if cofactor:
+            rhs = lp.mul(product(cofactor), rhs)
+            out["cofactor"] = names(cofactor)
+        out.update(summands=[names(first), names(second)], holds=lp.equal(lhs, rhs))
         return out
 
     records: List[Dict[str, object]] = []
     for idx, (l1, l2, a1, a2, b1, b2) in enumerate(QUINTIC_MINOR_RELATIONS):
-        holds = lp.equal(
-            minors((l1, l2)), lp.add(minors((a1, a2)), minors((b1, b2)))
-        )
-        records.append(
-            {
-                "kind": "minor",
-                "index": idx,
-                "left": [plucker_name(l1), plucker_name(l2)],
-                "summands": [
-                    [plucker_name(a1), plucker_name(a2)],
-                    [plucker_name(b1), plucker_name(b2)],
-                ],
-                "holds": holds,
-            }
-        )
+        lhs = product((l1, l2))
+        records.append(record("minor", idx, (l1, l2), lhs, (a1, a2), (b1, b2)))
     for idx, (left, first, second) in enumerate(QUINTIC_BAND_RELATIONS):
-        holds = lp.equal(bands(left), lp.add(bands(first), bands(second)))
-        records.append(
-            {
-                "kind": "band",
-                "index": idx,
-                "left": [band_name(i, j) for i, j in left],
-                "summands": [
-                    [band_name(i, j) for i, j in first],
-                    [band_name(i, j) for i, j in second],
-                ],
-                "holds": holds,
-            }
-        )
+        records.append(record("band", idx, left, product(left), first, second))
     for idx, cofactor in enumerate(QUINTIC_IMAGE_COFACTORS):
         l1, l2 = QUINTIC_MINOR_RELATIONS[idx][:2]
         _, first, second = QUINTIC_BAND_RELATIONS[idx]
-        left = lp.mul(f_star(ctx, l1), f_star(ctx, l2))
-        bracket = lp.add(bands(first), bands(second))
-        holds = lp.equal(left, lp.mul(bands(cofactor), bracket))
-        records.append(
-            {
-                "kind": "image",
-                "index": idx,
-                "left": [plucker_name(l1), plucker_name(l2)],
-                "cofactor": [band_name(i, j) for i, j in cofactor],
-                "summands": [
-                    [band_name(i, j) for i, j in first],
-                    [band_name(i, j) for i, j in second],
-                ],
-                "holds": holds,
-            }
-        )
+        lhs = lp.mul(f_star(ctx, l1), f_star(ctx, l2))
+        records.append(record("image", idx, (l1, l2), lhs, first, second, cofactor))
     return records
 
 
@@ -787,16 +773,18 @@ class GrassmannFixture:
         return {name: band_minor(self.ctx, i, j) for name, i, j in self.band_specs}
 
 
-def _assemble_fixture(
-    ctx: GenericMatrixContext,
-    gr_btilde: Sequence[Sequence[int]],
-    mutable_sets: Sequence[IndexSet],
-    gstar_matrix: Optional[Sequence[Sequence[int]]],
-) -> GrassmannFixture:
+def build_fixture(ctx: GenericMatrixContext) -> GrassmannFixture:
+    """The fixture on the rectangle cluster, for every 2 <= k <= n−2.
+
+    The five-column case turns the rectangle cluster by one column and
+    carries the pinned reverse substitution; every other case carries the
+    forward map only.
+    """
+    pinned = (ctx.k, ctx.n) == (2, 5)
+    mutable_sets, gr_btilde = _rectangle_layout(ctx, 1 if pinned else 0)
     frozen_sets = plucker_frozen_sets(ctx)
-    all_sets = list(mutable_sets) + frozen_sets
+    all_sets = mutable_sets + frozen_sets
     gr_names = [plucker_name(cols) for cols in all_sets]
-    gr_seed = sd.initial_seed(gr_btilde, gr_names)
     factored = [factor_fstar(ctx, cols) for cols in mutable_sets]
     band_specs = [
         (band_name(i_set, j_set), i_set, j_set) for _, i_set, j_set in factored
@@ -810,41 +798,20 @@ def _assemble_fixture(
         matrix[row_of[band_name(i_set, j_set)]][col] = 1
         for name, e in content.items():
             matrix[row_of[name]][col] += e
+    num = len(mutable_sets)
     for offset, cols in enumerate(frozen_sets):
         for name, e in content_exponents(ctx, cols).items():
-            matrix[row_of[name]][len(mutable_sets) + offset] += e
-    band_btilde = la.matmul(matrix, [list(row) for row in gr_btilde])
-    num = len(mutable_sets)
+            matrix[row_of[name]][num + offset] += e
     return GrassmannFixture(
         ctx=ctx,
-        gr_seed=gr_seed,
-        band_seed=sd.initial_seed(band_btilde, band_names),
+        gr_seed=sd.initial_seed(gr_btilde, gr_names),
+        band_seed=sd.initial_seed(la.matmul(matrix, gr_btilde), band_names),
         fstar_map=qh.MonomialMap(matrix, gr_names, band_names, num, num),
         gstar_map=(
-            qh.MonomialMap(
-                [list(row) for row in gstar_matrix], band_names, gr_names, num, num
-            )
-            if gstar_matrix is not None
+            qh.MonomialMap(GSTAR25_MATRIX, band_names, gr_names, num, num)
+            if pinned
             else None
         ),
         gr_sets=all_sets,
         band_specs=band_specs,
-    )
-
-
-def build_fixture(ctx: GenericMatrixContext) -> GrassmannFixture:
-    """Pinned fixtures for the supported dimensions.
-
-    The five-column case carries the pinned base cluster and the reverse
-    substitution; the larger cases start from the rectangle cluster and
-    carry the forward map only.
-    """
-    key = (ctx.k, ctx.n)
-    if key == (2, 5):
-        return _assemble_fixture(ctx, GR25_BTILDE, GR25_MUTABLE_SETS, GSTAR25_MATRIX)
-    if key in ((2, 6), (3, 6)):
-        mutable_sets = [_rectangle_index(ctx, a, b) for a, b in _rectangle_grid(ctx)]
-        return _assemble_fixture(ctx, rectangle_seed(ctx).btilde, mutable_sets, None)
-    raise UnsupportedContext(
-        f"no fixture for k={ctx.k}, n={ctx.n}; supported: (2,5), (2,6), (3,6)"
     )

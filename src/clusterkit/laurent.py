@@ -52,7 +52,7 @@ from operator import add as _iadd
 from operator import mul as _imul
 from operator import neg as _ineg
 from operator import sub as _isub
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
 Poly = Dict[Exponent, int]
@@ -402,17 +402,31 @@ def to_json(f: Poly, names: Sequence[str]) -> dict:
     }
 
 
+def json_ints(
+    values: Iterable[object], what: str, error: type = ValueError
+) -> List[int]:
+    """The values as a list when each is a JSON integer; a float, bool or
+    string raises `error` instead of being truncated or coerced."""
+    out = list(values)
+    for x in out:
+        if type(x) is not int:
+            raise error(f"{what} must be integers, got {x!r}")
+    return out
+
+
 def from_json(obj: dict) -> Tuple[Poly, List[str]]:
-    """Inverse of to_json; validates arity and rejects duplicate exponents."""
+    """Inverse of to_json; validates arity and rejects duplicate exponents.
+    A coefficient is a JSON integer or a decimal string."""
     names = [str(v) for v in obj["vars"]]
     f: Poly = {}
     for term in obj["terms"]:
-        e = tuple(int(x) for x in term["exp"])
+        e = tuple(json_ints(term["exp"], "exponents"))
         if len(e) != len(names):
             raise ValueError(f"exponent arity {len(e)} != {len(names)} variables")
         if e in f:
             raise ValueError(f"duplicate exponent {e}")
-        c = int(term["coef"])
+        coef = term["coef"]
+        c = int(coef) if type(coef) is str else json_ints((coef,), "coefficients")[0]
         if c:
             f[e] = c
     return f, names

@@ -194,19 +194,16 @@ def seeds_equivalent(a: SeedLike, b: SeedLike) -> Optional[Rescaling]:
         if ratio is None:
             return None
         cs.append(ratio)
+    # with d = 0 the rescaling leaves each pair exactly d_j above b's
+    zeros = tuple((0,) * len(plus) for plus, _ in a.pairs)
     ds: List[Exponent] = []
-    for j in range(n):
-        d_plus = lp.exp_sub(a.pairs[j][0], b.pairs[j][0])
-        d_minus = lp.exp_sub(a.pairs[j][1], b.pairs[j][1])
-        for i in range(n):
-            bij = a.b[i][j]
-            if bij > 0:
-                d_plus = lp.exp_add(d_plus, _scaled(cs[i], bij))
-            elif bij < 0:
-                d_minus = lp.exp_add(d_minus, _scaled(cs[i], -bij))
-        if d_plus != d_minus or any(d_plus[:n]):
+    for (plus, minus), (b_plus, b_minus) in zip(
+        apply_rescaling(a, Rescaling(tuple(cs), zeros)).pairs, b.pairs
+    ):
+        d = lp.exp_sub(plus, b_plus)
+        if d != lp.exp_sub(minus, b_minus) or any(d[:n]):
             return None
-        ds.append(d_plus)
+        ds.append(d)
     witness = Rescaling(tuple(cs), tuple(ds))
     if not seedlike_equal(apply_rescaling(a, witness), b):
         return None

@@ -123,8 +123,9 @@ def map_to_json(m: MonomialMap) -> dict:
 def map_from_json(obj: dict, src_mutable: int, dst_mutable: int) -> MonomialMap:
     """Mutable counts are not part of the wire format; the caller supplies
     them from the seed context the map travels with."""
+    matrix = [lp.json_ints(row, "map entries", InvalidMap) for row in obj["matrix"]]
     return MonomialMap(
-        obj["matrix"], obj["src_vars"], obj["dst_vars"], src_mutable, dst_mutable
+        matrix, obj["src_vars"], obj["dst_vars"], src_mutable, dst_mutable
     )
 
 
@@ -157,11 +158,7 @@ def map_exponent(m: MonomialMap, e: Exponent) -> Exponent:
     """The image exponent: the sum of e_j * column_j over nonzero e_j."""
     if len(e) != len(m.columns):
         raise ValueError(f"arity {len(e)} does not match {len(m.src_vars)} source variables")
-    image = [0] * len(m.dst_vars)
-    for k, col in zip(e, m.columns):
-        if k:
-            image = [x + k * y for x, y in zip(image, col)]
-    return tuple(image)
+    return tuple(la.vec_mat(e, m.columns)) if e else (0,) * len(m.dst_vars)
 
 
 def map_seed(m: MonomialMap, seed: sd.Seed) -> ob.SeedLike:

@@ -338,8 +338,8 @@ def seed_to_json(seed: Seed) -> dict:
 
 
 def seed_from_json(obj: dict) -> Seed:
-    n, m = int(obj["n"]), int(obj["m"])
-    btilde = [[int(x) for x in row] for row in obj["btilde"]]
+    n, m = lp.json_ints((obj["n"], obj["m"]), "n and m", InvalidSeed)
+    btilde = [lp.json_ints(row, "btilde entries", InvalidSeed) for row in obj["btilde"]]
     if len(btilde) != n + m or any(len(row) != n for row in btilde):
         raise InvalidSeed(f"btilde shape is not {n + m} x {n}")
     names = [str(s) for s in obj["var_names"]]

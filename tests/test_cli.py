@@ -459,8 +459,32 @@ def test_grassmann_rectangle_fixture(runner):
 
 
 def test_grassmann_rejects_unsupported_dimensions(runner):
-    assert runner.invoke(cl.main, ["grassmann", "--kn", "4", "9"]).exit_code == 2
-    assert runner.invoke(cl.main, ["grassmann", "--kn", "1", "4"]).exit_code == 2
+    for k, n in ((1, 4), (3, 4)):
+        result = runner.invoke(cl.main, ["grassmann", "--kn", str(k), str(n)])
+        assert result.exit_code == 2
+        assert error_payload(result) == {
+            "error": "unsupported dimensions",
+            "reason": f"rectangle cluster needs k >= 2 and n - k >= 2; got k={k}, n={n}",
+        }
+    # nine columns and more are served, not capped
+    for k, n in ((4, 9), (2, 10)):
+        result = runner.invoke(cl.main, ["grassmann", "--kn", str(k), str(n)])
+        assert result.exit_code == 0
+        assert (json.loads(result.output)["k"], json.loads(result.output)["n"]) == (k, n)
+
+
+def test_grassmann_all_checks_4_9(runner):
+    result = runner.invoke(cl.main, ["grassmann", "--kn", "4", "9", "--all-checks"])
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    assert payload["verdict"] is True
+    assert [(c["name"], c["cases"]) for c in payload["checks"]] == [
+        ("map_verification", 1),
+        ("factorization", 118),
+        ("flat_to_band_minors", 456),
+        ("tropical_contents", 1260),
+        ("composite_identity", 126),
+    ]
 
 
 def write_map(tmp_path, m):
@@ -541,6 +565,57 @@ def test_malformed_seed_exits_2(runner, tmp_path, command, text, error):
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     assert error_payload(result)["error"] == error
+
+
+def _set(obj, path, value):
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+
+
+@pytest.mark.parametrize("path, value, reason", [
+    (("n",), True, "n and m must be integers, got True"),
+    (("btilde", 0, 1), 1.5, "btilde entries must be integers, got 1.5"),
+    (("cluster", 0, "terms", 0, "exp", 0), 1.9, "exponents must be integers, got 1.9"),
+    (("cluster", 0, "terms", 0, "coef"), 1.2, "coefficients must be integers, got 1.2"),
+], ids=["bool-n", "float-btilde", "float-exponent", "float-coefficient"])
+def test_non_integer_seed_fields_exit_2(runner, tmp_path, path, value, reason):
+    # before, int() truncated 1.5 to 1 and the mutation ran on the wrong seed
+    obj = sd.seed_to_json(sd.Seed([[0, 1], [-1, 0]], [X1, X2], ["x1", "x2"]))
+    _set(obj, path, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    result = runner.invoke(cl.main, ["mutate", str(bad), "--word", "0"])
+    assert result.exit_code == 2
+    assert error_payload(result) == {"error": "invalid seed", "path": str(bad), "reason": reason}
+
+
+def test_integer_coefficient_is_read(runner, tmp_path):
+    obj = sd.seed_to_json(sd.Seed([[0, 1], [-1, 0]], [X1, X2], ["x1", "x2"]))
+    obj["cluster"][0]["terms"][0]["coef"] = 1
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(obj))
+    result = runner.invoke(cl.main, ["mutate", str(path)])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["seed"] == sd.seed_to_json(
+        sd.Seed([[0, 1], [-1, 0]], [X1, X2], ["x1", "x2"]))
+
+
+@pytest.mark.parametrize("entry, shown", [("1", "'1'"), (1.0, "1.0"), (True, "True")],
+                         ids=["str", "float", "bool"])
+def test_non_integer_map_entries_exit_2(runner, tmp_path, entry, shown):
+    # before, "1" and 1.0 raised a TypeError traceback and true was read as 1
+    src = a2_path(tmp_path, [X1, X2])
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(
+        {"matrix": [[entry, 0], [0, 1]], "src_vars": ["x1", "x2"], "dst_vars": ["x1", "x2"]}))
+    result = runner.invoke(cl.main, ["verify-qh", str(path), src, src])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert error_payload(result) == {
+        "error": "invalid map", "path": str(path),
+        "reason": f"map entries must be integers, got {shown}",
+    }
 
 
 @pytest.mark.parametrize("command", ["construct-qh", "gradings", "orbit-eq"])

@@ -1,5 +1,6 @@
 """Generic-matrix minors, band minors, and the flat-to-band fixtures."""
 
+import random
 from itertools import combinations
 
 import hypothesis.strategies as st
@@ -474,6 +475,18 @@ def test_published_relation_tables():
     records = gr.quintic_relation_checks(CTX25)
     assert [r["kind"] for r in records] == ["minor"] * 5 + ["band"] * 5 + ["image"] * 5
     assert all(r["holds"] for r in records)
+    # one record of each kind, keys in their printed order
+    pinned = [
+        {"kind": "minor", "index": 0, "left": ["D245", "D135"],
+         "summands": [["D145", "D235"], ["D125", "D345"]], "holds": True},
+        {"kind": "band", "index": 0, "left": ["Y12", "Y23"],
+         "summands": [["Y1223"], ["Y22", "Y13"]], "holds": True},
+        {"kind": "image", "index": 0, "left": ["D245", "D135"],
+         "cofactor": ["Y11", "Y35", "Y35", "Y24"],
+         "summands": [["Y1223"], ["Y22", "Y13"]], "holds": True},
+    ]
+    for record, want in zip(records[::5], pinned):
+        assert list(record.items()) == list(want.items())
     with pytest.raises(gr.UnsupportedContext):
         gr.quintic_relation_checks(CTX26)
 
@@ -650,7 +663,31 @@ def test_rectangle_seed_guards():
     with pytest.raises(gr.UnsupportedContext):
         gr.rectangle_seed(gr.make_context(1, 4))
     with pytest.raises(gr.UnsupportedContext):
-        gr.rectangle_seed(gr.make_context(2, 10))
+        gr.rectangle_seed(gr.make_context(3, 4))
+    # no cap on n: ten columns get separated names
+    seed = gr.rectangle_seed(gr.make_context(2, 10))
+    assert seed.var_names[0] == "D12345679"
+    assert seed.var_names[-1] == "D1_2_3_4_5_6_7_10"
+
+
+def test_names_stay_distinct_past_nine_columns():
+    for k in (2, 3):
+        ctx = gr.make_context(k, 10)
+        names = gr.rectangle_seed(ctx).var_names
+        assert len(set(names)) == len(names)
+        assert any("_10" in name for name in names)
+        pairs = set(gr.irreducible_minors(ctx))
+        pairs |= {(i, j) for _, i, j in gr.band_frozen_specs(ctx)}
+        assert len({gr.band_name(i, j) for i, j in pairs}) == len(pairs)
+        band = gr.build_fixture(ctx).band_seed.var_names
+        assert len(set(band)) == len(band)
+    # single-digit indices keep the names they always had
+    for cols in combinations(range(1, 10), 4):
+        assert gr.plucker_name(cols) == "D" + "".join(map(str, cols))
+    for _, i_set, j_set in gr.band_frozen_specs(gr.make_context(3, 9)):
+        assert gr.band_name(i_set, j_set) == "Y" + "".join(map(str, i_set + j_set))
+    assert gr.plucker_name((10, 2, 1)) == "D1_2_10"
+    assert gr.band_name((1, 2), (9, 10)) == "Y1_2_9_10"
 
 
 def test_rectangle_exchange_smallest_case():
@@ -755,13 +792,33 @@ def test_fixture_value_tables():
 
 def test_fixture_unsupported():
     with pytest.raises(gr.UnsupportedContext):
-        gr.build_fixture(gr.make_context(2, 7))
-    with pytest.raises(gr.UnsupportedContext):
-        gr.build_fixture(gr.make_context(4, 8))
-    with pytest.raises(gr.UnsupportedContext):
         gr.build_fixture(gr.make_context(1, 4))
+    with pytest.raises(gr.UnsupportedContext):
+        gr.build_fixture(gr.make_context(4, 5))
+    # sizes beyond the pinned three build from the rectangle cluster
+    for k, n in ((2, 7), (4, 8)):
+        fx = gr.build_fixture(gr.make_context(k, n))
+        assert fx.gstar_map is None
+        assert fx.gr_seed.var_names == gr.rectangle_seed(fx.ctx).var_names
     assert gr.build_fixture(CTX26).gstar_map is None
     assert gr.build_fixture(CTX36).gstar_map is None
+
+
+def test_fixture_every_size():
+    for n in range(4, 9):
+        for k in range(2, n - 1):
+            fx = gr.build_fixture(gr.make_context(k, n))
+            if (k, n) != (2, 5):
+                assert fx.gr_seed.btilde == gr.rectangle_seed(fx.ctx).btilde
+            assert qh.verify_qh(fx.fstar_map, fx.gr_seed, fx.band_seed)
+
+
+def test_pinned_base_is_the_turned_rectangle():
+    # turning every rectangle column c to c + 1 mod 5 gives the (2,5) base
+    sets, btilde = gr._rectangle_layout(CTX25, 1)
+    assert sets == [(2, 3, 5), (2, 4, 5)]
+    assert btilde == GR_BTILDE_25
+    assert gr._rectangle_layout(CTX25, 0)[1] == gr.rectangle_seed(CTX25).btilde
 
 
 def flattoband_verdict(ctx, a, s, j_set, chart, shift=0):
@@ -773,19 +830,30 @@ def flattoband_verdict(ctx, a, s, j_set, chart, shift=0):
     return lhs == lp.mul_packed(rhs, gr._plucker_fast(ctx, run + j_set, chart))
 
 
-def test_chart_agrees_with_generic_matrix():
+def chart_rejections(ctx, cases):
+    # the chart and the generic matrix agree on every case and every shift;
+    # returns how many shifted identities both reject
     rejected = 0
-    for ctx in (CTX25, CTX36):
-        for a, s, j_set in gr.flattoband_cases(ctx):
-            assert flattoband_verdict(ctx, a, s, j_set, False)
-            assert gr.flattoband_check(ctx, a, s, j_set)
-            for shift in (-1, 1):
-                generic = flattoband_verdict(ctx, a, s, j_set, False, shift)
-                assert flattoband_verdict(ctx, a, s, j_set, True, shift) == generic
-                rejected += not generic
+    for a, s, j_set in cases:
+        assert flattoband_verdict(ctx, a, s, j_set, False)
+        assert gr.flattoband_check(ctx, a, s, j_set)
+        for shift in (-1, 1):
+            generic = flattoband_verdict(ctx, a, s, j_set, False, shift)
+            assert flattoband_verdict(ctx, a, s, j_set, True, shift) == generic
+            rejected += not generic
+    return rejected
+
+
+def test_chart_agrees_with_generic_matrix():
     # true identities hold on any specialization; only the false ones show
     # that the chart keeps their verdict
-    assert rejected == 106
+    assert sum(chart_rejections(ctx, gr.flattoband_cases(ctx)) for ctx in (CTX25, CTX36)) == 106
+    # a seeded (2,7) sample; on its 5x7 generic matrix one case of three
+    # rows already takes seconds, so the sample is drawn from one and two
+    ctx = gr.make_context(2, 7)
+    cases = [case for case in gr.flattoband_cases(ctx) if case[1] <= 2]
+    sample = random.Random(27).sample(cases, 20)
+    assert chart_rejections(ctx, sample) == 2 * len(sample)
 
 
 def test_composite_identity_in_chart():

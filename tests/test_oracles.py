@@ -16,6 +16,7 @@ division by every frozen generator, and term-by-term substitution.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 
@@ -349,6 +350,9 @@ def test_composite_identity_matches_substitution(kn, monkeypatch):
         return entry
 
     monkeypatch.setattr(gr, "_g_entry_fast", perturbed)
+    # the g_star minors are cached per context; a fresh cache sees the
+    # perturbed entry, and the shared one comes back untouched after the test
+    monkeypatch.setattr(gr, "_g_row_minors", lru_cache(gr._g_row_minors.__wrapped__))
     results = gr.composite_identity(ctx)
     assert results == ref_composite_identity(ctx)
     assert not all(holds for _, holds in results)

@@ -124,6 +124,10 @@ def test_apply_map_arity_mismatch():
         qh.apply_map(m, {(1, 0, 0): 1})
     with pytest.raises(ValueError):
         qh.map_exponent(m, (1,))
+    # with no source variables the image still has the target's arity
+    empty = qh.MonomialMap([[], []], [], ["u", "v"], 0, 0)
+    assert qh.map_exponent(empty, ()) == (0, 0)
+    assert qh.apply_map(empty, {(): 3}) == {(0, 0): 3}
 
 
 def test_map_json_round_trip():
