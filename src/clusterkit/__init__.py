@@ -13,8 +13,7 @@ Subpackage layout, roughly bottom-up:
     cli        command line entry points
 
 All arithmetic is exact: integers and integer exponent vectors throughout,
-with fraction-free elimination in the linear algebra; `fractions.Fraction`
-appears only in `laurent.evaluate`, which substitutes rational values.
+with fraction-free elimination in the linear algebra.
 """
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ import json
 import sys
 from itertools import combinations, permutations, product
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 import click
 
@@ -33,6 +33,7 @@ from . import seeds as sd
 from . import surfaces as sf
 
 Payload = Dict[str, object]
+T = TypeVar("T")
 
 
 class InputFault(click.ClickException):
@@ -99,20 +100,14 @@ def _load_json(path: str) -> dict:
         raise InputFault({"error": "invalid JSON", "path": path, "reason": str(exc)})
 
 
-def _load_seed(path: str) -> sd.Seed:
+def _load(path: str, what: str, read: Callable[..., T], *counts: int) -> T:
+    """`read(obj, *counts)` on the JSON in the file; any fault in its shape
+    exits 2 as `invalid <what>`."""
     obj = _load_json(path)
     try:
-        return sd.seed_from_json(obj)
-    except (sd.InvalidSeed, KeyError, TypeError, ValueError) as exc:
-        raise InputFault({"error": "invalid seed", "path": path, "reason": str(exc)})
-
-
-def _load_map(path: str, src_mutable: int, dst_mutable: int) -> qh.MonomialMap:
-    obj = _load_json(path)
-    try:
-        return qh.map_from_json(obj, src_mutable, dst_mutable)
-    except (qh.InvalidMap, KeyError, TypeError, ValueError) as exc:
-        raise InputFault({"error": "invalid map", "path": path, "reason": str(exc)})
+        return read(obj, *counts)
+    except (sd.InvalidSeed, qh.InvalidMap, KeyError, TypeError, ValueError) as exc:
+        raise InputFault({"error": f"invalid {what}", "path": path, "reason": str(exc)})
 
 
 def _write_json(path: str, obj: dict) -> None:
@@ -186,7 +181,7 @@ def _mutate_lines(payload: Payload) -> List[str]:
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
 def mutate(seed_file: str, word: str, out: Optional[str], fmt: str) -> None:
     """Apply a mutation word to a seed and report each exchange."""
-    seed = _load_seed(seed_file)
+    seed = _load(seed_file, "seed", sd.seed_from_json)
     steps: List[Payload] = []
     current = seed
     # label -> rendering of the variable it holds, so each is rendered once
@@ -225,7 +220,7 @@ def _explore_lines(payload: Payload) -> List[str]:
 @click.option("--format", "fmt", type=click.Choice(["json", "dot", "text"]), default="json")
 def explore(seed_file: str, max_depth: int, max_nodes: int, fmt: str) -> None:
     """Breadth-first exchange-graph closure up to relabeling."""
-    seed = _load_seed(seed_file)
+    seed = _load(seed_file, "seed", sd.seed_from_json)
     try:
         graph = pt.explore(seed, max_depth=max_depth, max_nodes=max_nodes)
     except (lp.NotDivisible, sd.InvalidSeed) as exc:
@@ -274,15 +269,15 @@ def _check_fit(label: str, m: qh.MonomialMap, fits: List[Tuple[str, sd.Seed]]) -
 def verify_qh(map_file: str, src_file: str, dst_file: str,
               inverse_file: Optional[str], opposite: bool, fmt: str) -> None:
     """Check a monomial map between two seed files, with witnesses."""
-    src = _load_seed(src_file)
-    dst = _load_seed(dst_file)
+    src = _load(src_file, "seed", sd.seed_from_json)
+    dst = _load(dst_file, "seed", sd.seed_from_json)
     if src.n != dst.n:
         raise InputFault({"error": "principal ranks differ", "src": src.n, "dst": dst.n})
-    m = _load_map(map_file, src.n, dst.n)
+    m = _load(map_file, "map", qh.map_from_json, src.n, dst.n)
     _check_fit("map", m, [("source", src), ("target", dst)])
     payload: Payload = qh.verify_report(m, src, dst, allow_opposite=opposite)
     if inverse_file is not None:
-        w = _load_map(inverse_file, dst.n, src.n)
+        w = _load(inverse_file, "map", qh.map_from_json, dst.n, src.n)
         _check_fit("inverse map", w, [("target", dst), ("source", src)])
         try:
             payload["quasi_inverse"] = qh.quasi_inverse_check(m, w, src)
@@ -315,8 +310,8 @@ def _construct_lines(payload: Payload) -> List[str]:
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
 def construct_qh(src_file: str, dst_file: str, out: Optional[str], fmt: str) -> None:
     """Solve for the canonical monomial map between two seed files."""
-    src = _load_seed(src_file)
-    dst = _load_seed(dst_file)
+    src = _load(src_file, "seed", sd.seed_from_json)
+    dst = _load(dst_file, "seed", sd.seed_from_json)
     payload: Payload = qh.construct_qh_diagnostics(
         src.btilde, dst.btilde, src.var_names, dst.var_names
     )
@@ -342,7 +337,7 @@ def _gradings_lines(payload: Payload) -> List[str]:
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
 def gradings(seed_file: str, fmt: str) -> None:
     """Basis of the integer gradings of a seed's extended matrix."""
-    seed = _load_seed(seed_file)
+    seed = _load(seed_file, "seed", sd.seed_from_json)
     basis = qh.grading_space(seed.btilde)
     _emit({"corank": len(basis), "basis": basis}, fmt, _gradings_lines)
 
@@ -359,8 +354,8 @@ def _orbit_lines(payload: Payload) -> List[str]:
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
 def orbit_eq(left_file: str, right_file: str, fmt: str) -> None:
     """Decide rescaling-orbit equivalence of two seed files."""
-    left = _load_seed(left_file)
-    right = _load_seed(right_file)
+    left = _load(left_file, "seed", sd.seed_from_json)
+    right = _load(right_file, "seed", sd.seed_from_json)
     if left.n != right.n or left.m != right.m:
         raise InputFault(
             {

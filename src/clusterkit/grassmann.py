@@ -25,7 +25,7 @@ thus vanishes on the Zariski-dense set det A ≠ 0, hence identically; the
 converse holds because the chart is a specialization.  Each side of each
 identity is a sum of products of s Plücker coordinates, so their
 difference is such an F, decided exactly as a polynomial in Y.  The
-public `plucker`, `g_star` and `g_star_minor` stay on the generic matrix.
+public `plucker` and `g_star` stay on the generic matrix.
 
 Two facts spare the band side any search.  The band entries are distinct
 variables, so each term of a minor on (I, J) uses every row of I and column
@@ -100,11 +100,6 @@ def _band_entries(ctx: GenericMatrixContext) -> Tuple[Tuple[Poly, ...], ...]:
         )
         for i in range(1, ctx.rows + 1)
     )
-
-
-def band_matrix(ctx: GenericMatrixContext) -> List[List[Poly]]:
-    """The band-supported matrix: row i holds y_{i,j} for i <= j <= i+k."""
-    return [[dict(entry) for entry in row] for row in _band_entries(ctx)]
 
 
 def reduce_plucker_index(
@@ -271,12 +266,6 @@ def g_star(ctx: GenericMatrixContext, i: int, j: int) -> Poly:
     return _unpack_x(ctx, _g_entry_fast(ctx, i, j, False))
 
 
-def _g_minor_fast(
-    ctx: GenericMatrixContext, i_set: IndexSet, j_set: IndexSet, chart: bool
-) -> lp.Packed:
-    return _fast_det([[_g_entry_fast(ctx, i, j, chart) for j in j_set] for i in i_set])
-
-
 @lru_cache(maxsize=None)
 def _g_row_minors(
     ctx: GenericMatrixContext, a: int, chart: bool
@@ -291,21 +280,6 @@ def _g_row_minors(
 
 def _mask(cols: Sequence[int]) -> int:
     return sum(1 << (c - 1) for c in cols)
-
-
-def g_star_minor(
-    ctx: GenericMatrixContext, rows_i: Sequence[int], cols_j: Sequence[int]
-) -> Poly:
-    """Minor of the matrix of g_star entries, zero outside the band."""
-    i_set = tuple(sorted(rows_i))
-    j_set = tuple(sorted(cols_j))
-    if len(i_set) != len(j_set):
-        raise InvalidIndex("row and column sets differ in size")
-    if len(set(i_set)) != len(i_set):
-        raise InvalidIndex("repeated row index")
-    if i_set and not (1 <= i_set[0] and i_set[-1] <= ctx.rows):
-        raise InvalidIndex(f"rows outside [1, {ctx.rows}]")
-    return _unpack_x(ctx, _g_minor_fast(ctx, i_set, j_set, False))
 
 
 def _interval(lo: int, hi: int) -> List[int]:
@@ -606,7 +580,17 @@ def _rectangle_layout(
     ctx: GenericMatrixContext, turn: int
 ) -> Tuple[List[IndexSet], la.Matrix]:
     """Mutable column sets and btilde of the rectangle cluster with every
-    column c turned to c + turn mod n, frozen rows in the fixed order."""
+    column c turned to c + turn mod n, frozen rows in the fixed order.
+
+    The rectangle cluster is Scott's initial seed: rectangle coordinates on
+    the (rows−1) x (k−1) grid, every cyclic-interval coordinate frozen.  Its
+    quiver is the grid with one diagonal per face: at position (a, b) arrows
+    arrive from (a−1,b), (a,b−1), (a+1,b+1) and leave to (a+1,b), (a,b+1),
+    (a−1,b−1).  Positions off the grid resolve through the same rectangle
+    formula to frozen intervals, and repeated hits on one coordinate
+    accumulate, so a corner coordinate shared by both sides of an exchange
+    cancels out.
+    """
     if ctx.rows < 2 or ctx.k < 2:
         raise UnsupportedContext(
             f"rectangle cluster needs k >= 2 and n - k >= 2; got k={ctx.k}, n={ctx.n}"
@@ -628,22 +612,6 @@ def _rectangle_layout(
         for pa, pb in ((a + 1, b), (a, b + 1), (a - 1, b - 1)):
             btilde[order[index(pa, pb)]][col] -= 1
     return mutable_sets, btilde
-
-
-def rectangle_seed(ctx: GenericMatrixContext) -> sd.Seed:
-    """Initial cluster of rectangle coordinates on the (rows−1) x (k−1)
-    grid, with all cyclic-interval coordinates frozen (Scott's initial seed).
-
-    The quiver is the grid with one diagonal per face: at position (a, b)
-    arrows arrive from (a−1,b), (a,b−1), (a+1,b+1) and leave to (a+1,b),
-    (a,b+1), (a−1,b−1).  Positions off the grid resolve through the same
-    rectangle formula to frozen intervals, and repeated hits on one
-    coordinate accumulate, so a corner coordinate shared by both sides of
-    an exchange cancels out.
-    """
-    mutable_sets, btilde = _rectangle_layout(ctx, 0)
-    names = [plucker_name(cols) for cols in mutable_sets + plucker_frozen_sets(ctx)]
-    return sd.initial_seed(btilde, names)
 
 
 # Reverse substitution on the band generators of the same fixture, one

@@ -33,10 +33,6 @@ def copy(a: Sequence[Sequence[int]]) -> Matrix:
     return [list(row) for row in a]
 
 
-def transpose(a: Sequence[Sequence[int]]) -> Matrix:
-    return [list(col) for col in zip(*a)] if a else []
-
-
 def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     return [vec_mat(row, b) for row in a]
 
@@ -129,11 +125,6 @@ def left_kernel_basis(a: Sequence[Sequence[int]]) -> Matrix:
     return [u[i] for i in range(len(h)) if not any(h[i])]
 
 
-def solve_left(a: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[Vector]:
-    """An integer solution z of z * a = b, or None if none exists."""
-    return solve_left_all(a, [b])[0][0]
-
-
 def solve_left_all(
     a: Sequence[Sequence[int]], bs: Sequence[Sequence[int]]
 ) -> List[Tuple[Optional[Vector], bool]]:
@@ -198,31 +189,3 @@ def lattice_equal(
     nzb = [row for row in hb if any(row)]
     return nza == nzb
 
-
-def det(a: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix, by fraction-free elimination."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix is not square")
-    if n == 0:
-        return 1
-    m = copy(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def is_unimodular(a: Sequence[Sequence[int]]) -> bool:
-    return len(a) > 0 and all(len(row) == len(a) for row in a) and det(a) in (1, -1)

@@ -45,7 +45,6 @@ leading monomial of g is one subtraction and a test of each lane's top
 from __future__ import annotations
 
 import struct
-from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
 from operator import add as _iadd
@@ -117,14 +116,6 @@ def add(f: Poly, g: Poly) -> Poly:
     return out
 
 
-def neg(f: Poly) -> Poly:
-    return {e: -c for e, c in f.items()}
-
-
-def sub(f: Poly, g: Poly) -> Poly:
-    return add(f, neg(g))
-
-
 def scale(f: Poly, coef: int) -> Poly:
     if coef == 0:
         return {}
@@ -173,10 +164,6 @@ def power(f: Poly, k: int) -> Poly:
     for _ in range(k - 2):
         out = mul_packed(out, base)
     return unpack(out, _arity(f), width)
-
-
-def is_zero(f: Poly) -> bool:
-    return not f
 
 
 def equal(f: Poly, g: Poly) -> bool:
@@ -348,20 +335,7 @@ def tropicalize(f: Poly, num_mutable: int) -> Exponent:
 
 
 # ---------------------------------------------------------------------------
-# evaluation, printing, JSON
-
-def evaluate(f: Poly, values: Sequence[Fraction]) -> Fraction:
-    """Evaluate at exact rational values; nonzero values required if negative
-    exponents occur."""
-    total = Fraction(0)
-    for e, c in f.items():
-        term = Fraction(c)
-        for v, k in zip(values, e):
-            if k:
-                term *= Fraction(v) ** k
-        total += term
-    return total
-
+# printing, JSON
 
 def to_str(f: Poly, names: Sequence[str]) -> str:
     """Readable form like '2*a*b^2 - c', terms in descending graded lex."""
@@ -414,10 +388,23 @@ def json_ints(
     return out
 
 
+def json_names(values: object, what: str, error: type = ValueError) -> List[str]:
+    """The values as a list when they are a JSON list of strings; a string,
+    a number or any other value raises `error` instead of being split into
+    characters or turned into a name."""
+    if type(values) is not list:
+        raise error(f"{what} must be a list of strings, got {values!r}")
+    for x in values:
+        if type(x) is not str:
+            raise error(f"{what} must be strings, got {x!r}")
+    return list(values)
+
+
 def from_json(obj: dict) -> Tuple[Poly, List[str]]:
     """Inverse of to_json; validates arity and rejects duplicate exponents.
-    A coefficient is a JSON integer or a decimal string."""
-    names = [str(v) for v in obj["vars"]]
+    A coefficient is a JSON integer or a plain decimal string: an optional
+    minus sign and ASCII digits, nothing else."""
+    names = json_names(obj["vars"], "vars")
     f: Poly = {}
     for term in obj["terms"]:
         e = tuple(json_ints(term["exp"], "exponents"))
@@ -426,7 +413,14 @@ def from_json(obj: dict) -> Tuple[Poly, List[str]]:
         if e in f:
             raise ValueError(f"duplicate exponent {e}")
         coef = term["coef"]
-        c = int(coef) if type(coef) is str else json_ints((coef,), "coefficients")[0]
+        if type(coef) is not str:
+            c = json_ints((coef,), "coefficients")[0]
+        else:
+            # int() would also take "1_0", " 7 " and non-ASCII digits
+            digits = coef[1:] if coef[:1] == "-" else coef
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError(f"coefficient strings must be plain decimals, got {coef!r}")
+            c = int(coef)
         if c:
             f[e] = c
     return f, names

@@ -92,25 +92,6 @@ def _scaled(e: Exponent, s: int) -> Exponent:
     return tuple(x * s for x in e)
 
 
-def identity_rescaling(n: int, arity: int) -> Rescaling:
-    zero = (0,) * arity
-    return Rescaling((zero,) * n, (zero,) * n)
-
-
-def invert_rescaling(r: Rescaling) -> Rescaling:
-    return Rescaling(
-        tuple(lp.exp_neg(e) for e in r.c), tuple(lp.exp_neg(e) for e in r.d)
-    )
-
-
-def compose_rescalings(r1: Rescaling, r2: Rescaling) -> Rescaling:
-    """The rescaling acting as r1 followed by r2 (the action is abelian)."""
-    return Rescaling(
-        tuple(lp.exp_add(a, b) for a, b in zip(r1.c, r2.c)),
-        tuple(lp.exp_add(a, b) for a, b in zip(r1.d, r2.d)),
-    )
-
-
 def apply_rescaling(sl: SeedLike, r: Rescaling) -> SeedLike:
     """x_j divided by c_j; pairs divided by d_j and corrected by c powers."""
     n = sl.n

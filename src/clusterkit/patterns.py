@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import laurent as lp
 from . import orbits as ob
@@ -149,14 +149,6 @@ def explore(
             if found > idx and len(nodes[found].word) < max_depth:
                 adjacency[found][nodes[found].seed.cluster.index(neighbor.cluster[k])] = idx
     return ExplorationGraph(nodes, adjacency, hit_depth, hit_nodes)
-
-
-def validate_nerve(nerve: Iterable[NerveEdge], n: int) -> bool:
-    try:
-        qh.nerve_vertices(nerve, n)
-    except qh.InvalidNerve:
-        return False
-    return True
 
 
 def star_neighborhood(graph: ExplorationGraph, node: int) -> List[NerveEdge]:

@@ -124,9 +124,9 @@ def map_from_json(obj: dict, src_mutable: int, dst_mutable: int) -> MonomialMap:
     """Mutable counts are not part of the wire format; the caller supplies
     them from the seed context the map travels with."""
     matrix = [lp.json_ints(row, "map entries", InvalidMap) for row in obj["matrix"]]
-    return MonomialMap(
-        matrix, obj["src_vars"], obj["dst_vars"], src_mutable, dst_mutable
-    )
+    src_vars = lp.json_names(obj["src_vars"], "src_vars", InvalidMap)
+    dst_vars = lp.json_names(obj["dst_vars"], "dst_vars", InvalidMap)
+    return MonomialMap(matrix, src_vars, dst_vars, src_mutable, dst_mutable)
 
 
 def apply_map(m: MonomialMap, f: Poly) -> Poly:
@@ -290,17 +290,6 @@ def normalization_map(m: MonomialMap) -> Callable[[Poly], Exponent]:
         return lp.tropicalize(apply_map(m, f), m.dst_mutable)
 
     return c
-
-
-def transported_y(m: MonomialMap, seed: sd.Seed) -> List[Exponent]:
-    """Normalized coefficient tuple of the image seed: the map's
-    normalization applied to each hatted variable, as a frozen exponent."""
-    c = normalization_map(m)
-    out = []
-    for j in range(seed.n):
-        num, den = sd.hatted(seed, j)
-        out.append(lp.exp_sub(c(num), c(den)))
-    return out
 
 
 @dataclass(frozen=True)

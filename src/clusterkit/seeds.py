@@ -14,7 +14,7 @@ cross multiplication; no rational-function normal form is ever needed.
 from __future__ import annotations
 
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import laurent as lp
 from .laurent import Poly
@@ -325,7 +325,7 @@ def hatted_mutation_check(seed: Seed, k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# JSON and quiver formats
+# JSON format
 
 def seed_to_json(seed: Seed) -> dict:
     return {
@@ -342,7 +342,7 @@ def seed_from_json(obj: dict) -> Seed:
     btilde = [lp.json_ints(row, "btilde entries", InvalidSeed) for row in obj["btilde"]]
     if len(btilde) != n + m or any(len(row) != n for row in btilde):
         raise InvalidSeed(f"btilde shape is not {n + m} x {n}")
-    names = [str(s) for s in obj["var_names"]]
+    names = lp.json_names(obj["var_names"], "var_names", InvalidSeed)
     cluster = []
     for entry in obj["cluster"]:
         poly, poly_names = lp.from_json(entry)
@@ -351,44 +351,3 @@ def seed_from_json(obj: dict) -> Seed:
         cluster.append(poly)
     return Seed(btilde, cluster, names)
 
-
-def quiver_to_matrix(n: int, m: int, arrows: Sequence[dict]) -> Matrix:
-    """Arrow list [{"from": i, "to": j, "mult": w}] to a skew-symmetric btilde.
-
-    Indices are 0-based over all n + m generators; an arrow i -> j of weight
-    w contributes +w to b_ij and -w to b_ji (entries between frozen rows are
-    not represented and arrows between two frozen generators are rejected).
-    """
-    btilde = [[0] * n for _ in range(n + m)]
-    for arrow in arrows:
-        i, j = int(arrow["from"]), int(arrow["to"])
-        w = int(arrow.get("mult", 1))
-        if i >= n and j >= n:
-            raise InvalidSeed(f"arrow between frozen generators {i} -> {j}")
-        if not (0 <= i < n + m and 0 <= j < n + m):
-            raise InvalidSeed(f"arrow index out of range: {i} -> {j}")
-        if j < n:
-            btilde[i][j] += w
-        if i < n:
-            btilde[j][i] -= w
-    return btilde
-
-
-def matrix_to_quiver(btilde: Sequence[Sequence[int]]) -> List[Dict[str, int]]:
-    """Inverse of quiver_to_matrix for skew-symmetric principal parts."""
-    n = len(btilde[0])
-    principal = [row[:n] for row in btilde[:n]]
-    for i in range(n):
-        for j in range(n):
-            if principal[i][j] != -principal[j][i]:
-                raise InvalidSeed("principal part is not skew-symmetric")
-    arrows = []
-    for i, row in enumerate(btilde):
-        for j in range(n):
-            if i < n and i >= j:
-                continue  # mutable pairs: report each once, from the upper triangle
-            if row[j] > 0:
-                arrows.append({"from": i, "to": j, "mult": row[j]})
-            elif row[j] < 0:
-                arrows.append({"from": j, "to": i, "mult": -row[j]})
-    return arrows

@@ -166,19 +166,6 @@ def lamination_to_json(lam: Lamination) -> dict:
     return out
 
 
-def lamination_from_json(obj: dict) -> Lamination:
-    curves = tuple(
-        (tuple(curve[0]), tuple(curve[1])) for curve in obj["ends"]
-    )
-    measures = obj.get("measures", {})
-    return Lamination(
-        curves,
-        tuple(obj["shear"]) if "shear" in obj else None,
-        tuple(measures["arcs"]) if "arcs" in measures else None,
-        tuple(measures["boundary"]) if "boundary" in measures else None,
-    )
-
-
 def pairing_vector(lam: Lamination, table: EvenComponentTable) -> List[int]:
     """Per even component, the sum of the signs of all curve ends on it."""
     out = [0] * table.r
@@ -214,59 +201,6 @@ class SignedPermutation:
 
 def signed_identity(r: int) -> SignedPermutation:
     return SignedPermutation(tuple(tuple(row) for row in la.identity(r)))
-
-
-def compose_signed(g: SignedPermutation, h: SignedPermutation) -> SignedPermutation:
-    if g.r != h.r:
-        raise InvalidSurfaceData("signed permutation sizes differ")
-    return SignedPermutation(
-        tuple(tuple(row) for row in la.matmul(g.matrix, h.matrix))
-    )
-
-
-def invert_signed(g: SignedPermutation) -> SignedPermutation:
-    return SignedPermutation(tuple(tuple(row) for row in la.transpose(g.matrix)))
-
-
-def act_on_pairing(g: SignedPermutation, p: Sequence[int]) -> List[int]:
-    if len(p) != g.r:
-        raise InvalidSurfaceData("pairing vector length differs from matrix size")
-    return la.mat_vec(g.matrix, list(p))
-
-
-def act_on_lamination(
-    g: SignedPermutation, lam: Lamination, table: EvenComponentTable
-) -> Lamination:
-    """Transport curve ends along a mapping class.
-
-    An end on component j moves to the component whose matrix row is
-    nonzero in column j; a negative entry swaps the coloring or spiral
-    direction.  Coordinates are dropped: they belong to a triangulation the
-    action does not preserve.
-    """
-    if g.r != table.r:
-        raise InvalidSurfaceData("matrix size differs from component count")
-    moved = []
-    for curve in lam.curves:
-        ends = []
-        for end in curve:
-            end_sign(end, table)
-            if end[0] == "odd":
-                ends.append(end)
-                continue
-            j = end[1]
-            i = next(k for k in range(g.r) if g.matrix[k][j])
-            if table.components[i].kind != table.components[j].kind:
-                raise InvalidSurfaceData("action mixes punctures and boundaries")
-            flip = g.matrix[i][j] < 0
-            if end[0] == "boundary":
-                color = {"black": "white", "white": "black"}[end[2]] if flip else end[2]
-                ends.append(("boundary", i, color))
-            else:
-                direction = {"ccw": "cw", "cw": "ccw"}[end[2]] if flip else end[2]
-                ends.append(("spiral", i, direction))
-        moved.append((ends[0], ends[1]))
-    return Lamination(tuple(moved))
 
 
 def lattice_fixed(g: SignedPermutation, vectors: Sequence[Sequence[int]]) -> bool:

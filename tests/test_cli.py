@@ -1,8 +1,10 @@
 """Command line drivers: payload shapes, formats, and exit codes."""
 
 import json
+import random
 import sys
 from fractions import Fraction
+from math import prod
 
 import hypothesis.strategies as st
 import pytest
@@ -54,9 +56,14 @@ def write_seed(tmp_path, name, seed):
     return str(path)
 
 
+def evaluated(f, vals):
+    """The Laurent polynomial f at exact rational values."""
+    return sum(c * prod(Fraction(v) ** k for v, k in zip(vals, e)) for e, c in f.items())
+
+
 def probe_minor(cols):
-    entries = [Fraction(PROBE_ROWS[r][c] ) for r in range(3) for c in range(5)]
-    return lp.evaluate(gx.plucker(CTX25, cols), entries)
+    entries = [PROBE_ROWS[r][c] for r in range(3) for c in range(5)]
+    return evaluated(gx.plucker(CTX25, cols), entries)
 
 
 def probe_values(fx):
@@ -72,7 +79,7 @@ def test_mutate_reports_each_exchange(runner, gr25):
     assert [s["removed"] for s in payload["steps"]] == ["D245"]
     seed = sd.seed_from_json(payload["seed"])
     # the exchanged entry evaluates to the minor on columns 1, 3, 5
-    got = lp.evaluate(seed.cluster[1], probe_values(fx))
+    got = evaluated(seed.cluster[1], probe_values(fx))
     assert got == probe_minor((1, 3, 5))
 
 
@@ -578,9 +585,17 @@ def _set(obj, path, value):
     (("btilde", 0, 1), 1.5, "btilde entries must be integers, got 1.5"),
     (("cluster", 0, "terms", 0, "exp", 0), 1.9, "exponents must be integers, got 1.9"),
     (("cluster", 0, "terms", 0, "coef"), 1.2, "coefficients must be integers, got 1.2"),
-], ids=["bool-n", "float-btilde", "float-exponent", "float-coefficient"])
+    (("cluster", 0, "terms", 0, "coef"), "1_0",
+     "coefficient strings must be plain decimals, got '1_0'"),
+    (("cluster", 0, "terms", 0, "coef"), " 7 ",
+     "coefficient strings must be plain decimals, got ' 7 '"),
+    (("cluster", 0, "terms", 0, "coef"), "\u0667",
+     "coefficient strings must be plain decimals, got '\u0667'"),
+], ids=["bool-n", "float-btilde", "float-exponent", "float-coefficient",
+        "underscore-coefficient", "spaced-coefficient", "arabic-indic-coefficient"])
 def test_non_integer_seed_fields_exit_2(runner, tmp_path, path, value, reason):
-    # before, int() truncated 1.5 to 1 and the mutation ran on the wrong seed
+    # before, int() truncated 1.5 to 1 and read "1_0" as 10 and " 7 " and an
+    # Arabic-Indic seven as 7, and the mutation ran on the wrong seed
     obj = sd.seed_to_json(sd.Seed([[0, 1], [-1, 0]], [X1, X2], ["x1", "x2"]))
     _set(obj, path, value)
     bad = tmp_path / "bad.json"
@@ -615,6 +630,36 @@ def test_non_integer_map_entries_exit_2(runner, tmp_path, entry, shown):
     assert error_payload(result) == {
         "error": "invalid map", "path": str(path),
         "reason": f"map entries must be integers, got {shown}",
+    }
+
+
+@pytest.mark.parametrize("file, path, value, reason", [
+    ("seed", ("var_names",), "ab", "var_names must be a list of strings, got 'ab'"),
+    ("seed", ("var_names",), [1, 2], "var_names must be strings, got 1"),
+    ("seed", ("cluster", 0, "vars"), "ab", "vars must be a list of strings, got 'ab'"),
+    ("map", ("src_vars",), "ab", "src_vars must be a list of strings, got 'ab'"),
+    ("map", ("dst_vars",), [1, 2], "dst_vars must be strings, got 1"),
+], ids=["string-var-names", "int-var-names", "string-vars", "string-src-vars",
+        "int-dst-vars"])
+def test_names_are_read_not_coerced(runner, tmp_path, file, path, value, reason):
+    # before, a string was split into one-letter names and numbers became
+    # names, so mutate and verify-qh ran on these files with exit 0
+    seed = sd.seed_to_json(sd.Seed([[0, 1], [-1, 0]], [X1, X2], ["a", "b"]))
+    if path == ("var_names",):
+        for entry in seed["cluster"]:
+            entry["vars"] = value
+    identity = {"matrix": [[1, 0], [0, 1]], "src_vars": ["a", "b"], "dst_vars": ["a", "b"]}
+    objs = {"seed": seed, "map": identity}
+    _set(objs[file], path, value)
+    for name, obj in objs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    seed_path, map_path = str(tmp_path / "seed.json"), str(tmp_path / "map.json")
+    argv = (["mutate", seed_path, "--word", "0"] if file == "seed"
+            else ["verify-qh", map_path, seed_path, seed_path])
+    result = runner.invoke(cl.main, argv)
+    assert result.exit_code == 2
+    assert error_payload(result) == {
+        "error": f"invalid {file}", "path": str(tmp_path / f"{file}.json"), "reason": reason,
     }
 
 
@@ -806,3 +851,67 @@ def test_mutate_renders_each_variable_once(runner, gr25, monkeypatch):
         assert step["removed"] == to_str(seed.cluster[k], seed.var_names)
         seed = sd.mutate_seed(seed, k)
         assert step["introduced"] == to_str(seed.cluster[k], seed.var_names)
+
+
+def _fields(obj, path=()):
+    """The path of every value below the root of a JSON document."""
+    items = obj.items() if type(obj) is dict else enumerate(obj) if type(obj) is list else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _fields(value, path + (key,))
+
+
+def _fuzzed(obj, rng):
+    """A copy of obj with one field changed: a swapped type, a string where a
+    list belongs, a missing key or a ragged shape."""
+    obj = json.loads(json.dumps(obj))
+    path = rng.choice(list(_fields(obj)))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    value = parent[path[-1]]
+    kind = rng.choice(["swap", "string", "missing", "ragged"])
+    if kind == "missing":
+        del parent[path[-1]]
+    elif kind == "ragged" and type(value) is list:
+        value.append(value[-1] if value else 0)
+    elif kind == "string" and type(value) is list:
+        parent[path[-1]] = "ab"
+    else:
+        parent[path[-1]] = rng.choice([x for x in (None, True, 2.5, "7", 7, [], {})
+                                       if type(x) is not type(value)])
+    return obj
+
+
+# each command, with its input files named by the fixture file they start from
+FUZZ_COMMANDS = {
+    "mutate": ["mutate", "seed", "--word", "0,1"],
+    "explore": ["explore", "seed", "--max-depth", "2", "--max-nodes", "8"],
+    "verify-qh": ["verify-qh", "map", "seed", "band"],
+    "construct-qh": ["construct-qh", "seed", "band"],
+    "gradings": ["gradings", "band"],
+    "orbit-eq": ["orbit-eq", "seed", "seed"],
+}
+
+
+def test_fuzzed_inputs_get_an_answer_or_a_typed_error(runner, gr25, tmp_path):
+    # one changed field per case: exit 0, 1 or 2, never an uncaught exception,
+    # and every exit-2 payload on stderr is JSON
+    fx, paths = gr25
+    docs = {"seed": sd.seed_to_json(fx.gr_seed), "band": sd.seed_to_json(fx.band_seed),
+            "map": qh.map_to_json(fx.fstar_map)}
+    rng = random.Random(11)
+    bad = tmp_path / "bad.json"
+    for case in range(300):
+        argv = FUZZ_COMMANDS[sorted(FUZZ_COMMANDS)[case % len(FUZZ_COMMANDS)]]
+        target = rng.choice([arg for arg in argv if arg in docs])
+        obj = _fuzzed(docs[target], rng)
+        bad.write_text(json.dumps(obj))
+        argv = [str(bad) if arg == target else paths.get(arg, arg) for arg in argv]
+        result = runner.invoke(cl.main, argv)
+        assert result.exit_code in (0, 1, 2), (argv, obj, result.output)
+        assert result.exception is None or isinstance(result.exception, SystemExit), (
+            argv, obj, repr(result.exception))
+        assert "Traceback" not in result.output
+        if result.exit_code == 2:
+            json.loads(result.stderr.split("Error: ", 1)[1])

@@ -262,18 +262,20 @@ def test_dedup_merges_exactly_permutation_matches(seed):
 
 
 def test_validate_nerve():
-    assert pt.validate_nerve([((), 0), ((), 1)], 2)
-    assert pt.validate_nerve([((), 0), ((0,), 1)], 2)
-    assert not pt.validate_nerve([((), 0), ((0,), 1)], 3)
-    assert pt.validate_nerve([((), 0)], 1)
-    assert not pt.validate_nerve([((), 0), ((1, 0, 1), 1)], 2)
+    # a nerve is valid when its edges are connected and carry every label
+    assert qh.nerve_vertices([((), 0), ((), 1)], 2) == [(), (0,), (1,)]
+    assert qh.nerve_vertices([((), 0), ((0,), 1)], 2) == [(), (0,), (0, 1)]
+    assert qh.nerve_vertices([((), 0)], 1) == [(), (0,)]
+    for edges, n in (([((), 0), ((0,), 1)], 3), ([((), 0), ((1, 0, 1), 1)], 2)):
+        with pytest.raises(qh.InvalidNerve):
+            qh.nerve_vertices(edges, n)
 
 
 def test_star_neighborhood():
     graph = pt.explore(sd.initial_seed(GR35_BTILDE, GR35_NAMES))
     star = pt.star_neighborhood(graph, 0)
     assert star == [((), 0), ((), 1)]
-    assert pt.validate_nerve(star, 2)
+    assert qh.nerve_vertices(star, 2) == [(), (0,), (1,)]
     other = pt.star_neighborhood(graph, 3)
     word = graph.nodes[3].word
     assert other == [(word, 0), (word, 1)]

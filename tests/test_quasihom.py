@@ -228,7 +228,7 @@ def test_construct_diagnostics_take_one_hermite_transform(monkeypatch):
     # each verdict agrees with a solve of its own row
     for entry in report["rows"]:
         target = dst[entry["row"]]
-        assert entry["integer"] == (la.solve_left(src, target) is not None)
+        assert entry["integer"] == (la.solve_left_all(src, [target])[0][0] is not None)
         if not entry["integer"]:
             rank_jump = sympy.Matrix(src + [target]).rank() > sympy.Matrix(src).rank()
             assert entry["rational"] == (not rank_jump)
@@ -286,15 +286,6 @@ def test_normalization_values():
     # agrees with the plain image on frozen monomials
     frozen = lp.monomial(exp(7, p2=1, p4=2))
     assert c(frozen) == lp.leading_exponent(qh.apply_map(fstar(), frozen))
-
-
-def test_transported_y_reads_off_band_rows():
-    ys = qh.transported_y(fstar(), gr_seed())
-    expected = []
-    for k in range(2):
-        col = [BAND_BTILDE[i][k] for i in range(len(BAND_BTILDE))]
-        expected.append(tuple(0 if i < 2 else col[i] for i in range(len(col))))
-    assert ys == expected
 
 
 def test_separation_identity_along_words():

@@ -128,8 +128,9 @@ class TestSeedMutation:
         b = [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]
         seed = sd.initial_seed(b, ["x1", "x2", "x3"])
         reached = sd.mutate_word(seed, [1, 2, 1, 0, 2, 0, 1, 0])
-        # at (1, 1, 1) every cluster of the Markov quiver is a Markov triple
-        a, b, c = (lp.evaluate(x, [1, 1, 1]) for x in reached.cluster)
+        # at (1, 1, 1) every cluster of the Markov quiver is a Markov triple;
+        # a Laurent polynomial's value there is its coefficient sum
+        a, b, c = (sum(x.values()) for x in reached.cluster)
         assert (a, b, c) == (151620880341401, 6684339842, 7561)
         assert a * a + b * b + c * c == 3 * a * b * c
 
@@ -237,15 +238,6 @@ class TestSerialization:
         obj["btilde"] = [[0, 1]]
         with pytest.raises(sd.InvalidSeed):
             sd.seed_from_json(obj)
-
-    def test_quiver_round_trip_gr35(self):
-        arrows = sd.matrix_to_quiver(GR35_BTILDE)
-        back = sd.quiver_to_matrix(2, 5, arrows)
-        assert back == GR35_BTILDE
-
-    def test_quiver_rejects_frozen_to_frozen(self):
-        with pytest.raises(sd.InvalidSeed):
-            sd.quiver_to_matrix(1, 2, [{"from": 1, "to": 2, "mult": 1}])
 
     def test_seed_rejects_non_symmetrizable_principal(self):
         with pytest.raises(sd.InvalidSeed):

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from clusterkit import lattice as la
 from clusterkit import orbits as ob
@@ -28,6 +28,10 @@ def signed_permutations(r):
             )
             out.append(sf.SignedPermutation(rows))
     return out
+
+
+def compose(g, h):
+    return sf.SignedPermutation(tuple(map(tuple, la.matmul(g.matrix, h.matrix))))
 
 
 def test_check_surface_accepts_supported_shapes():
@@ -134,99 +138,6 @@ def test_signed_permutation_validation():
             sf.SignedPermutation(rows)
 
 
-def test_signed_permutation_group_operations():
-    fx = sf.annulus_fixture()
-    inner = fx.actions["inner_half_turn"]
-    swap = fx.actions["component_swap"]
-    ident = sf.signed_identity(2)
-    assert sf.compose_signed(swap, swap) == ident
-    assert sf.compose_signed(inner, inner) == ident
-    mixed = sf.compose_signed(inner, swap)
-    assert mixed.matrix == ((0, -1), (1, 0))
-    assert sf.compose_signed(sf.invert_signed(mixed), mixed) == ident
-    with pytest.raises(sf.InvalidSurfaceData):
-        sf.compose_signed(ident, sf.signed_identity(3))
-
-
-def test_act_on_pairing_matches_hand_values():
-    fx = sf.annulus_fixture()
-    p = sf.pairing_vector(fx.laminations["doubled"], fx.table)
-    assert sf.act_on_pairing(fx.actions["inner_half_turn"], p) == [2, -2]
-    assert sf.act_on_pairing(fx.actions["outer_half_turn"], p) == [-2, 2]
-    assert sf.act_on_pairing(fx.actions["component_swap"], p) == [-2, -2]
-    with pytest.raises(sf.InvalidSurfaceData):
-        sf.act_on_pairing(fx.actions["component_swap"], [1, 2, 3])
-
-
-def test_act_on_lamination_flips_colors():
-    fx = sf.annulus_fixture()
-    moved = sf.act_on_lamination(
-        fx.actions["inner_half_turn"], fx.laminations["doubled"], fx.table
-    )
-    assert moved.curves == (
-        (("boundary", 0, "black"), ("boundary", 1, "white")),
-        (("boundary", 0, "black"), ("boundary", 1, "white")),
-    )
-    assert moved.shear is None
-    swapped = sf.act_on_lamination(
-        fx.actions["component_swap"], fx.laminations["connector"], fx.table
-    )
-    assert sorted(swapped.curves[0]) == sorted(fx.laminations["connector"].curves[0])
-
-
-def test_act_on_lamination_handles_spirals_and_rejects_kind_mixing():
-    table = sf.component_table(sf.SurfaceShape(0, 1, (6,)))
-    lam = sf.Lamination(((("spiral", 0, "ccw"), ("boundary", 1, "black")),))
-    flip = sf.SignedPermutation(((-1, 0), (0, 1)))
-    moved = sf.act_on_lamination(flip, lam, table)
-    assert moved.curves == ((("spiral", 0, "cw"), ("boundary", 1, "black")),)
-    with pytest.raises(sf.InvalidSurfaceData):
-        sf.act_on_lamination(sf.SignedPermutation(((0, 1), (1, 0))), lam, table)
-
-
-def test_action_equivariance_on_fixture():
-    fx = sf.annulus_fixture()
-    for g in signed_permutations(2):
-        for lam in fx.laminations.values():
-            left = sf.pairing_vector(sf.act_on_lamination(g, lam, fx.table), fx.table)
-            right = sf.act_on_pairing(g, sf.pairing_vector(lam, fx.table))
-            assert left == right
-
-
-@settings(deadline=None, derandomize=True)
-@given(st.data())
-def test_action_equivariance_random(data):
-    r = data.draw(st.integers(1, 4), label="components")
-    table = sf.EvenComponentTable(
-        tuple(sf.EvenComponent("boundary", 2) for _ in range(r))
-    )
-    perm = data.draw(st.permutations(range(r)), label="perm")
-    signs = data.draw(st.tuples(*[st.sampled_from((1, -1))] * r), label="signs")
-    g = sf.SignedPermutation(
-        tuple(
-            tuple(signs[i] if j == perm[i] else 0 for j in range(r))
-            for i in range(r)
-        )
-    )
-    ends = data.draw(
-        st.lists(
-            st.tuples(st.integers(0, r - 1), st.sampled_from(("black", "white"))),
-            min_size=2, max_size=6,
-        ),
-        label="ends",
-    )
-    if len(ends) % 2:
-        ends.append(ends[0])
-    curves = tuple(
-        (("boundary",) + ends[i], ("boundary",) + ends[i + 1])
-        for i in range(0, len(ends), 2)
-    )
-    lam = sf.Lamination(curves)
-    left = sf.pairing_vector(sf.act_on_lamination(g, lam, table), table)
-    right = sf.act_on_pairing(g, sf.pairing_vector(lam, table))
-    assert left == right
-
-
 def test_lattice_fixed_fixture_cases():
     fx = sf.annulus_fixture()
     vectors = [sf.pairing_vector(fx.laminations["doubled"], fx.table)]
@@ -237,8 +148,8 @@ def test_lattice_fixed_fixture_cases():
     assert not sf.lattice_fixed(inner, vectors)
     assert not sf.lattice_fixed(outer, vectors)
     assert sf.lattice_fixed(swap, vectors)
-    assert sf.lattice_fixed(sf.compose_signed(inner, outer), vectors)
-    assert sf.lattice_fixed(sf.compose_signed(inner, inner), vectors)
+    assert sf.lattice_fixed(compose(inner, outer), vectors)
+    assert sf.lattice_fixed(compose(inner, inner), vectors)
     # empty and full lattices are fixed by everything
     for g in signed_permutations(2):
         assert sf.lattice_fixed(g, [])
@@ -259,9 +170,9 @@ def test_lattice_stabilizer_is_a_subgroup():
             members = {g.matrix for g in fixed}
             assert sf.signed_identity(r).matrix in members
             for g in fixed:
-                assert sf.invert_signed(g).matrix in members
+                assert tuple(zip(*g.matrix)) in members
                 for h in fixed:
-                    assert sf.compose_signed(g, h).matrix in members
+                    assert compose(g, h).matrix in members
 
 
 def test_stabilizer_indices_for_annulus_lamination():
@@ -301,9 +212,7 @@ def test_qa_subgroup_test_fixture_witnesses():
     verdict, witness = sf.qa_subgroup_test(fx.actions["component_swap"])
     assert verdict == "sometimes"
     assert witness == [2, 0]
-    half_turns = sf.compose_signed(
-        fx.actions["inner_half_turn"], fx.actions["outer_half_turn"]
-    )
+    half_turns = compose(fx.actions["inner_half_turn"], fx.actions["outer_half_turn"])
     assert sf.qa_subgroup_test(half_turns) == ("always", None)
 
 
@@ -389,14 +298,15 @@ def test_kernel_basis_check_failure_modes():
 def test_lamination_json_round_trip():
     fx = sf.annulus_fixture()
     for lam in fx.laminations.values():
-        obj = sf.lamination_to_json(lam)
-        assert sf.lamination_from_json(obj) == lam
+        obj = json.loads(json.dumps(sf.lamination_to_json(lam)))
+        assert tuple((tuple(a), tuple(b)) for a, b in obj["ends"]) == lam.curves
+        assert obj.get("shear") == (None if lam.shear is None else list(lam.shear))
     obj = sf.lamination_to_json(fx.laminations["doubled"])
     assert obj["shear"] == [0, 0, 2, 0]
     assert obj["measures"]["boundary"] == [2, 0, 2, 0]
     assert obj["ends"][0][0] == ["boundary", 0, "white"]
     bare = sf.Lamination(((("odd",), ("odd",)),))
-    assert sf.lamination_from_json(sf.lamination_to_json(bare)) == bare
+    assert sf.lamination_to_json(bare) == {"ends": [[["odd"], ["odd"]]]}
 
 
 def test_fixture_words_reach_the_recorded_seeds():
