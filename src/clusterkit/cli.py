@@ -11,17 +11,21 @@ JSON text on stdout, in --out files and in exit-2 stderr payloads is exactly
 `json.dumps(obj, indent=2)`, written by `_json_text`, since CPython's C
 encoder ignores `indent` before 3.14 and the pure-Python one costs about as
 much as the mutations it reports.  With a 3.14 floor the writer can go.
+
+The front end is one `argparse` parser, built once at import with one
+sub-parser per command, so the runtime needs nothing beyond the standard
+library and a command line costs one parse before its command body runs.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import sys
 from itertools import combinations, permutations, product
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Callable, Dict, List, Optional, Tuple, TypeVar
-
-import click
+from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple, TypeVar
 
 from . import grassmann as gx
 from . import lattice as la
@@ -36,17 +40,13 @@ Payload = Dict[str, object]
 T = TypeVar("T")
 
 
-class InputFault(click.ClickException):
-    """Unreadable or malformed input; rendered as JSON on stderr."""
-
-    exit_code = 2
+class InputFault(Exception):
+    """Unreadable or malformed input: `main` writes `Error: ` and the payload
+    as JSON to stderr and exits 2."""
 
     def __init__(self, payload: Payload):
-        super().__init__(json.dumps(payload))
+        super().__init__(payload)
         self.payload = payload
-
-    def format_message(self) -> str:
-        return _json_text(self.payload)
 
 
 def _json_text(obj: object, nl: str = "\n") -> str:
@@ -102,12 +102,15 @@ def _load_json(path: str) -> dict:
 
 def _load(path: str, what: str, read: Callable[..., T], *counts: int) -> T:
     """`read(obj, *counts)` on the JSON in the file; any fault in its shape
-    exits 2 as `invalid <what>`."""
+    exits 2 as `invalid <what>`, and a missing key is named in the reason."""
     obj = _load_json(path)
     try:
         return read(obj, *counts)
-    except (sd.InvalidSeed, qh.InvalidMap, KeyError, TypeError, ValueError) as exc:
-        raise InputFault({"error": f"invalid {what}", "path": path, "reason": str(exc)})
+    except KeyError as exc:
+        reason = f"missing field {exc}"
+    except (sd.InvalidSeed, qh.InvalidMap, TypeError, ValueError) as exc:
+        reason = str(exc)
+    raise InputFault({"error": f"invalid {what}", "path": path, "reason": reason})
 
 
 def _write_json(path: str, obj: dict) -> None:
@@ -119,10 +122,12 @@ def _write_json(path: str, obj: dict) -> None:
 
 
 def _emit(payload: Payload, fmt: str, lines: Callable[[Payload], List[str]]) -> None:
-    if fmt == "text":
-        click.echo("\n".join(lines(payload)))
-    else:
-        click.echo(_json_text(payload))
+    _echo("\n".join(lines(payload)) if fmt == "text" else _json_text(payload))
+
+
+def _echo(text: str) -> None:
+    # flushed at once, so that a closed stdout pipe surfaces inside `main`
+    print(text, flush=True)
 
 
 def _finish(ok: bool) -> None:
@@ -133,12 +138,83 @@ def _suite(name: str, cases: int, failures: List[str]) -> Payload:
     return {"name": name, "cases": cases, "failures": failures, "ok": not failures}
 
 
-@click.group()
-def main() -> None:
-    """Exact-arithmetic workbench for cluster patterns of geometric type."""
+_parser = argparse.ArgumentParser(
+    prog="clusterkit",
+    description="Exact-arithmetic workbench for cluster patterns of geometric type.",
+    allow_abbrev=False,
+)
+_commands = _parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+Argument = Tuple[Tuple[str, ...], Dict[str, object]]
+
+
+def _arg(*flags: str, **options: object) -> Argument:
+    """One `add_argument` call, kept for `_command`."""
+    return flags, options
+
+
+def _command(
+    name: str, *arguments: Argument, formats: Sequence[str] = ("json", "text")
+) -> Callable[[T], T]:
+    """Register the decorated function as the sub-parser `name`, with these
+    arguments and `--format`; its docstring is the help text, and its
+    parameters are the arguments' destinations."""
+
+    def register(run: T) -> T:
+        sub = _commands.add_parser(
+            name, help=run.__doc__, description=run.__doc__, allow_abbrev=False
+        )
+        for flags, options in arguments:
+            sub.add_argument(*flags, **options)
+        sub.add_argument("--format", dest="fmt", choices=formats, default="json")
+        sub.set_defaults(run=run)
+        return run
+
+    return register
+
+
+def _positive(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return value
+
+
+def main(
+    args: Optional[Sequence[str]] = None,
+    prog_name: str = "clusterkit",
+    standalone_mode: bool = True,
+) -> NoReturn:
+    """Run one command line, `sys.argv[1:]` by default, and raise SystemExit
+    with its exit status.  Usage errors exit 2 with argparse's message.
+
+    `main.main` is `main`, and `main.name` is the program name, so callers
+    written against click's `Command.main` (the benchmark runner,
+    `click.testing.CliRunner`) call it unchanged; `prog_name` and
+    `standalone_mode` change nothing."""
     # exact integers are read and printed in full, however many digits
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
+    options = vars(_parser.parse_args(args))
+    run = options.pop("run")
+    try:
+        run(**options)
+    except InputFault as exc:
+        sys.stderr.write("Error: " + _json_text(exc.payload) + "\n")
+        raise SystemExit(2)
+    except BrokenPipeError:
+        # the reader of stdout went away: exit 1 without a message, with
+        # stdout on the null device so that the flush at exit succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(1)
+    raise SystemExit(0)
+
+
+main.main = main  # type: ignore[attr-defined]
+main.name = _parser.prog  # type: ignore[attr-defined]
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +250,12 @@ def _mutate_lines(payload: Payload) -> List[str]:
     return out
 
 
-@main.command()
-@click.argument("seed_file")
-@click.option("--word", default="", help="Comma-separated mutation labels, left to right.")
-@click.option("--out", default=None, help="Write the resulting seed here instead of embedding it.")
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
+@_command(
+    "mutate",
+    _arg("seed_file"),
+    _arg("--word", default="", help="Comma-separated mutation labels, left to right."),
+    _arg("--out", help="Write the resulting seed here instead of embedding it."),
+)
 def mutate(seed_file: str, word: str, out: Optional[str], fmt: str) -> None:
     """Apply a mutation word to a seed and report each exchange."""
     seed = _load(seed_file, "seed", sd.seed_from_json)
@@ -213,11 +290,15 @@ def _explore_lines(payload: Payload) -> List[str]:
     ]
 
 
-@main.command()
-@click.argument("seed_file")
-@click.option("--max-depth", type=click.IntRange(min=1), default=16, show_default=True)
-@click.option("--max-nodes", type=click.IntRange(min=1), default=500, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "dot", "text"]), default="json")
+@_command(
+    "explore",
+    _arg("seed_file"),
+    _arg("--max-depth", type=_positive, default=16,
+         help="Longest mutation word followed (default: %(default)s)."),
+    _arg("--max-nodes", type=_positive, default=500,
+         help="Most seeds kept (default: %(default)s)."),
+    formats=("json", "dot", "text"),
+)
 def explore(seed_file: str, max_depth: int, max_nodes: int, fmt: str) -> None:
     """Breadth-first exchange-graph closure up to relabeling."""
     seed = _load(seed_file, "seed", sd.seed_from_json)
@@ -228,7 +309,7 @@ def explore(seed_file: str, max_depth: int, max_nodes: int, fmt: str) -> None:
             {"error": "not a seed of any pattern", "path": seed_file, "reason": str(exc)}
         )
     if fmt == "dot":
-        click.echo(pt.graph_to_dot(graph))
+        _echo(pt.graph_to_dot(graph))
         return
     _emit(pt.graph_to_json(graph), fmt, _explore_lines)
 
@@ -257,15 +338,16 @@ def _check_fit(label: str, m: qh.MonomialMap, fits: List[Tuple[str, sd.Seed]]) -
             raise InputFault({"error": f"{label} does not fit the {side} seed", "reason": reason})
 
 
-@main.command("verify-qh")
-@click.argument("map_file")
-@click.argument("src_file")
-@click.argument("dst_file")
-@click.option("--inverse", "inverse_file", default=None,
-              help="Reverse map; adds the quasi-inverse star check.")
-@click.option("--opposite/--no-opposite", default=False,
-              help="Accept the opposite target pattern as well.")
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
+@_command(
+    "verify-qh",
+    _arg("map_file"),
+    _arg("src_file"),
+    _arg("dst_file"),
+    _arg("--inverse", dest="inverse_file",
+         help="Reverse map; adds the quasi-inverse star check."),
+    _arg("--opposite", action=argparse.BooleanOptionalAction, default=False,
+         help="Accept the opposite target pattern as well."),
+)
 def verify_qh(map_file: str, src_file: str, dst_file: str,
               inverse_file: Optional[str], opposite: bool, fmt: str) -> None:
     """Check a monomial map between two seed files, with witnesses."""
@@ -303,11 +385,12 @@ def _construct_lines(payload: Payload) -> List[str]:
     return out
 
 
-@main.command("construct-qh")
-@click.argument("src_file")
-@click.argument("dst_file")
-@click.option("--out", default=None, help="Write the constructed map here.")
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
+@_command(
+    "construct-qh",
+    _arg("src_file"),
+    _arg("dst_file"),
+    _arg("--out", help="Write the constructed map here."),
+)
 def construct_qh(src_file: str, dst_file: str, out: Optional[str], fmt: str) -> None:
     """Solve for the canonical monomial map between two seed files."""
     src = _load(src_file, "seed", sd.seed_from_json)
@@ -332,9 +415,7 @@ def _gradings_lines(payload: Payload) -> List[str]:
     return out
 
 
-@main.command()
-@click.argument("seed_file")
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
+@_command("gradings", _arg("seed_file"))
 def gradings(seed_file: str, fmt: str) -> None:
     """Basis of the integer gradings of a seed's extended matrix."""
     seed = _load(seed_file, "seed", sd.seed_from_json)
@@ -348,10 +429,7 @@ def _orbit_lines(payload: Payload) -> List[str]:
     return ["seeds are not orbit-equivalent"]
 
 
-@main.command("orbit-eq")
-@click.argument("left_file")
-@click.argument("right_file")
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
+@_command("orbit-eq", _arg("left_file"), _arg("right_file"))
 def orbit_eq(left_file: str, right_file: str, fmt: str) -> None:
     """Decide rescaling-orbit equivalence of two seed files."""
     left = _load(left_file, "seed", sd.seed_from_json)
@@ -485,8 +563,7 @@ def _checks_lines(payload: Payload) -> List[str]:
     return out
 
 
-@main.command()
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
+@_command("surface")
 def surface(fmt: str) -> None:
     """Annulus fixture report: twist, subgroup indices, shear identities."""
     fx = sf.annulus_fixture()
@@ -585,12 +662,13 @@ def _grassmann_suites(
     return suites
 
 
-@main.command()
-@click.option("--kn", nargs=2, type=int, required=True, metavar="K N",
-              help="Band width and column count, 2 <= K <= N-2.")
-@click.option("--all-checks", is_flag=True, help="Run every identity suite.")
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
-def grassmann(kn: Tuple[int, int], all_checks: bool, fmt: str) -> None:
+@_command(
+    "grassmann",
+    _arg("--kn", nargs=2, type=int, required=True, metavar=("K", "N"),
+         help="Band width and column count, 2 <= K <= N-2."),
+    _arg("--all-checks", action="store_true", help="Run every identity suite."),
+)
+def grassmann(kn: List[int], all_checks: bool, fmt: str) -> None:
     """Flat-to-band fixture data and identity checks."""
     k, n = kn
     try:

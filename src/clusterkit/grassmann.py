@@ -111,6 +111,10 @@ def reduce_plucker_index(
         raise InvalidIndex(
             f"index needs {ctx.rows} entries for n={ctx.n}, k={ctx.k}"
         )
+    # a strictly increasing index within [1, n] is already reduced, and most
+    # callers pass one
+    if 1 <= raw[0] and raw[-1] <= ctx.n and list(raw) == sorted(set(raw)):
+        return 1, tuple(raw)
     residues = [(s - 1) % ctx.n + 1 for s in raw]
     if len(set(residues)) != len(residues):
         return 0, ()

@@ -51,7 +51,7 @@ from operator import add as _iadd
 from operator import mul as _imul
 from operator import neg as _ineg
 from operator import sub as _isub
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
 Poly = Dict[Exponent, int]
@@ -376,16 +376,16 @@ def to_json(f: Poly, names: Sequence[str]) -> dict:
     }
 
 
-def json_ints(
-    values: Iterable[object], what: str, error: type = ValueError
-) -> List[int]:
-    """The values as a list when each is a JSON integer; a float, bool or
-    string raises `error` instead of being truncated or coerced."""
-    out = list(values)
-    for x in out:
+def json_ints(values: object, what: str, error: type = ValueError) -> List[int]:
+    """The values as a list when they are a JSON list of integers; any other
+    value, or a float, bool or string in the list, raises `error` instead of
+    being iterated, truncated or coerced."""
+    if type(values) is not list:
+        raise error(f"{what} must be a list of integers, got {values!r}")
+    for x in values:
         if type(x) is not int:
             raise error(f"{what} must be integers, got {x!r}")
-    return out
+    return list(values)
 
 
 def json_names(values: object, what: str, error: type = ValueError) -> List[str]:
@@ -414,7 +414,7 @@ def from_json(obj: dict) -> Tuple[Poly, List[str]]:
             raise ValueError(f"duplicate exponent {e}")
         coef = term["coef"]
         if type(coef) is not str:
-            c = json_ints((coef,), "coefficients")[0]
+            c = json_ints([coef], "coefficients")[0]
         else:
             # int() would also take "1_0", " 7 " and non-ASCII digits
             digits = coef[1:] if coef[:1] == "-" else coef

@@ -338,7 +338,7 @@ def seed_to_json(seed: Seed) -> dict:
 
 
 def seed_from_json(obj: dict) -> Seed:
-    n, m = lp.json_ints((obj["n"], obj["m"]), "n and m", InvalidSeed)
+    n, m = lp.json_ints([obj["n"], obj["m"]], "n and m", InvalidSeed)
     btilde = [lp.json_ints(row, "btilde entries", InvalidSeed) for row in obj["btilde"]]
     if len(btilde) != n + m or any(len(row) != n for row in btilde):
         raise InvalidSeed(f"btilde shape is not {n + m} x {n}")

@@ -1,7 +1,9 @@
 """Command line drivers: payload shapes, formats, and exit codes."""
 
 import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from math import prod
@@ -583,6 +585,7 @@ def _set(obj, path, value):
 @pytest.mark.parametrize("path, value, reason", [
     (("n",), True, "n and m must be integers, got True"),
     (("btilde", 0, 1), 1.5, "btilde entries must be integers, got 1.5"),
+    (("btilde", 0), 5, "btilde entries must be a list of integers, got 5"),
     (("cluster", 0, "terms", 0, "exp", 0), 1.9, "exponents must be integers, got 1.9"),
     (("cluster", 0, "terms", 0, "coef"), 1.2, "coefficients must be integers, got 1.2"),
     (("cluster", 0, "terms", 0, "coef"), "1_0",
@@ -591,7 +594,7 @@ def _set(obj, path, value):
      "coefficient strings must be plain decimals, got ' 7 '"),
     (("cluster", 0, "terms", 0, "coef"), "\u0667",
      "coefficient strings must be plain decimals, got '\u0667'"),
-], ids=["bool-n", "float-btilde", "float-exponent", "float-coefficient",
+], ids=["bool-n", "float-btilde", "int-btilde-row", "float-exponent", "float-coefficient",
         "underscore-coefficient", "spaced-coefficient", "arabic-indic-coefficient"])
 def test_non_integer_seed_fields_exit_2(runner, tmp_path, path, value, reason):
     # before, int() truncated 1.5 to 1 and read "1_0" as 10 and " 7 " and an
@@ -603,6 +606,18 @@ def test_non_integer_seed_fields_exit_2(runner, tmp_path, path, value, reason):
     result = runner.invoke(cl.main, ["mutate", str(bad), "--word", "0"])
     assert result.exit_code == 2
     assert error_payload(result) == {"error": "invalid seed", "path": str(bad), "reason": reason}
+
+
+def test_missing_seed_field_is_named(runner, tmp_path):
+    # before, the reason was the bare KeyError text "'terms'"
+    obj = sd.seed_to_json(sd.Seed([[0, 1], [-1, 0]], [X1, X2], ["x1", "x2"]))
+    del obj["cluster"][0]["terms"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    result = runner.invoke(cl.main, ["mutate", str(bad), "--word", "0"])
+    assert result.exit_code == 2
+    assert error_payload(result) == {
+        "error": "invalid seed", "path": str(bad), "reason": "missing field 'terms'"}
 
 
 def test_integer_coefficient_is_read(runner, tmp_path):
@@ -915,3 +930,80 @@ def test_fuzzed_inputs_get_an_answer_or_a_typed_error(runner, gr25, tmp_path):
         assert "Traceback" not in result.output
         if result.exit_code == 2:
             json.loads(result.stderr.split("Error: ", 1)[1])
+
+
+# ---------------------------------------------------------------------------
+# the front end
+
+# every option of each subcommand, as its --help must name it
+OPTIONS = {
+    "mutate": ["--word", "--out", "--format"],
+    "explore": ["--max-depth", "--max-nodes", "--format"],
+    "verify-qh": ["--inverse", "--opposite", "--no-opposite", "--format"],
+    "construct-qh": ["--out", "--format"],
+    "gradings": ["--format"],
+    "orbit-eq": ["--format"],
+    "surface": ["--format"],
+    "grassmann": ["--kn", "--all-checks", "--format"],
+}
+
+
+def test_main_main_exits_with_the_command_code(gr25, tmp_path, capsys):
+    # the calling convention of the benchmark runner
+    _, paths = gr25
+    fx = sf.annulus_fixture()
+    base = write_seed(tmp_path, "base", fx.seed)
+    moved = write_seed(tmp_path, "moved", sd.mutate_word(fx.seed, fx.half_turn_word))
+    for argv, code in [(["gradings", paths["seed"]], 0),
+                       (["orbit-eq", base, moved], 1),
+                       (["gradings", str(tmp_path / "none.json")], 2)]:
+        with pytest.raises(SystemExit) as exited:
+            cl.main.main(args=argv, prog_name="clusterkit", standalone_mode=True)
+        assert exited.value.code == code
+    assert "unreadable file" in capsys.readouterr().err
+
+
+def _child_env():
+    """The environment of an interpreter that imports this clusterkit and
+    writes no bytecode caches into it."""
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cl.__file__)),
+                PYTHONDONTWRITEBYTECODE="1")
+
+
+def test_import_leaves_click_out():
+    code = "import clusterkit.cli, sys; print('click' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "False\n"
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["explore", "seed.json", "--max-nodes", "0"],
+    ["gradings", "seed.json", "--format", "xml"], ["grassmann", "--kn", "2"],
+    ["gradings", "seed.json", "--form", "text"],
+], ids=["no-command", "unknown-command", "zero-max-nodes", "unknown-format", "one-kn",
+        "abbreviated-option"])
+def test_usage_errors_exit_2(runner, argv):
+    result = runner.invoke(cl.main, argv)
+    assert result.exit_code == 2
+    assert "usage: clusterkit" in result.stderr
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("command", [None] + sorted(OPTIONS))
+def test_help_names_every_option(runner, command):
+    result = runner.invoke(cl.main, ["--help"] if command is None else [command, "--help"])
+    assert result.exit_code == 0
+    names = sorted(OPTIONS) if command is None else OPTIONS[command]
+    for name in names:
+        assert name in result.stdout
+
+
+def test_closed_stdout_exits_1_quietly():
+    child = subprocess.Popen([sys.executable, "-m", "clusterkit.cli", "surface"],
+                             env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    # closed before the child, still importing, writes its report
+    child.stdout.close()
+    _, err = child.communicate(timeout=60)
+    assert child.returncode == 1
+    assert err == b""

@@ -268,6 +268,30 @@ def test_reduce_index_repeats_vanish():
     assert gr.f_star(CTX25, (1, 6, 3)) == {}
 
 
+def _index_cases(ctx):
+    # increasing indices around [1, n], where the shortcut's bounds lie, and
+    # any indices, with repeats and far out of range
+    increasing = st.lists(st.integers(0, ctx.n + 1), min_size=ctx.rows, max_size=ctx.rows,
+                          unique=True).map(sorted)
+    anything = st.lists(st.integers(-2 * ctx.n, 3 * ctx.n), min_size=ctx.rows,
+                        max_size=ctx.rows)
+    return st.tuples(st.just(ctx), st.one_of(increasing, anything).map(tuple))
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.sampled_from([CTX25, CTX26, CTX36, gr.make_context(3, 7)]).flatmap(_index_cases))
+def test_reduce_index_matches_brute_force(case):
+    ctx, raw = case
+    residues = [(s - 1) % ctx.n + 1 for s in raw]
+    if len(set(residues)) < len(residues):
+        expected = (0, ())
+    else:
+        inversions = sum(residues[a] > residues[b]
+                         for a, b in combinations(range(len(residues)), 2))
+        expected = ((-1) ** inversions, tuple(sorted(residues)))
+    assert gr.reduce_plucker_index(ctx, raw) == expected
+
+
 def test_plucker_term_count_and_antisymmetry():
     full = gr.plucker(CTX25, (1, 2, 3))
     assert len(full) == 6
