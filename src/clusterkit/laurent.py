@@ -376,6 +376,22 @@ def to_json(f: Poly, names: Sequence[str]) -> dict:
     }
 
 
+def json_list(value: object, what: str, error: type = ValueError) -> list:
+    """The value when it is a JSON list; any other value raises `error`
+    instead of being iterated."""
+    if type(value) is not list:
+        raise error(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def json_object(value: object, what: str, error: type = ValueError) -> dict:
+    """The value when it is a JSON object; any other value raises `error`
+    instead of being indexed."""
+    if type(value) is not dict:
+        raise error(f"{what} must be an object, got {value!r}")
+    return value
+
+
 def json_ints(values: object, what: str, error: type = ValueError) -> List[int]:
     """The values as a list when they are a JSON list of integers; any other
     value, or a float, bool or string in the list, raises `error` instead of
@@ -406,8 +422,8 @@ def from_json(obj: dict) -> Tuple[Poly, List[str]]:
     minus sign and ASCII digits, nothing else."""
     names = json_names(obj["vars"], "vars")
     f: Poly = {}
-    for term in obj["terms"]:
-        e = tuple(json_ints(term["exp"], "exponents"))
+    for term in json_list(obj["terms"], "terms"):
+        e = tuple(json_ints(json_object(term, "terms entries")["exp"], "exponents"))
         if len(e) != len(names):
             raise ValueError(f"exponent arity {len(e)} != {len(names)} variables")
         if e in f:

@@ -2,13 +2,37 @@
 
 Exploration walks the mutation tree breadth-first and merges vertices whose
 seeds agree up to a simultaneous permutation of the mutable indices, which
-is exactly the unlabeled exchange graph.  Identity is decided by a
-canonical form: the serialization with the mutable indices ordered by their
-cluster variables.  The cluster of a seed is algebraically independent
-(Fomin & Zelevinsky, "Cluster algebras I", 2002), so its entries are
-pairwise distinct and that order leaves no relabeling free; the form costs
-one sort, at any rank.  Data whose cluster repeats an entry is not a seed of
-any pattern and is rejected as `InvalidSeed`.
+is exactly the unlabeled exchange graph.
+
+Interning.  One exploration holds each distinct cluster variable once, in a
+`Variables` table, under a small integer id; a node is its mutation word,
+the id tuple of its cluster and its extended exchange matrix as a tuple of
+row tuples.  Equal polynomials get equal ids, so comparing ids compares
+variables.
+
+Identity is decided by a canonical form: the ids in increasing order, then
+the matrix with the mutable indices relabeled to that order.  The cluster of
+a seed is algebraically independent (Fomin & Zelevinsky, "Cluster algebras
+I", 2002), so its entries are pairwise distinct and the order leaves no
+relabeling free; the form costs one sort, at any rank.  Ids are assigned
+within one exploration, so the form is relabeling-invariant within it and
+means nothing across explorations.  Data whose cluster repeats an entry is
+not a seed of any pattern and is rejected as `InvalidSeed`.
+
+The memo key.  The new variable of mutation at k is the exchange polynomial
+p+ prod x_j^[b_jk]+ + p- prod x_j^[-b_jk]+, with the frozen monomials p+ and
+p- read off column k below the mutable rows, divided by x_k.  Its inputs are
+exactly
+
+    (id of x_k, sorted (id_j, b_jk) over b_jk != 0, frozen column k),
+
+so exploration keys each quotient by that tuple and divides once per key.
+A hit is exact, not probable: equal keys mean equal dividend and divisor,
+operand for operand, hence the very polynomial the division would return.
+No theorem or modular shortcut is involved, and an id stands for its
+polynomial exactly: `Variables` finds ids by a dict lookup that compares
+the terms themselves, not their hash alone.  A failed division raises and
+ends the exploration, so every memo entry is a success.
 
 Each edge is mutated once, not from both ends.  Mutation is an involution,
 as mu_k negates column k of the exchange matrix and keeps the exchange
@@ -26,16 +50,18 @@ target are deduplicated up to proportionality.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from . import laurent as lp
 from . import orbits as ob
 from . import quasihom as qh
 from . import seeds as sd
-from .laurent import Poly
+from .laurent import Exponent, Poly
 from .quasihom import NerveEdge
+
+Rows = Tuple[Tuple[int, ...], ...]
 
 
 class IncompleteNode(Exception):
@@ -54,39 +80,72 @@ def permute_btilde(
     return out
 
 
-def canonical_key(seed: sd.Seed):
-    """Serialization of the seed relabeled so its cluster is sorted.
+def canonical_key(ids: Sequence[int], btilde: Sequence[Sequence[int]]) -> Tuple[int, ...]:
+    """The ids in increasing order, then the matrix relabeled to that order,
+    row by row, as one flat tuple.
 
-    Two seeds get equal keys exactly when a permutation of the mutable
-    indices carries one onto the other: a relabeling moves cluster entries
-    and exchange-matrix rows and columns together, and with pairwise
-    distinct entries the sorted order fixes it uniquely.  Equal entries
+    Two seeds of one exploration get equal keys exactly when a permutation
+    of the mutable indices carries one onto the other: a relabeling moves
+    cluster entries and exchange-matrix rows and columns together, and with
+    pairwise distinct ids the sorted order fixes it uniquely.  Equal ids
     would leave the order ambiguous and cannot occur in a seed, so they
     raise `InvalidSeed`.
     """
-    terms = [tuple(sorted(x.items())) for x in seed.cluster]
-    perm = sorted(range(seed.n), key=terms.__getitem__)
-    for a, b in zip(perm, perm[1:]):
-        if terms[a] == terms[b]:
-            raise sd.InvalidSeed(f"cluster entries {a} and {b} are equal")
-    return (
-        tuple(tuple(row) for row in permute_btilde(seed.btilde, seed.n, perm)),
-        tuple(terms[i] for i in perm),
-    )
+    n = len(ids)
+    perm = sorted(range(n), key=ids.__getitem__)
+    order = [ids[i] for i in perm]
+    for pos in range(1, n):
+        if order[pos - 1] == order[pos]:
+            raise sd.InvalidSeed(f"cluster entries {perm[pos - 1]} and {perm[pos]} are equal")
+    rows = [btilde[i] for i in perm]
+    rows.extend(btilde[n:])
+    return tuple(order + [row[j] for row in rows for j in perm])
 
 
-@dataclass
+class Variables:
+    """The distinct cluster variables of one exploration: `polys[i]` is the
+    variable with id i, over the ambient variables `names`."""
+
+    __slots__ = ("polys", "names", "_ids")
+
+    def __init__(self, names: List[str]):
+        self.polys: List[Poly] = []
+        self.names = names
+        self._ids: Dict[FrozenSet[Tuple[Exponent, int]], int] = {}
+
+    def intern(self, x: Poly) -> int:
+        """The id of x, a new one if no equal polynomial has one yet."""
+        found = self._ids.setdefault(frozenset(x.items()), len(self.polys))
+        if found == len(self.polys):
+            self.polys.append(x)
+        return found
+
+
+@dataclass(slots=True)
 class PatternNode:
-    """One unlabeled seed: the first representative reached and its mutation
-    word.  `normalized_cluster`, the cluster with frozen content divided out
-    for comparisons across coefficient choices, is computed on access."""
+    """One unlabeled seed: the first representative reached, as the ids of
+    its cluster and its extended exchange matrix, and its mutation word.
+    `seed` rebuilds it over the interned variable objects, and
+    `normalized_cluster`, the cluster with frozen content divided out for
+    comparisons across coefficient choices, is computed on access."""
 
-    seed: sd.Seed
     word: Tuple[int, ...]
+    ids: Tuple[int, ...]
+    btilde: Rows
+    variables: Variables = field(repr=False)
+
+    @property
+    def seed(self) -> sd.Seed:
+        polys = self.variables.polys
+        return sd.Seed.trusted(
+            [list(row) for row in self.btilde],
+            [polys[i] for i in self.ids],
+            self.variables.names,
+        )
 
     @property
     def normalized_cluster(self) -> List[Poly]:
-        n = self.seed.n
+        n = len(self.ids)
         return [lp.shift(x, lp.exp_neg(ob.frozen_content(x, n))) for x in self.seed.cluster]
 
 
@@ -110,18 +169,30 @@ def explore(
     Nodes are deduplicated through the canonical form; hitting either limit
     flags the graph as truncated instead of failing, since infinite-type
     patterns never close.  Input that is not a seed of any pattern raises
-    `lp.NotDivisible` or `sd.InvalidSeed` from the first mutation or
+    `lp.NotDivisible` or `sd.InvalidSeed` from the first division or
     canonical form that exposes it.
 
     By the involution (module docstring), an edge into a later node that is
     still to be expanded also records its reverse, which is not mutated
-    again; a complete run of N nodes of rank n mutates n*N/2 times.
+    again; a complete run of N nodes of rank n mutates n*N/2 matrices and
+    divides once per distinct memo key.
     """
     if max_depth < 0 or max_nodes < 1:
         raise ValueError("need max_depth >= 0 and max_nodes >= 1")
-    nodes = [PatternNode(initial, ())]
+    n = initial.n
+    variables = Variables(initial.var_names)
+    # ids then order the initial cluster as sorting its terms does, so an
+    # input with equal entries names the same pair as a term sort would
+    for x in sorted(initial.cluster, key=lambda x: sorted(x.items())):
+        variables.intern(x)
+    ids = tuple(map(variables.intern, initial.cluster))
+    btilde = tuple(map(tuple, initial.btilde))
+    nodes = [PatternNode((), ids, btilde, variables)]
     adjacency: List[Dict[int, int]] = [{}]
-    index = {canonical_key(initial): 0}
+    index = {canonical_key(ids, btilde): 0}
+    quotients: Dict[tuple, int] = {}
+    # one tuple per distinct row, shared by every node matrix that holds it
+    rows: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     hit_depth = hit_nodes = False
     queue = deque([0])
     while queue:
@@ -130,31 +201,44 @@ def explore(
         if len(node.word) >= max_depth:
             hit_depth = True
             continue
-        for k in range(initial.n):
+        ids, btilde = node.ids, node.btilde
+        for k in range(n):
             if k in adjacency[idx]:
                 continue
-            neighbor = sd.mutate_seed(node.seed, k)
-            key = canonical_key(neighbor)
+            column = [row[k] for row in btilde]
+            exchange = (
+                ids[k],
+                tuple(sorted((ids[j], column[j]) for j in range(n) if column[j])),
+                tuple(column[n:]),
+            )
+            new = quotients.get(exchange)
+            if new is None:
+                new = variables.intern(sd.exchanged_variable(node.seed, k))
+                quotients[exchange] = new
+            new_ids = ids[:k] + (new,) + ids[k + 1:]
+            mutated = sd.mutate_matrix(btilde, k)
+            key = canonical_key(new_ids, mutated)
             found = index.get(key)
             if found is None:
                 if len(nodes) >= max_nodes:
                     hit_nodes = True
                     continue
                 found = len(nodes)
-                nodes.append(PatternNode(neighbor, node.word + (k,)))
+                frozen = tuple(rows.setdefault(row, row) for row in map(tuple, mutated))
+                nodes.append(PatternNode(node.word + (k,), new_ids, frozen, variables))
                 adjacency.append({})
                 index[key] = found
                 queue.append(found)
             adjacency[idx][k] = found
             if found > idx and len(nodes[found].word) < max_depth:
-                adjacency[found][nodes[found].seed.cluster.index(neighbor.cluster[k])] = idx
+                adjacency[found][nodes[found].ids.index(new)] = idx
     return ExplorationGraph(nodes, adjacency, hit_depth, hit_nodes)
 
 
 def star_neighborhood(graph: ExplorationGraph, node: int) -> List[NerveEdge]:
     """The n tree edges at one vertex, as a nerve anchored at its word."""
     word = graph.nodes[node].word
-    missing = [k for k in range(graph.nodes[node].seed.n) if k not in graph.adjacency[node]]
+    missing = [k for k in range(len(graph.nodes[node].ids)) if k not in graph.adjacency[node]]
     if missing:
         raise IncompleteNode(f"node {node} lacks neighbors at labels {missing}")
     return [(word, k) for k in sorted(graph.adjacency[node])]
@@ -186,7 +270,7 @@ def find_quasi_automorphisms(
     negated = [[-v for v in row] for row in base.principal]
     for idx, node in enumerate(graph.nodes):
         for perm in permutations(range(base.n)):
-            permuted = permute_btilde(node.seed.btilde, base.n, perm)
+            permuted = permute_btilde(node.btilde, base.n, perm)
             candidates = []
             if permuted[: base.n] == base.principal:
                 candidates.append(("direct", permuted))
@@ -212,20 +296,14 @@ def find_quasi_automorphisms(
 
 
 def _rendered_clusters(graph: ExplorationGraph) -> List[List[str]]:
-    """Every node's cluster as strings, each variable object rendered once.
-
-    Mutation shares a cluster's untouched entries with the seed it came
-    from, so one dict sits in many nodes.  Keying renderings by `id` is
-    sound: `graph.nodes` keeps every keyed dict alive for the whole call, so
-    no id is reused, and cluster polynomials are never changed in place.
-    """
-    names = graph.nodes[0].seed.var_names
+    """Every node's cluster as strings, each interned variable rendered once."""
+    variables = graph.nodes[0].variables
     rendered: Dict[int, str] = {}
     for node in graph.nodes:
-        for x in node.seed.cluster:
-            if id(x) not in rendered:
-                rendered[id(x)] = lp.to_str(x, names)
-    return [[rendered[id(x)] for x in node.seed.cluster] for node in graph.nodes]
+        for i in node.ids:
+            if i not in rendered:
+                rendered[i] = lp.to_str(variables.polys[i], variables.names)
+    return [[rendered[i] for i in node.ids] for node in graph.nodes]
 
 
 def graph_to_json(graph: ExplorationGraph) -> dict:

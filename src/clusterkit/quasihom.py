@@ -123,7 +123,11 @@ def map_to_json(m: MonomialMap) -> dict:
 def map_from_json(obj: dict, src_mutable: int, dst_mutable: int) -> MonomialMap:
     """Mutable counts are not part of the wire format; the caller supplies
     them from the seed context the map travels with."""
-    matrix = [lp.json_ints(row, "map entries", InvalidMap) for row in obj["matrix"]]
+    obj = lp.json_object(obj, "the top level", InvalidMap)
+    matrix = [
+        lp.json_ints(row, "map entries", InvalidMap)
+        for row in lp.json_list(obj["matrix"], "matrix", InvalidMap)
+    ]
     src_vars = lp.json_names(obj["src_vars"], "src_vars", InvalidMap)
     dst_vars = lp.json_names(obj["dst_vars"], "dst_vars", InvalidMap)
     return MonomialMap(matrix, src_vars, dst_vars, src_mutable, dst_mutable)

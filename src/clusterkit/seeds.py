@@ -38,8 +38,8 @@ def mutate_matrix(btilde: Sequence[Sequence[int]], k: int) -> Matrix:
     """
     n = len(btilde[0])
     _check_direction(k, n)
-    pos = [max(x, 0) for x in btilde[k]]
-    neg = [max(-x, 0) for x in btilde[k]]
+    pos = [x if x > 0 else 0 for x in btilde[k]]
+    neg = [0 if x > 0 else -x for x in btilde[k]]
     out = []
     for i, row in enumerate(btilde):
         bik = row[k]
@@ -161,6 +161,19 @@ class Seed:
                 if len(e) != self.n + self.m:
                     raise InvalidSeed("cluster variable has wrong ambient arity")
 
+    @classmethod
+    def trusted(
+        cls, btilde: Sequence[Sequence[int]], cluster: List[Poly], var_names: List[str]
+    ) -> Seed:
+        """A seed over data known to pass `_check`, such as a mutation or an
+        exploration node of a checked seed: nothing is validated, and the
+        lists and polynomials are shared, not copied."""
+        out = cls.__new__(cls)
+        out.n = len(btilde[0]) if btilde else 0
+        out.m = len(btilde) - out.n
+        out.btilde, out.cluster, out.var_names = btilde, cluster, var_names
+        return out
+
     @property
     def principal(self) -> Matrix:
         return [row[: self.n] for row in self.btilde[: self.n]]
@@ -220,27 +233,31 @@ def exchange_polynomial(seed: Seed, k: int) -> Poly:
     return lp.add(*hatted(seed, k))
 
 
-def mutate_seed(seed: Seed, k: int) -> Seed:
-    """Seed mutation in direction k.
+def exchanged_variable(seed: Seed, k: int) -> Poly:
+    """The variable that replaces x_k in mutation at k: the exchange
+    polynomial at k divided exactly by x_k.
 
-    The new cluster variable is the exchange polynomial divided exactly by
-    the old one; NotDivisible propagating out of here means the input was
-    not a seed of any pattern (the Laurent property fails).
-
-    The result skips `Seed._check`: mutation keeps the shape, the ambient
-    arity and the skew-symmetrizer, so only a vanishing new entry (possible
-    when the input cluster has signed coefficients) needs a check.
+    NotDivisible propagating out of here means the input was not a seed of
+    any pattern (the Laurent property fails); a vanishing quotient, possible
+    when the cluster has signed coefficients, raises InvalidSeed.
     """
     _check_direction(k, seed.n)
     new_x = lp.exact_div(exchange_polynomial(seed, k), seed.cluster[k])
     if not new_x:
         raise InvalidSeed("zero cluster variable")
-    out = Seed.__new__(Seed)
-    out.n, out.m, out.var_names = seed.n, seed.m, seed.var_names
-    out.btilde = mutate_matrix(seed.btilde, k)
-    out.cluster = list(seed.cluster)
-    out.cluster[k] = new_x
-    return out
+    return new_x
+
+
+def mutate_seed(seed: Seed, k: int) -> Seed:
+    """Seed mutation in direction k: `exchanged_variable`, then a rebuild.
+
+    The result skips `Seed._check`: mutation keeps the shape, the ambient
+    arity and the skew-symmetrizer, and `exchanged_variable` checks the one
+    new entry.
+    """
+    cluster = list(seed.cluster)
+    cluster[k] = exchanged_variable(seed, k)
+    return Seed.trusted(mutate_matrix(seed.btilde, k), cluster, seed.var_names)
 
 
 def mutate_word(seed: Seed, word: Sequence[int]) -> Seed:
@@ -338,14 +355,18 @@ def seed_to_json(seed: Seed) -> dict:
 
 
 def seed_from_json(obj: dict) -> Seed:
+    obj = lp.json_object(obj, "the top level", InvalidSeed)
     n, m = lp.json_ints([obj["n"], obj["m"]], "n and m", InvalidSeed)
-    btilde = [lp.json_ints(row, "btilde entries", InvalidSeed) for row in obj["btilde"]]
+    btilde = [
+        lp.json_ints(row, "btilde entries", InvalidSeed)
+        for row in lp.json_list(obj["btilde"], "btilde", InvalidSeed)
+    ]
     if len(btilde) != n + m or any(len(row) != n for row in btilde):
         raise InvalidSeed(f"btilde shape is not {n + m} x {n}")
     names = lp.json_names(obj["var_names"], "var_names", InvalidSeed)
     cluster = []
-    for entry in obj["cluster"]:
-        poly, poly_names = lp.from_json(entry)
+    for entry in lp.json_list(obj["cluster"], "cluster", InvalidSeed):
+        poly, poly_names = lp.from_json(lp.json_object(entry, "cluster entries", InvalidSeed))
         if poly_names != names:
             raise InvalidSeed("cluster variable names disagree with var_names")
         cluster.append(poly)

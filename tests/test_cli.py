@@ -1,5 +1,6 @@
 """Command line drivers: payload shapes, formats, and exit codes."""
 
+import hashlib
 import json
 import os
 import random
@@ -210,6 +211,48 @@ def a2_path(tmp_path, cluster):
 
 def error_payload(result):
     return json.loads(result.output.split("Error: ", 1)[1])
+
+
+def _a_n(n):
+    return [[(j == i + 1) - (i == j + 1) for j in range(n)] for i in range(n)]
+
+
+def _d5():
+    b = [row + [0] for row in _a_n(4)] + [[0] * 5]
+    b[2][4], b[4][2] = 1, -1
+    return b
+
+
+GOLDEN_SEEDS = {
+    "a4-frozen2": lambda: sd.initial_seed(
+        _a_n(4) + [[1, 0, -1, 0], [0, 1, 1, -1]], ["x0", "x1", "x2", "x3", "y0", "y1"]),
+    "d5": lambda: sd.initial_seed(_d5(), [f"x{i}" for i in range(5)]),
+    "gr36": lambda: gx.build_fixture(gx.make_context(3, 6)).gr_seed,
+}
+
+# sha256 of `explore` stdout at the default limits, recorded from the
+# implementation that kept one polynomial dict per node and sorted term
+# tuples for its canonical form
+GOLDEN_EXPLORE = {
+    ("a4-frozen2", "json"): "ddbc8689d4f6185cd58acc8e35de37f54873071839c50253b6aa8682190ed6a3",
+    ("a4-frozen2", "dot"): "5cfd11cffcaaf4945bc818eb0ade042b0bc6e5c6f3b21558a7e1e1fa93597cfd",
+    ("a4-frozen2", "text"): "fce12719128da8c8323240df90b9a0ebb47718a5a7ce5ad47b2176f817024ba7",
+    ("d5", "json"): "7cd51ceb8b0aa155dbe35610fd162748e0dd5cff215f290aec454ac7acbb1148",
+    ("d5", "dot"): "1fadd2e964d10b28efb1e705a12ed40226ae6b44f0e233c0cf966c6f0b021cd8",
+    ("d5", "text"): "4a9bc59e147c10ad11826a488926ee5778f2b6f2db5ddcc319d2b28d05d6a3a9",
+    ("gr36", "json"): "9b2316c6b780d0cff2c3ab8a140fc11e8e2ff13d99b3e039c769c5a027325295",
+    ("gr36", "dot"): "49a635dbb51b0a332e760c561931f3e2ba8648728365135c3dc3dab8e11c97cf",
+    ("gr36", "text"): "5d96e013493d40ce411542649c7cc5831d5e611548672c1d3bce5f0d81e18627",
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(GOLDEN_EXPLORE))
+def test_explore_stdout_matches_golden_digest(runner, tmp_path, name, fmt):
+    # byte-identical stdout is the contract of every change to exploration
+    path = write_seed(tmp_path, name, GOLDEN_SEEDS[name]())
+    result = runner.invoke(cl.main, ["explore", path, "--format", fmt])
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == GOLDEN_EXPLORE[name, fmt]
 
 
 def test_explore_rejects_failed_division(runner, tmp_path):
@@ -666,6 +709,40 @@ def test_names_are_read_not_coerced(runner, tmp_path, file, path, value, reason)
     identity = {"matrix": [[1, 0], [0, 1]], "src_vars": ["a", "b"], "dst_vars": ["a", "b"]}
     objs = {"seed": seed, "map": identity}
     _set(objs[file], path, value)
+    for name, obj in objs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    seed_path, map_path = str(tmp_path / "seed.json"), str(tmp_path / "map.json")
+    argv = (["mutate", seed_path, "--word", "0"] if file == "seed"
+            else ["verify-qh", map_path, seed_path, seed_path])
+    result = runner.invoke(cl.main, argv)
+    assert result.exit_code == 2
+    assert error_payload(result) == {
+        "error": f"invalid {file}", "path": str(tmp_path / f"{file}.json"), "reason": reason,
+    }
+
+
+@pytest.mark.parametrize("file, path, value, reason", [
+    ("seed", ("btilde",), 5, "btilde must be a list, got 5"),
+    ("seed", ("cluster",), 5, "cluster must be a list, got 5"),
+    ("seed", ("cluster", 0, "terms"), 5, "terms must be a list, got 5"),
+    ("seed", ("cluster", 0, "terms", 0), [1], "terms entries must be an object, got [1]"),
+    ("seed", ("cluster", 0), [1], "cluster entries must be an object, got [1]"),
+    ("seed", (), [1], "the top level must be an object, got [1]"),
+    ("map", ("matrix",), 5, "matrix must be a list, got 5"),
+    ("map", (), [1], "the top level must be an object, got [1]"),
+], ids=["int-btilde", "int-cluster", "int-terms", "list-term", "list-cluster-entry",
+        "list-seed", "int-matrix", "list-map"])
+def test_container_shape_faults_name_their_field(runner, tmp_path, file, path, value, reason):
+    # before, these gave "'int' object is not iterable" or "list indices
+    # must be integers or slices, not str"
+    objs = {
+        "seed": sd.seed_to_json(sd.Seed([[0, 1], [-1, 0]], [X1, X2], ["a", "b"])),
+        "map": {"matrix": [[1, 0], [0, 1]], "src_vars": ["a", "b"], "dst_vars": ["a", "b"]},
+    }
+    if path:
+        _set(objs[file], path, value)
+    else:
+        objs[file] = value
     for name, obj in objs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))
     seed_path, map_path = str(tmp_path / "seed.json"), str(tmp_path / "map.json")

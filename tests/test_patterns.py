@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import clusterkit.grassmann as gx
 import clusterkit.laurent as lp
 import clusterkit.orbits as ob
 import clusterkit.patterns as pt
@@ -127,11 +128,24 @@ def d_n(n):
     return b
 
 
+def reference_key(seed):
+    """The seed relabeled so that the sorted term tuples of its cluster
+    increase: a canonical form over the polynomials themselves, with no
+    interning."""
+    terms = [tuple(sorted(x.items())) for x in seed.cluster]
+    perm = sorted(range(seed.n), key=terms.__getitem__)
+    for a, b in zip(perm, perm[1:]):
+        if terms[a] == terms[b]:
+            raise sd.InvalidSeed(f"cluster entries {a} and {b} are equal")
+    permuted = pt.permute_btilde(seed.btilde, seed.n, perm)
+    return tuple(map(tuple, permuted)), tuple(terms[i] for i in perm)
+
+
 def reference_explore(initial, max_depth, max_nodes):
     """The exchange graph by brute force: every node is mutated in every
-    direction, and nodes are merged by canonical key."""
+    direction with `mutate_seed`, and nodes are merged by `reference_key`."""
     nodes, adjacency = [(initial, ())], [{}]
-    index = {pt.canonical_key(initial): 0}
+    index = {reference_key(initial): 0}
     hit_depth = hit_nodes = False
     queue = deque([0])
     while queue:
@@ -142,7 +156,7 @@ def reference_explore(initial, max_depth, max_nodes):
             continue
         for k in range(seed.n):
             neighbor = sd.mutate_seed(seed, k)
-            key = pt.canonical_key(neighbor)
+            key = reference_key(neighbor)
             if key not in index:
                 if len(nodes) >= max_nodes:
                     hit_nodes = True
@@ -196,16 +210,77 @@ def test_explore_matches_brute_force_on_markov():
     )
 
 
-@pytest.mark.parametrize("b, nodes, mutations", [(a_n(4), 42, 84), (d_n(5), 182, 455)])
-def test_complete_explore_mutates_each_edge_once(monkeypatch, b, nodes, mutations):
-    # n * N / 2: the reverse of every edge is read off, not mutated again
-    calls = []
-    mutate = sd.mutate_seed
-    monkeypatch.setattr(sd, "mutate_seed", lambda seed, k: calls.append(k) or mutate(seed, k))
+@pytest.mark.parametrize(
+    "b, nodes, mutations, divisions",
+    [(a_n(4), 42, 84, 35), (d_n(5), 182, 455, 137)],
+    ids=["b0-42-84", "b1-182-455"],
+)
+def test_complete_explore_mutates_each_edge_once(monkeypatch, b, nodes, mutations, divisions):
+    # n * N / 2 mutations: the reverse of every edge is read off, not mutated
+    # again; only exchanges whose memo key is new are divided
+    mutated, divided = [], []
+    mutate, divide = sd.mutate_matrix, lp.exact_div
+    monkeypatch.setattr(sd, "mutate_matrix", lambda b, k: mutated.append(k) or mutate(b, k))
+    monkeypatch.setattr(lp, "exact_div", lambda f, g: divided.append(g) or divide(f, g))
     graph = pt.explore(sd.initial_seed(b, [f"x{i}" for i in range(len(b))]))
     assert graph.complete
     assert len(graph.nodes) == nodes
-    assert len(calls) == mutations
+    assert len(mutated) == mutations
+    assert len(divided) == divisions
+
+
+def test_gr37_rectangle_seed_closes_on_e6():
+    # Gr(3,7) is of finite type E6: 833 seeds, 42 mutable cluster variables
+    graph = pt.explore(gx.build_fixture(gx.make_context(3, 7)).gr_seed,
+                       max_depth=100, max_nodes=30000)
+    assert graph.complete
+    assert len(graph.nodes) == 833
+    assert sum(len(nbrs) for nbrs in graph.adjacency) == 4998
+    assert len({id(x) for node in graph.nodes for x in node.seed.cluster}) == 42
+    assert len(graph.nodes[0].variables.polys) == 42
+
+
+# skew-symmetrizable exchange matrices of the non-simply-laced finite types
+# and their cluster counts (Fomin & Zelevinsky, "Cluster algebras II", 2003)
+NON_SIMPLY_LACED = {
+    "B3": ([[0, 1, 0], [-1, 0, 1], [0, -2, 0]], 20),
+    "C3": ([[0, 1, 0], [-1, 0, 2], [0, -1, 0]], 20),
+    "G2": ([[0, 1], [-3, 0]], 8),
+}
+
+
+@st.composite
+def non_simply_laced_seeds(draw):
+    """B3, C3 or G2 with every edge oriented at random, over 0-2 random
+    frozen rows."""
+    kind = draw(st.sampled_from(sorted(NON_SIMPLY_LACED)))
+    b = [list(row) for row in NON_SIMPLY_LACED[kind][0]]
+    n = len(b)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if b[i][j] and draw(st.booleans()):
+                b[i][j], b[j][i] = -b[i][j], -b[j][i]
+    m = draw(st.integers(0, 2))
+    frozen = [[draw(st.integers(-1, 1)) for _ in range(n)] for _ in range(m)]
+    names = [f"x{i}" for i in range(n)] + [f"y{i}" for i in range(m)]
+    return kind, sd.initial_seed(b + frozen, names)
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(non_simply_laced_seeds())
+def test_explore_matches_brute_force_beyond_simply_laced(case):
+    # |b_jk| = 2 and 3 put powers into the memo key
+    kind, seed = case
+    for max_depth, max_nodes in ((1, 500), (2, 7), (3, 500)):
+        assert_matches_reference(seed, max_depth, max_nodes)
+    assert_matches_reference(seed)
+    graph = pt.explore(seed)
+    assert graph.complete
+    assert len(graph.nodes) == NON_SIMPLY_LACED[kind][1]
+
+
+def interned_ids(variables, seed):
+    return tuple(map(variables.intern, seed.cluster))
 
 
 def test_canonical_key_rejects_equal_cluster_entries():
@@ -213,9 +288,20 @@ def test_canonical_key_rejects_equal_cluster_entries():
     seed = sd.Seed([[0, 0], [0, 0]], [lp.constant(1, 2), lp.constant(2, 2)], ["a", "b"])
     twin = sd.mutate_seed(seed, 0)
     assert twin.cluster == [lp.constant(2, 2)] * 2
+    ids = interned_ids(pt.Variables(twin.var_names), twin)
+    assert ids == (0, 0)
     with pytest.raises(sd.InvalidSeed):
-        pt.canonical_key(twin)
+        pt.canonical_key(ids, twin.btilde)
     with pytest.raises(sd.InvalidSeed):
+        pt.explore(seed)
+
+
+def test_equal_entries_are_named_as_a_term_sort_names_them():
+    # x1 sorts before x0 by terms, so the first equal pair in that order is
+    # (1, 3); ids given in order of appearance would name (0, 2)
+    x0, x1 = lp.variable(0, 4), lp.variable(1, 4)
+    seed = sd.Seed([[0] * 4 for _ in range(4)], [x0, x1, x0, x1], ["a", "b", "c", "d"])
+    with pytest.raises(sd.InvalidSeed, match="^cluster entries 1 and 3 are equal$"):
         pt.explore(seed)
 
 
@@ -247,7 +333,10 @@ def test_canonical_key_is_relabeling_invariant(seed, data):
     word = data.draw(st.lists(st.integers(0, seed.n - 1), max_size=2))
     seed = sd.mutate_word(seed, word)
     perm = data.draw(st.permutations(range(seed.n)))
-    assert pt.canonical_key(relabeled(seed, perm)) == pt.canonical_key(seed)
+    variables = pt.Variables(seed.var_names)
+    other = relabeled(seed, perm)
+    assert pt.canonical_key(interned_ids(variables, other), other.btilde) == \
+        pt.canonical_key(interned_ids(variables, seed), seed.btilde)
 
 
 @settings(max_examples=10, derandomize=True, deadline=None)
