@@ -23,12 +23,10 @@ import argparse
 import json
 import os
 import sys
-from itertools import combinations, permutations, product
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple, TypeVar
 
 from . import grassmann as gx
-from . import lattice as la
 from . import laurent as lp
 from . import orbits as ob
 from . import patterns as pt
@@ -132,10 +130,6 @@ def _echo(text: str) -> None:
 
 def _finish(ok: bool) -> None:
     raise SystemExit(0 if ok else 1)
-
-
-def _suite(name: str, cases: int, failures: List[str]) -> Payload:
-    return {"name": name, "cases": cases, "failures": failures, "ok": not failures}
 
 
 _parser = argparse.ArgumentParser(
@@ -459,99 +453,6 @@ def orbit_eq(left_file: str, right_file: str, fmt: str) -> None:
 # fixture reports
 
 
-def _signed_permutation_group(r: int) -> List[sf.SignedPermutation]:
-    out = []
-    for perm in permutations(range(r)):
-        for signs in product((1, -1), repeat=r):
-            out.append(
-                sf.SignedPermutation(
-                    tuple(
-                        tuple(signs[i] if j == perm[i] else 0 for j in range(r))
-                        for i in range(r)
-                    )
-                )
-            )
-    return out
-
-
-def _surface_suites(fx: sf.AnnulusFixture) -> List[Callable[[], Payload]]:
-    def twist_realized() -> Payload:
-        failures = []
-        if not qh.verify_qh(fx.twist_map, fx.seed, fx.twist_seed):
-            failures.append("twist map fails seed verification")
-        star = [((), k) for k in range(fx.seed.n)]
-        if qh.check_on_nerve(fx.twist_map, star, fx.seed, fx.twist_seed) != "direct":
-            failures.append("twist map fails on the base star")
-        return _suite("twist_realized", 2, failures)
-
-    def half_turn_inequivalent() -> Payload:
-        base = ob.seedlike_from_seed(fx.seed)
-        half = sd.mutate_word(fx.seed, fx.half_turn_word)
-        failures = []
-        for perm in permutations(range(fx.seed.n)):
-            relabeled = sd.Seed(
-                pt.permute_btilde(half.btilde, fx.seed.n, perm),
-                [half.cluster[perm[i]] for i in range(fx.seed.n)],
-                half.var_names,
-            )
-            if ob.seeds_equivalent(base, ob.seedlike_from_seed(relabeled)) is not None:
-                failures.append(f"equivalent under relabeling {perm}")
-        return _suite("half_turn_inequivalent", 24, failures)
-
-    def doubled_pairing() -> Payload:
-        vector = sf.pairing_vector(fx.laminations["doubled"], fx.table)
-        failures = [] if vector == [-2, -2] else [f"pairing vector {vector}"]
-        return _suite("doubled_pairing", 1, failures)
-
-    def stabilizer_indices() -> Payload:
-        group = _signed_permutation_group(fx.table.r)
-        vectors = [sf.pairing_vector(fx.laminations["doubled"], fx.table)]
-        fixed = [g for g in group if sf.lattice_fixed(g, vectors)]
-        central = [
-            g
-            for g in group
-            if sf.qa_subgroup_test(g)[0] == "always"
-        ]
-        failures = []
-        if len(group) // len(fixed) != 2:
-            failures.append(f"stabilizer index {len(group) // len(fixed)}")
-        if len(group) // len(central) != 4:
-            failures.append(f"central index {len(group) // len(central)}")
-        return _suite("stabilizer_indices", 2, failures)
-
-    def shear_relations() -> Payload:
-        failures = [
-            name
-            for name, lam in sorted(fx.laminations.items())
-            if not sf.shear_relation_check(fx.boundary_matrix, lam)
-        ]
-        return _suite("shear_relations", len(fx.laminations), failures)
-
-    def kernel_basis() -> Payload:
-        failures = []
-        corank = len(fx.seed.principal) - la.rank(fx.seed.principal)
-        if corank != fx.table.r:
-            failures.append(f"corank {corank} differs from {fx.table.r} components")
-        if not sf.kernel_basis_check(fx.seed.principal, fx.arc_pairings):
-            failures.append("pairing columns do not cut out the row span")
-        return _suite("kernel_basis", 2, failures)
-
-    def residues_match() -> Payload:
-        cases = 0
-        failures = []
-        for name, lam in sorted(fx.laminations.items()):
-            pairing = sf.pairing_vector(lam, fx.table)
-            for comp in range(fx.table.r):
-                cases += 1
-                got = sf.residue(lam.shear, fx.arc_pairings, comp)
-                if got != pairing[comp]:
-                    failures.append(f"{name} component {comp}: {got} != {pairing[comp]}")
-        return _suite("residues_match_pairings", cases, failures)
-
-    return [twist_realized, half_turn_inequivalent, doubled_pairing, stabilizer_indices,
-            shear_relations, kernel_basis, residues_match]
-
-
 def _checks_lines(payload: Payload) -> List[str]:
     out = []
     for entry in payload["checks"]:
@@ -563,11 +464,22 @@ def _checks_lines(payload: Payload) -> List[str]:
     return out
 
 
+def _suite(name: str, cases: int, failures: List[str]) -> Payload:
+    return {"name": name, "cases": cases, "failures": failures, "ok": not failures}
+
+
+def _report(payload: Payload, suites: List[Tuple[str, int, List[str]]], fmt: str) -> None:
+    """Print the payload with its suite records and verdict; exit 1 on a failure."""
+    payload["checks"] = [_suite(*record) for record in suites]
+    payload["verdict"] = all(entry["ok"] for entry in payload["checks"])
+    _emit(payload, fmt, _checks_lines)
+    _finish(bool(payload["verdict"]))
+
+
 @_command("surface")
 def surface(fmt: str) -> None:
     """Annulus fixture report: twist, subgroup indices, shear identities."""
     fx = sf.annulus_fixture()
-    results = [check() for check in _surface_suites(fx)]
     payload: Payload = {
         "seed": sd.seed_to_json(fx.seed),
         "twist_map": qh.map_to_json(fx.twist_map),
@@ -575,91 +487,8 @@ def surface(fmt: str) -> None:
             name: sf.lamination_to_json(lam)
             for name, lam in sorted(fx.laminations.items())
         },
-        "checks": results,
-        "verdict": all(entry["ok"] for entry in results),
     }
-    _emit(payload, fmt, _checks_lines)
-    _finish(bool(payload["verdict"]))
-
-
-def _grassmann_suites(
-    ctx: gx.GenericMatrixContext,
-    fx: gx.GrassmannFixture,
-    records: Optional[List[Payload]],
-) -> List[Callable[[], Payload]]:
-    def relations() -> Payload:
-        failures = [
-            f"{r['kind']} relation {r['index']} fails"
-            for r in records
-            if not r["holds"]
-        ]
-        return _suite("relation_identities", len(records), failures)
-
-    def map_verification() -> Payload:
-        cases = 1
-        failures = []
-        if not qh.verify_qh(fx.fstar_map, fx.gr_seed, fx.band_seed):
-            failures.append("forward map fails seed verification")
-        if fx.gstar_map is not None:
-            cases += 2
-            if not qh.verify_qh(fx.gstar_map, fx.band_seed, fx.gr_seed):
-                failures.append("reverse map fails seed verification")
-            if not qh.quasi_inverse_check(fx.fstar_map, fx.gstar_map, fx.gr_seed):
-                failures.append("composite moves the star neighborhood")
-        return _suite("map_verification", cases, failures)
-
-    def factorization() -> Payload:
-        frozen = set(gx.plucker_frozen_sets(ctx))
-        images = set()
-        cases = 0
-        failures = []
-        for cols in combinations(range(1, ctx.n + 1), ctx.rows):
-            if cols in frozen:
-                continue
-            cases += 1
-            try:
-                _, i_set, j_set = gx.factor_fstar(ctx, cols)
-            except gx.NoFactorization:
-                failures.append(f"{gx.plucker_name(cols)} does not factor")
-                continue
-            images.add((i_set, j_set))
-        cases += 1
-        if images != set(gx.non_frozen_irreducible_minors(ctx)):
-            failures.append("factor images miss the irreducible catalog")
-        return _suite("factorization", cases, failures)
-
-    def flat_to_band() -> Payload:
-        cases = gx.flattoband_cases(ctx)
-        failures = [
-            f"rows [{a}, {a + s - 1}], columns {list(j_set)}"
-            for a, s, j_set in cases
-            if not gx.flattoband_check(ctx, a, s, j_set)
-        ]
-        return _suite("flat_to_band_minors", len(cases), failures)
-
-    def tropical() -> Payload:
-        cases = gx.tropical_cases(ctx)
-        failures = [
-            f"base {list(base)}, quad {list(quad)}"
-            for base, quad in cases
-            if not gx.tropical_c_check(ctx, base, *quad)
-        ]
-        return _suite("tropical_contents", len(cases), failures)
-
-    def composite() -> Payload:
-        results = gx.composite_identity(ctx)
-        failures = [gx.plucker_name(cols) for cols, holds in results if not holds]
-        return _suite("composite_identity", len(results), failures)
-
-    suites: List[Callable[[], Payload]] = []
-    if records is not None:
-        suites.append(relations)
-    suites += [map_verification, factorization, flat_to_band, tropical]
-    # the suite list per size is part of the CLI contract: every size runs
-    # the composite suite except (2,6), whose four suites the benchmark pins
-    if (ctx.k, ctx.n) != (2, 6):
-        suites.append(composite)
-    return suites
+    _report(payload, sf.check_suites(fx), fmt)
 
 
 @_command(
@@ -676,18 +505,7 @@ def grassmann(kn: List[int], all_checks: bool, fmt: str) -> None:
         fx = gx.build_fixture(ctx)
     except (gx.InvalidIndex, gx.UnsupportedContext) as exc:
         raise InputFault({"error": "unsupported dimensions", "reason": str(exc)})
-    factorizations = []
-    for cols in combinations(range(1, ctx.n + 1), ctx.rows):
-        if gx.is_frozen_plucker(ctx, cols):
-            continue
-        content, i_set, j_set = gx.factor_fstar(ctx, cols)
-        factorizations.append(
-            {
-                "coordinate": gx.plucker_name(cols),
-                "content": dict(sorted(content.items())),
-                "minor": gx.band_name(i_set, j_set),
-            }
-        )
+    factored = gx.factorizations(ctx)
     payload: Payload = {
         "k": k,
         "n": n,
@@ -697,7 +515,14 @@ def grassmann(kn: List[int], all_checks: bool, fmt: str) -> None:
         "band_to_flat": (
             qh.map_to_json(fx.gstar_map) if fx.gstar_map is not None else None
         ),
-        "factorizations": factorizations,
+        "factorizations": [
+            {
+                "coordinate": gx.plucker_name(cols),
+                "content": dict(sorted(content.items())),
+                "minor": gx.band_name(i_set, j_set),
+            }
+            for cols, content, i_set, j_set in factored
+        ],
     }
     if (k, n) == (2, 5):
         payload["relations"] = gx.quintic_relation_checks(ctx)
@@ -707,11 +532,7 @@ def grassmann(kn: List[int], all_checks: bool, fmt: str) -> None:
             f"factorizations: {len(p['factorizations'])}",
         ])
         return
-    results = [check() for check in _grassmann_suites(ctx, fx, payload.get("relations"))]
-    payload["checks"] = results
-    payload["verdict"] = all(entry["ok"] for entry in results)
-    _emit(payload, fmt, _checks_lines)
-    _finish(bool(payload["verdict"]))
+    _report(payload, gx.check_suites(fx, factored, payload.get("relations")), fmt)
 
 
 if __name__ == "__main__":

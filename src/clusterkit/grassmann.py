@@ -49,6 +49,8 @@ from .laurent import Poly
 
 IndexSet = Tuple[int, ...]
 MinorSpec = Tuple[IndexSet, IndexSet]
+Factorization = Tuple[IndexSet, Dict[str, int], IndexSet, IndexSet]
+Suite = Tuple[str, int, List[str]]
 
 
 class InvalidIndex(Exception):
@@ -787,3 +789,73 @@ def build_fixture(ctx: GenericMatrixContext) -> GrassmannFixture:
         gr_sets=all_sets,
         band_specs=band_specs,
     )
+
+
+def factorizations(ctx: GenericMatrixContext) -> List[Factorization]:
+    """(columns, content, I, J) of `factor_fstar` for every non-frozen
+    Plücker coordinate, in lexicographic column order."""
+    return [
+        (cols, *factor_fstar(ctx, cols))
+        for cols in combinations(range(1, ctx.n + 1), ctx.rows)
+        if not is_frozen_plucker(ctx, cols)
+    ]
+
+
+def check_suites(
+    fx: GrassmannFixture,
+    factored: Sequence[Factorization],
+    records: Optional[Sequence[Dict[str, object]]],
+) -> List[Suite]:
+    """The identity suites of the fixture report, in its order, as (name,
+    cases, failures): the pinned relation records when given, the seed
+    maps, the factorizations, the flat-to-band minors, the tropical
+    contents and the composite identity.  A failure is written out only
+    for a case that fails.
+
+    `factored` is the `factorizations` list of the report.  Each of its
+    entries is a case that already holds, since `factor_fstar` raises on a
+    coordinate that does not factor; the one further case is that their
+    minors are exactly the non-frozen catalog.
+    """
+    ctx = fx.ctx
+    suites: List[Suite] = []
+    if records is not None:
+        suites.append(("relation_identities", len(records), [
+            f"{r['kind']} relation {r['index']} fails" for r in records if not r["holds"]
+        ]))
+
+    maps = [("forward map fails seed verification",
+             qh.verify_qh(fx.fstar_map, fx.gr_seed, fx.band_seed))]
+    if fx.gstar_map is not None:
+        maps.append(("reverse map fails seed verification",
+                     qh.verify_qh(fx.gstar_map, fx.band_seed, fx.gr_seed)))
+        maps.append(("composite moves the star neighborhood",
+                     qh.quasi_inverse_check(fx.fstar_map, fx.gstar_map, fx.gr_seed)))
+    suites.append(("map_verification", len(maps),
+                   [failure for failure, holds in maps if not holds]))
+
+    minors = {(i_set, j_set) for _, _, i_set, j_set in factored}
+    missed = minors != set(non_frozen_irreducible_minors(ctx))
+    suites.append(("factorization", len(factored) + 1,
+                   ["factor images miss the irreducible catalog"] if missed else []))
+
+    cases = flattoband_cases(ctx)
+    suites.append(("flat_to_band_minors", len(cases), [
+        f"rows [{a}, {a + s - 1}], columns {list(j_set)}"
+        for a, s, j_set in cases if not flattoband_check(ctx, a, s, j_set)
+    ]))
+
+    quads = tropical_cases(ctx)
+    suites.append(("tropical_contents", len(quads), [
+        f"base {list(base)}, quad {list(quad)}"
+        for base, quad in quads if not tropical_c_check(ctx, base, *quad)
+    ]))
+
+    # the suite list per size is part of the CLI contract: every size runs
+    # the composite suite except (2,6), whose four suites the benchmark pins
+    if (ctx.k, ctx.n) != (2, 6):
+        results = composite_identity(ctx)
+        suites.append(("composite_identity", len(results), [
+            plucker_name(cols) for cols, holds in results if not holds
+        ]))
+    return suites

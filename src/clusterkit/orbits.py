@@ -140,15 +140,6 @@ def mutate_seedlike(sl: SeedLike, k: int) -> SeedLike:
     return SeedLike(sd.mutate_matrix(sl.b, k), cluster, pairs, sl.var_names)
 
 
-def frozen_content(x: Poly, num_mutable: int) -> Exponent:
-    """Largest frozen monomial dividing x: componentwise minimum exponent
-    over the terms, with mutable positions zeroed."""
-    if not x:
-        raise ValueError("zero polynomial has no frozen content")
-    m = lp.min_exponent(x)
-    return (0,) * num_mutable + m[num_mutable:]
-
-
 def frozen_ratio(f: Poly, g: Poly, num_mutable: int) -> Optional[Exponent]:
     """Exponent e with f = x^e * g when x^e is a frozen monomial, else None."""
     ratio = lp.monomial_ratio(f, g)

@@ -55,7 +55,6 @@ from itertools import permutations
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from . import laurent as lp
-from . import orbits as ob
 from . import quasihom as qh
 from . import seeds as sd
 from .laurent import Exponent, Poly
@@ -125,9 +124,7 @@ class Variables:
 class PatternNode:
     """One unlabeled seed: the first representative reached, as the ids of
     its cluster and its extended exchange matrix, and its mutation word.
-    `seed` rebuilds it over the interned variable objects, and
-    `normalized_cluster`, the cluster with frozen content divided out for
-    comparisons across coefficient choices, is computed on access."""
+    `seed` rebuilds it over the interned variable objects."""
 
     word: Tuple[int, ...]
     ids: Tuple[int, ...]
@@ -142,11 +139,6 @@ class PatternNode:
             [polys[i] for i in self.ids],
             self.variables.names,
         )
-
-    @property
-    def normalized_cluster(self) -> List[Poly]:
-        n = len(self.ids)
-        return [lp.shift(x, lp.exp_neg(ob.frozen_content(x, n))) for x in self.seed.cluster]
 
 
 @dataclass

@@ -13,14 +13,18 @@ monomial map between seed contexts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import lattice as la
+from . import orbits as ob
+from . import patterns as pt
 from . import quasihom as qh
 from . import seeds as sd
 
 End = Tuple
 Curve = Tuple[End, End]
+Suite = Tuple[str, int, List[str]]
 
 
 class InvalidSurfaceData(Exception):
@@ -203,6 +207,18 @@ def signed_identity(r: int) -> SignedPermutation:
     return SignedPermutation(tuple(tuple(row) for row in la.identity(r)))
 
 
+def signed_permutation_group(r: int) -> List[SignedPermutation]:
+    """All r!·2^r signed permutations of size r: row i carries sign
+    signs[i] in column perm[i]."""
+    return [
+        SignedPermutation(
+            tuple(tuple(signs[i] if j == perm[i] else 0 for j in range(r)) for i in range(r))
+        )
+        for perm in permutations(range(r))
+        for signs in product((1, -1), repeat=r)
+    ]
+
+
 def lattice_fixed(g: SignedPermutation, vectors: Sequence[Sequence[int]]) -> bool:
     """Whether the lattice spanned by the vectors is carried to itself."""
     vecs = [list(v) for v in vectors]
@@ -331,14 +347,6 @@ ANNULUS_SEED_MATRIX = [
     [0, 0, 2, 0],
 ]
 
-HALF_TURN_SEED_MATRIX = [
-    [0, 0, 1, 1],
-    [0, 0, 1, 1],
-    [-1, -1, 0, 0],
-    [-1, -1, 0, 0],
-    [2, 0, 0, 0],
-]
-
 TWIST_SEED_MATRIX = [
     [0, 0, 1, 1],
     [0, 0, 1, 1],
@@ -353,32 +361,25 @@ class AnnulusFixture:
     """Annulus with two cilia per boundary circle and a doubled curve as the
     single lamination row.
 
-    Seeds are given for the base triangulation, its image under the inner
-    half turn, and its image under the full Dehn twist about the core; the
-    words mutate the base seed onto each image up to the recorded slot
-    permutation.  The twist map realizes the Dehn twist as a monomial map
-    into the rerooted twist-seed context.
+    `seed` is the base triangulation.  `half_turn_word` mutates it onto its
+    image under the inner half turn, and `twist_word` onto its image under
+    the full Dehn twist about the core, which `twist_seed` gives up to a
+    permutation of the slots.  The twist map realizes the Dehn twist as a
+    monomial map into the rerooted twist-seed context.
     """
 
-    shape: SurfaceShape
     table: EvenComponentTable
     seed: sd.Seed
-    half_turn_seed: sd.Seed
     half_turn_word: Tuple[int, ...]
-    half_turn_match: Tuple[int, ...]
     twist_seed: sd.Seed
     twist_word: Tuple[int, ...]
-    twist_match: Tuple[int, ...]
     twist_map: qh.MonomialMap
-    crossing_counts: Dict[str, int]
     arc_pairings: ArcPairingTable
     boundary_matrix: List[List[int]]
     laminations: Dict[str, Lamination]
-    actions: Dict[str, SignedPermutation]
 
 
 def annulus_fixture() -> AnnulusFixture:
-    shape = SurfaceShape(0, 0, (2, 2))
     arc_names = ("xa", "xb", "xc", "xd")
     image_names = ("xe", "xf", "xg", "xh")
     # crossings of each arc with one copy of the lamination curve
@@ -415,27 +416,15 @@ def annulus_fixture() -> AnnulusFixture:
             boundary_measures=(0, 1, 0, 1),
         ),
     }
-    actions = {
-        "inner_half_turn": SignedPermutation(((-1, 0), (0, 1))),
-        "outer_half_turn": SignedPermutation(((1, 0), (0, -1))),
-        "component_swap": SignedPermutation(((0, 1), (1, 0))),
-    }
     return AnnulusFixture(
-        shape=shape,
-        table=component_table(shape),
+        table=component_table(SurfaceShape(0, 0, (2, 2))),
         seed=sd.initial_seed(ANNULUS_SEED_MATRIX, list(arc_names) + ["xL"]),
-        half_turn_seed=sd.initial_seed(
-            HALF_TURN_SEED_MATRIX, ["xc", "xd", "xe", "xf", "xL"]
-        ),
         half_turn_word=(0, 1),
-        half_turn_match=(2, 3, 0, 1),
         twist_seed=sd.initial_seed(
             TWIST_SEED_MATRIX, list(image_names) + ["xL"]
         ),
         twist_word=(0, 1, 2, 3),
-        twist_match=(0, 1, 3, 2),
         twist_map=twist_map,
-        crossing_counts=counts,
         arc_pairings=ArcPairingTable(((1, -1), (-1, 1), (-1, -1), (1, 1))),
         boundary_matrix=[
             [0, 0, 1, 1],
@@ -448,5 +437,75 @@ def annulus_fixture() -> AnnulusFixture:
             [1, 0, 0, -1],
         ],
         laminations=laminations,
-        actions=actions,
     )
+
+
+def _suite(name: str, outcomes: Sequence[Tuple[str, bool]]) -> Suite:
+    """(name, cases, failures) from one (failure, holds) pair per case."""
+    return name, len(outcomes), [failure for failure, holds in outcomes if not holds]
+
+
+def check_suites(fx: AnnulusFixture) -> List[Suite]:
+    """The suites of the annulus report, in its order, as (name, cases,
+    failures): the twist is a quasi-automorphism, no relabeling of the half
+    turn's image lies in the base seed's orbit, the doubled lamination has
+    stabilizer index 2 and the central subgroup index 4 in the signed
+    permutations, and the shear relations, kernel basis and residues hold.
+    """
+    n = fx.seed.n
+    star = [((), k) for k in range(n)]
+    suites = [_suite("twist_realized", [
+        ("twist map fails seed verification",
+         qh.verify_qh(fx.twist_map, fx.seed, fx.twist_seed)),
+        ("twist map fails on the base star",
+         qh.check_on_nerve(fx.twist_map, star, fx.seed, fx.twist_seed) == "direct"),
+    ])]
+
+    base = ob.seedlike_from_seed(fx.seed)
+    half = sd.mutate_word(fx.seed, fx.half_turn_word)
+    half_turn = []
+    for perm in permutations(range(n)):
+        relabeled = sd.Seed(
+            pt.permute_btilde(half.btilde, n, perm),
+            [half.cluster[i] for i in perm],
+            half.var_names,
+        )
+        outside = ob.seeds_equivalent(base, ob.seedlike_from_seed(relabeled)) is None
+        half_turn.append((f"equivalent under relabeling {perm}", outside))
+    suites.append(_suite("half_turn_inequivalent", half_turn))
+
+    vector = pairing_vector(fx.laminations["doubled"], fx.table)
+    suites.append(
+        _suite("doubled_pairing", [(f"pairing vector {vector}", vector == [-2, -2])])
+    )
+
+    group = signed_permutation_group(fx.table.r)
+    stabilizer = len(group) // sum(lattice_fixed(g, [vector]) for g in group)
+    central = len(group) // sum(qa_subgroup_test(g)[0] == "always" for g in group)
+    suites.append(_suite("stabilizer_indices", [
+        (f"stabilizer index {stabilizer}", stabilizer == 2),
+        (f"central index {central}", central == 4),
+    ]))
+
+    laminations = sorted(fx.laminations.items())
+    suites.append(_suite("shear_relations", [
+        (name, shear_relation_check(fx.boundary_matrix, lam)) for name, lam in laminations
+    ]))
+
+    corank = n - la.rank(fx.seed.principal)
+    suites.append(_suite("kernel_basis", [
+        (f"corank {corank} differs from {fx.table.r} components", corank == fx.table.r),
+        ("pairing columns do not cut out the row span",
+         kernel_basis_check(fx.seed.principal, fx.arc_pairings)),
+    ]))
+
+    residues = []
+    for name, lam in laminations:
+        pairing = pairing_vector(lam, fx.table)
+        for comp in range(fx.table.r):
+            got = residue(lam.shear, fx.arc_pairings, comp)
+            residues.append(
+                (f"{name} component {comp}: {got} != {pairing[comp]}", got == pairing[comp])
+            )
+    suites.append(_suite("residues_match_pairings", residues))
+    return suites

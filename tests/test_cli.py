@@ -255,6 +255,34 @@ def test_explore_stdout_matches_golden_digest(runner, tmp_path, name, fmt):
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == GOLDEN_EXPLORE[name, fmt]
 
 
+# sha256 of the fixture reports' stdout, recorded from the implementation
+# whose command line module ran the check suites itself
+GOLDEN_FIXTURES = {
+    ("surface", "json"):
+        "b24d2eb5eca46de8cd894f9d81a31dd418e6423d44de36350713615e05f239b5",
+    ("surface", "text"):
+        "21354f9311eb31d3bd809bf96a6b033eb87485d52a74bb51f3c089dbc4c70676",
+    ("grassmann --kn 2 5 --all-checks", "json"):
+        "2f88132d6226c0a6204bafbb3c864d00112e6ea15cc18bd5fc716abae96eb2c8",
+    ("grassmann --kn 2 5 --all-checks", "text"):
+        "c2ce191975ee0b64e163578c535853f737855fe4af9d46a1ac654958a23bab9d",
+    ("grassmann --kn 2 6 --all-checks", "json"):
+        "6807d27d3366f5bae7905f7a6f86bed0190dcf042376017e0ced23c77022593d",
+    ("grassmann --kn 3 6 --all-checks", "json"):
+        "9679896976107549ee7f33ae4c22fc562d3eef1ae921dc671a8e4796aafa69b4",
+    ("grassmann --kn 3 7 --all-checks", "json"):
+        "d812ac1a0b87300c4269239a41ea9fd8979a539b10711336d76f5656f4882da8",
+}
+
+
+@pytest.mark.parametrize("argv, fmt", sorted(GOLDEN_FIXTURES))
+def test_fixture_stdout_matches_golden_digest(runner, argv, fmt):
+    # passing fixture reports keep byte-identical stdout
+    result = runner.invoke(cl.main, argv.split() + ["--format", fmt])
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == GOLDEN_FIXTURES[argv, fmt]
+
+
 def test_explore_rejects_failed_division(runner, tmp_path):
     result = runner.invoke(cl.main, ["explore", a2_path(tmp_path, [lp.add(lp.mul(X1, X1), X1), X2])])
     assert result.exit_code == 2
@@ -769,6 +797,31 @@ def test_non_pattern_seed_is_answered(runner, tmp_path, command):
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     json.loads(result.stdout)
+
+
+@pytest.mark.parametrize("argv, module, name, case, suite, failure", [
+    (["surface"], sf, "shear_relation_check",
+     lambda matrix, lam: lam == sf.annulus_fixture().laminations["connector"],
+     "shear_relations", "connector"),
+    (["grassmann", "--kn", "3", "6", "--all-checks"], gx, "flattoband_check",
+     lambda ctx, a, s, j_set: (a, s, tuple(j_set)) == (2, 2, (3, 5)),
+     "flat_to_band_minors", "rows [2, 3], columns [3, 5]"),
+], ids=["surface", "grassmann"])
+def test_failed_case_is_reported_in_its_suite(runner, monkeypatch, argv, module, name,
+                                               case, suite, failure):
+    # the check fails on the one case that `case` accepts
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: not case(*args) and real(*args))
+    result = runner.invoke(cl.main, argv)
+    assert result.exit_code == 1
+    payload = json.loads(result.stdout)
+    assert payload["verdict"] is False
+    failed = {c["name"]: c["failures"] for c in payload["checks"] if c["failures"]}
+    assert failed == {suite: [failure]}
+    text = runner.invoke(cl.main, argv + ["--format", "text"])
+    assert text.exit_code == 1
+    assert f"FAIL {suite} (" in text.output and f"  {failure}\n" in text.output
+    assert text.output.endswith("verdict: FAIL\n")
 
 
 def test_grassmann_relations_computed_once(runner, monkeypatch):

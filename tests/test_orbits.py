@@ -270,14 +270,6 @@ def test_hatted_matches_seed_hatted():
         assert sd.rp_equal(ob.seedlike_hatted(sl, j), sd.hatted(seed, j))
 
 
-def test_frozen_content_examples():
-    x = {(2, 0, 1, 3): 1, (0, 1, 2, 3): -4}
-    assert ob.frozen_content(x, 2) == (0, 0, 1, 3)
-    assert ob.frozen_content(x, 0) == (0, 0, 1, 3)
-    mono = {(0, -1, 2, 0): 5}
-    assert ob.frozen_content(mono, 2) == (0, 0, 2, 0)
-
-
 def test_input_checks_survive_optimize(run_optimized):
     # typed errors, not asserts that python -O would strip
     run_optimized(textwrap.dedent("""
@@ -291,7 +283,6 @@ def test_input_checks_survive_optimize(run_optimized):
             (lambda: ob.SeedLike([[0]], [{}], pairs, ["x"]), sd.InvalidSeed),
             (lambda: ob.apply_rescaling(sl, ob.Rescaling(((0,),) * 2, ((0,),) * 2)), ValueError),
             (lambda: ob.mutate_seedlike(sl, 1), ValueError),
-            (lambda: ob.frozen_content({}, 0), ValueError),
         ]
         for i, (call, error) in enumerate(calls):
             try:

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 
 import clusterkit.grassmann as gx
 import clusterkit.laurent as lp
-import clusterkit.orbits as ob
 import clusterkit.patterns as pt
 import clusterkit.quasihom as qh
 import clusterkit.seeds as sd
@@ -424,15 +423,6 @@ def test_gr35_rotation_found_and_certified():
         )
         dst = sd.initial_seed(target, GR35_NAMES)
         assert qh.check_on_nerve(record.matrix_map, star, seed, dst) == "opposite"
-
-
-def test_normalized_cluster_splits_off_content():
-    graph = pt.explore(sd.initial_seed(GR35_BTILDE, GR35_NAMES))
-    for node in graph.nodes:
-        for raw, norm in zip(node.seed.cluster, node.normalized_cluster):
-            content = ob.frozen_content(raw, 2)
-            assert lp.equal(lp.shift(norm, content), raw)
-            assert ob.frozen_content(norm, 2) == (0,) * 7
 
 
 def test_graph_json_shape():

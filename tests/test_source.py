@@ -21,15 +21,24 @@ def test_no_assert_statements(path):
     assert lines == [], f"{path.name} has assert statements on lines {lines}"
 
 
+def _imported_modules(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    return modules + [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_integer_kernels_import_no_fractions(path):
     # all arithmetic is on ints: the linear algebra and the symmetrizer run
     # fraction-free, and nothing substitutes rational values
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-               for alias in node.names]
-    modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
-    assert "fractions" not in modules, f"{path.name} imports fractions"
+    assert "fractions" not in _imported_modules(path), f"{path.name} imports fractions"
+
+
+def test_cli_enumerates_no_cases():
+    # case enumeration lives with the mathematics in the modules; the
+    # command line renders what their check suites return
+    assert "itertools" not in _imported_modules(TESTS.parent / "src" / "clusterkit" / "cli.py")
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -16,18 +16,26 @@ from clusterkit import surfaces as sf
 
 ANNULUS = sf.SurfaceShape(0, 0, (2, 2))
 
-
-def signed_permutations(r):
-    """All signed permutation matrices of the given size."""
-    out = []
-    for perm in itertools.permutations(range(r)):
-        for signs in itertools.product((1, -1), repeat=r):
-            rows = tuple(
-                tuple(signs[i] if j == perm[i] else 0 for j in range(r))
-                for i in range(r)
-            )
-            out.append(sf.SignedPermutation(rows))
-    return out
+# Paper facts about the annulus fixture that no command reads, kept here as
+# references: the three actions on its two even components, the base seed's
+# image under the inner half turn, the slot permutations that carry the
+# fixture words' seeds onto the recorded ones, and the crossings of each arc
+# with one copy of the lamination curve.
+ACTIONS = {
+    "inner_half_turn": sf.SignedPermutation(((-1, 0), (0, 1))),
+    "outer_half_turn": sf.SignedPermutation(((1, 0), (0, -1))),
+    "component_swap": sf.SignedPermutation(((0, 1), (1, 0))),
+}
+HALF_TURN_SEED = sd.initial_seed(
+    [[0, 0, 1, 1], [0, 0, 1, 1], [-1, -1, 0, 0], [-1, -1, 0, 0], [2, 0, 0, 0]],
+    ["xc", "xd", "xe", "xf", "xL"],
+)
+HALF_TURN_MATCH = (2, 3, 0, 1)
+TWIST_MATCH = (0, 1, 3, 2)
+CROSSING_COUNTS = {
+    "xa": 0, "xb": 0, "xc": 1, "xd": 0,
+    "xe": 1, "xf": 1, "xg": 2, "xh": 1,
+}
 
 
 def compose(g, h):
@@ -125,6 +133,14 @@ def test_pairing_vector_ignores_odd_ends():
     assert sf.pairing_vector(lam, table) == [-1]
 
 
+def test_signed_permutation_group_has_every_element():
+    # r!·2^r distinct valid matrices is the whole group, as it has that order
+    for r, order in ((1, 2), (2, 8), (3, 48)):
+        group = sf.signed_permutation_group(r)
+        assert len(group) == len({g.matrix for g in group}) == order
+        assert sf.signed_identity(r) in group
+
+
 def test_signed_permutation_validation():
     bad = [
         ((1, 0), (0, 1), (0, 0)),
@@ -141,9 +157,9 @@ def test_signed_permutation_validation():
 def test_lattice_fixed_fixture_cases():
     fx = sf.annulus_fixture()
     vectors = [sf.pairing_vector(fx.laminations["doubled"], fx.table)]
-    inner = fx.actions["inner_half_turn"]
-    outer = fx.actions["outer_half_turn"]
-    swap = fx.actions["component_swap"]
+    inner = ACTIONS["inner_half_turn"]
+    outer = ACTIONS["outer_half_turn"]
+    swap = ACTIONS["component_swap"]
     assert sf.lattice_fixed(sf.signed_identity(2), vectors)
     assert not sf.lattice_fixed(inner, vectors)
     assert not sf.lattice_fixed(outer, vectors)
@@ -151,7 +167,7 @@ def test_lattice_fixed_fixture_cases():
     assert sf.lattice_fixed(compose(inner, outer), vectors)
     assert sf.lattice_fixed(compose(inner, inner), vectors)
     # empty and full lattices are fixed by everything
-    for g in signed_permutations(2):
+    for g in sf.signed_permutation_group(2):
         assert sf.lattice_fixed(g, [])
         assert sf.lattice_fixed(g, [[1, 0], [0, 1]])
     with pytest.raises(sf.InvalidSurfaceData):
@@ -164,7 +180,7 @@ def test_lattice_stabilizer_is_a_subgroup():
         3: [[[-2, -2, 0]], [[1, 1, 1]], [[2, 0, 0], [0, 2, 0]]],
     }
     for r, vector_sets in samples.items():
-        group = signed_permutations(r)
+        group = sf.signed_permutation_group(r)
         for vectors in vector_sets:
             fixed = [g for g in group if sf.lattice_fixed(g, vectors)]
             members = {g.matrix for g in fixed}
@@ -178,7 +194,7 @@ def test_lattice_stabilizer_is_a_subgroup():
 def test_stabilizer_indices_for_annulus_lamination():
     fx = sf.annulus_fixture()
     vectors = [sf.pairing_vector(fx.laminations["doubled"], fx.table)]
-    group = signed_permutations(2)
+    group = sf.signed_permutation_group(2)
     fixed = [g for g in group if sf.lattice_fixed(g, vectors)]
     assert len(group) == 8
     assert len(fixed) == 4
@@ -192,7 +208,7 @@ def test_stabilizer_indices_for_annulus_lamination():
 
 def test_qa_subgroup_test_verdicts():
     for r in (1, 2, 3):
-        for g in signed_permutations(r):
+        for g in sf.signed_permutation_group(r):
             verdict, witness = sf.qa_subgroup_test(g)
             ident = sf.signed_identity(r).matrix
             negated = tuple(tuple(-v for v in row) for row in ident)
@@ -205,14 +221,13 @@ def test_qa_subgroup_test_verdicts():
 
 
 def test_qa_subgroup_test_fixture_witnesses():
-    fx = sf.annulus_fixture()
-    verdict, witness = sf.qa_subgroup_test(fx.actions["inner_half_turn"])
+    verdict, witness = sf.qa_subgroup_test(ACTIONS["inner_half_turn"])
     assert verdict == "sometimes"
     assert witness == [1, 1]
-    verdict, witness = sf.qa_subgroup_test(fx.actions["component_swap"])
+    verdict, witness = sf.qa_subgroup_test(ACTIONS["component_swap"])
     assert verdict == "sometimes"
     assert witness == [2, 0]
-    half_turns = compose(fx.actions["inner_half_turn"], fx.actions["outer_half_turn"])
+    half_turns = compose(ACTIONS["inner_half_turn"], ACTIONS["outer_half_turn"])
     assert sf.qa_subgroup_test(half_turns) == ("always", None)
 
 
@@ -312,10 +327,10 @@ def test_lamination_json_round_trip():
 def test_fixture_words_reach_the_recorded_seeds():
     fx = sf.annulus_fixture()
     half = sd.mutate_word(fx.seed, fx.half_turn_word)
-    assert pt.permute_btilde(half.btilde, 4, fx.half_turn_match) == \
-        fx.half_turn_seed.btilde
+    assert pt.permute_btilde(half.btilde, 4, HALF_TURN_MATCH) == \
+        HALF_TURN_SEED.btilde
     twist = sd.mutate_word(fx.seed, fx.twist_word)
-    assert pt.permute_btilde(twist.btilde, 4, fx.twist_match) == \
+    assert pt.permute_btilde(twist.btilde, 4, TWIST_MATCH) == \
         fx.twist_seed.btilde
 
 
@@ -324,7 +339,7 @@ def test_twist_map_exponents_from_crossing_counts():
     row = fx.twist_map.matrix[4]
     pairs = list(zip("abcd", "efgh"))
     for j, (src, dst) in enumerate(pairs):
-        delta = fx.crossing_counts["x" + src] - fx.crossing_counts["x" + dst]
+        delta = CROSSING_COUNTS["x" + src] - CROSSING_COUNTS["x" + dst]
         assert row[j] == delta
         assert delta in (-1, 0, 1)
     assert row[4] == 1
@@ -352,7 +367,7 @@ def test_hatted_variables_separate_the_triangulations():
     fx = sf.annulus_fixture()
     assert sd.rp_equal(sd.hatted(fx.seed, 0), sd.hatted(fx.seed, 1))
     assert not sd.rp_equal(
-        sd.hatted(fx.half_turn_seed, 0), sd.hatted(fx.half_turn_seed, 1)
+        sd.hatted(HALF_TURN_SEED, 0), sd.hatted(HALF_TURN_SEED, 1)
     )
 
 
