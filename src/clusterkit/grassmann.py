@@ -726,8 +726,7 @@ def quintic_relation_checks(ctx: GenericMatrixContext) -> List[Dict[str, object]
 @dataclass
 class GrassmannFixture:
     """Matched cluster presentations of the two sides, with the monomial
-    map between them; the determinant value of every generator is computed
-    on access."""
+    map between them."""
 
     ctx: GenericMatrixContext
     gr_seed: sd.Seed
@@ -736,15 +735,6 @@ class GrassmannFixture:
     gstar_map: Optional[qh.MonomialMap]
     gr_sets: List[IndexSet]
     band_specs: List[Tuple[str, IndexSet, IndexSet]]
-
-    @property
-    def gr_values(self) -> Dict[str, Poly]:
-        names = self.gr_seed.var_names
-        return {name: plucker(self.ctx, c) for name, c in zip(names, self.gr_sets)}
-
-    @property
-    def band_values(self) -> Dict[str, Poly]:
-        return {name: band_minor(self.ctx, i, j) for name, i, j in self.band_specs}
 
 
 def build_fixture(ctx: GenericMatrixContext) -> GrassmannFixture:

@@ -15,31 +15,30 @@ generators (rather than a general polynomial) is meant, e.g. the tropical
 operations and `monomial_ratio`.
 
 Packed kernel.  `mul`, `power` and `exact_div` pack their operands once into
-int-keyed dicts and unpack the result once, so tuples appear only at the
-module boundary.  An exponent e of arity n packs to the integer
-
-    key(e) = sum(e) * 2^(w n) + sum_i e_i * 2^(w (n-1-i)),
-
-lanes of w bits with the total degree on top and variable 0 as the most
-significant lane below it.  Lanes are balanced (signed): a lane holds any
-value of absolute value below 2^(w-1), so Laurent exponents pack without
-offsets.  Packing is linear, so adding keys multiplies monomials, and while
-every lane stays inside that bound, integer order on keys is exactly graded
-lex.  The lane bound is checked before packing: the width is chosen
+int-keyed dicts and unpack the result once.  An exponent e of arity n packs
+to key(e) = sum(e) * 2^(w n) + sum_i e_i * 2^(w (n-1-i)): lanes of w bits,
+the total degree on top, variable 0 the most significant below it.  Lanes
+are balanced (signed): each holds any value of absolute value below
+2^(w-1), so Laurent exponents pack without offsets.  Packing is linear, so
+adding keys multiplies monomials, and while every lane stays in bounds,
+integer order on keys is graded lex.  The width is chosen before packing
 from a bound on every exponent the operation can produce (the sum of the
-operands' largest |exponent| for a product; the largest shifted total degree
-for a division), never discovered afterwards, so no lane carries into its
-neighbour.  Widths of 8, 16, 32 and 64 bits unpack through `struct`; wider
-lanes, needed only for exponents of 2^63 and beyond, unpack lane by lane.
+operands' largest |exponent| for a product, the largest shifted total
+degree for a division), never discovered afterwards, so no lane carries
+into its neighbour.  Widths of 8, 16, 32 and 64 bits unpack through
+`struct`, wider ones lane by lane.  An `Operand` is a polynomial shifted by
+its minimum exponent and packed once per width, for callers that reuse it.
 
-`exact_div` shifts both operands to nonnegative exponents and then divides
-with a max-heap that merges the terms of f with the products q_i g_j
-(Johnson, SIGSAM Bull. 1974; Monagan & Pearce, J. Symb. Comput. 2011):
-the remainder is never rebuilt, and equal heap keys are chained so each
-monomial is popped once.  Divisibility of a remainder monomial by the
-leading monomial of g is one subtraction and a test of each lane's top
-(guard) bit.  A one-term operand short-cuts to a shift and a scale, and
-`power` squares with each cross term computed once.
+`div_packed` is the single division loop; `exact_div` packs both sides as
+operands, divides there and unpacks once.  The shift to nonnegative
+exponents is sound because the componentwise minimum exponent is additive
+under multiplication, and a lower bound on the dividend's minimum serves as
+well.  A max-heap merges the terms of f with the products q_i g_j (Johnson,
+SIGSAM Bull. 1974; Monagan & Pearce, J. Symb. Comput. 2011): the remainder
+is never rebuilt, and equal keys are chained so each monomial is popped
+once.  Divisibility by the leading monomial of g is one subtraction and a
+test of each lane's top (guard) bit.  A one-term divisor short-cuts to a
+shift and a scale, and `power` squares with each cross term computed once.
 """
 
 from __future__ import annotations
@@ -159,11 +158,7 @@ def power(f: Poly, k: int) -> Poly:
     if k == 1:
         return dict(f)
     width = lane_width(k * max_abs_exponent(f))
-    base = pack(f, width)
-    out = _square_packed(base)
-    for _ in range(k - 2):
-        out = mul_packed(out, base)
-    return unpack(out, _arity(f), width)
+    return unpack(power_packed(pack(f, width), k), _arity(f), width)
 
 
 def equal(f: Poly, g: Poly) -> bool:
@@ -188,105 +183,23 @@ def min_exponent(f: Poly) -> Exponent:
     """Componentwise minimum exponent over the support of a nonzero polynomial."""
     if not f:
         raise ValueError("zero polynomial has no minimal exponent")
-    return tuple(map(min, zip(*f))) if _arity(f) else ()
+    return tuple(map(min, zip(*f))) if len(f) > 1 else next(iter(f))
 
 
 def exact_div(f: Poly, g: Poly) -> Poly:
-    """Quotient f/g when g divides f over the integer Laurent ring.
-
-    Raises NotDivisible otherwise.  Both operands are first shifted so all
-    exponents are nonnegative; this is sound because the componentwise
-    minimum exponent is additive under multiplication.  The quotient is then
-    found by graded-lex leading-term elimination, each step of which must
-    divide exactly in both exponents and coefficients.  The remainder's
-    terms come off a heap in descending order (see the module docstring);
-    every exponent met along the way is nonnegative with total degree at
-    most the larger shifted degree of f and g, which sets the lane width.
-    """
+    """Quotient f/g when g divides f over the integer Laurent ring; raises
+    NotDivisible otherwise.  Both sides are packed as operands, divided by
+    `div_packed`, and the quotient shifted back by the difference of their
+    minima."""
     if not g:
         raise NotDivisible("division by the zero polynomial")
     if not f:
         return {}
     _check_arity(f, g)
-    if len(g) == 1:
-        ((eg, cg),) = g.items()
-        quot: Poly = {}
-        for e, c in f.items():
-            q, r = divmod(c, cg)
-            if r:
-                raise NotDivisible("leading coefficient not divisible over Z")
-            quot[exp_sub(e, eg)] = q
-        return quot
-    arity = _arity(f)
-    mf, mg = min_exponent(f), min_exponent(g)
-    bound = max(max(map(sum, f)) - sum(mf), max(map(sum, g)) - sum(mg))
-    width = lane_width(bound)
-    # packing is linear, so key(e - m) = key(e) - key(m); the shifted
-    # exponents lie in [0, bound] and fit their lanes
-    weights = _weights(arity, width)
-    base_f = sum(map(_imul, mf, weights))
-    base_g = sum(map(_imul, mg, weights))
-    fp = {sum(map(_imul, e, weights)) - base_f: c for e, c in f.items()}
-    gp = {sum(map(_imul, e, weights)) - base_g: c for e, c in g.items()}
-    f_keys = sorted(fp, reverse=True)
-    g_keys = sorted(gp, reverse=True)
-    lead_g, g_keys = g_keys[0], g_keys[1:]
-    cg = gp[lead_g]
-    g_coefs = [gp[key] for key in g_keys]
-    last_g = len(g_keys) - 1
-    guard = _guard(arity, width)
-    q_keys: List[int] = []
-    q_coefs: List[int] = []
-    # heap of negated remainder keys, each present once; `chains` maps a key
-    # to the pairs (i, j) whose products q_i * g_j land on it
-    heap: List[int] = []
-    chains: Dict[int, List[Tuple[int, int]]] = {}
-    next_f, n_f = 0, len(f_keys)
-    while next_f < n_f or heap:
-        if heap and (next_f == n_f or -heap[0] >= f_keys[next_f]):
-            m = -heappop(heap)
-            c = 0
-            for i, j in chains.pop(m):
-                c -= q_coefs[i] * g_coefs[j]
-                if j < last_g:
-                    j += 1
-                    key = q_keys[i] + g_keys[j]
-                    chain = chains.get(key)
-                    if chain is None:
-                        chains[key] = [(i, j)]
-                        heappush(heap, -key)
-                    else:
-                        chain.append((i, j))
-            if next_f < n_f and f_keys[next_f] == m:
-                c += fp[m]
-                next_f += 1
-        else:
-            m = f_keys[next_f]
-            c = fp[m]
-            next_f += 1
-        if not c:
-            continue
-        d = m - lead_g
-        if d & guard:
-            raise NotDivisible("leading monomial not divisible")
-        q, r = divmod(c, cg)
-        if r:
-            raise NotDivisible("leading coefficient not divisible over Z")
-        i = len(q_keys)
-        q_keys.append(d)
-        q_coefs.append(q)
-        key = d + g_keys[0]
-        chain = chains.get(key)
-        if chain is None:
-            chains[key] = [(i, 0)]
-            heappush(heap, -key)
-        else:
-            chain.append((i, 0))
-    offset = exp_sub(mf, mg)
-    decode = _decoder(arity, width)
-    return {
-        tuple(map(_iadd, decode(key), offset)): c for key, c in zip(q_keys, q_coefs)
-    }
+    fo, go = Operand(f), Operand(g)
+    width = lane_width(max(fo.degree, go.degree))
+    quot = div_packed(fo.packed(width), go.packed(width), len(fo.low), width)
+    return unpack_shifted(quot, exp_sub(fo.low, go.low), width)
 
 
 def monomial_ratio(f: Poly, g: Poly) -> Optional[Exponent]:
@@ -482,6 +395,39 @@ def unpack(fp: Packed, arity: int, width: int) -> Poly:
     return {decode(key): c for key, c in fp.items()}
 
 
+def exponent_key(e: Sequence[int], width: int) -> int:
+    """The packed key of the monomial x^e."""
+    return sum(map(_imul, e, _weights(len(e), width)))
+
+
+class Operand:
+    """A nonzero polynomial f with its componentwise minimum exponent `low`,
+    the largest total degree `degree` of x^-low f, and x^-low f packed once
+    per width asked for; a width whose lanes hold `degree` holds it."""
+
+    __slots__ = ("poly", "low", "degree", "_packed")
+
+    def __init__(self, f: Poly):
+        self.poly, self.low = f, min_exponent(f)
+        self.degree = max(map(sum, f)) - sum(self.low) if len(f) > 1 else 0
+        self._packed: Dict[int, Packed] = {}
+
+    def packed(self, width: int) -> Packed:
+        fp = self._packed.get(width)
+        if fp is None:
+            # packing is linear, so key(e - low) = key(e) - key(low)
+            weights, base = _weights(len(self.low), width), exponent_key(self.low, width)
+            fp = {sum(map(_imul, e, weights)) - base: c for e, c in self.poly.items()}
+            self._packed[width] = fp
+        return fp
+
+
+def unpack_shifted(fp: Packed, low: Exponent, width: int) -> Poly:
+    """x^low times the unpacked fp: the inverse of `Operand.packed`."""
+    decode = _decoder(len(low), width)
+    return {tuple(map(_iadd, decode(key), low)): c for key, c in fp.items()}
+
+
 def mul_packed(f: Packed, g: Packed) -> Packed:
     """Product of two packed polynomials of one width.
 
@@ -511,6 +457,83 @@ def _square_packed(f: Packed) -> Packed:
             key = ki + kj
             out[key] = get(key, 0) + ci * cj
     return _drop_zeros(out)
+
+
+def power_packed(f: Packed, k: int) -> Packed:
+    """f^k for k >= 1; the caller's width must hold its exponents."""
+    out = f if k == 1 else _square_packed(f)
+    for _ in range(k - 2):
+        out = mul_packed(out, f)
+    return out
+
+
+def div_packed(fp: Packed, gp: Packed, arity: int, width: int) -> Packed:
+    """f / g for packed f and g with nonnegative exponents, when the
+    quotient exists with nonnegative exponents; NotDivisible otherwise.  The
+    package's one division loop (module docstring); the width must hold the
+    total degrees of f and g, which bound every product q_i g_j met."""
+    guard = _guard(arity, width)
+    if len(gp) == 1:
+        ((lead_g, cg),) = gp.items()
+        if any((m - lead_g) & guard for m in fp):
+            raise NotDivisible("leading monomial not divisible")
+        if any(c % cg for c in fp.values()):
+            raise NotDivisible("leading coefficient not divisible over Z")
+        return {m - lead_g: c // cg for m, c in fp.items()}
+    f_keys = sorted(fp, reverse=True)
+    g_keys = sorted(gp, reverse=True)
+    lead_g, g_keys = g_keys[0], g_keys[1:]
+    cg = gp[lead_g]
+    g_coefs = [gp[key] for key in g_keys]
+    last_g = len(g_keys) - 1
+    q_keys: List[int] = []
+    q_coefs: List[int] = []
+    # heap of negated remainder keys, each present once; `chains` maps a key
+    # to the pairs (i, j) whose products q_i * g_j land on it
+    heap: List[int] = []
+    chains: Dict[int, List[Tuple[int, int]]] = {}
+    next_f, n_f = 0, len(f_keys)
+    while next_f < n_f or heap:
+        if heap and (next_f == n_f or -heap[0] >= f_keys[next_f]):
+            m = -heappop(heap)
+            c = 0
+            for i, j in chains.pop(m):
+                c -= q_coefs[i] * g_coefs[j]
+                if j < last_g:
+                    j += 1
+                    key = q_keys[i] + g_keys[j]
+                    chain = chains.get(key)
+                    if chain is None:
+                        chains[key] = [(i, j)]
+                        heappush(heap, -key)
+                    else:
+                        chain.append((i, j))
+            if next_f < n_f and f_keys[next_f] == m:
+                c += fp[m]
+                next_f += 1
+        else:
+            m = f_keys[next_f]
+            c = fp[m]
+            next_f += 1
+        if not c:
+            continue
+        d = m - lead_g
+        if d & guard:
+            raise NotDivisible("leading monomial not divisible")
+        q, r = divmod(c, cg)
+        if r:
+            raise NotDivisible("leading coefficient not divisible over Z")
+        i = len(q_keys)
+        q_keys.append(d)
+        q_coefs.append(q)
+        key = d + g_keys[0]
+        chain = chains.get(key)
+        if chain is None:
+            chains[key] = [(i, 0)]
+            heappush(heap, -key)
+        else:
+            chain.append((i, 0))
+    return dict(zip(q_keys, q_coefs))
 
 
 def _drop_zeros(out: Packed) -> Packed:

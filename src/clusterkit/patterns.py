@@ -5,40 +5,39 @@ seeds agree up to a simultaneous permutation of the mutable indices, which
 is exactly the unlabeled exchange graph.
 
 Interning.  One exploration holds each distinct cluster variable once, in a
-`Variables` table, under a small integer id; a node is its mutation word,
-the id tuple of its cluster and its extended exchange matrix as a tuple of
-row tuples.  Equal polynomials get equal ids, so comparing ids compares
-variables.
+`Variables` table, under a small integer id and as a packed operand
+(`laurent.Operand`, packed once per lane width); a node is its mutation
+word, the id tuple of its cluster and its extended exchange matrix.
 
-Identity is decided by a canonical form: the ids in increasing order, then
-the matrix with the mutable indices relabeled to that order.  The cluster of
-a seed is algebraically independent (Fomin & Zelevinsky, "Cluster algebras
-I", 2002), so its entries are pairwise distinct and the order leaves no
-relabeling free; the form costs one sort, at any rank.  Ids are assigned
-within one exploration, so the form is relabeling-invariant within it and
-means nothing across explorations.  Data whose cluster repeats an entry is
-not a seed of any pattern and is rejected as `InvalidSeed`.
+Identity is the cluster alone: a node's key is its ids in increasing order.
+Theorem: a seed of a skew-symmetrizable pattern of geometric type is
+determined by its cluster, so two seeds whose clusters agree up to a
+permutation of the mutable indices have exchange matrices that agree up to
+the same permutation (Gekhtman, Shapiro & Vainshtein, Math. Res. Lett. 15,
+2008, for full-rank B~; Cao & Li, Math. Ann., 2020, in general).
+Hypothesis: the input is a seed, its cluster together with the frozen
+variables algebraically independent.  Its entries are then pairwise
+distinct, so the sort leaves no relabeling free, and data that repeats an
+entry is rejected as `InvalidSeed`; other non-seed input that no division
+exposes may be merged differently than its matrices would be.  Ids are
+assigned within one exploration, so a key means nothing across them.
 
 The memo key.  The new variable of mutation at k is the exchange polynomial
-p+ prod x_j^[b_jk]+ + p- prod x_j^[-b_jk]+, with the frozen monomials p+ and
-p- read off column k below the mutable rows, divided by x_k.  Its inputs are
-exactly
+p+ prod x_j^[b_jk]+ + p- prod x_j^[-b_jk]+, with p+ and p- read off the
+frozen rows of column k, divided by x_k.  Its inputs are exactly
 
     (id of x_k, sorted (id_j, b_jk) over b_jk != 0, frozen column k),
 
-so exploration keys each quotient by that tuple and divides once per key.
-A hit is exact, not probable: equal keys mean equal dividend and divisor,
-operand for operand, hence the very polynomial the division would return.
-No theorem or modular shortcut is involved, and an id stands for its
-polynomial exactly: `Variables` finds ids by a dict lookup that compares
-the terms themselves, not their hash alone.  A failed division raises and
-ends the exploration, so every memo entry is a success.
+so exploration divides once per key, in `seeds.exchange_packed` over the
+packed operands.  A hit is exact: equal keys mean equal operands (ids
+compare terms, not hashes), hence the same quotient.  A failed division
+raises and ends the exploration, so every memo entry is a success.
 
-Each edge is mutated once, not from both ends.  Mutation is an involution,
-as mu_k negates column k of the exchange matrix and keeps the exchange
-polynomial at k, and it commutes with relabeling: if direction k from a node
-reaches a representative holding the new variable at j, direction j leads
-back.  N seeds of rank n thus take n*N/2 mutations in place of n*N.
+Only an edge into a new node mutates a matrix, so a complete run of N
+nodes takes N-1 matrix mutations.  Each edge is followed once: mutation is
+an involution that keeps the exchange polynomial at k, so if direction k
+from a node reaches a node holding the new variable at j, direction j
+leads back.
 
 The quasi-automorphism search then relabels each explored seed every
 possible way, keeps the relabelings whose principal part matches the base
@@ -79,36 +78,30 @@ def permute_btilde(
     return out
 
 
-def canonical_key(ids: Sequence[int], btilde: Sequence[Sequence[int]]) -> Tuple[int, ...]:
-    """The ids in increasing order, then the matrix relabeled to that order,
-    row by row, as one flat tuple.
-
-    Two seeds of one exploration get equal keys exactly when a permutation
-    of the mutable indices carries one onto the other: a relabeling moves
-    cluster entries and exchange-matrix rows and columns together, and with
-    pairwise distinct ids the sorted order fixes it uniquely.  Equal ids
-    would leave the order ambiguous and cannot occur in a seed, so they
-    raise `InvalidSeed`.
-    """
-    n = len(ids)
-    perm = sorted(range(n), key=ids.__getitem__)
-    order = [ids[i] for i in perm]
-    for pos in range(1, n):
-        if order[pos - 1] == order[pos]:
-            raise sd.InvalidSeed(f"cluster entries {perm[pos - 1]} and {perm[pos]} are equal")
-    rows = [btilde[i] for i in perm]
-    rows.extend(btilde[n:])
-    return tuple(order + [row[j] for row in rows for j in perm])
+def canonical_key(ids: Sequence[int]) -> Tuple[int, ...]:
+    """The node key of a cluster, its ids in increasing order: equal for two
+    seeds of one exploration exactly when a relabeling carries one onto the
+    other (module docstring).  Equal ids, impossible in a seed, raise
+    `InvalidSeed` naming the first equal pair in the sorted order."""
+    key = tuple(sorted(ids))
+    if len(set(key)) < len(key):
+        perm = sorted(range(len(ids)), key=ids.__getitem__)
+        for a, b in zip(perm, perm[1:]):
+            if ids[a] == ids[b]:
+                raise sd.InvalidSeed(f"cluster entries {a} and {b} are equal")
+    return key
 
 
 class Variables:
     """The distinct cluster variables of one exploration: `polys[i]` is the
-    variable with id i, over the ambient variables `names`."""
+    variable with id i, over the ambient variables `names`, and
+    `operands[i]` the same variable readied for packed exchanges."""
 
-    __slots__ = ("polys", "names", "_ids")
+    __slots__ = ("polys", "operands", "names", "_ids")
 
     def __init__(self, names: List[str]):
         self.polys: List[Poly] = []
+        self.operands: List[lp.Operand] = []
         self.names = names
         self._ids: Dict[FrozenSet[Tuple[Exponent, int]], int] = {}
 
@@ -117,6 +110,7 @@ class Variables:
         found = self._ids.setdefault(frozenset(x.items()), len(self.polys))
         if found == len(self.polys):
             self.polys.append(x)
+            self.operands.append(lp.Operand(x))
         return found
 
 
@@ -158,16 +152,12 @@ def explore(
 ) -> ExplorationGraph:
     """Breadth-first mutation closure up to relabeling.
 
-    Nodes are deduplicated through the canonical form; hitting either limit
-    flags the graph as truncated instead of failing, since infinite-type
-    patterns never close.  Input that is not a seed of any pattern raises
-    `lp.NotDivisible` or `sd.InvalidSeed` from the first division or
-    canonical form that exposes it.
-
-    By the involution (module docstring), an edge into a later node that is
-    still to be expanded also records its reverse, which is not mutated
-    again; a complete run of N nodes of rank n mutates n*N/2 matrices and
-    divides once per distinct memo key.
+    Nodes are keyed by `canonical_key`, and each new node costs one matrix
+    mutation; an edge into a later node still to be expanded also records
+    its reverse (module docstring).  Hitting either limit flags the graph as
+    truncated instead of failing, since infinite-type patterns never close.
+    Input that is not a seed of any pattern raises `lp.NotDivisible` or
+    `sd.InvalidSeed` from the first division or key that exposes it.
     """
     if max_depth < 0 or max_nodes < 1:
         raise ValueError("need max_depth >= 0 and max_nodes >= 1")
@@ -181,8 +171,9 @@ def explore(
     btilde = tuple(map(tuple, initial.btilde))
     nodes = [PatternNode((), ids, btilde, variables)]
     adjacency: List[Dict[int, int]] = [{}]
-    index = {canonical_key(ids, btilde): 0}
+    index = {canonical_key(ids): 0}
     quotients: Dict[tuple, int] = {}
+    operands = variables.operands
     # one tuple per distinct row, shared by every node matrix that holds it
     rows: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     hit_depth = hit_nodes = False
@@ -205,17 +196,19 @@ def explore(
             )
             new = quotients.get(exchange)
             if new is None:
-                new = variables.intern(sd.exchanged_variable(node.seed, k))
+                new = variables.intern(
+                    sd.exchange_packed(column, k, [operands[i] for i in ids])
+                )
                 quotients[exchange] = new
             new_ids = ids[:k] + (new,) + ids[k + 1:]
-            mutated = sd.mutate_matrix(btilde, k)
-            key = canonical_key(new_ids, mutated)
+            key = canonical_key(new_ids)
             found = index.get(key)
             if found is None:
                 if len(nodes) >= max_nodes:
                     hit_nodes = True
                     continue
                 found = len(nodes)
+                mutated = sd.mutate_matrix(btilde, k)
                 frozen = tuple(rows.setdefault(row, row) for row in map(tuple, mutated))
                 nodes.append(PatternNode(node.word + (k,), new_ids, frozen, variables))
                 adjacency.append({})

@@ -14,6 +14,7 @@ cross multiplication; no rational-function normal form is ever needed.
 from __future__ import annotations
 
 from math import gcd
+from operator import sub as _isub
 from typing import List, Optional, Sequence, Tuple
 
 from . import laurent as lp
@@ -99,10 +100,6 @@ def skew_symmetrizer(b: Sequence[Sequence[int]]) -> Optional[List[int]]:
     return d
 
 
-def is_skew_symmetrizable(b: Sequence[Sequence[int]]) -> bool:
-    return skew_symmetrizer(b) is not None
-
-
 def is_indecomposable(b: Sequence[Sequence[int]]) -> bool:
     """Connectivity of the graph on mutable indices with edges b_ij != 0."""
     n = len(b)
@@ -152,7 +149,7 @@ class Seed:
                 f"{len(self.var_names)} variable names for {self.n + self.m} generators"
             )
         principal = [row[: self.n] for row in self.btilde[: self.n]]
-        if not is_skew_symmetrizable(principal):
+        if skew_symmetrizer(principal) is None:
             raise InvalidSeed("principal part is not skew-symmetrizable")
         for x in self.cluster:
             if not x:
@@ -228,24 +225,64 @@ def exchange_terms(
     return plus, minus
 
 
-def exchange_polynomial(seed: Seed, k: int) -> Poly:
-    """p+_k * prod x_j^[b_jk]+ + p-_k * prod x_j^[-b_jk]+."""
-    return lp.add(*hatted(seed, k))
-
-
 def exchanged_variable(seed: Seed, k: int) -> Poly:
-    """The variable that replaces x_k in mutation at k: the exchange
-    polynomial at k divided exactly by x_k.
-
-    NotDivisible propagating out of here means the input was not a seed of
-    any pattern (the Laurent property fails); a vanishing quotient, possible
-    when the cluster has signed coefficients, raises InvalidSeed.
-    """
+    """The variable that replaces x_k in mutation at k, by `exchange_packed`;
+    only x_k and the x_j with b_jk != 0 are made operands."""
     _check_direction(k, seed.n)
-    new_x = lp.exact_div(exchange_polynomial(seed, k), seed.cluster[k])
-    if not new_x:
+    column = [row[k] for row in seed.btilde]
+    cluster = [lp.Operand(x) if e or j == k else None
+               for j, (x, e) in enumerate(zip(seed.cluster, column))]
+    return exchange_packed(column, k, cluster)
+
+
+def exchange_packed(
+    column: Sequence[int], k: int, cluster: Sequence[Optional[lp.Operand]]
+) -> Poly:
+    """(p+ prod x_j^[b_jk]+ + p- prod x_j^[-b_jk]+) / x_k in one packed pass,
+    from column k of btilde and the cluster as operands.  Each term is x^lo,
+    its exact minimum exponent (minima add), times a product of operands
+    x^-low_j x_j; both are shifted by the componentwise minimum of their lo,
+    so every exponent met is nonnegative, and the lane width is chosen once
+    from the largest total degree a term or x_k reaches.  NotDivisible means
+    the input is no seed (the Laurent property fails); a vanishing quotient,
+    possible with signed coefficients, raises InvalidSeed."""
+    n = len(cluster)
+    plus, minus = [], []
+    for x, e in zip(cluster, column):
+        if e > 0:
+            plus.append((x, e))
+        elif e < 0:
+            minus.append((x, -e))
+    sides = []
+    for powers, frozen in ((plus, [e if e > 0 else 0 for e in column[n:]]),
+                           (minus, [-e if e < 0 else 0 for e in column[n:]])):
+        lo, degree = [0] * n + frozen, 0
+        for x, e in powers:
+            lo = [a + e * b for a, b in zip(lo, x.low)]
+            degree += e * x.degree
+        sides.append((lo, degree, powers))
+    low = list(map(min, sides[0][0], sides[1][0]))
+    xk = cluster[k]
+    width = lp.lane_width(max([d + sum(lo) - sum(low) for lo, d, _ in sides] + [xk.degree]))
+    f: lp.Packed = {}
+    for lo, _, powers in sides:
+        # a monomial operand (degree 0) only moves lo and scales the term
+        scale, product = 1, None
+        for x, e in powers:
+            if x.degree:
+                factor = lp.power_packed(x.packed(width), e)
+                product = factor if product is None else lp.mul_packed(product, factor)
+            else:
+                scale *= next(iter(x.poly.values())) ** e
+        offset = lp.exponent_key(list(map(_isub, lo, low)), width)
+        for key, c in (product or {0: 1}).items():
+            key += offset
+            f[key] = f.get(key, 0) + scale * c
+    f = {key: c for key, c in f.items() if c}
+    quot = lp.div_packed(f, xk.packed(width), len(column), width)
+    if not quot:
         raise InvalidSeed("zero cluster variable")
-    return new_x
+    return lp.unpack_shifted(quot, lp.exp_sub(low, xk.low), width)
 
 
 def mutate_seed(seed: Seed, k: int) -> Seed:
@@ -305,10 +342,6 @@ def hatted(seed: Seed, j: int) -> RationalPair:
     return exchange_terms(seed.btilde, seed.cluster, j, *coefficient_pair(seed, j))
 
 
-def hatted_tuple(seed: Seed) -> List[RationalPair]:
-    return [hatted(seed, j) for j in range(seed.n)]
-
-
 def hatted_mutation_check(seed: Seed, k: int) -> bool:
     """Whether mutation propagates hatted variables the way it must.
 
@@ -322,8 +355,8 @@ def hatted_mutation_check(seed: Seed, k: int) -> bool:
         mutated = mutate_seed(seed, k)
     except lp.NotDivisible:
         return False
-    before = hatted_tuple(seed)
-    after = hatted_tuple(mutated)
+    before = [hatted(seed, j) for j in range(seed.n)]
+    after = [hatted(mutated, j) for j in range(seed.n)]
     for j in range(seed.n):
         if j == k:
             expected = rp_inv(before[k])

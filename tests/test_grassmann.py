@@ -796,19 +796,29 @@ def test_fixture_maps_verify():
     assert grading is not None
 
 
+def fixture_gr_values(fx):
+    """The Plücker coordinate of every generator of the Grassmannian side."""
+    return {name: gr.plucker(fx.ctx, cols)
+            for name, cols in zip(fx.gr_seed.var_names, fx.gr_sets)}
+
+
+def fixture_band_values(fx):
+    """The band minor of every generator of the band side."""
+    return {name: gr.band_minor(fx.ctx, i_set, j_set) for name, i_set, j_set in fx.band_specs}
+
+
 def test_fixture_value_tables():
     fx = gr.build_fixture(CTX25)
-    for name, cols in zip(fx.gr_seed.var_names, fx.gr_sets):
-        assert lp.equal(fx.gr_values[name], gr.plucker(CTX25, cols))
-    for name, i_set, j_set in fx.band_specs:
-        assert lp.equal(fx.band_values[name], gr.band_minor(CTX25, i_set, j_set))
+    gr_values, band_values = fixture_gr_values(fx), fixture_band_values(fx)
+    assert list(gr_values) == fx.gr_seed.var_names
+    assert list(band_values) == fx.band_seed.var_names
     # each matrix column states the band factorization of one coordinate
     for col, cols in enumerate(fx.gr_sets):
         image = lp.constant(1, gr.y_arity(CTX25))
         for row, name in enumerate(fx.band_seed.var_names):
             e = fx.fstar_map.matrix[row][col]
             if e:
-                image = lp.mul(image, lp.power(fx.band_values[name], e))
+                image = lp.mul(image, lp.power(band_values[name], e))
         assert lp.equal(image, gr.f_star(CTX25, cols))
     # reverse columns state the minor image of one band generator
     for col, (name, i_set, j_set) in enumerate(fx.band_specs):
@@ -816,7 +826,7 @@ def test_fixture_value_tables():
         for row, gname in enumerate(fx.gr_seed.var_names):
             e = fx.gstar_map.matrix[row][col]
             if e:
-                image = lp.mul(image, lp.power(fx.gr_values[gname], e))
+                image = lp.mul(image, lp.power(gr_values[gname], e))
         assert lp.equal(image, gr._unpack_x(CTX25, g_star_minor(CTX25, i_set, j_set)))
 
 

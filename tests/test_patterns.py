@@ -1,5 +1,6 @@
 """Exchange-graph exploration, nerves, and quasi-automorphism search."""
 
+import random
 import textwrap
 from collections import deque
 from itertools import permutations
@@ -211,20 +212,21 @@ def test_explore_matches_brute_force_on_markov():
 
 @pytest.mark.parametrize(
     "b, nodes, mutations, divisions",
-    [(a_n(4), 42, 84, 35), (d_n(5), 182, 455, 137)],
-    ids=["b0-42-84", "b1-182-455"],
+    [(a_n(4), 42, 41, 35), (d_n(5), 182, 181, 137)],
+    ids=["a4-42-41", "d5-182-181"],
 )
-def test_complete_explore_mutates_each_edge_once(monkeypatch, b, nodes, mutations, divisions):
-    # n * N / 2 mutations: the reverse of every edge is read off, not mutated
-    # again; only exchanges whose memo key is new are divided
+def test_complete_explore_mutates_each_new_node_once(monkeypatch, b, nodes, mutations, divisions):
+    # N - 1 matrix mutations: a node is keyed by its cluster, so only an edge
+    # into a new node mutates the matrix; only exchanges whose memo key is
+    # new reach the division core
     mutated, divided = [], []
-    mutate, divide = sd.mutate_matrix, lp.exact_div
+    mutate, divide = sd.mutate_matrix, lp.div_packed
     monkeypatch.setattr(sd, "mutate_matrix", lambda b, k: mutated.append(k) or mutate(b, k))
-    monkeypatch.setattr(lp, "exact_div", lambda f, g: divided.append(g) or divide(f, g))
+    monkeypatch.setattr(lp, "div_packed", lambda *args: divided.append(args) or divide(*args))
     graph = pt.explore(sd.initial_seed(b, [f"x{i}" for i in range(len(b))]))
     assert graph.complete
     assert len(graph.nodes) == nodes
-    assert len(mutated) == mutations
+    assert len(mutated) == mutations == nodes - 1
     assert len(divided) == divisions
 
 
@@ -278,6 +280,66 @@ def test_explore_matches_brute_force_beyond_simply_laced(case):
     assert len(graph.nodes) == NON_SIMPLY_LACED[kind][1]
 
 
+@pytest.mark.parametrize("b", [a_n(3), a_n(5), d_n(4)], ids=["a3", "a5", "d4"])
+def test_cluster_key_matches_brute_force_at_deficient_rank(b):
+    # these B have no frozen rows and are singular, so the full-rank theorem
+    # does not cover them; the skew-symmetrizable one does
+    seed = sd.initial_seed(b, [f"x{i}" for i in range(len(b))])
+    assert_matches_reference(seed)
+    assert pt.explore(seed).complete
+
+
+def random_skew_symmetrizable_seeds(count, rng):
+    """Seeds over B = S D with S skew-symmetric (entries in [-1, 1]) and D a
+    diagonal of 1s and 2s, so that D B is skew-symmetric, at ranks 2-5,
+    over 0-3 frozen rows with entries in [-1, 1]."""
+    out = []
+    for _ in range(count):
+        n, m = rng.randint(2, 5), rng.randint(0, 3)
+        d = [rng.choice((1, 1, 2)) for _ in range(n)]
+        s = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                s[i][j] = rng.randint(-1, 1)
+                s[j][i] = -s[i][j]
+        b = [[s[i][j] * d[j] for j in range(n)] for i in range(n)]
+        frozen = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(m)]
+        out.append(sd.initial_seed(b + frozen, [f"x{i}" for i in range(n)] +
+                                   [f"y{i}" for i in range(m)]))
+    return out
+
+
+@pytest.mark.parametrize("seed", random_skew_symmetrizable_seeds(24, random.Random(1729)))
+def test_cluster_key_matches_brute_force_on_random_skew_symmetrizable(seed):
+    for max_depth, max_nodes in ((2, 500), (3, 40), (4, 60)):
+        assert_matches_reference(seed, max_depth, max_nodes)
+
+
+LANE_CROSSING = [(a_n(2), []), ([[0, 1], [-2, 0]], [[1, -1]]), ([[0, 1], [-3, 0]], [])]
+
+
+@pytest.mark.parametrize("big, widest", [(200, (16, 16)), (70000, (32, 32)), (2 ** 70, (65, 80))])
+def test_lane_crossing_exchanges_match_the_tuple_path(monkeypatch, big, widest):
+    # {x0^big, x1} is algebraically independent, so each is a genuine seed;
+    # its exchanges need 16-bit, 32-bit and wider-than-64-bit lanes
+    widths = set()
+    divide = lp.div_packed
+    monkeypatch.setattr(lp, "div_packed",
+                        lambda f, g, arity, width: widths.add(width) or divide(f, g, arity, width))
+    for b, frozen in LANE_CROSSING:
+        arity = len(b) + len(frozen)
+        cluster = [lp.monomial((big,) + (0,) * (arity - 1)), lp.variable(1, arity)]
+        seed = sd.Seed(b + frozen, cluster, [f"v{i}" for i in range(arity)])
+        assert_matches_reference(seed, max_nodes=20)
+        for word in ((0, 1, 0, 1, 0), (1, 0, 1, 0, 1)):
+            current = seed
+            for k in word:
+                tuple_path = lp.exact_div(lp.add(*sd.hatted(current, k)), current.cluster[k])
+                current = sd.mutate_seed(current, k)
+                assert current.cluster[k] == tuple_path
+    assert widest[0] <= max(widths) <= widest[1]
+
+
 def interned_ids(variables, seed):
     return tuple(map(variables.intern, seed.cluster))
 
@@ -290,7 +352,7 @@ def test_canonical_key_rejects_equal_cluster_entries():
     ids = interned_ids(pt.Variables(twin.var_names), twin)
     assert ids == (0, 0)
     with pytest.raises(sd.InvalidSeed):
-        pt.canonical_key(ids, twin.btilde)
+        pt.canonical_key(ids)
     with pytest.raises(sd.InvalidSeed):
         pt.explore(seed)
 
@@ -334,8 +396,8 @@ def test_canonical_key_is_relabeling_invariant(seed, data):
     perm = data.draw(st.permutations(range(seed.n)))
     variables = pt.Variables(seed.var_names)
     other = relabeled(seed, perm)
-    assert pt.canonical_key(interned_ids(variables, other), other.btilde) == \
-        pt.canonical_key(interned_ids(variables, seed), seed.btilde)
+    assert pt.canonical_key(interned_ids(variables, other)) == \
+        pt.canonical_key(interned_ids(variables, seed))
 
 
 @settings(max_examples=10, derandomize=True, deadline=None)

@@ -103,7 +103,7 @@ def test_coefficient_preservation_enforced():
 def test_apply_map_identity():
     seed = gr_seed()
     m = qh.identity_map(seed)
-    f = sd.exchange_polynomial(seed, 0)
+    f = lp.add(*sd.hatted(seed, 0))
     assert qh.apply_map(m, f) == f
 
 

@@ -134,3 +134,43 @@ def test_every_definition_is_reached():
         if (module, name) not in reached
     )
     assert unreached == [], f"unreached top-level definitions: {unreached}"
+
+
+def test_one_division_loop():
+    # the heap merge lives in laurent.div_packed alone: every exact division,
+    # the packed exchanges of seeds and patterns included, runs through it
+    heap = {"heappush", "heappop"}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
+            alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        users = {
+            func.name
+            for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func) if isinstance(node, ast.Name) and node.id in heap
+        }
+        if path.name == "laurent.py":
+            assert users == {"div_packed"}
+        else:
+            assert not named & heap, f"{path.name} uses {sorted(named & heap)}"
+
+
+def test_explore_mutates_matrices_only_for_new_nodes():
+    # patterns keys nodes by cluster and divides through seeds.exchange_packed:
+    # it packs, unpacks and divides nothing itself, and mutates a matrix only
+    # in the branch that adds a node (the test `found is None`)
+    path = TESTS.parent / "src" / "clusterkit" / "patterns.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    guarded = ("lp.pack", "lp.unpack", "lp.exact_div", "sd.mutate_matrix")
+    new_node = {
+        id(sub)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "found is None"
+        for stmt in node.body for sub in ast.walk(stmt)
+    }
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and ast.unparse(node.func) in guarded]
+    assert [ast.unparse(node.func) for node in calls] == ["sd.mutate_matrix"]
+    assert all(id(node) in new_node for node in calls)
