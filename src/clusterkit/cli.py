@@ -94,7 +94,7 @@ def _load_json(path: str) -> dict:
             return json.load(handle)
     except OSError as exc:
         raise InputFault({"error": "unreadable file", "path": path, "reason": str(exc)})
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputFault({"error": "invalid JSON", "path": path, "reason": str(exc)})
 
 

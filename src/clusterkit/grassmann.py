@@ -92,18 +92,6 @@ def y_arity(ctx: GenericMatrixContext) -> int:
     return ctx.rows * (ctx.k + 1)
 
 
-@lru_cache(maxsize=None)
-def _band_entries(ctx: GenericMatrixContext) -> Tuple[Tuple[Poly, ...], ...]:
-    arity = y_arity(ctx)
-    return tuple(
-        tuple(
-            lp.variable((i - 1) * (ctx.k + 1) + (j - i), arity) if i <= j <= i + ctx.k else {}
-            for j in range(1, ctx.n + 1)
-        )
-        for i in range(1, ctx.rows + 1)
-    )
-
-
 def reduce_plucker_index(
     ctx: GenericMatrixContext, raw: Sequence[int]
 ) -> Tuple[int, IndexSet]:
@@ -129,18 +117,34 @@ def reduce_plucker_index(
     return (-1 if inversions % 2 else 1), tuple(sorted(residues))
 
 
-# Determinants run on laurent's packed kernel: exponent tuples become int
-# keys, so a monomial product is a single addition.  Each Plücker coordinate
-# is multilinear in the rows, on the generic matrix and in the chart alike,
-# and every packed product below multiplies at most ctx.rows of them (minors
-# of at most ctx.rows distinct rows, runs of fewer than ctx.rows coordinates
-# times one more), so ctx.rows bounds every exponent and fixes one lane
-# width per context.  The caches in this module share their values with
-# every caller inside it; public functions hand out fresh dicts.
+# Both rings stay on laurent's packed kernel from their entries to the
+# public boundary: exponent tuples become int keys, so a monomial product is
+# a single addition, and every exponent is nonnegative.  One lane width per
+# context serves both rings and every division.  A Plücker coordinate is
+# multilinear in the rows, on the generic matrix and in the chart alike, and
+# every product on that side multiplies at most ctx.rows of them (minors of
+# at most ctx.rows distinct rows, runs of fewer than ctx.rows coordinates
+# times one more).  A band minor has total degree at most ctx.rows, and so
+# has every dividend and divisor of the factorization.  So ctx.rows bounds
+# every total degree met.  The caches in this module share their values
+# with every caller inside it; public functions hand out fresh dicts.
 
 
 def _width(ctx: GenericMatrixContext) -> int:
     return lp.lane_width(ctx.rows)
+
+
+def _variable(ctx: GenericMatrixContext, index: int, arity: int) -> lp.Packed:
+    (exp,) = lp.variable(index, arity)
+    return {lp.exponent_key(exp, _width(ctx)): 1}
+
+
+def _unpack_x(ctx: GenericMatrixContext, fp: lp.Packed) -> Poly:
+    return lp.unpack(fp, (0,) * x_arity(ctx), _width(ctx))
+
+
+def _unpack_y(ctx: GenericMatrixContext, fp: lp.Packed) -> Poly:
+    return lp.unpack(fp, (0,) * y_arity(ctx), _width(ctx))
 
 
 def _fast_minors(entries: Sequence[Sequence[lp.Packed]]) -> List[Dict[int, lp.Packed]]:
@@ -173,26 +177,12 @@ def _fast_det(entries: Sequence[Sequence[lp.Packed]]) -> lp.Packed:
     return _fast_minors(entries)[-1].get((1 << len(entries)) - 1, {})
 
 
-def poly_det(entries: Sequence[Sequence[Poly]], arity: int) -> Poly:
-    """Determinant of a square matrix of Laurent polynomials."""
-    if not entries:
-        return lp.constant(1, arity)
-    # a product of one entry per row has no exponent above the sum of the
-    # rows' largest exponents
-    bound = sum(
-        max((lp.max_abs_exponent(e) for e in row if e), default=0) for row in entries
-    )
-    width = lp.lane_width(bound)
-    det = _fast_det([[lp.pack(e, width) for e in row] for row in entries])
-    return lp.unpack(det, arity, width)
-
-
 def _matrix_entry(ctx: GenericMatrixContext, chart: bool, r: int, c: int) -> lp.Packed:
     """Entry in row r (from 0) and column c (from 1) of the generic matrix,
     or of the chart [I | Y], which sets the first ctx.rows columns to I."""
     if chart and c <= ctx.rows:
         return {0: 1} if c == r + 1 else {}
-    return lp.pack(lp.variable(r * ctx.n + c - 1, x_arity(ctx)), _width(ctx))
+    return _variable(ctx, r * ctx.n + c - 1, x_arity(ctx))
 
 
 @lru_cache(maxsize=None)
@@ -214,19 +204,27 @@ def _plucker_fast(
     return dict(det) if sign > 0 else {k: -c for k, c in det.items()}
 
 
-def _unpack_x(ctx: GenericMatrixContext, fp: lp.Packed) -> Poly:
-    return lp.unpack(fp, x_arity(ctx), _width(ctx))
-
-
 def plucker(ctx: GenericMatrixContext, raw: Sequence[int]) -> Poly:
     """Signed maximal minor of the generic matrix on the given columns."""
     return _unpack_x(ctx, _plucker_fast(ctx, raw, False))
 
 
 @lru_cache(maxsize=None)
-def _band_minor(ctx: GenericMatrixContext, i_set: IndexSet, j_set: IndexSet) -> Poly:
+def _band_entries(ctx: GenericMatrixContext) -> Tuple[Tuple[lp.Packed, ...], ...]:
+    arity = y_arity(ctx)
+    return tuple(
+        tuple(
+            _variable(ctx, (i - 1) * (ctx.k + 1) + j - i, arity) if i <= j <= i + ctx.k else {}
+            for j in range(1, ctx.n + 1)
+        )
+        for i in range(1, ctx.rows + 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def _band_minor(ctx: GenericMatrixContext, i_set: IndexSet, j_set: IndexSet) -> lp.Packed:
     b = _band_entries(ctx)
-    return poly_det([[b[i - 1][j - 1] for j in j_set] for i in i_set], y_arity(ctx))
+    return _fast_det([[b[i - 1][j - 1] for j in j_set] for i in i_set])
 
 
 def band_minor(
@@ -243,7 +241,7 @@ def band_minor(
         raise InvalidIndex(f"rows outside [1, {ctx.rows}]")
     if j_set and not (1 <= j_set[0] and j_set[-1] <= ctx.n):
         raise InvalidIndex(f"columns outside [1, {ctx.n}]")
-    return dict(_band_minor(ctx, i_set, j_set))
+    return _unpack_y(ctx, _band_minor(ctx, i_set, j_set))
 
 
 def f_star(ctx: GenericMatrixContext, raw: Sequence[int]) -> Poly:
@@ -424,26 +422,14 @@ def _catalogs(ctx: GenericMatrixContext) -> Tuple[frozenset, dict, tuple]:
     return frozenset(plucker_frozen_sets(ctx)), minors, gens
 
 
-def _polynomial_quotient(f: Poly, gen: Poly) -> Optional[Poly]:
-    """f / gen when gen divides f in the ordinary polynomial sense; the
-    ambient ring is Laurent, where monomials are units, so the quotient
-    must be checked for negative exponents."""
-    try:
-        quot = lp.exact_div(f, gen)
-    except lp.NotDivisible:
-        return None
-    if any(e < 0 for exp in quot for e in exp):
-        return None
-    return quot
-
-
-def _name_minor(ctx: GenericMatrixContext, remainder: Poly) -> Optional[MinorSpec]:
-    """The non-frozen catalog minor equal to `remainder`, if one is; any one
-    exponent names the only candidate (see the module docstring)."""
-    exp = next(iter(remainder), ())
+def _name_minor(ctx: GenericMatrixContext, remainder: lp.Packed) -> Optional[MinorSpec]:
+    """The non-frozen catalog minor equal to the packed `remainder`, if one
+    is; any one exponent names the only candidate (see the module
+    docstring)."""
+    (exp,) = _unpack_y(ctx, {next(iter(remainder), 0): 1})
     used = [divmod(idx, ctx.k + 1) for idx, e in enumerate(exp) if e]
     pair = (tuple(r + 1 for r, _ in used), tuple(sorted(r + 1 + d for r, d in used)))
-    if pair in _catalogs(ctx)[1] and lp.equal(remainder, _band_minor(ctx, *pair)):
+    if pair in _catalogs(ctx)[1] and remainder == _band_minor(ctx, *pair):
         return pair
     return None
 
@@ -451,26 +437,21 @@ def _name_minor(ctx: GenericMatrixContext, remainder: Poly) -> Optional[MinorSpe
 @lru_cache(maxsize=None)
 def _split_image(
     ctx: GenericMatrixContext, cols: IndexSet
-) -> Tuple[Dict[str, int], Poly, Optional[MinorSpec]]:
+) -> Tuple[Dict[str, int], lp.Packed, Optional[MinorSpec]]:
     """The band image on sorted `cols` with the frozen generators divided
-    out greedily: their exponents, the remainder, and the non-frozen
-    irreducible minor equal to the remainder, if one is.  A one-variable
-    generator divides out to the least exponent of its variable at once."""
-    remainder = f_star(ctx, cols)
+    out greedily: their exponents, the packed remainder, and the non-frozen
+    irreducible minor equal to the remainder, if one is.  `div_packed` is
+    polynomial division: it refuses a quotient with a negative exponent."""
+    remainder = _band_minor(ctx, tuple(_interval(1, ctx.rows)), cols)
     content: Dict[str, int] = {}
+    arity, width = y_arity(ctx), _width(ctx)
     for name, gen in _catalogs(ctx)[2]:
-        if len(gen) == 1:
-            (var,) = gen
-            e = min(exp[var.index(1)] for exp in remainder)
-            if e:
-                remainder = lp.shift(remainder, tuple(-e * v for v in var))
-                content[name] = e
-            continue
-        quot = _polynomial_quotient(remainder, gen)
-        while quot is not None:
-            remainder = quot
+        while True:
+            try:
+                remainder = lp.div_packed(remainder, gen, arity, width)
+            except lp.NotDivisible:
+                break
             content[name] = content.get(name, 0) + 1
-            quot = _polynomial_quotient(remainder, gen)
     return content, remainder, _name_minor(ctx, remainder)
 
 
@@ -505,7 +486,7 @@ def content_exponents(ctx: GenericMatrixContext, raw: Sequence[int]) -> Dict[str
     if not is_frozen_plucker(ctx, cols):
         return factor_fstar(ctx, cols)[0]
     content, remainder, _ = _split_image(ctx, cols)
-    if not lp.equal(remainder, lp.constant(1, y_arity(ctx))):
+    if remainder != {0: 1}:
         raise NoFactorization(
             f"image of frozen {plucker_name(cols)} is not a frozen monomial"
         )

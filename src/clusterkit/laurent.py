@@ -15,29 +15,31 @@ generators (rather than a general polynomial) is meant, e.g. the tropical
 operations and `monomial_ratio`.
 
 Packed kernel.  `mul`, `power` and `exact_div` pack their operands once into
-int-keyed dicts and unpack the result once.  An exponent e of arity n packs
-to key(e) = sum(e) * 2^(w n) + sum_i e_i * 2^(w (n-1-i)): lanes of w bits,
-the total degree on top, variable 0 the most significant below it.  Lanes
-are balanced (signed): each holds any value of absolute value below
-2^(w-1), so Laurent exponents pack without offsets.  Packing is linear, so
-adding keys multiplies monomials, and while every lane stays in bounds,
-integer order on keys is graded lex.  The width is chosen before packing
-from a bound on every exponent the operation can produce (the sum of the
-operands' largest |exponent| for a product, the largest shifted total
-degree for a division), never discovered afterwards, so no lane carries
-into its neighbour.  Widths of 8, 16, 32 and 64 bits unpack through
-`struct`, wider ones lane by lane.  An `Operand` is a polynomial shifted by
-its minimum exponent and packed once per width, for callers that reuse it.
+int-keyed dicts and unpack the result once.  An `Operand` is a polynomial f
+with its componentwise minimum exponent `low`; it packs x^-low f, whose
+exponents are all nonnegative, once per width.  An exponent e of arity n
+packs to key(e) = sum(e) * 2^(w n) + sum_i e_i * 2^(w (n-1-i)): unsigned
+lanes of w bits, the total degree on top, variable 0 the most significant
+below it.  Packing is linear, so adding keys multiplies monomials, and
+while every lane stays below 2^(w-1), integer order on keys is graded lex.
+The width is chosen before packing from a bound on every total degree the
+operation can produce (the sum of the operands' shifted degrees for a
+product, the larger of them for a division), never discovered afterwards,
+so no lane carries into its neighbour; `Operand.packed` refuses a width
+that cannot hold its degree.  The shift is sound because the componentwise
+minimum exponent is additive under multiplication, and a lower bound on a
+dividend's minimum serves as well.  `unpack` decodes keys and multiplies
+back by x^low.  Widths of 8, 16, 32 and 64 bits decode through `struct`,
+wider ones lane by lane.
 
 `div_packed` is the single division loop; `exact_div` packs both sides as
-operands, divides there and unpacks once.  The shift to nonnegative
-exponents is sound because the componentwise minimum exponent is additive
-under multiplication, and a lower bound on the dividend's minimum serves as
-well.  A max-heap merges the terms of f with the products q_i g_j (Johnson,
-SIGSAM Bull. 1974; Monagan & Pearce, J. Symb. Comput. 2011): the remainder
-is never rebuilt, and equal keys are chained so each monomial is popped
-once.  Divisibility by the leading monomial of g is one subtraction and a
-test of each lane's top (guard) bit.  A one-term divisor short-cuts to a
+operands, divides there and unpacks once.  A max-heap merges the terms of f
+with the products q_i g_j (Johnson, SIGSAM Bull. 1974; Monagan & Pearce,
+J. Symb. Comput. 2011): the remainder is never rebuilt, and equal keys are
+chained so each monomial is popped once.  Divisibility by the leading
+monomial of g is one subtraction and a test of the top bit of each lane,
+which is clear on every exponent met and set by a borrow, so a quotient term
+with a negative exponent is refused.  A one-term divisor short-cuts to a
 shift and a scale, and `power` squares with each cross term computed once.
 """
 
@@ -136,8 +138,10 @@ def mul(f: Poly, g: Poly) -> Poly:
     if len(g) == 1:
         ((e, c),) = g.items()
         return {exp_add(t, e): d * c for t, d in f.items()}
-    width = lane_width(max_abs_exponent(f) + max_abs_exponent(g))
-    return unpack(mul_packed(pack(f, width), pack(g, width)), _arity(f), width)
+    fo, go = Operand(f), Operand(g)
+    width = lane_width(fo.degree + go.degree)
+    product = mul_packed(fo.packed(width), go.packed(width))
+    return unpack(product, exp_add(fo.low, go.low), width)
 
 
 def power(f: Poly, k: int) -> Poly:
@@ -157,8 +161,9 @@ def power(f: Poly, k: int) -> Poly:
         return constant(1, _arity(f))
     if k == 1:
         return dict(f)
-    width = lane_width(k * max_abs_exponent(f))
-    return unpack(power_packed(pack(f, width), k), _arity(f), width)
+    fo = Operand(f)
+    width = lane_width(k * fo.degree)
+    return unpack(power_packed(fo.packed(width), k), tuple(k * x for x in fo.low), width)
 
 
 def equal(f: Poly, g: Poly) -> bool:
@@ -199,7 +204,7 @@ def exact_div(f: Poly, g: Poly) -> Poly:
     fo, go = Operand(f), Operand(g)
     width = lane_width(max(fo.degree, go.degree))
     quot = div_packed(fo.packed(width), go.packed(width), len(fo.low), width)
-    return unpack_shifted(quot, exp_sub(fo.low, go.low), width)
+    return unpack(quot, exp_sub(fo.low, go.low), width)
 
 
 def monomial_ratio(f: Poly, g: Poly) -> Optional[Exponent]:
@@ -359,40 +364,13 @@ def from_json(obj: dict) -> Tuple[Poly, List[str]]:
 # packed kernel
 
 def lane_width(bound: int) -> int:
-    """Lane width in bits whose balanced lanes hold every exponent of
-    absolute value at most `bound`: 8, 16, 32 or 64 when that suffices."""
+    """Lane width in bits whose lanes hold every exponent from 0 to `bound`
+    below their top bit: 8, 16, 32 or 64 when that suffices."""
     need = bound.bit_length() + 1
     for width in (8, 16, 32, 64):
         if need <= width:
             return width
     return need
-
-
-def max_abs_exponent(f: Poly) -> int:
-    """Largest |exponent| over the support of a nonzero polynomial (0 for
-    arity 0)."""
-    if not _arity(f):
-        return 0
-    return max(max(map(max, f)), -min(map(min, f)))
-
-
-def pack(f: Poly, width: int) -> Packed:
-    """f with its exponents packed into int keys at `width` bits a lane.
-
-    Raises ValueError if an exponent does not fit a balanced lane.
-    """
-    if not f:
-        return {}
-    if max_abs_exponent(f) >= 1 << (width - 1):
-        raise ValueError(f"exponent does not fit a {width}-bit lane")
-    weights = _weights(_arity(f), width)
-    return {sum(map(_imul, e, weights)): c for e, c in f.items()}
-
-
-def unpack(fp: Packed, arity: int, width: int) -> Poly:
-    """Inverse of `pack`."""
-    decode = _decoder(arity, width)
-    return {decode(key): c for key, c in fp.items()}
 
 
 def exponent_key(e: Sequence[int], width: int) -> int:
@@ -403,7 +381,8 @@ def exponent_key(e: Sequence[int], width: int) -> int:
 class Operand:
     """A nonzero polynomial f with its componentwise minimum exponent `low`,
     the largest total degree `degree` of x^-low f, and x^-low f packed once
-    per width asked for; a width whose lanes hold `degree` holds it."""
+    per width asked for; a width whose lanes hold `degree` holds it, and a
+    narrower one raises ValueError."""
 
     __slots__ = ("poly", "low", "degree", "_packed")
 
@@ -415,6 +394,8 @@ class Operand:
     def packed(self, width: int) -> Packed:
         fp = self._packed.get(width)
         if fp is None:
+            if self.degree >= 1 << (width - 1):
+                raise ValueError(f"degree {self.degree} does not fit a {width}-bit lane")
             # packing is linear, so key(e - low) = key(e) - key(low)
             weights, base = _weights(len(self.low), width), exponent_key(self.low, width)
             fp = {sum(map(_imul, e, weights)) - base: c for e, c in self.poly.items()}
@@ -422,9 +403,12 @@ class Operand:
         return fp
 
 
-def unpack_shifted(fp: Packed, low: Exponent, width: int) -> Poly:
-    """x^low times the unpacked fp: the inverse of `Operand.packed`."""
+def unpack(fp: Packed, low: Exponent, width: int) -> Poly:
+    """x^low times the polynomial whose packed keys are fp: the inverse of
+    `Operand.packed`."""
     decode = _decoder(len(low), width)
+    if not any(low):
+        return {decode(key): c for key, c in fp.items()}
     return {tuple(map(_iadd, decode(key), low)): c for key, c in fp.items()}
 
 
@@ -556,29 +540,21 @@ def _guard(arity: int, width: int) -> int:
     return sum(1 << (width * i + width - 1) for i in range(arity))
 
 
-_LANE_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}
+_LANE_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
 @lru_cache(maxsize=None)
 def _decoder(arity: int, width: int) -> Callable[[int], Exponent]:
-    """key -> exponent tuple.  Adding half to every lane makes them all
-    nonnegative without borrows; flipping each lane's top bit then leaves
-    the two's-complement form of the balanced value."""
-    half = _guard(arity, width)
+    """key -> exponent tuple: the variable lanes below the degree lane."""
     low = (1 << (width * arity)) - 1
     code = _LANE_CODES.get(width)
     if code is not None:
         unpack_lanes = struct.Struct(">" + code * arity).unpack
         size = width * arity // 8
-        return lambda key: unpack_lanes(
-            (((key + half) & low) ^ half).to_bytes(size, "big")
-        )
+        return lambda key: unpack_lanes((key & low).to_bytes(size, "big"))
     mask = (1 << width) - 1
-    lane_half = 1 << (width - 1)
     shifts = [width * (arity - 1 - i) for i in range(arity)]
-    return lambda key: tuple(
-        (((key + half) >> s) & mask) - lane_half for s in shifts
-    )
+    return lambda key: tuple((key >> s) & mask for s in shifts)
 
 
 # ---------------------------------------------------------------------------

@@ -69,9 +69,10 @@ class MonomialMap:
         self.src_mutable = src_mutable
         self.dst_mutable = dst_mutable
         rows = len(self.matrix)
-        if rows != len(self.dst_vars) or rows == 0:
+        if rows != len(self.dst_vars):
             raise InvalidMap("row count must match target variables")
-        cols = len(self.matrix[0])
+        # a map onto no variables has no row to read its width from
+        cols = len(self.matrix[0]) if rows else len(self.src_vars)
         if any(len(row) != cols for row in self.matrix):
             raise InvalidMap("ragged matrix")
         if cols != len(self.src_vars):
@@ -84,7 +85,7 @@ class MonomialMap:
                     raise InvalidMap(
                         f"frozen source column {k} hits mutable target row {i}"
                     )
-        self.columns = list(zip(*self.matrix))
+        self.columns = list(zip(*self.matrix)) if rows else [()] * cols
 
     def __repr__(self) -> str:
         return (
@@ -245,9 +246,8 @@ def construct_qh(
         raise PrincipalMismatch(report["reason"])
     if report["map"] is None:
         return None
-    return MonomialMap(
-        report["map"], src_vars, dst_vars, len(src_btilde[0]), len(dst_btilde[0])
-    )
+    n = _rank(src_btilde)
+    return MonomialMap(report["map"], src_vars, dst_vars, n, n)
 
 
 def construct_qh_diagnostics(
@@ -264,8 +264,8 @@ def construct_qh_diagnostics(
     Different principal parts give a report with principal_equal False, no
     rows and the reason.
     """
-    n = len(src_btilde[0])
-    equal = len(dst_btilde[0]) == n and (
+    n = _rank(src_btilde)
+    equal = _rank(dst_btilde) == n and (
         [list(r) for r in src_btilde[:n]] == [list(r) for r in dst_btilde[:n]]
     )
     solved = la.solve_left_all(src_btilde, dst_btilde[n:]) if equal else []
@@ -281,6 +281,11 @@ def construct_qh_diagnostics(
     if not equal:
         report["reason"] = "extended matrices have different principal parts"
     return {**report, "src_vars": list(src_vars), "dst_vars": list(dst_vars)}
+
+
+def _rank(btilde: Sequence[Sequence[int]]) -> int:
+    # the column count, as `Seed` takes it: a rank-0 matrix may have no rows
+    return len(btilde[0]) if btilde else 0
 
 
 def normalization_map(m: MonomialMap) -> Callable[[Poly], Exponent]:

@@ -282,7 +282,7 @@ def exchange_packed(
     quot = lp.div_packed(f, xk.packed(width), len(column), width)
     if not quot:
         raise InvalidSeed("zero cluster variable")
-    return lp.unpack_shifted(quot, lp.exp_sub(low, xk.low), width)
+    return lp.unpack(quot, lp.exp_sub(low, xk.low), width)
 
 
 def mutate_seed(seed: Seed, k: int) -> Seed:

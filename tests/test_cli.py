@@ -272,6 +272,12 @@ GOLDEN_FIXTURES = {
         "9679896976107549ee7f33ae4c22fc562d3eef1ae921dc671a8e4796aafa69b4",
     ("grassmann --kn 3 7 --all-checks", "json"):
         "d812ac1a0b87300c4269239a41ea9fd8979a539b10711336d76f5656f4882da8",
+    ("grassmann --kn 2 12", "json"):
+        "81e11446018075a23f2ef9c379d508897f2a581cb227f8d6dad318782b359555",
+    ("grassmann --kn 3 8", "json"):
+        "fa9c4811410f5520688f04ecff2f40a9ebe6c40c1392247c4084a8b4a91ed909",
+    ("grassmann --kn 4 8 --all-checks", "json"):
+        "7175d3eedcaf4f845fb995df70e565cea64a8fc1094cd24d96692314914d4918",
 }
 
 
@@ -645,6 +651,50 @@ def test_malformed_seed_exits_2(runner, tmp_path, command, text, error):
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     assert error_payload(result)["error"] == error
+
+
+@pytest.mark.parametrize("command", sorted(SEED_READERS))
+def test_non_utf8_seed_exits_2(runner, tmp_path, command):
+    # the decode error used to escape as a traceback with exit 1
+    bad = tmp_path / "latin.json"
+    bad.write_bytes(b"\xff")
+    good = a2_path(tmp_path, [X1, X2])
+    result = runner.invoke(cl.main, SEED_READERS[command](str(bad), good))
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    payload = error_payload(result)
+    assert (payload["error"], payload["path"]) == ("invalid JSON", str(bad))
+
+
+RANK_0 = {"n": 0, "m": 0, "btilde": [], "cluster": [], "var_names": []}
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out-file"])
+def test_construct_qh_between_rank_0_seeds(runner, tmp_path, out):
+    # an empty btilde has no first row to read the rank from
+    path = tmp_path / "rank0.json"
+    path.write_text(json.dumps(RANK_0))
+    written = tmp_path / "map.json"
+    argv = ["construct-qh", str(path), str(path)] + (["--out", str(written)] if out else [])
+    result = runner.invoke(cl.main, argv)
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    assert payload["principal_equal"] is True and payload["map"] == []
+    if out:
+        assert json.loads(written.read_text())["matrix"] == []
+        check = runner.invoke(cl.main, ["verify-qh", str(written), str(path), str(path)])
+        assert check.exit_code == 0
+
+
+@pytest.mark.parametrize("rank_0_first", [True, False], ids=["rank0-a2", "a2-rank0"])
+def test_construct_qh_rank_0_against_a2(runner, tmp_path, rank_0_first):
+    path = tmp_path / "rank0.json"
+    path.write_text(json.dumps(RANK_0))
+    pair = [str(path), a2_path(tmp_path, [X1, X2])]
+    result = runner.invoke(cl.main, ["construct-qh", *(pair if rank_0_first else pair[::-1])])
+    assert result.exit_code == 1
+    payload = json.loads(result.output)
+    assert payload["principal_equal"] is False and payload["map"] is None
 
 
 def _set(obj, path, value):

@@ -317,19 +317,12 @@ def test_plucker_sign_parity(perm, shifts):
     )
 
 
-def test_poly_det_edge_cases():
-    assert gr.poly_det([], 3) == lp.constant(1, 3)
-    two = [
-        [lp.constant(2, 1), lp.constant(3, 1)],
-        [lp.constant(5, 1), lp.constant(7, 1)],
-    ]
-    assert gr.poly_det(two, 1) == lp.constant(-1, 1)
-    x = lp.variable(0, 1)
-    assert gr.poly_det([[x, x], [x, x]], 1) == {}
-    # Laurent entries pack into signed lanes
-    inv = lp.monomial((-1,))
-    laurent = [[inv, lp.constant(2, 1)], [lp.constant(1, 1), x]]
-    assert gr.poly_det(laurent, 1) == lp.constant(-1, 1)
+def test_fast_det_edge_cases():
+    # packed entries: key 0 is the constant monomial
+    assert gr._fast_det([]) == {0: 1}
+    assert gr._fast_det([[{0: 2}, {0: 3}], [{0: 5}, {0: 7}]]) == {0: -1}
+    x = {lp.exponent_key((1,), 8): 1}
+    assert gr._fast_det([[x, x], [x, x]]) == {}
 
 
 def test_band_minor_literal_expansion():
@@ -944,31 +937,32 @@ def test_band_minors_build_the_band_matrix_once(monkeypatch):
 
 
 def test_factoring_divides_only_by_window_minors(monkeypatch):
-    # from cold caches: one-variable generators leave by a shift, the minor
-    # is named from one exponent, and the catalog is enumerated once
+    # from cold caches: every packed division is by a frozen generator, a
+    # band entry or a window minor, the minor is named from one exponent,
+    # and the catalog is enumerated once
     for cache in (gr._catalogs, gr._split_image, gr._band_minor):
         cache.cache_clear()
     divisors, enumerations = [], []
-    exact_div, irreducible = lp.exact_div, gr.irreducible_minors
-    monkeypatch.setattr(lp, "exact_div", lambda f, g: divisors.append(g) or exact_div(f, g))
+    divide, irreducible = lp.div_packed, gr.irreducible_minors
+    monkeypatch.setattr(
+        lp, "div_packed", lambda f, g, *rest: divisors.append(g) or divide(f, g, *rest)
+    )
     monkeypatch.setattr(
         gr, "irreducible_minors", lambda ctx: enumerations.append(ctx) or irreducible(ctx)
     )
     for cols in combinations(range(1, CTX36.n + 1), CTX36.rows):
         gr.content_exponents(CTX36, cols)
     gr.non_frozen_irreducible_minors(CTX36)
-    windows = [
-        gr.band_minor(CTX36, i_set, j_set)
-        for _, i_set, j_set in gr.band_frozen_specs(CTX36)
-        if len(i_set) > 1
-    ]
-    assert all(len(w) > 1 for w in windows)
-    assert divisors and all(g in windows for g in divisors)
+    gens = [gr._band_minor(CTX36, i, j) for _, i, j in gr.band_frozen_specs(CTX36)]
+    windows = [g for g in gens if len(g) > 1]
+    assert windows and divisors and all(g in gens for g in divisors)
+    assert any(g in windows for g in divisors)
     assert enumerations == [CTX36]
 
 
 def test_name_minor_edge_cases():
-    one = lp.constant(1, gr.y_arity(CTX36))
+    # remainders are packed: key 0 is the constant monomial
+    one = {0: 1}
     # a frozen coordinate leaves remainder 1, which names no minor
     content, remainder, minor = gr._split_image(CTX36, (1, 2, 3))
     assert content == {"Y11": 1, "Y22": 1, "Y33": 1} and remainder == one
@@ -976,14 +970,17 @@ def test_name_minor_edge_cases():
     # the zero polynomial has no exponent to read
     assert gr._name_minor(CTX36, {}) is None
     # a frozen generator is not in the non-frozen catalog
-    assert gr._name_minor(CTX36, gr.band_minor(CTX36, (1,), (1,))) is None
+    assert gr._name_minor(CTX36, gr._band_minor(CTX36, (1,), (1,))) is None
     # a product of entries names a catalog candidate but is not equal to it
-    product = lp.mul(gr.band_minor(CTX36, (1,), (2,)), gr.band_minor(CTX36, (2,), (3,)))
+    y12, y23 = gr._band_minor(CTX36, (1,), (2,)), gr._band_minor(CTX36, (2,), (3,))
+    product = lp.mul_packed(y12, y23)
     assert gr._name_minor(CTX36, product) is None
     for pair in gr.non_frozen_irreducible_minors(CTX36):
-        minor = gr.band_minor(CTX36, *pair)
+        minor = gr._band_minor(CTX36, *pair)
         # whichever term comes first names the minor
-        for exp in minor:
-            assert gr._name_minor(CTX36, {exp: minor[exp], **minor}) == pair
-        assert gr._name_minor(CTX36, lp.scale(minor, 2)) is None
-        assert gr._name_minor(CTX36, lp.add(minor, one)) is None
+        for key in minor:
+            assert gr._name_minor(CTX36, {key: minor[key], **minor}) == pair
+        assert gr._name_minor(CTX36, {key: 2 * c for key, c in minor.items()}) is None
+        # a minor has no constant term, so this is minor + 1
+        assert 0 not in minor
+        assert gr._name_minor(CTX36, {**minor, 0: 1}) is None

@@ -197,17 +197,23 @@ class TestPackedKernel:
     @pytest.mark.parametrize("bound", [0, 1, 127, 128, 2 ** 31, 2 ** 63, 2 ** 80])
     def test_pack_round_trip_at_the_lane_bound(self, bound):
         f = {(bound, -bound, 0): 1, (-bound, 0, bound): 2, (0, 1, 0): 3, (0, 0, 0): 4}
-        width = lp.lane_width(bound)
-        packed = lp.pack(f, width)
-        assert lp.unpack(packed, 3, width) == f
+        fo = lp.Operand(f)
+        width = lp.lane_width(fo.degree)
+        packed = fo.packed(width)
+        assert lp.unpack(packed, fo.low, width) == f
         # integer order on keys is graded lex order on exponents
-        order = [next(iter(lp.unpack({key: 1}, 3, width))) for key in sorted(packed)]
+        order = [next(iter(lp.unpack({key: 1}, fo.low, width))) for key in sorted(packed)]
         assert order == sorted(f, key=lp.grlex_key)
+        # a width below the degree is refused, not wrapped into the next lane
+        with pytest.raises(ValueError):
+            lp.Operand(f).packed(fo.degree.bit_length())
         half = 1 << (width - 1)
-        assert lp.unpack(lp.pack({(-half + 1, half - 1): 1}, width), 2, width)
+        edge = lp.Operand({(-half + 1, 0): 1, (0, 0): 1})
+        assert edge.degree == half - 1
+        assert lp.unpack(edge.packed(width), edge.low, width) == edge.poly
         for e in ((half, 0), (0, -half)):
             with pytest.raises(ValueError):
-                lp.pack({e: 1}, width)
+                lp.Operand({e: 1, (0, 0): 1}).packed(width)
 
     def test_arity_checks_survive_optimize(self, run_optimized):
         # typed errors, not asserts that python -O would strip

@@ -162,7 +162,7 @@ def ref_split_image(ctx, cols):
 def ref_composite_identity(ctx):
     arity, width = gr.x_arity(ctx), gr._width(ctx)
     images = [
-        lp.unpack(gr._g_entry_fast(ctx, i, i + d, True), arity, width)
+        lp.unpack(gr._g_entry_fast(ctx, i, i + d, True), (0,) * arity, width)
         for i in range(1, ctx.rows + 1)
         for d in range(ctx.k + 1)
     ]
@@ -171,7 +171,7 @@ def ref_composite_identity(ctx):
     for cols in combinations(range(1, ctx.n + 1), ctx.rows):
         got = gr.substitute(gr.f_star(ctx, cols), images, arity)
         want = lp.mul_packed(run, gr._plucker_fast(ctx, cols, True))
-        out.append((cols, lp.equal(got, lp.unpack(want, arity, width))))
+        out.append((cols, lp.equal(got, lp.unpack(want, (0,) * arity, width))))
     return out
 
 

@@ -163,7 +163,7 @@ def test_explore_mutates_matrices_only_for_new_nodes():
     # in the branch that adds a node (the test `found is None`)
     path = TESTS.parent / "src" / "clusterkit" / "patterns.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    guarded = ("lp.pack", "lp.unpack", "lp.exact_div", "sd.mutate_matrix")
+    guarded = ("lp.unpack", "lp.exact_div", "sd.mutate_matrix")
     new_node = {
         id(sub)
         for node in ast.walk(tree)
@@ -174,3 +174,27 @@ def test_explore_mutates_matrices_only_for_new_nodes():
              if isinstance(node, ast.Call) and ast.unparse(node.func) in guarded]
     assert [ast.unparse(node.func) for node in calls] == ["sd.mutate_matrix"]
     assert all(id(node) in new_node for node in calls)
+
+
+def test_one_packed_form():
+    # laurent.Operand is the one packer and laurent.unpack the one decoder:
+    # every packed polynomial sits on nonnegative lanes, and the band side
+    # of grassmann stays packed through its factorization
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in SOURCES}
+
+    def defined(name):
+        return {node.name for node in trees[name].body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+    assert not defined("laurent.py") & {"pack", "max_abs_exponent", "unpack_shifted"}
+    assert "poly_det" not in defined("grassmann.py")
+    called = {ast.unparse(node.func) for node in ast.walk(trees["grassmann.py"])
+              if isinstance(node, ast.Call)}
+    assert not called & {"lp.exact_div", "lp.shift", "lp.max_abs_exponent"}
+    for name, tree in trees.items():
+        used = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(tree)
+                if isinstance(node, (ast.Attribute, ast.Name))}
+        used |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for alias in node.names}
+        assert name == "laurent.py" or "_weights" not in used, f"{name} uses _weights"
