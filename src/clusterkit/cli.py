@@ -94,7 +94,8 @@ def _load_json(path: str) -> dict:
             return json.load(handle)
     except OSError as exc:
         raise InputFault({"error": "unreadable file", "path": path, "reason": str(exc)})
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # the decoder recurses once per nesting level of arrays and objects
         raise InputFault({"error": "invalid JSON", "path": path, "reason": str(exc)})
 
 
@@ -185,10 +186,9 @@ def main(
     """Run one command line, `sys.argv[1:]` by default, and raise SystemExit
     with its exit status.  Usage errors exit 2 with argparse's message.
 
-    `main.main` is `main`, and `main.name` is the program name, so callers
-    written against click's `Command.main` (the benchmark runner,
-    `click.testing.CliRunner`) call it unchanged; `prog_name` and
-    `standalone_mode` change nothing."""
+    `main.main` is `main`, and `prog_name` and `standalone_mode` change
+    nothing: they keep the call `cli.main.main(args=..., prog_name=...,
+    standalone_mode=True)` of the benchmark runner working."""
     # exact integers are read and printed in full, however many digits
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
@@ -208,7 +208,6 @@ def main(
 
 
 main.main = main  # type: ignore[attr-defined]
-main.name = _parser.prog  # type: ignore[attr-defined]
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,12 @@ coefficient pairs.  `seeds_equivalent` decides this and returns the witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 from . import laurent as lp
 from . import seeds as sd
 from .laurent import Exponent, Poly
-
-Pair = Tuple[Exponent, Exponent]
 
 
 @dataclass(frozen=True)
@@ -45,7 +44,7 @@ class SeedLike:
         self,
         b: Sequence[Sequence[int]],
         cluster: Sequence[Poly],
-        pairs: Sequence[Pair],
+        pairs: Sequence[sd.Pair],
         var_names: Sequence[str],
     ):
         self.n = len(b)
@@ -57,6 +56,9 @@ class SeedLike:
             raise sd.InvalidSeed("cluster and pairs must match the rank")
         if not all(self.cluster):
             raise sd.InvalidSeed("zero cluster variable")
+        arity = len(self.var_names)
+        if any(len(e) != arity for e in chain(*self.pairs, *self.cluster)):
+            raise sd.InvalidSeed(f"pair or cluster exponents of arity other than {arity}")
 
     def __repr__(self) -> str:
         xs = ", ".join(lp.to_str(x, self.var_names) for x in self.cluster)
@@ -74,18 +76,8 @@ def seedlike_equal(a: SeedLike, b: SeedLike) -> bool:
 
 def seedlike_from_seed(seed: sd.Seed) -> SeedLike:
     """Embed a normalized geometric seed: pairs read off the frozen rows."""
-    pairs = []
-    for k in range(seed.n):
-        plus, minus = sd.coefficient_pair(seed, k)
-        pairs.append((next(iter(plus)), next(iter(minus))))
+    pairs = [sd.frozen_pair(column, seed.n) for column in zip(*seed.btilde)]
     return SeedLike(seed.principal, seed.cluster, pairs, seed.var_names)
-
-
-def seedlike_hatted(sl: SeedLike, j: int) -> sd.RationalPair:
-    """Hatted variable (p+_j / p-_j) * prod_i x_i^b_ij as a polynomial pair:
-    the two exchange terms at j."""
-    plus, minus = sl.pairs[j]
-    return sd.exchange_terms(sl.b, sl.cluster, j, lp.monomial(plus), lp.monomial(minus))
 
 
 def _scaled(e: Exponent, s: int) -> Exponent:
@@ -97,6 +89,9 @@ def apply_rescaling(sl: SeedLike, r: Rescaling) -> SeedLike:
     n = sl.n
     if len(r.c) != n:
         raise ValueError("rescaling rank mismatch")
+    arity = len(sl.var_names)
+    if any(len(e) != arity for es in (r.c, r.d) for e in es):
+        raise ValueError(f"rescaling exponents of arity other than {arity}")
     cluster = [lp.shift(x, lp.exp_neg(c)) for x, c in zip(sl.cluster, r.c)]
     pairs = []
     for j in range(n):
@@ -124,9 +119,10 @@ def mutate_seedlike(sl: SeedLike, k: int) -> SeedLike:
     n = sl.n
     if not 0 <= k < n:
         raise ValueError(f"direction {k} out of range for rank {n}")
+    column = [row[k] for row in sl.b]
     cluster = list(sl.cluster)
-    cluster[k] = lp.exact_div(lp.add(*seedlike_hatted(sl, k)), sl.cluster[k])
-    pairs: List[Pair] = []
+    cluster[k] = sd.exchange_packed(column, k, sd.operands(sl.cluster, column, k), *sl.pairs[k])
+    pairs: List[sd.Pair] = []
     for j in range(n):
         if j == k:
             pairs.append((sl.pairs[k][1], sl.pairs[k][0]))

@@ -196,9 +196,9 @@ def explore(
             )
             new = quotients.get(exchange)
             if new is None:
-                new = variables.intern(
-                    sd.exchange_packed(column, k, [operands[i] for i in ids])
-                )
+                new = variables.intern(sd.exchange_packed(
+                    column, k, [operands[i] for i in ids], *sd.frozen_pair(column, n)
+                ))
                 quotients[exchange] = new
             new_ids = ids[:k] + (new,) + ids[k + 1:]
             key = canonical_key(new_ids)

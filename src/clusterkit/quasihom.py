@@ -169,12 +169,8 @@ def map_exponent(m: MonomialMap, e: Exponent) -> Exponent:
 def map_seed(m: MonomialMap, seed: sd.Seed) -> ob.SeedLike:
     """Image of a seed: a non-normalized seed in the target ambient, with
     coefficient pairs pushed through the map."""
-    pairs = []
-    for k in range(seed.n):
-        plus, minus = sd.coefficient_pair(seed, k)
-        pairs.append(
-            (map_exponent(m, next(iter(plus))), map_exponent(m, next(iter(minus))))
-        )
+    pairs = [tuple(map_exponent(m, e) for e in sd.frozen_pair(column, seed.n))
+             for column in zip(*seed.btilde)]
     cluster = [apply_map(m, x) for x in seed.cluster]
     return ob.SeedLike(seed.principal, cluster, pairs, m.dst_vars)
 

@@ -18,10 +18,12 @@ from operator import sub as _isub
 from typing import List, Optional, Sequence, Tuple
 
 from . import laurent as lp
-from .laurent import Poly
+from .laurent import Exponent, Poly
 
 Matrix = List[List[int]]
+Pair = Tuple[Exponent, Exponent]
 RationalPair = Tuple[Poly, Poly]
+Operands = Sequence[Optional[lp.Operand]]
 
 
 class InvalidSeed(Exception):
@@ -196,104 +198,100 @@ def seed_equal(a: Seed, b: Seed) -> bool:
     )
 
 
+def frozen_pair(column: Sequence[int], n: int) -> Pair:
+    """The exponent vectors of (p+, p-) over the ambient variables, read off
+    the frozen rows (from n on) of a btilde column."""
+    zeros = (0,) * n
+    return (zeros + tuple([e if e > 0 else 0 for e in column[n:]]),
+            zeros + tuple([-e if e < 0 else 0 for e in column[n:]]))
+
+
 def coefficient_pair(seed: Seed, k: int) -> Tuple[Poly, Poly]:
     """The frozen monomials (p+_k, p-_k) read off column k of btilde."""
-    arity = seed.n + seed.m
-    plus = [0] * arity
-    minus = [0] * arity
-    for i in range(seed.n, arity):
-        e = seed.btilde[i][k]
-        if e > 0:
-            plus[i] = e
-        elif e < 0:
-            minus[i] = -e
+    plus, minus = frozen_pair([row[k] for row in seed.btilde], seed.n)
     return lp.monomial(plus), lp.monomial(minus)
 
 
-def exchange_terms(
-    b: Sequence[Sequence[int]], cluster: Sequence[Poly], k: int, plus: Poly, minus: Poly
-) -> Tuple[Poly, Poly]:
-    """The two terms of the exchange relation at k:
-    (plus * prod x_j^[b_jk]+, minus * prod x_j^[-b_jk]+), with j running
-    over the cluster (the mutable rows of b)."""
-    for j, x in enumerate(cluster):
-        e = b[j][k]
-        if e > 0:
-            plus = lp.mul(plus, lp.power(x, e))
-        elif e < 0:
-            minus = lp.mul(minus, lp.power(x, -e))
-    return plus, minus
+def operands(cluster: Sequence[Poly], column: Sequence[int], k: int = -1) -> Operands:
+    """The cluster as operands of `packed_terms`: x_k and the x_j with
+    b_jk != 0, None elsewhere."""
+    return [lp.Operand(x) if e or j == k else None
+            for j, (x, e) in enumerate(zip(cluster, column))]
 
 
-def exchanged_variable(seed: Seed, k: int) -> Poly:
-    """The variable that replaces x_k in mutation at k, by `exchange_packed`;
-    only x_k and the x_j with b_jk != 0 are made operands."""
-    _check_direction(k, seed.n)
-    column = [row[k] for row in seed.btilde]
-    cluster = [lp.Operand(x) if e or j == k else None
-               for j, (x, e) in enumerate(zip(seed.cluster, column))]
-    return exchange_packed(column, k, cluster)
+def packed_terms(
+    column: Sequence[int], cluster: Operands, plus: Exponent, minus: Exponent, floor: int = 0
+) -> Tuple[List[int], int, lp.Packed, lp.Packed]:
+    """The exchange terms p+ prod x_j^[b_jk]+ and p- prod x_j^[-b_jk]+ at k
+    as (low, width, plus term, minus term), each x^low times packed keys,
+    from column k (entries past the cluster are ignored), the cluster as
+    operands where b_jk != 0, and p+, p- as ambient exponent vectors.  Each
+    term is x^lo, its exact minimum exponent (minima add), times a product
+    of operands x^-low_j x_j; lo starts at the coefficient's exponent, which
+    a rescaled pair may make negative.  Both terms are shifted by the
+    componentwise minimum `low` of their lo, so every exponent met is
+    nonnegative, and one lane width holds the largest total degree a term
+    reaches and `floor` (x_k's when dividing)."""
+    sides = []
+    for lo, sign in ((plus, 1), (minus, -1)):
+        degree, scale, factors = 0, 1, []
+        for x, e in zip(cluster, column):
+            e *= sign
+            if e > 0:
+                lo = [a + e * b for a, b in zip(lo, x.low)]
+                # a monomial operand (degree 0) only moves lo and scales the term
+                if x.degree:
+                    degree += e * x.degree
+                    factors.append((x, e))
+                else:
+                    scale *= next(iter(x.poly.values())) ** e
+        sides.append((lo, degree, scale, factors))
+    low = list(map(min, sides[0][0], sides[1][0]))
+    width = lp.lane_width(max([d + sum(lo) - sum(low) for lo, d, _, _ in sides] + [floor]))
+    terms = []
+    for lo, _, scale, factors in sides:
+        product = None
+        for x, e in factors:
+            factor = lp.power_packed(x.packed(width), e)
+            product = factor if product is None else lp.mul_packed(product, factor)
+        offset = lp.exponent_key(list(map(_isub, lo, low)), width)
+        terms.append({key + offset: scale * c for key, c in (product or {0: 1}).items()})
+    return low, width, terms[0], terms[1]
 
 
 def exchange_packed(
-    column: Sequence[int], k: int, cluster: Sequence[Optional[lp.Operand]]
+    column: Sequence[int], k: int, cluster: Operands, plus: Exponent, minus: Exponent
 ) -> Poly:
-    """(p+ prod x_j^[b_jk]+ + p- prod x_j^[-b_jk]+) / x_k in one packed pass,
-    from column k of btilde and the cluster as operands.  Each term is x^lo,
-    its exact minimum exponent (minima add), times a product of operands
-    x^-low_j x_j; both are shifted by the componentwise minimum of their lo,
-    so every exponent met is nonnegative, and the lane width is chosen once
-    from the largest total degree a term or x_k reaches.  NotDivisible means
-    the input is no seed (the Laurent property fails); a vanishing quotient,
-    possible with signed coefficients, raises InvalidSeed."""
-    n = len(cluster)
-    plus, minus = [], []
-    for x, e in zip(cluster, column):
-        if e > 0:
-            plus.append((x, e))
-        elif e < 0:
-            minus.append((x, -e))
-    sides = []
-    for powers, frozen in ((plus, [e if e > 0 else 0 for e in column[n:]]),
-                           (minus, [-e if e < 0 else 0 for e in column[n:]])):
-        lo, degree = [0] * n + frozen, 0
-        for x, e in powers:
-            lo = [a + e * b for a, b in zip(lo, x.low)]
-            degree += e * x.degree
-        sides.append((lo, degree, powers))
-    low = list(map(min, sides[0][0], sides[1][0]))
+    """(p+ prod x_j^[b_jk]+ + p- prod x_j^[-b_jk]+) / x_k: the sum of the
+    two `packed_terms`, divided by `laurent.div_packed` in the same lanes.
+    NotDivisible means the input is no seed (the Laurent property fails); a
+    vanishing quotient, possible with signed coefficients, raises
+    InvalidSeed."""
     xk = cluster[k]
-    width = lp.lane_width(max([d + sum(lo) - sum(low) for lo, d, _ in sides] + [xk.degree]))
-    f: lp.Packed = {}
-    for lo, _, powers in sides:
-        # a monomial operand (degree 0) only moves lo and scales the term
-        scale, product = 1, None
-        for x, e in powers:
-            if x.degree:
-                factor = lp.power_packed(x.packed(width), e)
-                product = factor if product is None else lp.mul_packed(product, factor)
-            else:
-                scale *= next(iter(x.poly.values())) ** e
-        offset = lp.exponent_key(list(map(_isub, lo, low)), width)
-        for key, c in (product or {0: 1}).items():
-            key += offset
-            f[key] = f.get(key, 0) + scale * c
-    f = {key: c for key, c in f.items() if c}
-    quot = lp.div_packed(f, xk.packed(width), len(column), width)
+    low, width, f, g = packed_terms(column, cluster, plus, minus, xk.degree)
+    for key, c in g.items():
+        c += f.pop(key, 0)
+        if c:
+            f[key] = c
+    quot = lp.div_packed(f, xk.packed(width), len(low), width)
     if not quot:
         raise InvalidSeed("zero cluster variable")
     return lp.unpack(quot, lp.exp_sub(low, xk.low), width)
 
 
 def mutate_seed(seed: Seed, k: int) -> Seed:
-    """Seed mutation in direction k: `exchanged_variable`, then a rebuild.
+    """Seed mutation in direction k: `exchange_packed`, then a rebuild.
 
     The result skips `Seed._check`: mutation keeps the shape, the ambient
-    arity and the skew-symmetrizer, and `exchanged_variable` checks the one
+    arity and the skew-symmetrizer, and `exchange_packed` checks the one
     new entry.
     """
+    _check_direction(k, seed.n)
+    column = [row[k] for row in seed.btilde]
     cluster = list(seed.cluster)
-    cluster[k] = exchanged_variable(seed, k)
+    cluster[k] = exchange_packed(
+        column, k, operands(cluster, column, k), *frozen_pair(column, seed.n)
+    )
     return Seed.trusted(mutate_matrix(seed.btilde, k), cluster, seed.var_names)
 
 
@@ -339,7 +337,18 @@ def rp_equal(a: RationalPair, b: RationalPair) -> bool:
 def hatted(seed: Seed, j: int) -> RationalPair:
     """The hatted variable at j: (p+_j / p-_j) * prod_i x_i^b_ij, whose
     numerator and denominator are the two exchange terms at j."""
-    return exchange_terms(seed.btilde, seed.cluster, j, *coefficient_pair(seed, j))
+    column = [row[j] for row in seed.btilde]
+    return hatted_pair(column, seed.cluster, *frozen_pair(column, seed.n))
+
+
+def hatted_pair(
+    column: Sequence[int], cluster: Sequence[Poly], plus: Exponent, minus: Exponent
+) -> RationalPair:
+    """The hatted variable (p+ / p-) * prod_i x_i^b_ij of a seed with the
+    coefficient pair (plus, minus), normalized or not: the two
+    `packed_terms`, unpacked."""
+    low, width, f, g = packed_terms(column, operands(cluster, column), plus, minus)
+    return lp.unpack(f, low, width), lp.unpack(g, low, width)
 
 
 def hatted_mutation_check(seed: Seed, k: int) -> bool:

@@ -6,6 +6,9 @@ The `run_optimized` fixture runs a snippet under `python -O`, which strips
 `assert` statements, so a test can show that an input check is a typed
 error and not an assert.
 
+The `tuple_exchange` fixture builds the two terms of an exchange relation
+term by term on tuples, the reference for the packed kernel in `seeds`.
+
 Neither the suite nor that child writes bytecode caches into the source
 tree, so a checkout stays as fresh after a test run as before it."""
 
@@ -17,6 +20,8 @@ import pytest
 from hypothesis import settings
 
 sys.dont_write_bytecode = True
+
+import clusterkit.laurent as lp  # noqa: E402  (after the flag: no cache is written)
 
 settings.register_profile("derandomized", derandomize=True)
 settings.load_profile("derandomized")
@@ -35,3 +40,19 @@ def _run_optimized(code: str) -> None:
 @pytest.fixture
 def run_optimized():
     return _run_optimized
+
+
+def _tuple_exchange(b, cluster, k, plus, minus):
+    # plus * prod x_j^[b_jk]+ and minus * prod x_j^[-b_jk]+, by lp.mul and lp.power
+    for j, x in enumerate(cluster):
+        e = b[j][k]
+        if e > 0:
+            plus = lp.mul(plus, lp.power(x, e))
+        elif e < 0:
+            minus = lp.mul(minus, lp.power(x, -e))
+    return plus, minus
+
+
+@pytest.fixture(scope="session")
+def tuple_exchange():
+    return _tuple_exchange

@@ -1,6 +1,8 @@
 """Command line drivers: payload shapes, formats, and exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -11,7 +13,6 @@ from math import prod
 
 import hypothesis.strategies as st
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 
 import clusterkit.cli as cl
@@ -32,9 +33,60 @@ PROBE_ROWS = [
 ]
 
 
+class Result:
+    """One in-process command run: its exit status, what it wrote, and the
+    exception it raised (a nonzero SystemExit counts, exit 0 does not)."""
+
+    def __init__(self, exit_code, stdout, stderr, exception):
+        self.exit_code, self.stdout, self.stderr = exit_code, stdout, stderr
+        self.exception = exception
+
+    @property
+    def output(self):
+        return self.stdout + self.stderr
+
+    @property
+    def stdout_bytes(self):
+        return self.stdout.encode("utf-8")
+
+
+class Runner:
+    """Runs a command line in this process with stdout and stderr captured,
+    through `main.main` as the benchmark runner calls it.  Any exception the
+    command raises is recorded, not propagated, so a test can assert that no
+    traceback escaped."""
+
+    def invoke(self, main, argv):
+        out, err = io.StringIO(), io.StringIO()
+        exit_code, exception = 0, None
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                main.main(args=argv, prog_name="clusterkit", standalone_mode=True)
+            except SystemExit as exc:
+                exit_code = 0 if exc.code is None else exc.code
+                if exit_code != 0:
+                    exception = exc
+            except Exception as exc:
+                exit_code, exception = 1, exc
+        return Result(exit_code, out.getvalue(), err.getvalue(), exception)
+
+
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return Runner()
+
+
+def test_runner_records_what_the_command_raised(runner, monkeypatch):
+    # the no-traceback assertions read `exception`, so it must see a crash
+    def crash(fx):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(sf, "check_suites", crash)
+    result = runner.invoke(cl.main, ["surface"])
+    assert (result.exit_code, type(result.exception)) == (1, RuntimeError)
+    result = runner.invoke(cl.main, ["grassmann", "--kn", "2"])
+    assert (result.exit_code, type(result.exception)) == (2, SystemExit)
+    assert "usage: clusterkit" in result.output
 
 
 @pytest.fixture
@@ -463,7 +515,7 @@ def test_orbit_eq_rejects_shape_mismatch(runner, gr25, tmp_path):
 
 
 def test_surface_report(runner):
-    result = CliRunner().invoke(cl.main, ["surface"])
+    result = runner.invoke(cl.main, ["surface"])
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert payload["verdict"] is True
@@ -658,6 +710,19 @@ def test_non_utf8_seed_exits_2(runner, tmp_path, command):
     # the decode error used to escape as a traceback with exit 1
     bad = tmp_path / "latin.json"
     bad.write_bytes(b"\xff")
+    good = a2_path(tmp_path, [X1, X2])
+    result = runner.invoke(cl.main, SEED_READERS[command](str(bad), good))
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    payload = error_payload(result)
+    assert (payload["error"], payload["path"]) == ("invalid JSON", str(bad))
+
+
+@pytest.mark.parametrize("command", sorted(SEED_READERS))
+def test_deeply_nested_json_exits_2(runner, tmp_path, command):
+    # the decoder's RecursionError used to escape as a traceback with exit 1
+    bad = tmp_path / "nested.json"
+    bad.write_text("[" * 100000 + "]" * 100000)
     good = a2_path(tmp_path, [X1, X2])
     result = runner.invoke(cl.main, SEED_READERS[command](str(bad), good))
     assert result.exit_code == 2

@@ -3,6 +3,7 @@
 import textwrap
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 import clusterkit.laurent as lp
@@ -31,6 +32,10 @@ def unit(arity, i):
 
 def arity_of(sl):
     return len(next(iter(sl.cluster[0])))
+
+
+def hatted(sl, j):
+    return sd.hatted_pair([row[j] for row in sl.b], sl.cluster, *sl.pairs[j])
 
 
 def zero_rescaling(sl):
@@ -119,7 +124,7 @@ def test_rescaling_preserves_b_and_hatted(pair):
     other = ob.apply_rescaling(sl, r)
     assert other.b == sl.b
     for j in range(sl.n):
-        assert sd.rp_equal(ob.seedlike_hatted(sl, j), ob.seedlike_hatted(other, j))
+        assert sd.rp_equal(hatted(sl, j), hatted(other, j))
 
 
 @settings(max_examples=40, derandomize=True)
@@ -267,7 +272,63 @@ def test_hatted_matches_seed_hatted():
     seed = sd.initial_seed(GR35_BTILDE, GR35_NAMES)
     sl = ob.seedlike_from_seed(seed)
     for j in range(2):
-        assert sd.rp_equal(ob.seedlike_hatted(sl, j), sd.hatted(seed, j))
+        assert sd.rp_equal(hatted(sl, j), sd.hatted(seed, j))
+
+
+BIG = 2 ** 16
+
+
+@st.composite
+def rescaled_seedlikes(DRAW):
+    """Embedded seeds rescaled by frozen monomials whose exponents reach past
+    2^16 either way, so clusters and pairs hold negative exponents and need
+    lanes wider than 16 bits."""
+    sl = DRAW(embedded_seedlikes())
+    arity, n = arity_of(sl), sl.n
+    entry = st.one_of(st.integers(-2, 2), st.integers(BIG, 2 * BIG), st.integers(-2 * BIG, -BIG))
+
+    def frozen_exp():
+        return tuple(0 if i < n else DRAW(entry) for i in range(arity))
+
+    return ob.apply_rescaling(sl, ob.Rescaling(
+        tuple(frozen_exp() for _ in range(n)), tuple(frozen_exp() for _ in range(n))
+    ))
+
+
+@settings(max_examples=40, derandomize=True)
+@given(rescaled_seedlikes())
+def test_packed_exchange_matches_the_tuple_path(tuple_exchange, sl):
+    for k in range(sl.n):
+        terms = tuple_exchange(sl.b, sl.cluster, k, *map(lp.monomial, sl.pairs[k]))
+        assert hatted(sl, k) == terms
+        assert ob.mutate_seedlike(sl, k).cluster[k] == lp.exact_div(lp.add(*terms), sl.cluster[k])
+
+
+A2_B = [[0, 1], [-1, 0]]
+A2_NAMES = ["x1", "x2", "y"]
+A2_CLUSTER = [lp.variable(0, 3), lp.variable(1, 3)]
+A2_PAIRS = [((0, 0, 1), (0, 0, 0)), ((0, 0, 0), (0, 0, 0))]
+
+
+@pytest.mark.parametrize("cluster, pairs", [
+    (A2_CLUSTER, [((0, 0, 1, 0), (0, 0, 0)), A2_PAIRS[1]]),
+    (A2_CLUSTER, [A2_PAIRS[0], ((0, 0, 0), (0, 0))]),
+    ([lp.variable(0, 4), A2_CLUSTER[1]], A2_PAIRS),
+], ids=["long-pair", "short-pair", "long-cluster-exponent"])
+def test_seedlike_rejects_exponents_of_another_arity(cluster, pairs):
+    # the packed exchange zips exponents, so a wrong length would truncate
+    with pytest.raises(sd.InvalidSeed):
+        ob.SeedLike(A2_B, cluster, pairs, A2_NAMES)
+
+
+@pytest.mark.parametrize("c, d", [
+    (((0, 0, 1, 0), (0, 0, 0)), ((0, 0, 0), (0, 0, 0))),
+    (((0, 0, 0), (0, 0, 0)), ((0, 0, 0), (0, 0))),
+], ids=["long-c", "short-d"])
+def test_apply_rescaling_rejects_exponents_of_another_arity(c, d):
+    sl = ob.SeedLike(A2_B, A2_CLUSTER, A2_PAIRS, A2_NAMES)
+    with pytest.raises(ValueError):
+        ob.apply_rescaling(sl, ob.Rescaling(c, d))
 
 
 def test_input_checks_survive_optimize(run_optimized):

@@ -319,7 +319,7 @@ LANE_CROSSING = [(a_n(2), []), ([[0, 1], [-2, 0]], [[1, -1]]), ([[0, 1], [-3, 0]
 
 
 @pytest.mark.parametrize("big, widest", [(200, (16, 16)), (70000, (32, 32)), (2 ** 70, (65, 80))])
-def test_lane_crossing_exchanges_match_the_tuple_path(monkeypatch, big, widest):
+def test_lane_crossing_exchanges_match_the_tuple_path(monkeypatch, tuple_exchange, big, widest):
     # {x0^big, x1} is algebraically independent, so each is a genuine seed;
     # its exchanges need 16-bit, 32-bit and wider-than-64-bit lanes
     widths = set()
@@ -334,7 +334,9 @@ def test_lane_crossing_exchanges_match_the_tuple_path(monkeypatch, big, widest):
         for word in ((0, 1, 0, 1, 0), (1, 0, 1, 0, 1)):
             current = seed
             for k in word:
-                tuple_path = lp.exact_div(lp.add(*sd.hatted(current, k)), current.cluster[k])
+                terms = tuple_exchange(current.btilde, current.cluster, k,
+                                       *sd.coefficient_pair(current, k))
+                tuple_path = lp.exact_div(lp.add(*terms), current.cluster[k])
                 current = sd.mutate_seed(current, k)
                 assert current.cluster[k] == tuple_path
     assert widest[0] <= max(widths) <= widest[1]

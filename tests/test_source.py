@@ -198,3 +198,29 @@ def test_one_packed_form():
         used |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                  for alias in node.names}
         assert name == "laurent.py" or "_weights" not in used, f"{name} uses _weights"
+
+
+def test_one_exchange_relation():
+    # mutation, orbit mutation, hatted variables and exploration all build
+    # their exchange terms in seeds.packed_terms: no other loop multiplies
+    # cluster variables into terms, and no module outside laurent divides
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in SOURCES}
+
+    def calls(tree):
+        return {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+
+    for name, tree in trees.items():
+        assert not calls(tree) & {"lp.exact_div", "exact_div"}, f"{name} calls exact_div"
+    products = {"lp.mul", "lp.power", "lp.mul_packed", "lp.power_packed"}
+    kinds = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    loops = {
+        func.name
+        for func in ast.walk(trees["seeds.py"]) if isinstance(func, ast.FunctionDef)
+        for loop in ast.walk(func) if isinstance(loop, kinds)
+        if products & {ast.unparse(node) for node in ast.walk(loop)
+                       if isinstance(node, ast.Attribute)}
+    }
+    assert loops == {"packed_terms"}
+    for name in ("orbits.py", "quasihom.py"):
+        assert not calls(trees[name]) & {"lp.mul", "lp.power", "lp.exact_div"}, name
