@@ -5,7 +5,8 @@ rendered as DOT, and --format text switches any report to a terse
 human-readable summary.  Exit status is 0 when every requested check
 passes, 1 when some check fails (the failure payload still goes to
 stdout), and 2 for unreadable or malformed input, which includes seed
-files that are not seeds of any pattern.
+files that are not seeds of any pattern, and for a command that runs out
+of memory.
 
 JSON text on stdout, in --out files and in exit-2 stderr payloads is exactly
 `json.dumps(obj, indent=2)`, written by `_json_text`, since CPython's C
@@ -162,7 +163,7 @@ def _command(
         for flags, options in arguments:
             sub.add_argument(*flags, **options)
         sub.add_argument("--format", dest="fmt", choices=formats, default="json")
-        sub.set_defaults(run=run)
+        sub.set_defaults(run=run, command=name)
         return run
 
     return register
@@ -193,18 +194,23 @@ def main(
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     options = vars(_parser.parse_args(args))
-    run = options.pop("run")
+    run, command = options.pop("run"), options.pop("command")
     try:
         run(**options)
     except InputFault as exc:
-        sys.stderr.write("Error: " + _json_text(exc.payload) + "\n")
-        raise SystemExit(2)
+        payload = exc.payload
+    except MemoryError:
+        # exit 1 means a failed check, so running out of memory exits 2
+        payload = {"error": "out of memory", "command": command}
     except BrokenPipeError:
         # the reader of stdout went away: exit 1 without a message, with
         # stdout on the null device so that the flush at exit succeeds
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise SystemExit(1)
-    raise SystemExit(0)
+    else:
+        raise SystemExit(0)
+    sys.stderr.write("Error: " + _json_text(payload) + "\n")
+    raise SystemExit(2)
 
 
 main.main = main  # type: ignore[attr-defined]

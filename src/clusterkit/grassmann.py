@@ -27,9 +27,22 @@ identity is a sum of products of s Plücker coordinates, so their
 difference is such an F, decided exactly as a polynomial in Y.  The
 public `plucker` and `g_star` stay on the generic matrix.
 
-Two facts spare the band side any search.  The band entries are distinct
-variables, so each term of a minor on (I, J) uses every row of I and column
-of J once: one exponent of a remainder names the only minor it can equal.
+Band minors factor by their zero pattern.  Take the band minor on rows
+[p, p+s−1] and sorted columns j_0 < … < j_{s−1}, each j_t in [p+t, p+t+k]
+as in every maximal minor.  Where j_t = p+t with t < s−1, the rows after
+p+t vanish on j_0, …, j_t; where j_t > p+t−1+k with t >= 1, the rows
+before p+t vanish from j_t on.  So the minor is block triangular: the
+product of its diagonal blocks, with no sign.  Cut at every such t.  In a
+block, j_t > p+t (no cut after t) and j_t <= p+t−1+k (no cut before t) put
+(p+t+1, j_t) and (p+t−1, j_t) in the band, so the block's diagonal and
+the two next to it are band variables.  Such a block is fully
+indecomposable (Brualdi & Ryser, *Combinatorial Matrix Theory*, 1991,
+ch. 4), so its determinant, in distinct indeterminates, is irreducible
+(Frobenius, Sitzungsber. Preuss. Akad. Wiss., 1917).  The band ring is a
+UFD and blocks on different rows share no variable, so the blocks are the
+irreducible factors, each once: the frozen generators among them give the
+content, the one left is the minor.
+
 Substitution is a ring map, so f_star of a coordinate at the g_star entries
 is the determinant of the g_star entries on its columns.
 """
@@ -120,14 +133,14 @@ def reduce_plucker_index(
 # Both rings stay on laurent's packed kernel from their entries to the
 # public boundary: exponent tuples become int keys, so a monomial product is
 # a single addition, and every exponent is nonnegative.  One lane width per
-# context serves both rings and every division.  A Plücker coordinate is
-# multilinear in the rows, on the generic matrix and in the chart alike, and
-# every product on that side multiplies at most ctx.rows of them (minors of
-# at most ctx.rows distinct rows, runs of fewer than ctx.rows coordinates
-# times one more).  A band minor has total degree at most ctx.rows, and so
-# has every dividend and divisor of the factorization.  So ctx.rows bounds
-# every total degree met.  The caches in this module share their values
-# with every caller inside it; public functions hand out fresh dicts.
+# context serves both rings.  A Plücker coordinate is multilinear in the
+# rows, on the generic matrix and in the chart alike, and every product on
+# that side multiplies at most ctx.rows of them (minors of at most ctx.rows
+# distinct rows, runs of fewer than ctx.rows coordinates times one more).  A
+# band minor has total degree at most ctx.rows.  A pinned (2,5) relation
+# reaches total degree 6, which 8-bit lanes, the narrowest, hold.  The
+# caches in this module share their values with every caller inside it;
+# public functions hand out fresh dicts.
 
 
 def _width(ctx: GenericMatrixContext) -> int:
@@ -359,7 +372,7 @@ def plucker_frozen_sets(ctx: GenericMatrixContext) -> List[IndexSet]:
 
 
 def is_frozen_plucker(ctx: GenericMatrixContext, cols: Sequence[int]) -> bool:
-    return tuple(sorted(cols)) in _catalogs(ctx)[0]
+    return tuple(sorted(cols)) in _frozen(ctx)[0]
 
 
 def band_frozen_specs(
@@ -383,20 +396,21 @@ def row_solid_nonzero(ctx: GenericMatrixContext, p: int, cols_j: Sequence[int]) 
     return all(p + t <= j_set[t] <= p + t + ctx.k for t in range(s))
 
 
+def _blocks(ctx: GenericMatrixContext, p: int, j_set: IndexSet) -> List[MinorSpec]:
+    """Diagonal blocks of the nonzero band minor on rows [p, p+s−1] and
+    sorted columns `j_set`, cut by the split rule of the module docstring."""
+    cuts = [t for t in range(1, len(j_set))
+            if j_set[t - 1] == p + t - 1 or j_set[t] > p + t - 1 + ctx.k]
+    bounds = [0] + cuts + [len(j_set)]
+    return [(tuple(range(p + a, p + b)), j_set[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
 def row_solid_irreducible(
     ctx: GenericMatrixContext, p: int, cols_j: Sequence[int]
 ) -> bool:
-    """Nonzero and with no block split: a column at or below its row start,
+    """Nonzero and with no block split: a column at its row's band start,
     or past the previous row's band end, would factor the determinant."""
-    j_set = sorted(cols_j)
-    s = len(j_set)
-    if not row_solid_nonzero(ctx, p, j_set):
-        return False
-    if any(j_set[t] < p + t + 1 for t in range(s - 1)):
-        return False
-    if any(j_set[t] > p + t - 1 + ctx.k for t in range(1, s)):
-        return False
-    return True
+    return row_solid_nonzero(ctx, p, cols_j) and len(_blocks(ctx, p, tuple(sorted(cols_j)))) == 1
 
 
 def irreducible_minors(ctx: GenericMatrixContext) -> List[MinorSpec]:
@@ -409,88 +423,64 @@ def irreducible_minors(ctx: GenericMatrixContext) -> List[MinorSpec]:
 
 
 def non_frozen_irreducible_minors(ctx: GenericMatrixContext) -> List[MinorSpec]:
-    return list(_catalogs(ctx)[1])
+    named = _frozen(ctx)[1]
+    return [pair for pair in irreducible_minors(ctx) if pair not in named]
 
 
 @lru_cache(maxsize=None)
-def _catalogs(ctx: GenericMatrixContext) -> Tuple[frozenset, dict, tuple]:
-    """Frozen Plücker sets, non-frozen catalog, frozen band generators."""
-    specs = band_frozen_specs(ctx)
-    frozen = {(i, j) for _, i, j in specs}
-    minors = dict.fromkeys(p for p in irreducible_minors(ctx) if p not in frozen)
-    gens = tuple((name, _band_minor(ctx, i, j)) for name, i, j in specs)
-    return frozenset(plucker_frozen_sets(ctx)), minors, gens
-
-
-def _name_minor(ctx: GenericMatrixContext, remainder: lp.Packed) -> Optional[MinorSpec]:
-    """The non-frozen catalog minor equal to the packed `remainder`, if one
-    is; any one exponent names the only candidate (see the module
-    docstring)."""
-    (exp,) = _unpack_y(ctx, {next(iter(remainder), 0): 1})
-    used = [divmod(idx, ctx.k + 1) for idx, e in enumerate(exp) if e]
-    pair = (tuple(r + 1 for r, _ in used), tuple(sorted(r + 1 + d for r, d in used)))
-    if pair in _catalogs(ctx)[1] and remainder == _band_minor(ctx, *pair):
-        return pair
-    return None
+def _frozen(ctx: GenericMatrixContext) -> Tuple[frozenset, Dict[MinorSpec, str]]:
+    """Frozen Plücker sets, and the frozen band generators' names keyed by
+    (rows, columns) in `band_frozen_specs` order."""
+    named = {(i, j): name for name, i, j in band_frozen_specs(ctx)}
+    return frozenset(plucker_frozen_sets(ctx)), named
 
 
 @lru_cache(maxsize=None)
 def _split_image(
     ctx: GenericMatrixContext, cols: IndexSet
-) -> Tuple[Dict[str, int], lp.Packed, Optional[MinorSpec]]:
-    """The band image on sorted `cols` with the frozen generators divided
-    out greedily: their exponents, the packed remainder, and the non-frozen
-    irreducible minor equal to the remainder, if one is.  `div_packed` is
-    polynomial division: it refuses a quotient with a negative exponent."""
-    remainder = _band_minor(ctx, tuple(_interval(1, ctx.rows)), cols)
-    content: Dict[str, int] = {}
-    arity, width = y_arity(ctx), _width(ctx)
-    for name, gen in _catalogs(ctx)[2]:
-        while True:
-            try:
-                remainder = lp.div_packed(remainder, gen, arity, width)
-            except lp.NotDivisible:
-                break
-            content[name] = content.get(name, 0) + 1
-    return content, remainder, _name_minor(ctx, remainder)
+) -> Tuple[Tuple[int, ...], Optional[MinorSpec]]:
+    """The band image on sorted `cols` read off its blocks: the exponent,
+    0 or 1, of each frozen generator in `band_frozen_specs` order, and the
+    one block that is not frozen, None for a frozen coordinate."""
+    intervals, named = _frozen(ctx)
+    blocks = _blocks(ctx, 1, cols)
+    rest = [block for block in blocks if block not in named]
+    want = 0 if cols in intervals else 1
+    if len(rest) != want or not all(row_solid_irreducible(ctx, i[0], j) for i, j in rest):
+        raise NoFactorization(f"image of {plucker_name(cols)} has non-frozen factors {rest}")
+    found = set(blocks)
+    return tuple(int(spec in found) for spec in named), rest[0] if rest else None
+
+
+def _factored(
+    ctx: GenericMatrixContext, raw: Sequence[int], what: str
+) -> Tuple[IndexSet, Tuple[int, ...], Optional[MinorSpec]]:
+    sign, cols = reduce_plucker_index(ctx, raw)
+    if sign == 0:
+        raise InvalidIndex(f"zero coordinate has no {what}")
+    return (cols, *_split_image(ctx, cols))
+
+
+def _named(ctx: GenericMatrixContext, content: Tuple[int, ...]) -> Dict[str, int]:
+    return {name: e for name, e in zip(_frozen(ctx)[1].values(), content) if e}
 
 
 def factor_fstar(
     ctx: GenericMatrixContext, raw: Sequence[int]
 ) -> Tuple[Dict[str, int], IndexSet, IndexSet]:
     """Split the band image of a non-frozen Plücker coordinate as frozen
-    content times one irreducible row-solid minor.
-
-    The content is divided out greedily; uniqueness comes from unique
-    factorization in the band polynomial ring.
-    """
-    sign, cols = reduce_plucker_index(ctx, raw)
-    if sign == 0:
-        raise InvalidIndex("zero coordinate has no factorization")
-    if is_frozen_plucker(ctx, cols):
-        raise NoFactorization(f"{plucker_name(cols)} is frozen")
-    content, _, minor = _split_image(ctx, cols)
+    content times one irreducible row-solid minor: its diagonal blocks,
+    which are its irreducible factors (see the module docstring)."""
+    cols, content, minor = _factored(ctx, raw, "factorization")
     if minor is None:
-        raise NoFactorization(
-            f"image of {plucker_name(cols)} left a non-catalog remainder"
-        )
-    return dict(content), minor[0], minor[1]
+        raise NoFactorization(f"{plucker_name(cols)} is frozen")
+    return _named(ctx, content), minor[0], minor[1]
 
 
 def content_exponents(ctx: GenericMatrixContext, raw: Sequence[int]) -> Dict[str, int]:
     """Frozen-generator exponents of the band image's frozen part; for a
     frozen coordinate the image is required to be a full frozen monomial."""
-    sign, cols = reduce_plucker_index(ctx, raw)
-    if sign == 0:
-        raise InvalidIndex("zero coordinate has no content")
-    if not is_frozen_plucker(ctx, cols):
-        return factor_fstar(ctx, cols)[0]
-    content, remainder, _ = _split_image(ctx, cols)
-    if remainder != {0: 1}:
-        raise NoFactorization(
-            f"image of frozen {plucker_name(cols)} is not a frozen monomial"
-        )
-    return dict(content)
+    return _named(ctx, _factored(ctx, raw, "content")[1])
 
 
 def tropical_c_check(
@@ -508,11 +498,9 @@ def tropical_c_check(
     residues = [(c - 1) % ctx.n + 1 for c in touched]
     if len(set(residues)) != ctx.rows + 2:
         raise InvalidIndex("overlapping indices in the relation")
-    names = [name for name, _, _ in band_frozen_specs(ctx)]
 
-    def vec(pair: Tuple[int, int]) -> List[int]:
-        exps = content_exponents(ctx, list(base) + list(pair))
-        return [exps.get(name, 0) for name in names]
+    def vec(pair: Tuple[int, int]) -> Tuple[int, ...]:
+        return _factored(ctx, list(base) + list(pair), "content")[1]
 
     def tot(p1: Tuple[int, int], p2: Tuple[int, int]) -> List[int]:
         return [x + y for x, y in zip(vec(p1), vec(p2))]
@@ -653,6 +641,16 @@ QUINTIC_IMAGE_COFACTORS = (
 )
 
 
+def _signed_sum(products: Sequence[Tuple[int, Sequence[lp.Packed]]]) -> lp.Packed:
+    """The sum of sign times the product of the factors over packed values
+    of one width: an identity holds exactly when its signed sum is empty."""
+    out: lp.Packed = {}
+    for sign, factors in products:
+        for key, coef in reduce(lp.mul_packed, factors).items():
+            out[key] = out.get(key, 0) + sign * coef
+    return {key: coef for key, coef in out.items() if coef}
+
+
 def quintic_relation_checks(ctx: GenericMatrixContext) -> List[Dict[str, object]]:
     """The pinned relation tables evaluated as exact identities.
 
@@ -663,41 +661,36 @@ def quintic_relation_checks(ctx: GenericMatrixContext) -> List[Dict[str, object]
     """
     if (ctx.k, ctx.n) != (2, 5):
         raise UnsupportedContext("relation tables are pinned for k=2, n=5 only")
+    full = tuple(_interval(1, ctx.rows))
 
     # a spec is a Plücker column set or a band (rows, columns) pair
-    def value(spec: Sequence) -> Poly:
-        if isinstance(spec[0], int):
-            return plucker(ctx, spec)
-        return band_minor(ctx, *spec)
-
-    def product(specs: Sequence) -> Poly:
-        return reduce(lp.mul, map(value, specs))
+    def values(specs: Sequence) -> List[lp.Packed]:
+        return [_plucker_fast(ctx, x, False) if isinstance(x[0], int) else _band_minor(ctx, *x)
+                for x in specs]
 
     def names(specs: Sequence) -> List[str]:
         return [plucker_name(x) if isinstance(x[0], int) else band_name(*x) for x in specs]
 
-    def record(kind: str, idx: int, left: Sequence, lhs: Poly, first: Sequence,
-               second: Sequence, cofactor: Sequence = ()) -> Dict[str, object]:
-        """Whether `lhs` equals the cofactor times the sum of the summands."""
-        rhs = lp.add(product(first), product(second))
+    def record(kind: str, idx: int, left: Sequence, first: Sequence, second: Sequence,
+               cofactor: Sequence = ()) -> Dict[str, object]:
+        """Whether the product of `left`, or of its images when there is a
+        cofactor, equals the cofactor times the sum of the summands."""
         out: Dict[str, object] = {"kind": kind, "index": idx, "left": names(left)}
         if cofactor:
-            rhs = lp.mul(product(cofactor), rhs)
             out["cofactor"] = names(cofactor)
-        out.update(summands=[names(first), names(second)], holds=lp.equal(lhs, rhs))
+        # the tables list sorted column sets, so an image is a band minor
+        lhs = [(full, cols) for cols in left] if cofactor else left
+        terms = [(1, values(lhs))] + [(-1, values(tuple(cofactor) + part))
+                                      for part in (first, second)]
+        out.update(summands=[names(first), names(second)], holds=not _signed_sum(terms))
         return out
 
-    records: List[Dict[str, object]] = []
-    for idx, (l1, l2, a1, a2, b1, b2) in enumerate(QUINTIC_MINOR_RELATIONS):
-        lhs = product((l1, l2))
-        records.append(record("minor", idx, (l1, l2), lhs, (a1, a2), (b1, b2)))
-    for idx, (left, first, second) in enumerate(QUINTIC_BAND_RELATIONS):
-        records.append(record("band", idx, left, product(left), first, second))
-    for idx, cofactor in enumerate(QUINTIC_IMAGE_COFACTORS):
-        l1, l2 = QUINTIC_MINOR_RELATIONS[idx][:2]
-        _, first, second = QUINTIC_BAND_RELATIONS[idx]
-        lhs = lp.mul(f_star(ctx, l1), f_star(ctx, l2))
-        records.append(record("image", idx, (l1, l2), lhs, first, second, cofactor))
+    minors = QUINTIC_MINOR_RELATIONS
+    records = [record("minor", idx, (l1, l2), (a1, a2), (b1, b2))
+               for idx, (l1, l2, a1, a2, b1, b2) in enumerate(minors)]
+    records += [record("band", idx, *rel) for idx, rel in enumerate(QUINTIC_BAND_RELATIONS)]
+    records += [record("image", idx, minors[idx][:2], *QUINTIC_BAND_RELATIONS[idx][1:], cofactor)
+                for idx, cofactor in enumerate(QUINTIC_IMAGE_COFACTORS)]
     return records
 
 

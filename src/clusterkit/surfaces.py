@@ -465,7 +465,7 @@ def check_suites(fx: AnnulusFixture) -> List[Suite]:
     half = sd.mutate_word(fx.seed, fx.half_turn_word)
     half_turn = []
     for perm in permutations(range(n)):
-        relabeled = sd.Seed(
+        relabeled = sd.Seed.trusted(
             pt.permute_btilde(half.btilde, n, perm),
             [half.cluster[i] for i in perm],
             half.var_names,

@@ -330,6 +330,12 @@ GOLDEN_FIXTURES = {
         "fa9c4811410f5520688f04ecff2f40a9ebe6c40c1392247c4084a8b4a91ed909",
     ("grassmann --kn 4 8 --all-checks", "json"):
         "7175d3eedcaf4f845fb995df70e565cea64a8fc1094cd24d96692314914d4918",
+    # recorded from the implementation that expanded every band image and
+    # divided the frozen generators out of it
+    ("grassmann --kn 2 20", "json"):
+        "63adffeba7436396d1215f726f5bff2167e47d78536459562b982914ebc379e3",
+    ("grassmann --kn 2 24", "json"):
+        "37a1cae9b57395b9789efc41037669ea62a0b9fb61d68805c52cc5b31b18d4c9",
 }
 
 
@@ -729,6 +735,25 @@ def test_deeply_nested_json_exits_2(runner, tmp_path, command):
     assert "Traceback" not in result.output
     payload = error_payload(result)
     assert (payload["error"], payload["path"]) == ("invalid JSON", str(bad))
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (["surface"], sf, "check_suites"),
+    (["grassmann", "--kn", "2", "60"], gx, "build_fixture"),
+])
+def test_running_out_of_memory_exits_2(runner, monkeypatch, argv, module, name):
+    # a MemoryError used to escape as a traceback with exit 1, which means
+    # a failed check
+    def exhaust(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(module, name, exhaust)
+    result = runner.invoke(cl.main, argv)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert result.stdout == ""
+    assert error_payload(result) == {"error": "out of memory", "command": argv[0]}
 
 
 RANK_0 = {"n": 0, "m": 0, "btilde": [], "cluster": [], "var_names": []}

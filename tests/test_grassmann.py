@@ -1,6 +1,8 @@
 """Generic-matrix minors, band minors, and the flat-to-band fixtures."""
 
 import random
+from collections import Counter
+from functools import reduce
 from itertools import combinations
 
 import hypothesis.strategies as st
@@ -936,51 +938,45 @@ def test_band_minors_build_the_band_matrix_once(monkeypatch):
     assert sorted(made) == list(range(gr.y_arity(CTX36)))
 
 
-def test_factoring_divides_only_by_window_minors(monkeypatch):
-    # from cold caches: every packed division is by a frozen generator, a
-    # band entry or a window minor, the minor is named from one exponent,
-    # and the catalog is enumerated once
-    for cache in (gr._catalogs, gr._split_image, gr._band_minor):
-        cache.cache_clear()
-    divisors, enumerations = [], []
-    divide, irreducible = lp.div_packed, gr.irreducible_minors
-    monkeypatch.setattr(
-        lp, "div_packed", lambda f, g, *rest: divisors.append(g) or divide(f, g, *rest)
-    )
-    monkeypatch.setattr(
-        gr, "irreducible_minors", lambda ctx: enumerations.append(ctx) or irreducible(ctx)
-    )
-    for cols in combinations(range(1, CTX36.n + 1), CTX36.rows):
-        gr.content_exponents(CTX36, cols)
-    gr.non_frozen_irreducible_minors(CTX36)
-    gens = [gr._band_minor(CTX36, i, j) for _, i, j in gr.band_frozen_specs(CTX36)]
-    windows = [g for g in gens if len(g) > 1]
-    assert windows and divisors and all(g in gens for g in divisors)
-    assert any(g in windows for g in divisors)
-    assert enumerations == [CTX36]
+@pytest.mark.parametrize("kn", [(2, 5), (3, 6), (2, 7), (3, 7), (4, 8)])
+def test_factors_are_the_blocks_of_the_image(kn):
+    # the factorization is read off the zero pattern, not computed: the
+    # blocks of every image multiply back to it, the frozen ones are frozen
+    # generators and the other one is the named catalog minor
+    ctx = gr.make_context(*kn)
+    full = tuple(range(1, ctx.rows + 1))
+    named = {(i, j): name for name, i, j in gr.band_frozen_specs(ctx)}
+    for cols in combinations(range(1, ctx.n + 1), ctx.rows):
+        blocks = gr._blocks(ctx, 1, cols)
+        values = [gr._band_minor(ctx, *block) for block in blocks]
+        assert reduce(lp.mul_packed, values) == gr._band_minor(ctx, full, cols)
+        rest = [block for block in blocks if block not in named]
+        content = dict(Counter(named[block] for block in blocks if block in named))
+        assert gr.content_exponents(ctx, cols) == content
+        if gr.is_frozen_plucker(ctx, cols):
+            assert rest == []
+        else:
+            assert gr.factor_fstar(ctx, cols) == (content, *rest[0])
 
 
-def test_name_minor_edge_cases():
-    # remainders are packed: key 0 is the constant monomial
-    one = {0: 1}
-    # a frozen coordinate leaves remainder 1, which names no minor
-    content, remainder, minor = gr._split_image(CTX36, (1, 2, 3))
-    assert content == {"Y11": 1, "Y22": 1, "Y33": 1} and remainder == one
-    assert minor is None and gr._name_minor(CTX36, one) is None
-    # the zero polynomial has no exponent to read
-    assert gr._name_minor(CTX36, {}) is None
-    # a frozen generator is not in the non-frozen catalog
-    assert gr._name_minor(CTX36, gr._band_minor(CTX36, (1,), (1,))) is None
-    # a product of entries names a catalog candidate but is not equal to it
-    y12, y23 = gr._band_minor(CTX36, (1,), (2,)), gr._band_minor(CTX36, (2,), (3,))
-    product = lp.mul_packed(y12, y23)
-    assert gr._name_minor(CTX36, product) is None
-    for pair in gr.non_frozen_irreducible_minors(CTX36):
-        minor = gr._band_minor(CTX36, *pair)
-        # whichever term comes first names the minor
-        for key in minor:
-            assert gr._name_minor(CTX36, {key: minor[key], **minor}) == pair
-        assert gr._name_minor(CTX36, {key: 2 * c for key, c in minor.items()}) is None
-        # a minor has no constant term, so this is minor + 1
-        assert 0 not in minor
-        assert gr._name_minor(CTX36, {**minor, 0: 1}) is None
+@pytest.fixture
+def cold_split():
+    gr._split_image.cache_clear()
+    yield
+    gr._split_image.cache_clear()
+
+
+def test_a_second_non_frozen_block_has_no_factorization(monkeypatch, cold_split):
+    # the image of D135 is Y11 * Y23 * Y35; with Y35 taken out of the frozen
+    # generators it has two non-frozen blocks, which is no factorization
+    intervals, named = gr._frozen(CTX25)
+    assert gr._blocks(CTX25, 1, (1, 3, 5)) == [((1,), (1,)), ((2,), (3,)), ((3,), (5,))]
+    fewer = {spec: name for spec, name in named.items() if name != "Y35"}
+    monkeypatch.setattr(gr, "_frozen", lambda ctx: (intervals, fewer))
+    with pytest.raises(gr.NoFactorization):
+        gr.factor_fstar(CTX25, (1, 3, 5))
+    with pytest.raises(gr.NoFactorization):
+        gr.content_exponents(CTX25, (1, 3, 5))
+    # a frozen coordinate whose image keeps a non-frozen block has no content
+    with pytest.raises(gr.NoFactorization):
+        gr.content_exponents(CTX25, (3, 4, 5))

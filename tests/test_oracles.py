@@ -317,7 +317,10 @@ def test_matmul_matches_reference(btilde, data):
         assert la.vec_mat(row, btilde) == ref_vec_mat(row, btilde)
 
 
-@pytest.mark.parametrize("kn", [(2, 5), (2, 6), (3, 6), (2, 7), (3, 7), (4, 8)])
+# (2, 16) is left out: its reference expansion alone takes about 5 s
+@pytest.mark.parametrize(
+    "kn", [(2, 5), (2, 6), (3, 6), (2, 7), (3, 7), (4, 8), (4, 9), (3, 10), (2, 12)]
+)
 def test_factorization_matches_reference(kn):
     ctx = gr.make_context(*kn)
     assert gr.non_frozen_irreducible_minors(ctx) == ref_catalog(ctx)

@@ -224,3 +224,15 @@ def test_one_exchange_relation():
     assert loops == {"packed_terms"}
     for name in ("orbits.py", "quasihom.py"):
         assert not calls(trees[name]) & {"lp.mul", "lp.power", "lp.exact_div"}, name
+
+
+def test_factorization_divides_nothing():
+    # band images factor by reading the blocks of their zero pattern, which
+    # are proved irreducible, so grassmann never calls a division
+    tree = ast.parse((TESTS.parent / "src" / "clusterkit" / "grassmann.py").read_text(
+        encoding="utf-8"))
+    used = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(tree)
+            if isinstance(node, (ast.Attribute, ast.Name))}
+    used |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+    assert not used & {"div_packed", "exact_div"}
