@@ -10,11 +10,20 @@ result is in row echelon form with positive pivots, entries above each pivot
 reduced into [0, pivot), and zero rows at the bottom.  Canonicity makes it a
 complete invariant of the row lattice, which is what the lattice-equality
 checks rely on.
+
+Columns are cleared by least-pivot elimination: the row with the least
+nonzero |entry| leads, the nearest-integer quotient leaves every row below
+it at most half that, and this repeats until the leader is alone.  Any
+unimodular moves give the same canonical h; these keep the certificate u
+small, where 2x2 extended-gcd blocks let its kernel rows reach thousands of
+digits (Kannan and Bachem, SIAM J. Comput. 8, 1979).  Solutions are
+size-reduced against the kernel rows of u.
 """
 
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 Matrix = List[List[int]]
@@ -27,10 +36,6 @@ def identity(n: int) -> Matrix:
 
 def zeros(m: int, n: int) -> Matrix:
     return [[0] * n for _ in range(m)]
-
-
-def copy(a: Sequence[Sequence[int]]) -> Matrix:
-    return [list(row) for row in a]
 
 
 def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
@@ -52,67 +57,53 @@ def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> Vector:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def exgcd(a: int, b: int) -> Tuple[int, int, int]:
-    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def hermite_normal_form(a: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix]:
     """Canonical row HNF of a, with its unimodular certificate.
 
     Returns (h, u) where u * a = h, u is unimodular, and h is the canonical
-    form described in the module docstring.
+    form described in the module docstring, its columns cleared by
+    least-pivot elimination.
     """
-    h = copy(a)
-    m = len(h)
-    n = len(h[0]) if h else 0
-    u = identity(m)
+    m = len(a)
+    n = len(a[0]) if a else 0
+    # each row is h's row followed by u's, so one row operation does both
+    t = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(a)]
     r = 0
     for c in range(n):
-        piv = next((i for i in range(r, m) if h[i][c]), None)
-        if piv is None:
+        piv, least = -1, 0
+        for i in range(r, m):
+            e = abs(t[i][c])
+            if e and (not least or e < least):
+                piv, least = i, e
+        if piv < 0:
             continue
-        h[r], h[piv] = h[piv], h[r]
-        u[r], u[piv] = u[piv], u[r]
-        for i in range(r + 1, m):
-            if not h[i][c]:
-                continue
-            g, s, t = exgcd(h[r][c], h[i][c])
-            pr, pi = h[r][c] // g, h[i][c] // g
-            # the 2x2 block [[s, t], [-pi, pr]] has determinant +1
-            h[r], h[i] = (
-                [s * x + t * y for x, y in zip(h[r], h[i])],
-                [-pi * x + pr * y for x, y in zip(h[r], h[i])],
-            )
-            u[r], u[i] = (
-                [s * x + t * y for x, y in zip(u[r], u[i])],
-                [-pi * x + pr * y for x, y in zip(u[r], u[i])],
-            )
-        if h[r][c] < 0:
-            h[r] = [-x for x in h[r]]
-            u[r] = [-x for x in u[r]]
+        while piv >= 0:
+            t[r], t[piv] = t[piv], t[r]
+            lead = t[r]
+            p = lead[c]
+            piv, least = -1, 0
+            for i in range(r + 1, m):
+                e = t[i][c]
+                if e:
+                    q = (2 * e + p) // (2 * p)
+                    t[i] = row = [x - q * y for x, y in zip(t[i], lead)]
+                    e = abs(row[c])
+                    if e and (not least or e < least):
+                        piv, least = i, e
+        lead = t[r]
+        if lead[c] < 0:
+            t[r] = lead = [-x for x in lead]
+        p = lead[c]
         for i in range(r):
-            q = h[i][c] // h[r][c]
+            q = t[i][c] // p
             if q:
-                h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+                t[i] = [x - q * y for x, y in zip(t[i], lead)]
         r += 1
-    return h, u
+    return [row[:n] for row in t], [row[n:] for row in t]
 
 
 def rank(a: Sequence[Sequence[int]]) -> int:
-    h, _ = hermite_normal_form(a)
-    return sum(1 for row in h if any(row))
+    return sum(1 for row in hermite_normal_form(a)[0] if any(row))
 
 
 def left_kernel_basis(a: Sequence[Sequence[int]]) -> Matrix:
@@ -134,39 +125,50 @@ def solve_left_all(
     The solutions are z = y * u with y * h = b.  The nonzero rows of h are
     independent, so back-substitution over its pivot rows gives the only
     candidate y, and since u is unimodular z is integral exactly when y is.
+    Each z is then size-reduced by one nearest-integer step along each
+    kernel row of u, which keeps it a solution and keeps it small.
     """
     if not a:
         return [(None, False) if any(b) else ([], True) for b in bs]
     h, u = hermite_normal_form(a)
+    # the nonzero rows of h come first; the rest of u is the kernel basis
+    pivots = [(row, next(j for j, x in enumerate(row) if x)) for row in h if any(row)]
+    rank = len(pivots)
+    kernel = [(k, sum(map(mul, k, k))) for k in u[rank:]]
+    u_cols, a_cols = [col[:rank] for col in zip(*u)], list(zip(*a))
     out: List[Tuple[Optional[Vector], bool]] = []
     for b in bs:
-        solved = _pivot_coordinates(h, b)
+        if len(b) != len(a_cols):
+            raise ValueError("right-hand side has wrong length")
+        solved = _pivot_coordinates(pivots, b)
         if solved is None or solved[1] != 1:
             out.append((None, solved is not None))
             continue
-        z = vec_mat(solved[0], u)
-        if vec_mat(z, a) != list(b):
+        z = [sum(map(mul, solved[0], col)) for col in u_cols]
+        for k, kk in kernel:
+            q = (2 * sum(map(mul, z, k)) + kk) // (2 * kk)
+            if q:
+                z = [x - q * e for x, e in zip(z, k)]
+        if [sum(map(mul, z, col)) for col in a_cols] != list(b):
             raise ArithmeticError("integer solution fails z * a = b")
         out.append((z, True))
     return out
 
 
-def _pivot_coordinates(h: Matrix, b: Sequence[int]) -> Optional[Tuple[Vector, int]]:
-    """(y, d) with y * h = d * b and d >= 1 for a Hermite form h, or None
-    when b is outside its rational row span.
+def _pivot_coordinates(
+    pivots: Sequence[Tuple[Vector, int]], b: Sequence[int]
+) -> Optional[Tuple[Vector, int]]:
+    """(y, d) with y * h = d * b and d >= 1 for the nonzero rows h of a
+    Hermite form as (row, pivot column) pairs, or None when b is outside
+    their rational row span.
 
     Fraction-free back-substitution: the residual d * b - y * h stays
     integral, and d grows by the part of a pivot that the residual entry
     does not cancel, which leaves that y_row / d non-integral.  So d == 1
     exactly when y * h = b has an integer solution.
     """
-    if len(b) != len(h[0]):
-        raise ValueError("right-hand side has wrong length")
-    residual, y, d = list(b), [0] * len(h), 1
-    for i, row in enumerate(h):
-        c = next((j for j, x in enumerate(row) if x), None)
-        if c is None:
-            break
+    residual, y, d = list(b), [0] * len(pivots), 1
+    for i, (row, c) in enumerate(pivots):
         if not residual[c]:
             continue
         scale = row[c] // gcd(residual[c], row[c])
@@ -183,9 +185,6 @@ def lattice_equal(
     a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]
 ) -> bool:
     """Whether two row families generate the same integer lattice."""
-    ha, _ = hermite_normal_form(a)
-    hb, _ = hermite_normal_form(b)
-    nza = [row for row in ha if any(row)]
-    nzb = [row for row in hb if any(row)]
-    return nza == nzb
+    ha, hb = hermite_normal_form(a)[0], hermite_normal_form(b)[0]
+    return [row for row in ha if any(row)] == [row for row in hb if any(row)]
 

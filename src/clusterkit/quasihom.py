@@ -229,13 +229,14 @@ def construct_qh(
     src_vars: Sequence[str],
     dst_vars: Sequence[str],
 ) -> Optional[MonomialMap]:
-    """Canonical monomial map between extended matrices, if one exists.
+    """A monomial map between extended matrices, if one exists.
 
     The top block is fixed to (identity | 0), so all freedom sits in the
     frozen rows; each target coefficient row must be an integer combination
-    of source rows, found through the Hermite transform.  Absent when some
-    row is not in the integer row span; PrincipalMismatch when the principal
-    parts differ.
+    of source rows, found through the Hermite transform and size-reduced
+    against the gradings, which is all the freedom there is.  Absent when
+    some row is not in the integer row span; PrincipalMismatch when the
+    principal parts differ.
     """
     report = construct_qh_diagnostics(src_btilde, dst_btilde, src_vars, dst_vars)
     if not report["principal_equal"]:
@@ -331,17 +332,14 @@ def grading_space(btilde: Sequence[Sequence[int]]) -> List[List[int]]:
 
 def quasi_inverse_check(m: MonomialMap, w: MonomialMap, src: sd.Seed) -> bool:
     """True when the composite fixes, up to frozen monomials, every cluster
-    variable of the seed and of each of its mutation neighbors.  Checking
-    this star certifies the pair as quasi-inverse."""
+    variable of the seed and of each of its mutation neighbors, which share
+    all but their new x_k with the seed.  Checking this star certifies the
+    pair as quasi-inverse."""
     composite = compose_maps(w, m)
     if composite.src_vars != composite.dst_vars:
         return False
-    neighborhood = [src] + [sd.mutate_seed(src, k) for k in range(src.n)]
-    for seed in neighborhood:
-        for x in seed.cluster:
-            if ob.frozen_ratio(apply_map(composite, x), x, src.n) is None:
-                return False
-    return True
+    star = list(src.cluster) + [sd.exchanged(src, k) for k in range(src.n)]
+    return all(ob.frozen_ratio(apply_map(composite, x), x, src.n) is not None for x in star)
 
 
 def reduce_word(word: Sequence[int]) -> Tuple[int, ...]:

@@ -279,19 +279,22 @@ def exchange_packed(
     return lp.unpack(quot, lp.exp_sub(low, xk.low), width)
 
 
+def exchanged(seed: Seed, k: int) -> Poly:
+    """The cluster variable that replaces x_k in the mutation at k."""
+    _check_direction(k, seed.n)
+    col = [row[k] for row in seed.btilde]
+    return exchange_packed(col, k, operands(seed.cluster, col, k), *frozen_pair(col, seed.n))
+
+
 def mutate_seed(seed: Seed, k: int) -> Seed:
-    """Seed mutation in direction k: `exchange_packed`, then a rebuild.
+    """Seed mutation in direction k: `exchanged`, then a rebuild.
 
     The result skips `Seed._check`: mutation keeps the shape, the ambient
     arity and the skew-symmetrizer, and `exchange_packed` checks the one
     new entry.
     """
-    _check_direction(k, seed.n)
-    column = [row[k] for row in seed.btilde]
     cluster = list(seed.cluster)
-    cluster[k] = exchange_packed(
-        column, k, operands(cluster, column, k), *frozen_pair(column, seed.n)
-    )
+    cluster[k] = exchanged(seed, k)
     return Seed.trusted(mutate_matrix(seed.btilde, k), cluster, seed.var_names)
 
 

@@ -978,8 +978,9 @@ def test_grassmann_relations_computed_once(runner, monkeypatch):
 
 # A random 22 x 15 extended matrix: skew-symmetric principal part, frozen rows
 # and upper entries drawn uniformly from [-3, 3] by random.Random(176) (the
-# first seed below 400 whose grading basis has entries past Python's default
-# 4300-digit int-to-str limit; its largest has 9112 digits).
+# first seed below 400 whose grading basis, under exgcd elimination, had
+# entries past Python's default 4300-digit int-to-str limit; its largest had
+# 9112 digits).
 RANK15_BTILDE = [
     [ 0, -3,  3, -2,  3, -3,  3,  0,  2, -1,  2,  2,  1,  0, -3],
     [ 3,  0, -3, -3, -1,  1, -1, -1,  0, -1, -1,  3, -1,  1,  2],
@@ -1030,7 +1031,7 @@ def test_mutate_echoes_long_coefficient(runner, tmp_path, int_str_limit):
     assert json.loads(result.stdout)["seed"]["cluster"][0]["terms"][0]["coef"] == coef
 
 
-def test_gradings_prints_long_rows(runner, tmp_path, int_str_limit):
+def test_gradings_rows_stay_small(runner, tmp_path):
     names = [f"x{i}" for i in range(1, 16)] + [f"y{i}" for i in range(1, 8)]
     path = write_seed(tmp_path, "rank15", sd.initial_seed(RANK15_BTILDE, names))
     result = runner.invoke(cl.main, ["gradings", path])
@@ -1038,6 +1039,7 @@ def test_gradings_prints_long_rows(runner, tmp_path, int_str_limit):
     payload = json.loads(result.stdout)
     assert payload["corank"] == len(payload["basis"]) == 7
     assert all(not any(la.vec_mat(row, RANK15_BTILDE)) for row in payload["basis"])
+    assert all(abs(x).bit_length() < 64 for row in payload["basis"] for x in row)
 
 
 # ---------------------------------------------------------------------------

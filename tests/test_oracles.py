@@ -1,11 +1,12 @@
 """Fast kernels against their straightforward reference forms.
 
-`skew_symmetrizer`, `solve_left_all`, `apply_map`/`map_exponent`, `matmul`
-and `mutate_matrix` run on plain integer row operations.  The references
-below are the direct versions they replaced: rational back-substitution in
-`Fraction`s, ratio propagation in `Fraction`s, and entry-by-entry sums.  Each
-property draws inputs from the cases the fast forms treat specially and
-requires the same result.
+`skew_symmetrizer`, `apply_map`/`map_exponent`, `matmul` and
+`mutate_matrix` run on plain integer row operations.  The references below
+are the direct versions they replaced: ratio propagation in `Fraction`s and
+entry-by-entry sums.  Each property draws inputs from the cases the fast
+forms treat specially and requires the same result.  `solve_left_all` picks
+one solution among many, so its verdicts are checked against sympy's rank
+and Hermite forms and each solution against its equation.
 
 The band-side factorization names its minor from one exponent and shifts
 out one-variable generators; `composite_identity` takes one determinant of
@@ -21,8 +22,10 @@ from itertools import combinations
 from math import gcd, lcm
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
 
 from clusterkit import grassmann as gr
 from clusterkit import lattice as la
@@ -90,27 +93,14 @@ def ref_skew_symmetrizer(b):
     return [x // g for x in d]
 
 
-def ref_solve_left_all(a, bs):
-    if not a:
-        return [(None, False) if any(b) else ([], True) for b in bs]
-    h, u = la.hermite_normal_form(a)
-    out = []
-    for b in bs:
-        residual = [Fraction(x) for x in b]
-        y = []
-        for i, row in enumerate(h):
-            c = next((j for j, x in enumerate(row) if x), None)
-            if c is None:
-                break
-            coef = residual[c] / row[c]
-            if coef:
-                y.append((i, coef))
-                residual[c:] = [r - coef * x for r, x in zip(residual[c:], row[c:])]
-        if any(residual) or any(c.denominator != 1 for _, c in y):
-            out.append((None, not any(residual)))
-            continue
-        out.append(([sum(int(c) * u[i][j] for i, c in y) for j in range(len(u))], True))
-    return out
+def ref_solve_verdicts(a, b):
+    """(integer, rational) solvability of z * a = b, from sympy: the rank of
+    a against a with b stacked under it, and the Hermite forms of the row
+    lattices of the two (sympy's form is by columns, so both go transposed)."""
+    with_b = sympy.Matrix([*a, b])
+    rational = sympy.Matrix(a).rank() == with_b.rank()
+    integer = sympy_hnf(sympy.Matrix(a).T) == sympy_hnf(with_b.T)
+    return integer, rational
 
 
 def ref_map_exponent(matrix, e):
@@ -280,13 +270,19 @@ def test_skew_symmetrizer_decomposable_examples():
 @given(solve_systems())
 def test_solve_left_all_matches_reference(system):
     a, bs = system
-    assert la.solve_left_all(a, bs) == ref_solve_left_all(a, bs)
+    solved = la.solve_left_all(a, bs)
+    assert len(solved) == len(bs)
+    for b, (z, rational) in zip(bs, solved):
+        assert (z is not None, rational) == ref_solve_verdicts(a, b)
+        if z is not None:
+            assert ref_vec_mat(z, a) == b
 
 
 def test_solve_left_all_outcome_kinds():
     a = [[2, 0, 2], [0, 3, 3]]
-    got = la.solve_left_all(a, [[4, 3, 7], [1, 1, 2], [1, 0, 0]])
-    assert got == ref_solve_left_all(a, [[4, 3, 7], [1, 1, 2], [1, 0, 0]])
+    bs = [[4, 3, 7], [1, 1, 2], [1, 0, 0]]
+    got = la.solve_left_all(a, bs)
+    assert [(z is not None, r) for z, r in got] == [ref_solve_verdicts(a, b) for b in bs]
     assert got == [([2, 1], True), (None, True), (None, False)]
 
 

@@ -382,6 +382,21 @@ def test_quasi_inverse_detects_perturbation():
     assert not qh.quasi_inverse_check(fstar(), w, gr_seed())
 
 
+def test_quasi_inverse_checks_each_new_variable():
+    # A2 with one frozen row; the composite x1 -> x1 y fixes x1, x2 up to y,
+    # and the new x1 = (1 + x2) / x1 too, but sends the new
+    # x2 = (x1 + 1) / x2 to (x1 y + 1) / x2, no frozen multiple of it
+    names = ["x1", "x2", "y"]
+    seed = sd.initial_seed([[0, 1], [-1, 0], [0, 0]], names)
+    m = qh.identity_map(seed)
+    w = qh.MonomialMap([[1, 0, 0], [0, 1, 0], [1, 0, 1]], names, names, 2, 2)
+    composite = qh.compose_maps(w, m)
+    fixed = [ob.frozen_ratio(qh.apply_map(composite, x), x, 2) is not None
+             for x in seed.cluster + [sd.mutate_seed(seed, k).cluster[k] for k in (0, 1)]]
+    assert fixed == [True, True, True, False]
+    assert not qh.quasi_inverse_check(m, w, seed)
+
+
 STAR_NERVE = [((), 0), ((), 1)]
 
 
