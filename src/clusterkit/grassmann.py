@@ -27,6 +27,27 @@ identity is a sum of products of s Plücker coordinates, so their
 difference is such an F, decided exactly as a polynomial in Y.  The
 public `plucker` and `g_star` stay on the generic matrix.
 
+Each flat-to-band case (a, s, J) is decided by induction on rows.  Read
+indices mod n and let each P carry the sort sign of its columns as
+written.  With R(a, s) the product of the runs P([i+k+1, n+i]) over
+a <= i <= a+s−2, the case says that the g_star minor on rows [a, a+s−1]
+and sorted columns J is R(a, s)·P([a+k+s, n+a−1] ∪ J).  Expand it along
+row a: g_{a,j} is zero unless j <= a+k, and its cofactor is (−1)^pos, pos
+the place of j in J from 0, times the minor of case (a+1, s−1, J∖{j}).  If
+a is in J and j ≠ a, that minor has the zero column a and its completed
+coordinate holds n+a and a, so the term is zero in the expansion and in
+the identity below.  If every other lower case holds, then, as
+R(a, s) = P([a+k+1, n+a])·R(a+1, s−1), the minor minus its right side is
+R(a+1, s−1) times Σ_pos (−1)^pos g_{a,j}·P([a+k+s, n+a] ∪ J∖{j}) −
+P([a+k+1, n+a])·P([a+k+s, n+a−1] ∪ J).  Chart coordinates on distinct
+residues are ± minors of Y, so R(a+1, s−1) ≠ 0, and the ring is a domain:
+the case holds exactly when this quadratic Grassmann–Plücker relation
+(Fulton, *Young Tableaux*, 1997) does, which is checked, never assumed.  For
+s = 1, or where a lower case fails (only perturbed entries do), the minor
+is compared with its right side directly.  The composite identity is the
+case on all rows: substitution is a ring map, so f_star of a coordinate at
+the g_star entries is the determinant of the g_star entries on its columns.
+
 Band minors factor by their zero pattern.  Take the band minor on rows
 [p, p+s−1] and sorted columns j_0 < … < j_{s−1}, each j_t in [p+t, p+t+k]
 as in every maximal minor.  Where j_t = p+t with t < s−1, the rows after
@@ -42,9 +63,6 @@ ch. 4), so its determinant, in distinct indeterminates, is irreducible
 UFD and blocks on different rows share no variable, so the blocks are the
 irreducible factors, each once: the frozen generators among them give the
 content, the one left is the minor.
-
-Substitution is a ring map, so f_star of a coordinate at the g_star entries
-is the determinant of the g_star entries on its columns.
 """
 
 from __future__ import annotations
@@ -121,12 +139,7 @@ def reduce_plucker_index(
     residues = [(s - 1) % ctx.n + 1 for s in raw]
     if len(set(residues)) != len(residues):
         return 0, ()
-    inversions = sum(
-        1
-        for a in range(len(residues))
-        for b in range(a + 1, len(residues))
-        if residues[a] > residues[b]
-    )
+    inversions = sum(x > y for x, y in combinations(residues, 2))
     return (-1 if inversions % 2 else 1), tuple(sorted(residues))
 
 
@@ -160,13 +173,13 @@ def _unpack_y(ctx: GenericMatrixContext, fp: lp.Packed) -> Poly:
     return lp.unpack(fp, (0,) * y_arity(ctx), _width(ctx))
 
 
-def _fast_minors(entries: Sequence[Sequence[lp.Packed]]) -> List[Dict[int, lp.Packed]]:
-    """Minors on the first t rows keyed by column mask, for t = 0 .. rows:
-    cofactor expansion row by row, sharing minors across column subsets."""
-    levels: List[Dict[int, lp.Packed]] = [{0: {0: 1}}]
+def _fast_det(entries: Sequence[Sequence[lp.Packed]]) -> lp.Packed:
+    """Determinant by cofactor expansion row by row: the minors on the
+    first t rows, keyed by column mask, are shared across column subsets."""
+    level: Dict[int, lp.Packed] = {0: {0: 1}}
     for t, row in enumerate(entries):
         nxt: Dict[int, lp.Packed] = {}
-        for mask, minor in levels[-1].items():
+        for mask, minor in level.items():
             if not minor:
                 continue
             for j, entry in enumerate(row):
@@ -182,12 +195,8 @@ def _fast_minors(entries: Sequence[Sequence[lp.Packed]]) -> List[Dict[int, lp.Pa
                         acc[key] = c
                     elif key in acc:
                         del acc[key]
-        levels.append(nxt)
-    return levels
-
-
-def _fast_det(entries: Sequence[Sequence[lp.Packed]]) -> lp.Packed:
-    return _fast_minors(entries)[-1].get((1 << len(entries)) - 1, {})
+        level = nxt
+    return level.get((1 << len(entries)) - 1, {})
 
 
 def _matrix_entry(ctx: GenericMatrixContext, chart: bool, r: int, c: int) -> lp.Packed:
@@ -283,35 +292,31 @@ def g_star(ctx: GenericMatrixContext, i: int, j: int) -> Poly:
     return _unpack_x(ctx, _g_entry_fast(ctx, i, j, False))
 
 
-@lru_cache(maxsize=None)
-def _g_row_minors(
-    ctx: GenericMatrixContext, a: int, chart: bool
-) -> List[Dict[int, lp.Packed]]:
-    """Minors of the g_star matrix on rows [a, a+t−1] for every t, keyed by
-    column mask (bit c−1 for column c); one expansion serves every case."""
-    return _fast_minors([
-        [_g_entry_fast(ctx, i, j, chart) for j in range(1, ctx.n + 1)]
-        for i in range(a, ctx.rows + 1)
-    ])
-
-
-def _mask(cols: Sequence[int]) -> int:
-    return sum(1 << (c - 1) for c in cols)
-
-
 def _interval(lo: int, hi: int) -> List[int]:
     return list(range(lo, hi + 1))
 
 
 @lru_cache(maxsize=None)
-def _run_product_fast(
-    ctx: GenericMatrixContext, a: int, s: int, chart: bool
-) -> lp.Packed:
-    out: lp.Packed = {0: 1}
-    for i in range(a, a + s - 1):
-        run = tuple(_interval(i + ctx.k + 1, ctx.n + i))
-        out = lp.mul_packed(out, _plucker_fast(ctx, run, chart))
-    return out
+def _completed(ctx: GenericMatrixContext, a: int, s: int, j_set: IndexSet) -> lp.Packed:
+    """The chart coordinate on [a+k+s, n+a−1] ∪ J; at s = 0 and no J, a run."""
+    return _plucker_fast(ctx, tuple(_interval(a + ctx.k + s, ctx.n + a - 1)) + j_set, True)
+
+
+@lru_cache(maxsize=None)
+def _flattoband_holds(ctx: GenericMatrixContext, a: int, s: int, j_set: IndexSet) -> bool:
+    """Case (a, s, J) by induction on rows, as the module docstring proves."""
+    # the cofactors along row a that the module docstring keeps
+    lower = [(pos, j, j_set[:pos] + j_set[pos + 1:]) for pos, j in enumerate(j_set)
+             if j <= a + ctx.k and (j == a or j_set[0] != a)]
+    if s > 1 and all(_flattoband_holds(ctx, a + 1, s - 1, rest) for _, _, rest in lower):
+        return not _signed_sum(
+            [((-1) ** pos, [_g_entry_fast(ctx, a, j, True), _completed(ctx, a + 1, s - 1, rest)])
+             for pos, j, rest in lower]
+            + [(-1, [_completed(ctx, a + 1, 0, ()), _completed(ctx, a, s, j_set)])])
+    # s = 1, or a lower case failed (only on perturbed entries): decide directly
+    minor = _fast_det([[_g_entry_fast(ctx, i, j, True) for j in j_set] for i in range(a, a + s)])
+    runs = [_completed(ctx, i, 0, ()) for i in range(a + 1, a + s)]
+    return minor == reduce(lp.mul_packed, runs, _completed(ctx, a, s, j_set))
 
 
 def flattoband_check(
@@ -320,23 +325,15 @@ def flattoband_check(
     """Exact identity between a row-solid minor of the g_star matrix and a
     product of cyclic-interval Plücker coordinates, decided in the chart.
 
-    Rows are the interval [a, a+s−1]; the columns must come from the band
-    window [a, a+s−1+k], where sorted distinct columns always meet the
-    row-solid support condition.  Out-of-window data is an error.
+    Rows are the interval [a, a+s−1] with s >= 1; the columns must come
+    from the band window [a, a+s−1+k], where sorted distinct columns always
+    meet the row-solid support condition.  Out-of-window data is an error.
     """
     j_set = tuple(sorted(cols_j))
-    if not (1 <= a and a + s - 1 <= ctx.rows and len(j_set) == s):
-        raise InvalidIndex("row interval outside the matrix or wrong column count")
-    if len(set(j_set)) != s:
-        raise InvalidIndex("repeated column index")
-    if s and not (a <= j_set[0] and j_set[-1] <= a + s - 1 + ctx.k):
-        raise InvalidIndex("columns outside the band window")
-    lhs = _g_row_minors(ctx, a, True)[s].get(_mask(j_set), {})
-    rhs = _run_product_fast(ctx, a, s, True)
-    completed = _plucker_fast(
-        ctx, tuple(_interval(a + ctx.k + s, ctx.n + a - 1)) + j_set, True
-    )
-    return lhs == lp.mul_packed(rhs, completed)
+    if not (1 <= a and 1 <= s and a + s - 1 <= ctx.rows and len(set(j_set)) == len(j_set) == s
+            and a <= j_set[0] and j_set[-1] <= a + s - 1 + ctx.k):
+        raise InvalidIndex("need s >= 1 rows inside the matrix and s distinct band-window columns")
+    return _flattoband_holds(ctx, a, s, j_set)
 
 
 def flattoband_cases(ctx: GenericMatrixContext) -> List[Tuple[int, int, IndexSet]]:

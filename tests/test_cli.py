@@ -330,6 +330,11 @@ GOLDEN_FIXTURES = {
         "fa9c4811410f5520688f04ecff2f40a9ebe6c40c1392247c4084a8b4a91ed909",
     ("grassmann --kn 4 8 --all-checks", "json"):
         "7175d3eedcaf4f845fb995df70e565cea64a8fc1094cd24d96692314914d4918",
+    # recorded from the implementation that expanded every g_star minor
+    ("grassmann --kn 4 10 --all-checks", "json"):
+        "adcd92cb0fde39a9662e6743737e06e9550fc53871dcdbf585e700f0f415a3fe",
+    ("grassmann --kn 3 11 --all-checks", "json"):
+        "8da85f3638e0198646af48a01d315ba9f2bbb2dc8c44c53186e5bcda9a0151dc",
     # recorded from the implementation that expanded every band image and
     # divided the frozen generators out of it
     ("grassmann --kn 2 20", "json"):

@@ -2,7 +2,7 @@
 
 import random
 from collections import Counter
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 
 import hypothesis.strategies as st
@@ -214,7 +214,7 @@ def rectangle_seed(ctx):
 
 def g_star_minor(ctx, i_set, j_set, chart=False):
     # the packed minor of the g_star entries, expanded on its own: the
-    # reference for the one-expansion row minors and the chart
+    # reference for the flat-to-band verdicts and the chart
     return gr._fast_det([[gr._g_entry_fast(ctx, i, j, chart) for j in j_set] for i in i_set])
 
 
@@ -611,6 +611,10 @@ def test_flattened_identity_validation():
         gr.flattoband_check(CTX25, 1, 2, (2, 2))
     with pytest.raises(gr.InvalidIndex):
         gr.flattoband_check(CTX25, 1, 2, (4, 5))
+    # an empty row interval is no case at all
+    for a in range(1, CTX25.rows + 2):
+        with pytest.raises(gr.InvalidIndex):
+            gr.flattoband_check(CTX25, a, 0, ())
 
 
 def test_flattened_case_enumeration():
@@ -859,9 +863,10 @@ def flattoband_verdict(ctx, a, s, j_set, chart, shift=0):
     # the flat-to-band identity with its completed run shifted by `shift`
     # columns: any shift keeps both sides products of s Plücker coordinates
     lhs = g_star_minor(ctx, tuple(range(a, a + s)), j_set, chart)
-    rhs = gr._run_product_fast(ctx, a, s, chart)
-    run = tuple(range(a + ctx.k + s + shift, ctx.n + a + shift))
-    return lhs == lp.mul_packed(rhs, gr._plucker_fast(ctx, run + j_set, chart))
+    rhs = gr._plucker_fast(ctx, tuple(range(a + ctx.k + s + shift, ctx.n + a + shift)) + j_set, chart)
+    for i in range(a, a + s - 1):
+        rhs = lp.mul_packed(rhs, gr._plucker_fast(ctx, tuple(range(i + ctx.k + 1, ctx.n + i + 1)), chart))
+    return lhs == rhs
 
 
 def chart_rejections(ctx, cases):
@@ -888,6 +893,35 @@ def test_chart_agrees_with_generic_matrix():
     cases = [case for case in gr.flattoband_cases(ctx) if case[1] <= 2]
     sample = random.Random(27).sample(cases, 20)
     assert chart_rejections(ctx, sample) == 2 * len(sample)
+
+
+@pytest.mark.parametrize("kn", [(2, 5), (3, 6), (3, 7)])
+def test_flattoband_verdicts_on_perturbed_rows(kn, monkeypatch):
+    # one g_star entry plus 1 in every row from 2 on: every verdict must be
+    # the direct one, the determinant against the run product times the
+    # completed coordinate, also where a lower case fails
+    ctx = gr.make_context(*kn)
+    bumped = {(i, i + i % (ctx.k + 1)) for i in range(2, ctx.rows + 1)}
+    g_entry = gr._g_entry_fast
+
+    def perturbed(ctx, i, j, chart):
+        entry = dict(g_entry(ctx, i, j, chart))
+        if (i, j) in bumped:
+            entry[0] = entry.get(0, 0) + 1
+        return entry
+
+    monkeypatch.setattr(gr, "_g_entry_fast", perturbed)
+    # a fresh verdict cache sees the perturbed entries
+    monkeypatch.setattr(gr, "_flattoband_holds", lru_cache(gr._flattoband_holds.__wrapped__))
+    cases = gr.flattoband_cases(ctx)
+    verdicts = [gr.flattoband_check(ctx, *case) for case in cases]
+    assert verdicts == [flattoband_verdict(ctx, *case, True) for case in cases]
+    failed = {case for case, holds in zip(cases, verdicts) if not holds}
+    # cases whose expansion along row a meets a failed lower case
+    direct = [(a, s, j_set) for a, s, j_set in cases if any(
+        (a + 1, s - 1, j_set[:pos] + j_set[pos + 1:]) in failed
+        for pos, j in enumerate(j_set) if j <= a + ctx.k)]
+    assert failed and direct
 
 
 def test_composite_identity_in_chart():

@@ -9,9 +9,10 @@ one solution among many, so its verdicts are checked against sympy's rank
 and Hermite forms and each solution against its equation.
 
 The band-side factorization names its minor from one exponent and shifts
-out one-variable generators; `composite_identity` takes one determinant of
-the g_star entries.  Their references are the catalog scan, the trial
-division by every frozen generator, and term-by-term substitution.
+out one-variable generators; `composite_identity` reads each column set
+from the flat-to-band case on all rows, which is decided by one quadratic
+Plücker identity per case.  Their references are the catalog scan, the
+trial division by every frozen generator, and term-by-term substitution.
 """
 
 from __future__ import annotations
@@ -156,7 +157,9 @@ def ref_composite_identity(ctx):
         for i in range(1, ctx.rows + 1)
         for d in range(ctx.k + 1)
     ]
-    run = gr._run_product_fast(ctx, 1, ctx.rows, True)
+    run = {0: 1}
+    for i in range(1, ctx.rows):
+        run = lp.mul_packed(run, gr._plucker_fast(ctx, tuple(range(i + ctx.k + 1, ctx.n + i + 1)), True))
     out = []
     for cols in combinations(range(1, ctx.n + 1), ctx.rows):
         got = gr.substitute(gr.f_star(ctx, cols), images, arity)
@@ -349,9 +352,9 @@ def test_composite_identity_matches_substitution(kn, monkeypatch):
         return entry
 
     monkeypatch.setattr(gr, "_g_entry_fast", perturbed)
-    # the g_star minors are cached per context; a fresh cache sees the
-    # perturbed entry, and the shared one comes back untouched after the test
-    monkeypatch.setattr(gr, "_g_row_minors", lru_cache(gr._g_row_minors.__wrapped__))
+    # the verdicts are cached per case; a fresh cache sees the perturbed
+    # entry, and the shared one comes back untouched after the test
+    monkeypatch.setattr(gr, "_flattoband_holds", lru_cache(gr._flattoband_holds.__wrapped__))
     results = gr.composite_identity(ctx)
     assert results == ref_composite_identity(ctx)
     assert not all(holds for _, holds in results)

@@ -178,8 +178,9 @@ def test_explore_mutates_matrices_only_for_new_nodes():
 
 def test_one_packed_form():
     # laurent.Operand is the one packer and laurent.unpack the one decoder:
-    # every packed polynomial sits on nonnegative lanes, and the band side
-    # of grassmann stays packed through its factorization
+    # every packed polynomial sits on nonnegative lanes, the band side of
+    # grassmann stays packed through its factorization, and no flat-to-band
+    # case expands the g_star minors of its rows
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
              for path in SOURCES}
 
@@ -188,7 +189,7 @@ def test_one_packed_form():
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
 
     assert not defined("laurent.py") & {"pack", "max_abs_exponent", "unpack_shifted"}
-    assert "poly_det" not in defined("grassmann.py")
+    assert not defined("grassmann.py") & {"poly_det", "_g_row_minors", "_run_product_fast", "_fast_minors"}
     called = {ast.unparse(node.func) for node in ast.walk(trees["grassmann.py"])
               if isinstance(node, ast.Call)}
     assert not called & {"lp.exact_div", "lp.shift", "lp.max_abs_exponent"}
