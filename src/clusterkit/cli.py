@@ -281,14 +281,6 @@ def mutate(seed_file: str, word: str, out: Optional[str], fmt: str) -> None:
     _emit(payload, fmt, _mutate_lines)
 
 
-def _explore_lines(payload: Payload) -> List[str]:
-    return [
-        f"nodes: {len(payload['nodes'])}",
-        f"edges: {len(payload['edges'])}",
-        f"complete: {payload['complete']}",
-    ]
-
-
 @_command(
     "explore",
     _arg("seed_file"),
@@ -309,8 +301,12 @@ def explore(seed_file: str, max_depth: int, max_nodes: int, fmt: str) -> None:
         )
     if fmt == "dot":
         _echo(pt.graph_to_dot(graph))
-        return
-    _emit(pt.graph_to_json(graph), fmt, _explore_lines)
+    elif fmt == "text":
+        # the counts come off the graph: no cluster variable is rendered
+        edges = sum(map(len, graph.adjacency))
+        _echo(f"nodes: {len(graph.nodes)}\nedges: {edges}\ncomplete: {graph.complete}")
+    else:
+        _echo(_json_text(pt.graph_to_json(graph)))
 
 
 # ---------------------------------------------------------------------------

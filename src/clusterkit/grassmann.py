@@ -68,7 +68,7 @@ content, the one left is the minor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -152,8 +152,8 @@ def reduce_plucker_index(
 # distinct rows, runs of fewer than ctx.rows coordinates times one more).  A
 # band minor has total degree at most ctx.rows.  A pinned (2,5) relation
 # reaches total degree 6, which 8-bit lanes, the narrowest, hold.  The
-# caches in this module share their values with every caller inside it;
-# public functions hand out fresh dicts.
+# caches in this module share their values with every caller inside it,
+# and no caller changes one; public functions hand out fresh dicts.
 
 
 def _width(ctx: GenericMatrixContext) -> int:
@@ -178,7 +178,8 @@ def _fast_det(entries: Sequence[Sequence[lp.Packed]]) -> lp.Packed:
     first t rows, keyed by column mask, are shared across column subsets."""
     level: Dict[int, lp.Packed] = {0: {0: 1}}
     for t, row in enumerate(entries):
-        nxt: Dict[int, lp.Packed] = {}
+        # the signed cofactor products of each minor on the first t+1 rows
+        products: Dict[int, List[lp.Product]] = {}
         for mask, minor in level.items():
             if not minor:
                 continue
@@ -188,14 +189,8 @@ def _fast_det(entries: Sequence[Sequence[lp.Packed]]) -> lp.Packed:
                     continue
                 below = bin(mask & (bit - 1)).count("1")
                 sign = -1 if (t + below) % 2 else 1
-                acc = nxt.setdefault(mask | bit, {})
-                for key, coef in lp.mul_packed(minor, entry).items():
-                    c = acc.get(key, 0) + sign * coef
-                    if c:
-                        acc[key] = c
-                    elif key in acc:
-                        del acc[key]
-        level = nxt
+                products.setdefault(mask | bit, []).append((sign, [minor, entry]))
+        level = {mask: lp.signed_sum(terms) for mask, terms in products.items()}
     return level.get((1 << len(entries)) - 1, {})
 
 
@@ -223,7 +218,7 @@ def _plucker_fast(
     if sign == 0:
         return {}
     det = _sorted_plucker_fast(ctx, cols, chart)
-    return dict(det) if sign > 0 else {k: -c for k, c in det.items()}
+    return det if sign > 0 else lp.signed_sum([(-1, [det])])
 
 
 def plucker(ctx: GenericMatrixContext, raw: Sequence[int]) -> Poly:
@@ -309,14 +304,14 @@ def _flattoband_holds(ctx: GenericMatrixContext, a: int, s: int, j_set: IndexSet
     lower = [(pos, j, j_set[:pos] + j_set[pos + 1:]) for pos, j in enumerate(j_set)
              if j <= a + ctx.k and (j == a or j_set[0] != a)]
     if s > 1 and all(_flattoband_holds(ctx, a + 1, s - 1, rest) for _, _, rest in lower):
-        return not _signed_sum(
+        return not lp.signed_sum(
             [((-1) ** pos, [_g_entry_fast(ctx, a, j, True), _completed(ctx, a + 1, s - 1, rest)])
              for pos, j, rest in lower]
             + [(-1, [_completed(ctx, a + 1, 0, ()), _completed(ctx, a, s, j_set)])])
     # s = 1, or a lower case failed (only on perturbed entries): decide directly
     minor = _fast_det([[_g_entry_fast(ctx, i, j, True) for j in j_set] for i in range(a, a + s)])
     runs = [_completed(ctx, i, 0, ()) for i in range(a + 1, a + s)]
-    return minor == reduce(lp.mul_packed, runs, _completed(ctx, a, s, j_set))
+    return not lp.signed_sum([(1, [minor]), (-1, runs + [_completed(ctx, a, s, j_set)])])
 
 
 def flattoband_check(
@@ -495,15 +490,17 @@ def tropical_c_check(
     residues = [(c - 1) % ctx.n + 1 for c in touched]
     if len(set(residues)) != ctx.rows + 2:
         raise InvalidIndex("overlapping indices in the relation")
+    *rest, ri, rj, rk, rl = residues
 
-    def vec(pair: Tuple[int, int]) -> Tuple[int, ...]:
-        return _factored(ctx, list(base) + list(pair), "content")[1]
+    # distinct residues: each coordinate is its sorted set, with no sign to drop
+    def vec(p: int, q: int) -> Tuple[int, ...]:
+        return _split_image(ctx, tuple(sorted(rest + [p, q])))[0]
 
     def tot(p1: Tuple[int, int], p2: Tuple[int, int]) -> List[int]:
-        return [x + y for x, y in zip(vec(p1), vec(p2))]
+        return [x + y for x, y in zip(vec(*p1), vec(*p2))]
 
-    lhs = tot((i, k2), (j, l))
-    rhs = [min(x, y) for x, y in zip(tot((i, j), (k2, l)), tot((j, k2), (i, l)))]
+    lhs = tot((ri, rk), (rj, rl))
+    rhs = [min(x, y) for x, y in zip(tot((ri, rj), (rk, rl)), tot((rj, rk), (ri, rl)))]
     return lhs == rhs
 
 
@@ -638,16 +635,6 @@ QUINTIC_IMAGE_COFACTORS = (
 )
 
 
-def _signed_sum(products: Sequence[Tuple[int, Sequence[lp.Packed]]]) -> lp.Packed:
-    """The sum of sign times the product of the factors over packed values
-    of one width: an identity holds exactly when its signed sum is empty."""
-    out: lp.Packed = {}
-    for sign, factors in products:
-        for key, coef in reduce(lp.mul_packed, factors).items():
-            out[key] = out.get(key, 0) + sign * coef
-    return {key: coef for key, coef in out.items() if coef}
-
-
 def quintic_relation_checks(ctx: GenericMatrixContext) -> List[Dict[str, object]]:
     """The pinned relation tables evaluated as exact identities.
 
@@ -679,7 +666,7 @@ def quintic_relation_checks(ctx: GenericMatrixContext) -> List[Dict[str, object]
         lhs = [(full, cols) for cols in left] if cofactor else left
         terms = [(1, values(lhs))] + [(-1, values(tuple(cofactor) + part))
                                       for part in (first, second)]
-        out.update(summands=[names(first), names(second)], holds=not _signed_sum(terms))
+        out.update(summands=[names(first), names(second)], holds=not lp.signed_sum(terms))
         return out
 
     minors = QUINTIC_MINOR_RELATIONS

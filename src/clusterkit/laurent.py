@@ -41,12 +41,17 @@ monomial of g is one subtraction and a test of the top bit of each lane,
 which is clear on every exponent met and set by a borrow, so a quotient term
 with a negative exponent is refused.  A one-term divisor short-cuts to a
 shift and a scale, and `power` squares with each cross term computed once.
+
+`_add_product`, which adds scale·f·g into a sum in place, is the one product
+loop, and `signed_sum` the one evaluator of a sum of signed products: an
+exchange relation is such a sum divided, a polynomial identity one tested
+for emptiness.
 """
 
 from __future__ import annotations
 
 import struct
-from functools import lru_cache
+from functools import lru_cache, reduce
 from heapq import heappop, heappush
 from operator import add as _iadd
 from operator import mul as _imul
@@ -57,6 +62,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 Exponent = Tuple[int, ...]
 Poly = Dict[Exponent, int]
 Packed = Dict[int, int]
+Product = Tuple[int, Sequence[Packed]]
 
 
 class NotDivisible(Exception):
@@ -413,19 +419,33 @@ def unpack(fp: Packed, low: Exponent, width: int) -> Poly:
 
 
 def mul_packed(f: Packed, g: Packed) -> Packed:
-    """Product of two packed polynomials of one width.
+    """Product of two packed polynomials of one width, whose lanes must hold
+    every exponent of the product."""
+    return _drop_zeros(_add_product({}, f, g, 1))
 
-    The caller's width must hold every exponent of the product.
-    """
+
+def signed_sum(products: Sequence[Product]) -> Packed:
+    """Sum of scale times the product of the factors over (scale, factors)
+    of one width whose lanes hold every product, each last factor multiplied
+    straight into the sum; no factor is changed, so caches may share them."""
+    out: Packed = {}
+    for scale, factors in products:
+        *head, last = factors
+        _add_product(out, reduce(mul_packed, head) if head else {0: 1}, last, scale)
+    return _drop_zeros(out)
+
+
+def _add_product(out: Packed, f: Packed, g: Packed, scale: int) -> Packed:
+    # out += scale * f * g in place, zeros kept: the one term-pair loop
     if len(f) < len(g):
         f, g = g, f
-    out: Packed = {}
     get = out.get
     for kg, cg in g.items():
+        cg *= scale
         for kf, cf in f.items():
             key = kf + kg
             out[key] = get(key, 0) + cf * cg
-    return _drop_zeros(out)
+    return out
 
 
 def _square_packed(f: Packed) -> Packed:

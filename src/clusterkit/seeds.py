@@ -221,17 +221,18 @@ def operands(cluster: Sequence[Poly], column: Sequence[int], k: int = -1) -> Ope
 
 def packed_terms(
     column: Sequence[int], cluster: Operands, plus: Exponent, minus: Exponent, floor: int = 0
-) -> Tuple[List[int], int, lp.Packed, lp.Packed]:
+) -> Tuple[List[int], int, lp.Product, lp.Product]:
     """The exchange terms p+ prod x_j^[b_jk]+ and p- prod x_j^[-b_jk]+ at k
-    as (low, width, plus term, minus term), each x^low times packed keys,
-    from column k (entries past the cluster are ignored), the cluster as
-    operands where b_jk != 0, and p+, p- as ambient exponent vectors.  Each
-    term is x^lo, its exact minimum exponent (minima add), times a product
-    of operands x^-low_j x_j; lo starts at the coefficient's exponent, which
-    a rescaled pair may make negative.  Both terms are shifted by the
-    componentwise minimum `low` of their lo, so every exponent met is
-    nonnegative, and one lane width holds the largest total degree a term
-    reaches and `floor` (x_k's when dividing)."""
+    as (low, width, plus term, minus term), each x^low times a packed
+    (scale, factors) product for `laurent.signed_sum`, from column k
+    (entries past the cluster are ignored), the cluster as operands where
+    b_jk != 0, and p+, p- as ambient exponent vectors.  Each term is x^lo,
+    its exact minimum exponent (minima add), times a product of operands
+    x^-low_j x_j; lo starts at the coefficient's exponent, which a rescaled
+    pair may make negative.  Both terms are shifted by the componentwise
+    minimum `low` of their lo, so every exponent met is nonnegative, and
+    one lane width holds the largest total degree a term reaches and
+    `floor` (x_k's when dividing)."""
     sides = []
     for lo, sign in ((plus, 1), (minus, -1)):
         degree, scale, factors = 0, 1, []
@@ -248,32 +249,25 @@ def packed_terms(
         sides.append((lo, degree, scale, factors))
     low = list(map(min, sides[0][0], sides[1][0]))
     width = lp.lane_width(max([d + sum(lo) - sum(low) for lo, d, _, _ in sides] + [floor]))
-    terms = []
-    for lo, _, scale, factors in sides:
-        product = None
-        for x, e in factors:
-            factor = lp.power_packed(x.packed(width), e)
-            product = factor if product is None else lp.mul_packed(product, factor)
-        offset = lp.exponent_key(list(map(_isub, lo, low)), width)
-        terms.append({key + offset: scale * c for key, c in (product or {0: 1}).items()})
+    terms = [
+        (scale, [lp.power_packed(x.packed(width), e) for x, e in factors]
+         + [{lp.exponent_key(list(map(_isub, lo, low)), width): 1}])
+        for lo, _, scale, factors in sides
+    ]
     return low, width, terms[0], terms[1]
 
 
 def exchange_packed(
     column: Sequence[int], k: int, cluster: Operands, plus: Exponent, minus: Exponent
 ) -> Poly:
-    """(p+ prod x_j^[b_jk]+ + p- prod x_j^[-b_jk]+) / x_k: the sum of the
-    two `packed_terms`, divided by `laurent.div_packed` in the same lanes.
+    """(p+ prod x_j^[b_jk]+ + p- prod x_j^[-b_jk]+) / x_k: `laurent.signed_sum`
+    of the two `packed_terms`, divided by `laurent.div_packed` in its lanes.
     NotDivisible means the input is no seed (the Laurent property fails); a
     vanishing quotient, possible with signed coefficients, raises
     InvalidSeed."""
     xk = cluster[k]
     low, width, f, g = packed_terms(column, cluster, plus, minus, xk.degree)
-    for key, c in g.items():
-        c += f.pop(key, 0)
-        if c:
-            f[key] = c
-    quot = lp.div_packed(f, xk.packed(width), len(low), width)
+    quot = lp.div_packed(lp.signed_sum([f, g]), xk.packed(width), len(low), width)
     if not quot:
         raise InvalidSeed("zero cluster variable")
     return lp.unpack(quot, lp.exp_sub(low, xk.low), width)
@@ -349,9 +343,9 @@ def hatted_pair(
 ) -> RationalPair:
     """The hatted variable (p+ / p-) * prod_i x_i^b_ij of a seed with the
     coefficient pair (plus, minus), normalized or not: the two
-    `packed_terms`, unpacked."""
+    `packed_terms`, each evaluated by `laurent.signed_sum` and unpacked."""
     low, width, f, g = packed_terms(column, operands(cluster, column), plus, minus)
-    return lp.unpack(f, low, width), lp.unpack(g, low, width)
+    return lp.unpack(lp.signed_sum([f]), low, width), lp.unpack(lp.signed_sum([g]), low, width)
 
 
 def hatted_mutation_check(seed: Seed, k: int) -> bool:
@@ -402,6 +396,8 @@ def seed_to_json(seed: Seed) -> dict:
 def seed_from_json(obj: dict) -> Seed:
     obj = lp.json_object(obj, "the top level", InvalidSeed)
     n, m = lp.json_ints([obj["n"], obj["m"]], "n and m", InvalidSeed)
+    if n < 0 or m < 0:
+        raise InvalidSeed(f"n and m must be nonnegative, got n={n}, m={m}")
     btilde = [
         lp.json_ints(row, "btilde entries", InvalidSeed)
         for row in lp.json_list(obj["btilde"], "btilde", InvalidSeed)

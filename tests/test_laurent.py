@@ -215,6 +215,26 @@ class TestPackedKernel:
             with pytest.raises(ValueError):
                 lp.Operand({e: 1, (0, 0): 1}).packed(width)
 
+    @given(ARITIES, st.lists(st.tuples(st.integers(-3, 3), st.lists(
+        polys(spread=st.integers(0, 4), offset=False), min_size=1, max_size=3)), max_size=4))
+    def test_signed_sum_matches_ring_operations(self, arity, products):
+        # at most 3 factors of total degree <= 4 * arity
+        width = lp.lane_width(12 * arity)
+        packed = [(scale, [{lp.exponent_key(e, width): c for e, c in f.items()} for f in factors])
+                  for scale, factors in products]
+        before = [[dict(f) for f in factors] for _, factors in packed]
+        expected: dict = {}
+        for scale, factors in products:
+            term = lp.constant(scale, arity)
+            for f in factors:
+                term = lp.mul(term, f)
+            expected = lp.add(expected, term)
+        total = lp.signed_sum(packed)
+        assert 0 not in total.values()
+        assert lp.unpack(total, (0,) * arity, width) == expected
+        # the factors are shared with caches, so they are never changed
+        assert [factors for _, factors in packed] == before
+
     def test_arity_checks_survive_optimize(self, run_optimized):
         # typed errors, not asserts that python -O would strip
         run_optimized(textwrap.dedent("""

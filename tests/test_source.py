@@ -237,3 +237,46 @@ def test_factorization_divides_nothing():
     used |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
              for alias in node.names}
     assert not used & {"div_packed", "exact_div"}
+
+
+def _term_loops(tree):
+    """Lines that rebuild a dict term by term from another dict's items: a
+    comprehension whose key or value computes, or a loop that stores under
+    its own key."""
+
+    def over_items(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "items"
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.DictComp) and any(over_items(g.iter) for g in node.generators):
+            if any(isinstance(sub, (ast.BinOp, ast.UnaryOp))
+                   for part in (node.key, node.value) for sub in ast.walk(part)):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.For) and over_items(node.iter) and isinstance(node.target, ast.Tuple):
+            key = ast.unparse(node.target.elts[0])
+            stores = [target for sub in ast.walk(node)
+                      for target in (sub.targets if isinstance(sub, ast.Assign) else
+                                     [sub.target] if isinstance(sub, ast.AugAssign) else [])]
+            lines += [target.lineno for target in stores
+                      if isinstance(target, ast.Subscript) and ast.unparse(target.slice) == key]
+    return lines
+
+
+def test_one_signed_sum():
+    # laurent._add_product is the one product loop and laurent.signed_sum the
+    # one evaluator of signed products: exchange relations, hatted pairs,
+    # determinants and Plücker identities reach them, and no other module
+    # multiplies packed values or sums their terms itself
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in SOURCES}
+    for name, tree in trees.items():
+        used = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(tree)
+                if isinstance(node, (ast.Attribute, ast.Name))}
+        used |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for alias in node.names}
+        if name != "laurent.py":
+            assert not used & {"mul_packed", "_add_product"}, f"{name} multiplies packed values"
+            assert _term_loops(tree) == [], f"{name} sums terms itself"
+    assert "_signed_sum" not in {node.name for node in trees["grassmann.py"].body
+                                 if isinstance(node, ast.FunctionDef)}
