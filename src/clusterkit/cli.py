@@ -12,6 +12,9 @@ JSON text on stdout, in --out files and in exit-2 stderr payloads is exactly
 `json.dumps(obj, indent=2)`, written by `_json_text`, since CPython's C
 encoder ignores `indent` before 3.14 and the pure-Python one costs about as
 much as the mutations it reports.  With a 3.14 floor the writer can go.
+The exchange graph is the one payload `patterns` streams instead, as JSON
+or DOT a node at a time, so that neither it nor its text is ever whole in
+memory.
 
 The front end is one `argparse` parser, built once at import with one
 sub-parser per command, so the runtime needs nothing beyond the standard
@@ -299,14 +302,15 @@ def explore(seed_file: str, max_depth: int, max_nodes: int, fmt: str) -> None:
         raise InputFault(
             {"error": "not a seed of any pattern", "path": seed_file, "reason": str(exc)}
         )
-    if fmt == "dot":
-        _echo(pt.graph_to_dot(graph))
-    elif fmt == "text":
+    if fmt == "text":
         # the counts come off the graph: no cluster variable is rendered
         edges = sum(map(len, graph.adjacency))
         _echo(f"nodes: {len(graph.nodes)}\nedges: {edges}\ncomplete: {graph.complete}")
-    else:
-        _echo(_json_text(pt.graph_to_json(graph)))
+        return
+    # a node at a time; `_echo` ends the text and flushes inside the command
+    writer = pt.graph_dot_chunks if fmt == "dot" else pt.graph_json_chunks
+    sys.stdout.writelines(writer(graph))
+    _echo("")
 
 
 # ---------------------------------------------------------------------------

@@ -427,11 +427,15 @@ def mul_packed(f: Packed, g: Packed) -> Packed:
 def signed_sum(products: Sequence[Product]) -> Packed:
     """Sum of scale times the product of the factors over (scale, factors)
     of one width whose lanes hold every product, each last factor multiplied
-    straight into the sum; no factor is changed, so caches may share them."""
+    straight into the sum; no factor is changed, so caches may share them.
+    A lone factor starts an empty sum scaled, its keys shared, not rebuilt."""
     out: Packed = {}
     for scale, factors in products:
         *head, last = factors
-        _add_product(out, reduce(mul_packed, head) if head else {0: 1}, last, scale)
+        if head or out:
+            _add_product(out, reduce(mul_packed, head) if head else {0: 1}, last, scale)
+        else:
+            out = {key: scale * c for key, c in last.items()}
     return _drop_zeros(out)
 
 

@@ -9,18 +9,32 @@ Interning.  One exploration holds each distinct cluster variable once, in a
 (`laurent.Operand`, packed once per lane width); a node is its mutation
 word, the id tuple of its cluster and its extended exchange matrix.
 
-Identity is the cluster alone: a node's key is its ids in increasing order.
-Theorem: a seed of a skew-symmetrizable pattern of geometric type is
-determined by its cluster, so two seeds whose clusters agree up to a
-permutation of the mutable indices have exchange matrices that agree up to
-the same permutation (Gekhtman, Shapiro & Vainshtein, Math. Res. Lett. 15,
-2008, for full-rank B~; Cao & Li, Math. Ann., 2020, in general).
+Identity and adjacency are the cluster alone.  Theorem: for a seed of a
+skew-symmetrizable pattern of geometric type, (1) a seed is determined by
+its cluster, so two seeds whose clusters agree up to a permutation of the
+mutable indices have exchange matrices that agree up to the same
+permutation, and (2) two clusters are adjacent in the exchange graph
+exactly when they share n-1 variables.  Both were conjectured by Fomin &
+Zelevinsky (Cluster algebras IV, Compositio Math. 143, 2007, Conj. 4.14)
+and proved by Gekhtman, Shapiro & Vainshtein (Math. Res. Lett. 15, 2008)
+for full-rank B~ and by Cao & Li (Math. Ann., 2020) in general.
 Hypothesis: the input is a seed, its cluster together with the frozen
 variables algebraically independent.  Its entries are then pairwise
-distinct, so the sort leaves no relabeling free, and data that repeats an
-entry is rejected as `InvalidSeed`; other non-seed input that no division
-exposes may be merged differently than its matrices would be.  Ids are
-assigned within one exploration, so a key means nothing across them.
+distinct, and data that repeats an entry is rejected as `InvalidSeed` by
+`canonical_key`; other non-seed input that no division exposes may be
+explored differently than its matrices would be.  Ids are assigned within
+one exploration, so an id means nothing across explorations.
+
+Facets.  A facet is a cluster less one variable: the bitmask of the
+cluster's ids with one bit cleared.  By (2) a facet lies in at most two
+clusters, the ends of the edge that exchanges its missing variable.  So
+each new node pops every facet it shares with an explored node from a
+table of open facets and records that edge both ways, and a direction
+still open when its node is expanded leads to a cluster not explored yet,
+by (1) a new seed.  Only there does exploration divide, check the new
+cluster with `canonical_key` and mutate a matrix: a complete run of N
+nodes takes N-1 matrix mutations, and an edge between two explored seeds
+costs a dictionary lookup.
 
 The memo key.  The new variable of mutation at k is the exchange polynomial
 p+ prod x_j^[b_jk]+ + p- prod x_j^[-b_jk]+, with p+ and p- read off the
@@ -28,16 +42,15 @@ frozen rows of column k, divided by x_k.  Its inputs are exactly
 
     (id of x_k, sorted (id_j, b_jk) over b_jk != 0, frozen column k),
 
-so exploration divides once per key, in `seeds.exchange_packed` over the
-packed operands.  A hit is exact: equal keys mean equal operands (ids
-compare terms, not hashes), hence the same quotient.  A failed division
-raises and ends the exploration, so every memo entry is a success.
+so exploration divides at most once per key, in `seeds.exchange_packed`
+over the packed operands.  A hit is exact: equal keys mean equal operands
+(ids compare terms, not hashes), hence the same quotient.  A failed
+division raises and ends the exploration, so every memo entry is a
+success.
 
-Only an edge into a new node mutates a matrix, so a complete run of N
-nodes takes N-1 matrix mutations.  Each edge is followed once: mutation is
-an involution that keeps the exchange polynomial at k, so if direction k
-from a node reaches a node holding the new variable at j, direction j
-leads back.
+The writers render each interned variable once and stream the graph a
+node at a time: `graph_json_chunks` is exactly `json.dumps(payload,
+indent=2)` of the payload it documents, `graph_dot_chunks` the DOT text.
 
 The quasi-automorphism search then relabels each explored seed every
 possible way, keeps the relabelings whose principal part matches the base
@@ -48,10 +61,11 @@ target are deduplicated up to proportionality.
 
 from __future__ import annotations
 
+import json
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 from . import laurent as lp
 from . import quasihom as qh
@@ -79,7 +93,7 @@ def permute_btilde(
 
 
 def canonical_key(ids: Sequence[int]) -> Tuple[int, ...]:
-    """The node key of a cluster, its ids in increasing order: equal for two
+    """The key of a cluster, its ids in increasing order: equal for two
     seeds of one exploration exactly when a relabeling carries one onto the
     other (module docstring).  Equal ids, impossible in a seed, raise
     `InvalidSeed` naming the first equal pair in the sorted order."""
@@ -152,12 +166,15 @@ def explore(
 ) -> ExplorationGraph:
     """Breadth-first mutation closure up to relabeling.
 
-    Nodes are keyed by `canonical_key`, and each new node costs one matrix
-    mutation; an edge into a later node still to be expanded also records
-    its reverse (module docstring).  Hitting either limit flags the graph as
-    truncated instead of failing, since infinite-type patterns never close.
-    Input that is not a seed of any pattern raises `lp.NotDivisible` or
-    `sd.InvalidSeed` from the first division or key that exposes it.
+    Each new node closes every open facet it shares with an explored node
+    and records that edge both ways, so a direction still open when its
+    node is expanded leads to a new seed: only there does exploration
+    divide, call `canonical_key` and mutate a matrix (module docstring).  A
+    node at `max_depth` keeps no edges.  Hitting either limit flags the
+    graph as truncated instead of failing, since infinite-type patterns
+    never close.  Input that is not a seed of any pattern raises
+    `lp.NotDivisible` or `sd.InvalidSeed` from the first division or key
+    that exposes it.
     """
     if max_depth < 0 or max_nodes < 1:
         raise ValueError("need max_depth >= 0 and max_nodes >= 1")
@@ -168,16 +185,38 @@ def explore(
     for x in sorted(initial.cluster, key=lambda x: sorted(x.items())):
         variables.intern(x)
     ids = tuple(map(variables.intern, initial.cluster))
-    btilde = tuple(map(tuple, initial.btilde))
-    nodes = [PatternNode((), ids, btilde, variables)]
-    adjacency: List[Dict[int, int]] = [{}]
-    index = {canonical_key(ids): 0}
+    canonical_key(ids)
+    nodes: List[PatternNode] = []
+    adjacency: List[Dict[int, int]] = []
+    # open facet (cluster id bitmask less one bit) -> (node, label); only a
+    # node that keeps edges opens one
+    facets: Dict[int, Tuple[int, int]] = {}
+    queue: deque = deque()
+
+    def add(word: Tuple[int, ...], ids: Tuple[int, ...], btilde: Rows) -> None:
+        new = len(nodes)
+        nodes.append(PatternNode(word, ids, btilde, variables))
+        adjacency.append({})
+        queue.append(new)
+        keeps = len(word) < max_depth
+        bits = [1 << i for i in ids]
+        mask = sum(bits)
+        for j, bit in enumerate(bits):
+            facet = mask - bit
+            other = facets.pop(facet, None)
+            if other is not None:
+                adjacency[other[0]][other[1]] = new
+                if keeps:
+                    adjacency[new][j] = other[0]
+            elif keeps:
+                facets[facet] = (new, j)
+
+    add((), ids, tuple(map(tuple, initial.btilde)))
     quotients: Dict[tuple, int] = {}
     operands = variables.operands
     # one tuple per distinct row, shared by every node matrix that holds it
     rows: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     hit_depth = hit_nodes = False
-    queue = deque([0])
     while queue:
         idx = queue.popleft()
         node = nodes[idx]
@@ -201,22 +240,13 @@ def explore(
                 ))
                 quotients[exchange] = new
             new_ids = ids[:k] + (new,) + ids[k + 1:]
-            key = canonical_key(new_ids)
-            found = index.get(key)
-            if found is None:
-                if len(nodes) >= max_nodes:
-                    hit_nodes = True
-                    continue
-                found = len(nodes)
-                mutated = sd.mutate_matrix(btilde, k)
-                frozen = tuple(rows.setdefault(row, row) for row in map(tuple, mutated))
-                nodes.append(PatternNode(node.word + (k,), new_ids, frozen, variables))
-                adjacency.append({})
-                index[key] = found
-                queue.append(found)
-            adjacency[idx][k] = found
-            if found > idx and len(nodes[found].word) < max_depth:
-                adjacency[found][nodes[found].ids.index(new)] = idx
+            canonical_key(new_ids)
+            if len(nodes) >= max_nodes:
+                hit_nodes = True
+                continue
+            mutated = sd.mutate_matrix(btilde, k)
+            add(node.word + (k,), new_ids,
+                tuple(rows.setdefault(row, row) for row in map(tuple, mutated)))
     return ExplorationGraph(nodes, adjacency, hit_depth, hit_nodes)
 
 
@@ -280,48 +310,66 @@ def find_quasi_automorphisms(
     return out
 
 
-def _rendered_clusters(graph: ExplorationGraph) -> List[List[str]]:
-    """Every node's cluster as strings, each interned variable rendered once."""
+def _rendered(graph: ExplorationGraph, escape: Callable[[str], str]) -> List[str]:
+    """The escaped rendering of every interned variable the graph's
+    clusters hold, by id: each is rendered once."""
     variables = graph.nodes[0].variables
-    rendered: Dict[int, str] = {}
+    out: List[str] = [""] * len(variables.polys)
     for node in graph.nodes:
         for i in node.ids:
-            if i not in rendered:
-                rendered[i] = lp.to_str(variables.polys[i], variables.names)
-    return [[rendered[i] for i in node.ids] for node in graph.nodes]
+            if not out[i]:
+                out[i] = escape(lp.to_str(variables.polys[i], variables.names))
+    return out
 
 
-def graph_to_json(graph: ExplorationGraph) -> dict:
-    nodes = [
-        {"id": i, "word": list(node.word), "cluster": cluster}
-        for i, (node, cluster) in enumerate(zip(graph.nodes, _rendered_clusters(graph)))
-    ]
-    edges = [
-        {"from": i, "label": k, "to": j}
-        for i, nbrs in enumerate(graph.adjacency)
-        for k, j in sorted(nbrs.items())
-    ]
-    return {
-        "nodes": nodes,
-        "edges": edges,
-        "complete": graph.complete,
-        "hit_depth": graph.hit_depth,
-        "hit_nodes": graph.hit_nodes,
-    }
+def _json_list(items: List[str]) -> str:
+    # a list of rendered scalars one level below a node object
+    return "[\n        " + ",\n        ".join(items) + "\n      ]" if items else "[]"
 
 
-def graph_to_dot(graph: ExplorationGraph) -> str:
-    """The exchange graph in DOT, each node labeled by its cluster."""
-    lines = ["graph exchange {"]
-    for i, cluster in enumerate(_rendered_clusters(graph)):
-        label = "\\n".join(x.replace("\\", "\\\\").replace('"', '\\"') for x in cluster)
-        lines.append(f'  n{i} [label="{label}"];')
-    # endpoints may label one exchange differently; emit each edge once
-    undirected: Dict[Tuple[int, int], int] = {}
+def graph_json_chunks(graph: ExplorationGraph) -> Iterator[str]:
+    """`json.dumps(payload, indent=2)` of the exchange graph, one chunk per
+    node and one per node's edges, so that neither the payload nor its text
+    is ever whole in memory.  The payload holds the nodes (id, word and
+    cluster), the edges (from, label, to) in order of source and label,
+    and the flags `complete`, `hit_depth` and `hit_nodes`."""
+    rendered = _rendered(graph, json.dumps)
+    head = '{\n  "nodes": ['
+    for i, node in enumerate(graph.nodes):
+        word = _json_list(list(map(str, node.word)))
+        cluster = _json_list([rendered[j] for j in node.ids])
+        yield (f'{head}\n    {{\n      "id": {i},\n      "word": {word},'
+               f'\n      "cluster": {cluster}\n    }}')
+        head = ","
+    head = '\n  ],\n  "edges": ['
     for i, nbrs in enumerate(graph.adjacency):
-        for k, j in sorted(nbrs.items()):
-            undirected.setdefault((min(i, j), max(i, j)), k)
-    for (i, j), k in sorted(undirected.items()):
-        lines.append(f'  n{i} -- n{j} [label="{k}"];')
-    lines.append("}")
-    return "\n".join(lines)
+        if nbrs:
+            yield head + ",".join(
+                f'\n    {{\n      "from": {i},\n      "label": {k},\n      "to": {j}\n    }}'
+                for k, j in sorted(nbrs.items())
+            )
+            head = ","
+    flags = {"complete": graph.complete, "hit_depth": graph.hit_depth,
+             "hit_nodes": graph.hit_nodes}
+    yield ("\n  ]" if head == "," else head + "]") + "".join(
+        f',\n  "{name}": {json.dumps(flag)}' for name, flag in flags.items()) + "\n}"
+
+
+def _dot_escape(x: str) -> str:
+    return x.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def graph_dot_chunks(graph: ExplorationGraph) -> Iterator[str]:
+    """The exchange graph in DOT, each node labeled by its cluster, one
+    chunk per node and one per node's edges.  Each edge appears once, from
+    its earlier node, which records every edge its later one does."""
+    rendered = _rendered(graph, _dot_escape)
+    yield "graph exchange {"
+    for i, node in enumerate(graph.nodes):
+        yield f'\n  n{i} [label="' + "\\n".join(rendered[j] for j in node.ids) + '"];'
+    for i, nbrs in enumerate(graph.adjacency):
+        # one line per later neighbour, under its least label
+        later = {j: k for k, j in sorted(nbrs.items(), reverse=True) if j > i}
+        if later:
+            yield "".join(f'\n  n{i} -- n{j} [label="{k}"];' for j, k in sorted(later.items()))
+    yield "\n}"

@@ -312,6 +312,24 @@ def test_explore_stdout_matches_golden_digest(runner, tmp_path, name, fmt):
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == GOLDEN_EXPLORE[name, fmt]
 
 
+# sha256 of `explore` stdout for the Gr(3,7) rectangle seed (type E6, 833
+# seeds) with --max-depth 100 --max-nodes 30000, recorded from the
+# implementation that built the whole payload and then its whole text
+GOLDEN_E6 = {
+    "json": "428744f46e112f9337d2ae2f049d05df76c604f90452ee889d68efca0ae5ab04",
+    "dot": "a4138f6d62f6edb240e4ce88797b411550d45dad796fd8f365a24a3e99b5bfc0",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(GOLDEN_E6))
+def test_explore_e6_stdout_matches_golden_digest(runner, tmp_path, fmt):
+    path = write_seed(tmp_path, "gr37", gx.build_fixture(gx.make_context(3, 7)).gr_seed)
+    argv = ["explore", path, "--max-depth", "100", "--max-nodes", "30000", "--format", fmt]
+    result = runner.invoke(cl.main, argv)
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == GOLDEN_E6[fmt]
+
+
 # sha256 of the fixture reports' stdout, recorded from the implementation
 # whose command line module ran the check suites itself
 GOLDEN_FIXTURES = {

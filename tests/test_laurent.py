@@ -234,6 +234,10 @@ class TestPackedKernel:
         assert lp.unpack(total, (0,) * arity, width) == expected
         # the factors are shared with caches, so they are never changed
         assert [factors for _, factors in packed] == before
+        if packed and len(packed[0][1]) == 1:
+            # a lone first factor starts the sum: its key ints are not rebuilt
+            lone = packed[0][1][0]
+            assert {id(k) for k in lone if k in total} <= {id(k) for k in total}
 
     def test_arity_checks_survive_optimize(self, run_optimized):
         # typed errors, not asserts that python -O would strip

@@ -1,5 +1,6 @@
 """Exchange-graph exploration, nerves, and quasi-automorphism search."""
 
+import json
 import random
 import textwrap
 from collections import deque
@@ -212,13 +213,13 @@ def test_explore_matches_brute_force_on_markov():
 
 @pytest.mark.parametrize(
     "b, nodes, mutations, divisions",
-    [(a_n(4), 42, 41, 35), (d_n(5), 182, 181, 137)],
+    [(a_n(4), 42, 41, 20), (d_n(5), 182, 181, 67)],
     ids=["a4-42-41", "d5-182-181"],
 )
 def test_complete_explore_mutates_each_new_node_once(monkeypatch, b, nodes, mutations, divisions):
-    # N - 1 matrix mutations: a node is keyed by its cluster, so only an edge
-    # into a new node mutates the matrix; only exchanges whose memo key is
-    # new reach the division core
+    # N - 1 matrix mutations: an edge between explored nodes closes a facet,
+    # so only an edge into a new node mutates the matrix or divides, and of
+    # those only exchanges whose memo key is new reach the division core
     mutated, divided = [], []
     mutate, divide = sd.mutate_matrix, lp.div_packed
     monkeypatch.setattr(sd, "mutate_matrix", lambda b, k: mutated.append(k) or mutate(b, k))
@@ -489,9 +490,57 @@ def test_gr35_rotation_found_and_certified():
         assert qh.check_on_nerve(record.matrix_map, star, seed, dst) == "opposite"
 
 
+def reference_graph_json(graph):
+    """The exchange-graph payload as a dict, built whole: `json.dumps` of it
+    with indent=2 is what `graph_json_chunks` streams."""
+    names = graph.nodes[0].seed.var_names
+    return {
+        "nodes": [
+            {"id": i, "word": list(node.word),
+             "cluster": [lp.to_str(x, names) for x in node.seed.cluster]}
+            for i, node in enumerate(graph.nodes)
+        ],
+        "edges": [
+            {"from": i, "label": k, "to": j}
+            for i, nbrs in enumerate(graph.adjacency)
+            for k, j in sorted(nbrs.items())
+        ],
+        "complete": graph.complete,
+        "hit_depth": graph.hit_depth,
+        "hit_nodes": graph.hit_nodes,
+    }
+
+
+def reference_graph_dot(graph):
+    """The DOT text built whole, each edge once under the label its first
+    recorded direction gives it."""
+    names = graph.nodes[0].seed.var_names
+    lines = ["graph exchange {"]
+    for i, node in enumerate(graph.nodes):
+        label = "\\n".join(lp.to_str(x, names).replace("\\", "\\\\").replace('"', '\\"')
+                           for x in node.seed.cluster)
+        lines.append(f'  n{i} [label="{label}"];')
+    undirected = {}
+    for i, nbrs in enumerate(graph.adjacency):
+        for k, j in sorted(nbrs.items()):
+            undirected.setdefault((min(i, j), max(i, j)), k)
+    for (i, j), k in sorted(undirected.items()):
+        lines.append(f'  n{i} -- n{j} [label="{k}"];')
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def graph_json(graph):
+    return "".join(pt.graph_json_chunks(graph))
+
+
+def graph_dot(graph):
+    return "".join(pt.graph_dot_chunks(graph))
+
+
 def test_graph_json_shape():
     graph = pt.explore(sd.initial_seed(GR35_BTILDE, GR35_NAMES))
-    dump = pt.graph_to_json(graph)
+    dump = json.loads(graph_json(graph))
     assert dump["complete"] is True
     assert len(dump["nodes"]) == 5
     assert dump["nodes"][0]["cluster"] == ["D235", "D245"]
@@ -501,7 +550,7 @@ def test_graph_json_shape():
 
 def test_graph_dot_shape():
     graph = pt.explore(sd.initial_seed(GR35_BTILDE, GR35_NAMES))
-    dot = pt.graph_to_dot(graph)
+    dot = graph_dot(graph)
     lines = dot.splitlines()
     assert lines[0] == "graph exchange {"
     assert lines[-1] == "}"
@@ -516,26 +565,116 @@ def test_graph_renders_each_variable_object_once(monkeypatch):
     calls = []
     to_str = lp.to_str
     monkeypatch.setattr(lp, "to_str", lambda f, names: calls.append(f) or to_str(f, names))
-    dump = pt.graph_to_json(graph)
+    dump = json.loads(graph_json(graph))
     assert len(graph.nodes) == 42
     assert len(calls) == len(distinct) < 4 * len(graph.nodes)
     assert [node["cluster"] for node in dump["nodes"]] == expected
     calls.clear()
-    dot = pt.graph_to_dot(graph)
+    dot = graph_dot(graph)
     assert len(calls) == len(distinct)
     assert '  n41 [label="' + "\\n".join(expected[41]) + '"];' in dot.splitlines()
 
 
 def test_graph_dot_escapes_quotes_and_backslashes():
-    plain = pt.graph_to_dot(pt.explore(sd.initial_seed([[0, 1], [-1, 0]], ["x1", "x2"])))
+    plain = graph_dot(pt.explore(sd.initial_seed([[0, 1], [-1, 0]], ["x1", "x2"])))
     assert plain.splitlines()[1] == '  n0 [label="x1\\nx2"];'
     graph = pt.explore(sd.initial_seed([[0, 1], [-1, 0]], ['a"b', "c\\d"]))
-    lines = pt.graph_to_dot(graph).splitlines()
+    lines = graph_dot(graph).splitlines()
     assert lines[1] == '  n0 [label="a\\"b\\nc\\\\d"];'
     for line in lines[1:6]:
         label = line.split('[label="', 1)[1][: -len('"];')]
         # every quote inside the label is escaped
         assert '"' not in label.replace('\\\\', "").replace('\\"', "")
+
+
+NAME_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\/\b\n\t\x00\x7fé €\U0001f600'),
+    st.characters(blacklist_categories=("Cs",)),
+), min_size=1, max_size=4)
+
+
+@st.composite
+def written_graphs(draw):
+    """An exploration at rank 0-5 over 0-2 frozen rows, with names that
+    JSON and DOT must escape, often cut by one limit or both."""
+    n = draw(st.integers(0, 5))
+    m = draw(st.integers(0, 2))
+    b = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = draw(st.integers(-1, 1))
+            b[i][j], b[j][i] = e, -e
+    frozen = [[draw(st.integers(-1, 1)) for _ in range(n)] for _ in range(m)]
+    names = draw(st.lists(NAME_TEXT, min_size=n + m, max_size=n + m))
+    seed = sd.Seed(b + frozen, [lp.variable(i, n + m) for i in range(n)], names)
+    return pt.explore(seed, max_depth=draw(st.integers(0, 4)),
+                      max_nodes=draw(st.integers(1, 40)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(written_graphs())
+def test_streamed_writers_match_the_whole_payload(graph):
+    assert graph_json(graph) == json.dumps(reference_graph_json(graph), indent=2)
+    assert graph_dot(graph) == reference_graph_dot(graph)
+
+
+def test_streamed_writers_cover_truncated_and_rank_zero_graphs():
+    # an empty cluster and edge list, and each limit alone and together
+    markov = sd.initial_seed(MARKOV, ["a", "b", "c"])
+    cases = [
+        (pt.explore(sd.Seed([[]], [], ["f"])), (False, False)),
+        (pt.explore(markov, max_depth=0), (True, False)),
+        (pt.explore(markov, max_nodes=4), (False, True)),
+        (pt.explore(markov, max_depth=2, max_nodes=8), (True, True)),
+    ]
+    for graph, flags in cases:
+        assert (graph.hit_depth, graph.hit_nodes) == flags
+        assert graph_json(graph) == json.dumps(reference_graph_json(graph), indent=2)
+        assert graph_dot(graph) == reference_graph_dot(graph)
+
+
+P61 = 2 ** 61 - 1
+
+
+def value_at(poly, point):
+    """A Laurent polynomial at a point mod 2^61 - 1, by plain modular
+    powers: no clusterkit arithmetic."""
+    total = 0
+    for exp, coef in poly.items():
+        term = coef
+        for x, e in zip(point, exp):
+            term = term * pow(x, e, P61) % P61
+        total += term
+    return total % P61
+
+
+def test_every_e6_exchange_relation_holds_at_a_random_point():
+    # x_k x_k' = p+ prod x_j^[b_jk]+ + p- prod x_j^[-b_jk]+ for every edge
+    # (i, k, j), at one seeded random point mod 2^61 - 1 with no division:
+    # an edge that closed a facet was never divided, so this is its check
+    seed = gx.build_fixture(gx.make_context(3, 7)).gr_seed
+    graph = pt.explore(seed, max_depth=100, max_nodes=30000)
+    polys = graph.nodes[0].variables.polys
+    rng = random.Random(2 ** 61 - 1)
+    point = [rng.randrange(2, P61) for _ in seed.var_names]
+    values = [value_at(x, point) for x in polys]
+    n = seed.n
+    edges = 0
+    for i, nbrs in enumerate(graph.adjacency):
+        ids, btilde = graph.nodes[i].ids, graph.nodes[i].btilde
+        cluster = [values[v] for v in ids] + point[n:]
+        for k, j in nbrs.items():
+            (fresh,) = set(graph.nodes[j].ids) - set(ids)
+            plus = minus = 1
+            for x, row in zip(cluster, btilde):
+                e = row[k]
+                if e > 0:
+                    plus = plus * pow(x, e, P61) % P61
+                elif e < 0:
+                    minus = minus * pow(x, -e, P61) % P61
+            assert values[ids[k]] * values[fresh] % P61 == (plus + minus) % P61, (i, k, j)
+            edges += 1
+    assert edges == 4998
 
 
 def test_limit_checks_survive_optimize(run_optimized):

@@ -44,7 +44,9 @@ def test_cli_enumerates_no_cases():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_indented_json_dumps(path):
     # indented JSON text goes through cli._json_text, which writes it in one
-    # pass; json.dump(s) with indent runs the pure-Python encoder
+    # pass, or, for the exchange graph alone, through patterns'
+    # graph_json_chunks, which streams it; json.dump(s) with indent runs the
+    # pure-Python encoder
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [
         node.lineno
@@ -159,20 +161,24 @@ def test_one_division_loop():
 
 def test_explore_mutates_matrices_only_for_new_nodes():
     # patterns keys nodes by cluster and divides through seeds.exchange_packed:
-    # it packs, unpacks and divides nothing itself, and mutates a matrix only
-    # in the branch that adds a node (the test `found is None`)
+    # it packs, unpacks and divides nothing itself, and divides and mutates a
+    # matrix only in the branch that adds a node, a direction that no facet
+    # closed (after the test `k in adjacency[idx]` continues)
     path = TESTS.parent / "src" / "clusterkit" / "patterns.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    guarded = ("lp.unpack", "lp.exact_div", "sd.mutate_matrix")
+    guarded = ("lp.unpack", "lp.exact_div", "sd.mutate_matrix", "sd.exchange_packed")
     new_node = {
         id(sub)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.If) and ast.unparse(node.test) == "found is None"
-        for stmt in node.body for sub in ast.walk(stmt)
+        for loop in ast.walk(tree) if isinstance(loop, ast.For)
+        for pos, node in enumerate(loop.body)
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "k in adjacency[idx]"
+        and isinstance(node.body[0], ast.Continue)
+        for stmt in loop.body[pos + 1:] for sub in ast.walk(stmt)
     }
     calls = [node for node in ast.walk(tree)
              if isinstance(node, ast.Call) and ast.unparse(node.func) in guarded]
-    assert [ast.unparse(node.func) for node in calls] == ["sd.mutate_matrix"]
+    assert sorted(ast.unparse(node.func) for node in calls) == ["sd.exchange_packed",
+                                                                "sd.mutate_matrix"]
     assert all(id(node) in new_node for node in calls)
 
 
