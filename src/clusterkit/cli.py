@@ -16,14 +16,15 @@ The exchange graph is the one payload `patterns` streams instead, as JSON
 or DOT a node at a time, so that neither it nor its text is ever whole in
 memory.
 
-The front end is one `argparse` parser, built once at import with one
-sub-parser per command, so the runtime needs nothing beyond the standard
-library and a command line costs one parse before its command body runs.
+The front end is one table, `_COMMANDS`, filled by `_command` at import:
+each command's function, its arguments and its `--format` choices.
+`_parse` reads a command line in one walk over it, and help and usage
+errors are rendered from it, so reading a command line imports no parsing
+library and compiles no regex.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -137,49 +138,173 @@ def _finish(ok: bool) -> None:
     raise SystemExit(0 if ok else 1)
 
 
-_parser = argparse.ArgumentParser(
-    prog="clusterkit",
-    description="Exact-arithmetic workbench for cluster patterns of geometric type.",
-    allow_abbrev=False,
-)
-_commands = _parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
-
 Argument = Tuple[Tuple[str, ...], Dict[str, object]]
+_HELP = ("-h", "--help")
+
+# command name -> (function, arguments with `--format` last, positional
+# destinations, flags, defaults); a flag maps to (dest, number of values,
+# converter, choices, the value it stores when it takes none)
+_COMMANDS: Dict[str, tuple] = {}
 
 
 def _arg(*flags: str, **options: object) -> Argument:
-    """One `add_argument` call, kept for `_command`."""
+    """One argument of a command: a positional name, or an option flag with
+    any of `dest`, `type`, `nargs`, `choices`, `default`, `required`,
+    `metavar`, `help` and `action="store_true"`, meant as the standard
+    library's parser means them.  `--x/--no-x` is a switch pair."""
     return flags, options
+
+
+def _dest(flag: str, options: Dict[str, object]) -> str:
+    return str(options.get("dest") or flag.partition("/")[0].lstrip("-").replace("-", "_"))
 
 
 def _command(
     name: str, *arguments: Argument, formats: Sequence[str] = ("json", "text")
 ) -> Callable[[T], T]:
-    """Register the decorated function as the sub-parser `name`, with these
+    """Register the decorated function as the command `name`, with these
     arguments and `--format`; its docstring is the help text, and its
     parameters are the arguments' destinations."""
+    arguments += (_arg("--format", dest="fmt", choices=formats, default="json"),)
 
     def register(run: T) -> T:
-        sub = _commands.add_parser(
-            name, help=run.__doc__, description=run.__doc__, allow_abbrev=False
-        )
-        for flags, options in arguments:
-            sub.add_argument(*flags, **options)
-        sub.add_argument("--format", dest="fmt", choices=formats, default="json")
-        sub.set_defaults(run=run, command=name)
+        positionals: List[str] = []
+        flags: Dict[str, tuple] = {}
+        defaults: Dict[str, object] = {}
+        for (flag,), options in arguments:
+            dest = _dest(flag, options)
+            if not flag.startswith("-"):
+                positionals.append(dest)
+                continue
+            on, _, off = flag.partition("/")
+            switch = bool(off) or options.get("action") == "store_true"
+            flags[on] = (dest, 0, None, None, True) if switch else (
+                dest, options.get("nargs", 1), options.get("type"), options.get("choices"), None)
+            if off:
+                flags[off] = (dest, 0, None, None, False)
+            if not options.get("required"):
+                defaults[dest] = False if switch else options.get("default")
+        _COMMANDS[name] = (run, arguments, positionals, flags, defaults)
         return run
 
     return register
 
 
 def _positive(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
+    value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+        raise ValueError(text)
     return value
+
+
+def _is_option(token: str, flags: Dict[str, tuple]) -> bool:
+    """Whether a token is read as an option: it starts with `-` and is
+    longer, and it names a flag (alone or before `=`), or it is neither a
+    negative number nor holds a space.  This is the standard library
+    parser's rule when no flag looks like a negative number."""
+    if len(token) < 2 or token[0] != "-":
+        return False
+    if token.partition("=")[0] in flags:
+        return True
+    number = token[1:]
+    negative = number.replace(".", "", 1).isdecimal() and not number.endswith(".")
+    return not negative and " " not in token
+
+
+def _synopsis(flag: str, options: Dict[str, object]) -> str:
+    if "/" in flag or not flag.startswith("-") or "action" in options:
+        return flag.replace("/", " | ")
+    if "choices" in options:
+        return flag + " {" + ",".join(options["choices"]) + "}"  # type: ignore[arg-type]
+    return " ".join([flag, *(options.get("metavar") or [_dest(flag, options).upper()])])
+
+
+def _usage(name: Optional[str]) -> str:
+    if name is None:
+        return "usage: clusterkit COMMAND ..."
+    shown = [_synopsis(flag, options) if not flag.startswith("-") or options.get("required")
+             else f"[{_synopsis(flag, options)}]" for (flag,), options in _COMMANDS[name][1]]
+    return " ".join(["usage: clusterkit", name, *shown])
+
+
+def _usage_error(name: Optional[str], reason: str) -> NoReturn:
+    prog = "clusterkit" if name is None else f"clusterkit {name}"
+    sys.stderr.write(f"{_usage(name)}\n{prog}: error: {reason}\n")
+    raise SystemExit(2)
+
+
+def _help(name: Optional[str]) -> NoReturn:
+    """List every command, or every option of one, on stdout; exit 0."""
+    if name is None:
+        head = "Exact-arithmetic workbench for cluster patterns of geometric type."
+        rows = [(command, row[0].__doc__ or "") for command, row in _COMMANDS.items()]
+    else:
+        head, rows = _COMMANDS[name][0].__doc__ or "", []
+        for (flag,), options in _COMMANDS[name][1]:
+            if flag.startswith("-"):
+                default = options.get("default")
+                note = f" (default: {default})" if default not in (None, "") else ""
+                rows.append((_synopsis(flag, options), f"{options.get('help', '')}{note}".strip()))
+    rows.append((", ".join(_HELP), "Show this help and exit."))
+    width = max(len(left) for left, _ in rows) + 2
+    lines = [f"  {left:{width}}{text}".rstrip() for left, text in rows]
+    _echo("\n".join([_usage(name), "", head, "", *lines]))
+    raise SystemExit(0)
+
+
+def _parse(argv: Sequence[str]) -> Tuple[Callable[..., None], str, Dict[str, object]]:
+    """Read one command line in one walk: (function, command name, options
+    by destination).  Each value is converted and checked as it is read, and
+    after `--` every token is positional.  A usage error exits 2."""
+    name = argv[0] if argv else ""
+    if name not in _COMMANDS:
+        if name in _HELP:
+            _help(None)
+        _usage_error(None, f"unknown command {name!r} (choose from {', '.join(_COMMANDS)})"
+                     if argv else "no command given")
+    run, arguments, positionals, flags, defaults = _COMMANDS[name]
+    options = defaults.copy()
+    taken, i, plain = 0, 1, False
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if plain or not _is_option(token, flags):
+            if taken == len(positionals):
+                _usage_error(name, f"unexpected argument {token!r}")
+            options[positionals[taken]] = token
+            taken += 1
+            continue
+        if token == "--":
+            plain = True
+            continue
+        if token in _HELP:
+            _help(name)
+        flag, inline, text = token.partition("=")
+        if flag not in flags:
+            _usage_error(name, f"unknown option {token!r}")
+        dest, count, convert, choices, stored = flags[flag]
+        texts = [text] if inline else argv[i:i + count]
+        if not inline:
+            i += count
+        values = []
+        for text in texts:
+            if not inline and _is_option(text, flags):
+                break
+            try:
+                values.append(text if convert is None else convert(text))
+            except ValueError:
+                kind = getattr(convert, "__name__", "").strip("_")
+                _usage_error(name, f"invalid {kind} value for {flag}: {text!r}")
+            if choices is not None and values[-1] not in choices:
+                _usage_error(name, f"invalid choice for {flag}: {text!r} "
+                                   f"(choose from {', '.join(choices)})")
+        if len(values) != count:
+            _usage_error(name, f"{flag} takes {count} value{'s' * (count != 1)}")
+        options[dest] = stored if count == 0 else values[0] if count == 1 else values
+    if len(options) < len(arguments):
+        missing = [flag for (flag,), spec in arguments if _dest(flag, spec) not in options]
+        _usage_error(name, "missing " + ", ".join(missing))
+    return run, name, options
 
 
 def main(
@@ -188,7 +313,9 @@ def main(
     standalone_mode: bool = True,
 ) -> NoReturn:
     """Run one command line, `sys.argv[1:]` by default, and raise SystemExit
-    with its exit status.  Usage errors exit 2 with argparse's message.
+    with its exit status.  A usage error exits 2 with the command's usage
+    line and the reason on stderr, and `--help` lists every command, or
+    every option of one, on stdout.
 
     `main.main` is `main`, and `prog_name` and `standalone_mode` change
     nothing: they keep the call `cli.main.main(args=..., prog_name=...,
@@ -196,15 +323,15 @@ def main(
     # exact integers are read and printed in full, however many digits
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    options = vars(_parser.parse_args(args))
-    run, command = options.pop("run"), options.pop("command")
+    argv = sys.argv[1:] if args is None else args
     try:
+        run, _, options = _parse(argv)
         run(**options)
     except InputFault as exc:
         payload = exc.payload
     except MemoryError:
         # exit 1 means a failed check, so running out of memory exits 2
-        payload = {"error": "out of memory", "command": command}
+        payload = {"error": "out of memory", "command": argv[0]}
     except BrokenPipeError:
         # the reader of stdout went away: exit 1 without a message, with
         # stdout on the null device so that the flush at exit succeeds
@@ -287,10 +414,8 @@ def mutate(seed_file: str, word: str, out: Optional[str], fmt: str) -> None:
 @_command(
     "explore",
     _arg("seed_file"),
-    _arg("--max-depth", type=_positive, default=16,
-         help="Longest mutation word followed (default: %(default)s)."),
-    _arg("--max-nodes", type=_positive, default=500,
-         help="Most seeds kept (default: %(default)s)."),
+    _arg("--max-depth", type=_positive, default=16, help="Longest mutation word followed."),
+    _arg("--max-nodes", type=_positive, default=500, help="Most seeds kept."),
     formats=("json", "dot", "text"),
 )
 def explore(seed_file: str, max_depth: int, max_nodes: int, fmt: str) -> None:
@@ -344,8 +469,7 @@ def _check_fit(label: str, m: qh.MonomialMap, fits: List[Tuple[str, sd.Seed]]) -
     _arg("dst_file"),
     _arg("--inverse", dest="inverse_file",
          help="Reverse map; adds the quasi-inverse star check."),
-    _arg("--opposite", action=argparse.BooleanOptionalAction, default=False,
-         help="Accept the opposite target pattern as well."),
+    _arg("--opposite/--no-opposite", help="Accept the opposite target pattern as well."),
 )
 def verify_qh(map_file: str, src_file: str, dst_file: str,
               inverse_file: Optional[str], opposite: bool, fmt: str) -> None:

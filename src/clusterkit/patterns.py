@@ -172,9 +172,11 @@ def explore(
     divide, call `canonical_key` and mutate a matrix (module docstring).  A
     node at `max_depth` keeps no edges.  Hitting either limit flags the
     graph as truncated instead of failing, since infinite-type patterns
-    never close.  Input that is not a seed of any pattern raises
-    `lp.NotDivisible` or `sd.InvalidSeed` from the first division or key
-    that exposes it.
+    never close.  Once `max_nodes` seeds are kept no direction is divided,
+    since each open one leads to a new seed that the cap drops.  Input that
+    is not a seed of any pattern raises `lp.NotDivisible` or
+    `sd.InvalidSeed` from the first division or key that exposes it; when
+    that division lies past either limit, the truncated graph is returned.
     """
     if max_depth < 0 or max_nodes < 1:
         raise ValueError("need max_depth >= 0 and max_nodes >= 1")
@@ -227,6 +229,10 @@ def explore(
         for k in range(n):
             if k in adjacency[idx]:
                 continue
+            # a direction still open leads to a new seed, which the cap drops
+            if len(nodes) >= max_nodes:
+                hit_nodes = True
+                continue
             column = [row[k] for row in btilde]
             exchange = (
                 ids[k],
@@ -241,9 +247,6 @@ def explore(
                 quotients[exchange] = new
             new_ids = ids[:k] + (new,) + ids[k + 1:]
             canonical_key(new_ids)
-            if len(nodes) >= max_nodes:
-                hit_nodes = True
-                continue
             mutated = sd.mutate_matrix(btilde, k)
             add(node.word + (k,), new_ids,
                 tuple(rows.setdefault(row, row) for row in map(tuple, mutated)))

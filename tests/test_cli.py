@@ -1280,10 +1280,125 @@ def _child_env():
 
 
 def test_import_leaves_click_out():
-    code = "import clusterkit.cli, sys; print('click' in sys.modules)"
+    # nor argparse, whose first parse compiles about a dozen regexes, nor
+    # the gettext and locale modules it imports, before or after a run
+    code = ("import sys, clusterkit.cli as cli\n"
+            "names = ('click', 'argparse', 'gettext', 'locale')\n"
+            "print([m for m in names if m in sys.modules], file=sys.stderr)\n"
+            "try:\n"
+            "    cli.main(['grassmann', '--kn', '2', '5', '--format', 'text'])\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print([m for m in names if m in sys.modules], file=sys.stderr)\n")
     done = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True,
                           text=True, check=True)
-    assert done.stdout == "False\n"
+    assert done.stdout.startswith("fixture k=2 n=5\n")
+    assert done.stderr == "[]\n[]\n"
+
+
+def reference_parser():
+    """The parser that the standard library builds from the command table,
+    one sub-parser per command: the reading `_parse` must agree with."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="clusterkit", allow_abbrev=False)
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    for name, (_, arguments, *_) in cl._COMMANDS.items():
+        sub = commands.add_parser(name, allow_abbrev=False)
+        for (flag,), options in arguments:
+            on, _, off = flag.partition("/")
+            if off:
+                sub.add_argument(on, action=argparse.BooleanOptionalAction, default=False,
+                                 **options)
+            else:
+                sub.add_argument(flag, **options)
+        sub.set_defaults(command=name)
+    return parser
+
+
+REFERENCE = reference_parser()
+
+
+def reference_reading(argv):
+    """(command, options) as the reference reads argv, or None when it
+    rejects the line."""
+    with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            options = vars(REFERENCE.parse_args(argv))
+        except SystemExit:
+            return None
+    return options.pop("command"), options
+
+
+def accepted_lines():
+    lines = []
+    for name, (_, arguments, positionals, *_) in cl._COMMANDS.items():
+        base = [name] + [f"{p}.json" for p in positionals]
+        if name == "grassmann":
+            base += ["--kn", "2", "5"]
+        lines.append(base)
+        for (flag,), options in arguments:
+            if flag.startswith("-") and "/" not in flag and "action" not in options \
+                    and "nargs" not in options:
+                positive = options.get("type") is cl._positive
+                values = options.get("choices") or ["3" if positive else "v.json"]
+                lines += [base + [flag, value] for value in values]
+                lines.append(base + [f"{flag}={values[-1]}"])
+    return lines + [
+        # options before, between and after positionals
+        ["verify-qh", "--inverse", "w.json", "m.json", "--opposite", "s.json", "d.json"],
+        ["verify-qh", "m.json", "--format", "text", "s.json", "d.json", "--no-opposite"],
+        ["mutate", "--word", "0,1", "s.json", "--out", "o.json"],
+        # the last of a repeated option wins
+        ["explore", "s.json", "--max-nodes", "5", "--max-nodes=7", "--max-depth", "2"],
+        ["gradings", "s.json", "--format", "text", "--format=json"],
+        ["verify-qh", "m.json", "s.json", "d.json", "--opposite", "--no-opposite"],
+        ["verify-qh", "m.json", "s.json", "d.json", "--no-opposite", "--opposite"],
+        ["grassmann", "--all-checks", "--kn", "3", "6"],
+        ["grassmann", "--kn", "2", "5", "--kn", "3", "7", "--all-checks", "--format", "text"],
+        # negative numbers are values; a leading `-` after `--` is positional
+        ["mutate", "s.json", "--word", "-1"],
+        ["mutate", "s.json", "--word=-1,2"],
+        ["mutate", "s.json", "--word", "-1, 2"],
+        ["grassmann", "--kn", "-2", "5"],
+        ["gradings", "--", "-s.json"],
+        ["verify-qh", "m.json", "--", "-s.json", "-d.json"],
+        ["mutate", "s.json", "--word", ""],
+    ]
+
+
+def line_id(argv):
+    return " ".join(argv) or "empty"
+
+
+@pytest.mark.parametrize("argv", accepted_lines(), ids=line_id)
+def test_table_reads_lines_as_argparse_does(argv):
+    run, name, options = cl._parse(argv)
+    assert (name, options) == reference_reading(argv)
+    assert run is cl._COMMANDS[name][0]
+
+
+REJECTED = [
+    [], ["bogus"], ["gradings", "s.json", "--bogus"], ["gradings", "s.json", "--form", "text"],
+    ["mutate", "s.json", "--word"], ["orbit-eq", "a.json"], ["gradings", "a.json", "b.json"],
+    ["explore", "s.json", "--max-nodes", "0"], ["explore", "s.json", "--max-nodes", "x"],
+    ["explore", "s.json", "--max-depth", "-.5"],
+    ["grassmann", "--kn", "2"], ["grassmann", "--kn", "2", "x"], ["grassmann", "--kn=2", "5"],
+    ["gradings", "s.json", "--format", "xml"], ["grassmann", "--kn", "2", "5", "--all-checks=1"],
+    ["mutate", "s.json", "--word", "--format"], ["mutate", "s.json", "--word", "-1,2"],
+    ["gradings", "s.json", "--", "--format", "text"], ["--", "gradings", "s.json"],
+    ["grassmann"], ["verify-qh", "m.json", "s.json", "d.json", "--opposite=1"],
+]
+
+
+@pytest.mark.parametrize("argv", REJECTED, ids=line_id)
+def test_table_rejects_lines_as_argparse_does(runner, argv):
+    assert reference_reading(argv) is None
+    result = runner.invoke(cl.main, argv)
+    assert result.exit_code == 2
+    assert result.stderr.startswith("usage: clusterkit")
+    assert "error: " in result.stderr
+    assert result.stdout == ""
 
 
 @pytest.mark.parametrize("argv", [

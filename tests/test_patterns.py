@@ -231,6 +231,17 @@ def test_complete_explore_mutates_each_new_node_once(monkeypatch, b, nodes, muta
     assert len(divided) == divisions
 
 
+def test_capped_explore_divides_only_below_the_cap(monkeypatch):
+    # every Markov mutation gives a new seed; past max_nodes each open
+    # direction would too, and is dropped without a division
+    divided = []
+    divide = lp.div_packed
+    monkeypatch.setattr(lp, "div_packed", lambda *args: divided.append(args) or divide(*args))
+    graph = pt.explore(sd.initial_seed(MARKOV, ["a", "b", "c"]), max_depth=100, max_nodes=200)
+    assert (graph.hit_nodes, graph.hit_depth, len(graph.nodes)) == (True, False, 200)
+    assert len(divided) == 199
+
+
 def test_gr37_rectangle_seed_closes_on_e6():
     # Gr(3,7) is of finite type E6: 833 seeds, 42 mutable cluster variables
     graph = pt.explore(gx.build_fixture(gx.make_context(3, 7)).gr_seed,
