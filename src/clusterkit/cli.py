@@ -54,9 +54,10 @@ class InputFault(Exception):
 
 def _json_text(obj: object, nl: str = "\n") -> str:
     """`json.dumps(obj, indent=2)` for dicts with str keys, lists, tuples,
-    str, int, bool and None, by exact type; others raise TypeError.  `nl` is
-    the line prefix.  Scalar dict values and all-int or all-str lists are
-    written inline, without a call per item."""
+    str, int, bool and None, by exact type, and for a seed that of its
+    `sd.seed_to_json` object, written by `_seed_text`; others raise
+    TypeError.  `nl` is the line prefix.  Scalar dict values and all-int or
+    all-str lists are written inline, without a call per item."""
     kind = type(obj)
     if kind is str:
         return _encode_str(obj)
@@ -90,7 +91,33 @@ def _json_text(obj: object, nl: str = "\n") -> str:
         return "null"
     if kind is bool:
         return "true" if obj else "false"
+    if kind is sd.Seed:
+        return _seed_text(obj, nl)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _seed_text(seed: sd.Seed, nl: str = "\n") -> str:
+    """The one seed writer, which `_json_text` calls for a seed: the text of
+    `_json_text(sd.seed_to_json(seed), nl)`, with no dict built per term.
+    Each term fills one template for the arity and indent, in the
+    descending graded lex order of `laurent.to_json`."""
+    i1, i2, i3, i4, i5, i6 = (nl + "  " * depth for depth in range(1, 7))
+    names = _json_text(seed.var_names, i3)
+    arity = len(seed.var_names)
+    exp = "[" + i6 + ("," + i6).join(["%d"] * arity) + i5 + "]" if arity else "[]"
+    term = "{" + i5 + '"exp": ' + exp + "," + i5 + '"coef": "%d"' + i4 + "}"
+    cluster = [
+        "{" + i3 + '"vars": ' + names + "," + i3 + '"terms": [' + i4 + ("," + i4).join(
+            [term % (*e, x[e]) for e in sorted(x, key=lp.grlex_key, reverse=True)]
+        ) + i3 + "]" + i2 + "}"
+        for x in seed.cluster
+    ]
+    return "".join([
+        "{", i1, '"n": ', str(seed.n), ",", i1, '"m": ', str(seed.m), ",",
+        i1, '"btilde": ', _json_text(seed.btilde, i1), ",",
+        i1, '"cluster": ', "[" + i2 + ("," + i2).join(cluster) + i1 + "]" if cluster else "[]",
+        ",", i1, '"var_names": ', _json_text(seed.var_names, i1), nl, "}",
+    ])
 
 
 def _load_json(path: str) -> dict:
@@ -117,7 +144,7 @@ def _load(path: str, what: str, read: Callable[..., T], *counts: int) -> T:
     raise InputFault({"error": f"invalid {what}", "path": path, "reason": reason})
 
 
-def _write_json(path: str, obj: dict) -> None:
+def _write_json(path: str, obj: object) -> None:
     try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(_json_text(obj) + "\n")
@@ -388,25 +415,29 @@ def _mutate_lines(payload: Payload) -> List[str]:
 def mutate(seed_file: str, word: str, out: Optional[str], fmt: str) -> None:
     """Apply a mutation word to a seed and report each exchange."""
     seed = _load(seed_file, "seed", sd.seed_from_json)
+    labels = _parse_word(word, seed.n)
     steps: List[Payload] = []
     current = seed
     # label -> rendering of the variable it holds, so each is rendered once
     rendered: Dict[int, str] = {}
-    for pos, k in enumerate(_parse_word(word, seed.n)):
-        removed = rendered.get(k) or lp.to_str(current.cluster[k], current.var_names)
-        try:
-            current = sd.mutate_seed(current, k)
-        except (lp.NotDivisible, sd.InvalidSeed) as exc:
-            raise InputFault(
-                {"error": "mutation failed", "step": pos, "label": k, "reason": str(exc)}
-            )
-        rendered[k] = lp.to_str(current.cluster[k], current.var_names)
-        steps.append({"step": pos, "label": k, "removed": removed, "introduced": rendered[k]})
-    payload: Payload = {"word": [s["label"] for s in steps], "steps": steps}
+    try:
+        for after in sd.mutation_walk(seed, labels):
+            k = labels[len(steps)]
+            removed = rendered.get(k) or lp.to_str(current.cluster[k], current.var_names)
+            rendered[k] = lp.to_str(after.cluster[k], after.var_names)
+            steps.append({"step": len(steps), "label": k, "removed": removed,
+                          "introduced": rendered[k]})
+            current = after
+    except (lp.NotDivisible, sd.InvalidSeed) as exc:
+        pos = len(steps)
+        raise InputFault(
+            {"error": "mutation failed", "step": pos, "label": labels[pos], "reason": str(exc)}
+        )
+    payload: Payload = {"word": labels, "steps": steps}
     if out is None:
-        payload["seed"] = sd.seed_to_json(current)
+        payload["seed"] = current
     else:
-        _write_json(out, sd.seed_to_json(current))
+        _write_json(out, current)
         payload["written"] = out
     _emit(payload, fmt, _mutate_lines)
 
@@ -610,7 +641,7 @@ def surface(fmt: str) -> None:
     """Annulus fixture report: twist, subgroup indices, shear identities."""
     fx = sf.annulus_fixture()
     payload: Payload = {
-        "seed": sd.seed_to_json(fx.seed),
+        "seed": fx.seed,
         "twist_map": qh.map_to_json(fx.twist_map),
         "laminations": {
             name: sf.lamination_to_json(lam)
@@ -638,8 +669,8 @@ def grassmann(kn: List[int], all_checks: bool, fmt: str) -> None:
     payload: Payload = {
         "k": k,
         "n": n,
-        "plucker_seed": sd.seed_to_json(fx.gr_seed),
-        "band_seed": sd.seed_to_json(fx.band_seed),
+        "plucker_seed": fx.gr_seed,
+        "band_seed": fx.band_seed,
         "flat_to_band": qh.map_to_json(fx.fstar_map),
         "band_to_flat": (
             qh.map_to_json(fx.gstar_map) if fx.gstar_map is not None else None

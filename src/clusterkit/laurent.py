@@ -33,14 +33,24 @@ back by x^low.  Widths of 8, 16, 32 and 64 bits decode through `struct`,
 wider ones lane by lane.
 
 `div_packed` is the single division loop; `exact_div` packs both sides as
-operands, divides there and unpacks once.  A max-heap merges the terms of f
-with the products q_i g_j (Johnson, SIGSAM Bull. 1974; Monagan & Pearce,
-J. Symb. Comput. 2011): the remainder is never rebuilt, and equal keys are
-chained so each monomial is popped once.  Divisibility by the leading
-monomial of g is one subtraction and a test of the top bit of each lane,
-which is clear on every exponent met and set by a borrow, so a quotient term
-with a negative exponent is refused.  A one-term divisor short-cuts to a
-shift and a scale, and `power` squares with each cross term computed once.
+operands, divides there and unpacks once.  It is the classical division
+over a hashed remainder: the remainder is a dict from key to coefficient,
+started as f, and its keys sit in a max-heap.  Each step pops the largest
+key, divides its coefficient by g's leading one, and adds -q g_j for every
+other term of g straight into the dict; a key is pushed when it is new to
+the dict.  A product key lies below the key that made it, so each key is
+pushed once and popped once, and a key whose sum is zero is popped and
+skipped.  Its space is the live remainder keys, against O(|q|) for the
+quotient heap it replaces (Johnson, SIGSAM Bull. 1974; Monagan & Pearce,
+J. Symb. Comput. 2011), which merges the terms of f with the products
+q_i g_j and pushes and pops each product, where this loop adds it into a
+dict.  Divisibility by the leading monomial of g is one
+subtraction and a test of the top bit of each lane, which is clear on
+every exponent met and set by a borrow, so a quotient term with a negative
+exponent is refused.  A one-term divisor short-cuts to a shift and a scale,
+and `power` squares with each cross term computed once.  An `Operand` made
+with `keep_powers` also keeps the powers it is asked for, so that a
+mutation walk raises each cluster variable once per lane width.
 
 `_add_product`, which adds scale·f·g into a sum in place, is the one product
 loop, and `signed_sum` the one evaluator of a sum of signed products: an
@@ -52,7 +62,7 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache, reduce
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from operator import add as _iadd
 from operator import mul as _imul
 from operator import neg as _ineg
@@ -209,7 +219,8 @@ def exact_div(f: Poly, g: Poly) -> Poly:
     _check_arity(f, g)
     fo, go = Operand(f), Operand(g)
     width = lane_width(max(fo.degree, go.degree))
-    quot = div_packed(fo.packed(width), go.packed(width), len(fo.low), width)
+    # the division uses up its dividend, and fo keeps its packing
+    quot = div_packed(dict(fo.packed(width)), go.packed(width), len(fo.low), width)
     return unpack(quot, exp_sub(fo.low, go.low), width)
 
 
@@ -388,14 +399,17 @@ class Operand:
     """A nonzero polynomial f with its componentwise minimum exponent `low`,
     the largest total degree `degree` of x^-low f, and x^-low f packed once
     per width asked for; a width whose lanes hold `degree` holds it, and a
-    narrower one raises ValueError."""
+    narrower one raises ValueError.  An operand made with `keep_powers`
+    also keeps each power it is asked for, per width and exponent, for as
+    long as it lives."""
 
-    __slots__ = ("poly", "low", "degree", "_packed")
+    __slots__ = ("poly", "low", "degree", "_packed", "_powers")
 
-    def __init__(self, f: Poly):
+    def __init__(self, f: Poly, keep_powers: bool = False):
         self.poly, self.low = f, min_exponent(f)
         self.degree = max(map(sum, f)) - sum(self.low) if len(f) > 1 else 0
         self._packed: Dict[int, Packed] = {}
+        self._powers: Optional[Dict[Tuple[int, int], Packed]] = {} if keep_powers else None
 
     def packed(self, width: int) -> Packed:
         fp = self._packed.get(width)
@@ -406,6 +420,17 @@ class Operand:
             weights, base = _weights(len(self.low), width), exponent_key(self.low, width)
             fp = {sum(map(_imul, e, weights)) - base: c for e, c in self.poly.items()}
             self._packed[width] = fp
+        return fp
+
+    def power(self, width: int, k: int) -> Packed:
+        """(x^-low f)^k for k >= 1, packed at a width whose lanes hold k
+        times `degree`; the caller changes none of it."""
+        powers = self._powers
+        if powers is None:
+            return power_packed(self.packed(width), k)
+        fp = powers.get((width, k))
+        if fp is None:
+            fp = powers[width, k] = power_packed(self.packed(width), k)
         return fp
 
 
@@ -478,8 +503,9 @@ def power_packed(f: Packed, k: int) -> Packed:
 def div_packed(fp: Packed, gp: Packed, arity: int, width: int) -> Packed:
     """f / g for packed f and g with nonnegative exponents, when the
     quotient exists with nonnegative exponents; NotDivisible otherwise.  The
-    package's one division loop (module docstring); the width must hold the
-    total degrees of f and g, which bound every product q_i g_j met."""
+    package's one division loop (module docstring); it uses up fp as the
+    remainder, so a caller that keeps f passes a copy.  The width must hold
+    the total degrees of f and g, which bound every product q_i g_j met."""
     guard = _guard(arity, width)
     if len(gp) == 1:
         ((lead_g, cg),) = gp.items()
@@ -488,41 +514,20 @@ def div_packed(fp: Packed, gp: Packed, arity: int, width: int) -> Packed:
         if any(c % cg for c in fp.values()):
             raise NotDivisible("leading coefficient not divisible over Z")
         return {m - lead_g: c // cg for m, c in fp.items()}
-    f_keys = sorted(fp, reverse=True)
-    g_keys = sorted(gp, reverse=True)
-    lead_g, g_keys = g_keys[0], g_keys[1:]
+    lead_g = max(gp)
     cg = gp[lead_g]
-    g_coefs = [gp[key] for key in g_keys]
-    last_g = len(g_keys) - 1
-    q_keys: List[int] = []
-    q_coefs: List[int] = []
-    # heap of negated remainder keys, each present once; `chains` maps a key
-    # to the pairs (i, j) whose products q_i * g_j land on it
-    heap: List[int] = []
-    chains: Dict[int, List[Tuple[int, int]]] = {}
-    next_f, n_f = 0, len(f_keys)
-    while next_f < n_f or heap:
-        if heap and (next_f == n_f or -heap[0] >= f_keys[next_f]):
-            m = -heappop(heap)
-            c = 0
-            for i, j in chains.pop(m):
-                c -= q_coefs[i] * g_coefs[j]
-                if j < last_g:
-                    j += 1
-                    key = q_keys[i] + g_keys[j]
-                    chain = chains.get(key)
-                    if chain is None:
-                        chains[key] = [(i, j)]
-                        heappush(heap, -key)
-                    else:
-                        chain.append((i, j))
-            if next_f < n_f and f_keys[next_f] == m:
-                c += fp[m]
-                next_f += 1
-        else:
-            m = f_keys[next_f]
-            c = fp[m]
-            next_f += 1
+    # -g_j for the terms below the lead, so that each step adds q * rest
+    rest = [(key, -c) for key, c in gp.items() if key != lead_g]
+    quot: Packed = {}
+    # a key is in the heap (negated, for a max-heap) exactly while it is in
+    # the remainder: a product key lies below the key that made it, so it
+    # is pushed once and popped once, and a zero sum is popped and skipped
+    heap = [-key for key in fp]
+    heapify(heap)
+    pop, get = fp.pop, fp.get
+    while heap:
+        m = -heappop(heap)
+        c = pop(m)
         if not c:
             continue
         d = m - lead_g
@@ -531,17 +536,16 @@ def div_packed(fp: Packed, gp: Packed, arity: int, width: int) -> Packed:
         q, r = divmod(c, cg)
         if r:
             raise NotDivisible("leading coefficient not divisible over Z")
-        i = len(q_keys)
-        q_keys.append(d)
-        q_coefs.append(q)
-        key = d + g_keys[0]
-        chain = chains.get(key)
-        if chain is None:
-            chains[key] = [(i, 0)]
-            heappush(heap, -key)
-        else:
-            chain.append((i, 0))
-    return dict(zip(q_keys, q_coefs))
+        quot[d] = q
+        for kg, c in rest:
+            key = d + kg
+            old = get(key)
+            if old is None:
+                fp[key] = q * c
+                heappush(heap, -key)
+            else:
+                fp[key] = old + q * c
+    return quot
 
 
 def _drop_zeros(out: Packed) -> Packed:

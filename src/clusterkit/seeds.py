@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from math import gcd
 from operator import sub as _isub
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import laurent as lp
 from .laurent import Exponent, Poly
@@ -24,6 +24,7 @@ Matrix = List[List[int]]
 Pair = Tuple[Exponent, Exponent]
 RationalPair = Tuple[Poly, Poly]
 Operands = Sequence[Optional[lp.Operand]]
+Side = Tuple[Sequence[int], int, int, List[Tuple[lp.Operand, int]]]
 
 
 class InvalidSeed(Exception):
@@ -219,20 +220,19 @@ def operands(cluster: Sequence[Poly], column: Sequence[int], k: int = -1) -> Ope
             for j, (x, e) in enumerate(zip(cluster, column))]
 
 
-def packed_terms(
-    column: Sequence[int], cluster: Operands, plus: Exponent, minus: Exponent, floor: int = 0
-) -> Tuple[List[int], int, lp.Product, lp.Product]:
+def exchange_sides(
+    column: Sequence[int], cluster: Operands, plus: Exponent, minus: Exponent
+) -> List[Side]:
     """The exchange terms p+ prod x_j^[b_jk]+ and p- prod x_j^[-b_jk]+ at k
-    as (low, width, plus term, minus term), each x^low times a packed
-    (scale, factors) product for `laurent.signed_sum`, from column k
-    (entries past the cluster are ignored), the cluster as operands where
-    b_jk != 0, and p+, p- as ambient exponent vectors.  Each term is x^lo,
-    its exact minimum exponent (minima add), times a product of operands
-    x^-low_j x_j; lo starts at the coefficient's exponent, which a rescaled
-    pair may make negative.  Both terms are shifted by the componentwise
-    minimum `low` of their lo, so every exponent met is nonnegative, and
-    one lane width holds the largest total degree a term reaches and
-    `floor` (x_k's when dividing)."""
+    as (lo, degree, scale, factors), from column k (entries past the
+    cluster are ignored), the cluster as operands where b_jk != 0, and p+,
+    p- as ambient exponent vectors.  A term is scale x^lo times the product
+    of (x^-low_j x_j)^e over its factors (x_j, e), and x^lo its exact
+    minimum exponent (minima add); lo starts at the coefficient's exponent,
+    which a rescaled pair may make negative.  A monomial operand (degree 0)
+    only moves lo and scales the term, so a term without factors is the
+    monomial scale x^lo, and `degree` is the largest total degree of the
+    product."""
     sides = []
     for lo, sign in ((plus, 1), (minus, -1)):
         degree, scale, factors = 0, 1, []
@@ -240,17 +240,28 @@ def packed_terms(
             e *= sign
             if e > 0:
                 lo = [a + e * b for a, b in zip(lo, x.low)]
-                # a monomial operand (degree 0) only moves lo and scales the term
                 if x.degree:
                     degree += e * x.degree
                     factors.append((x, e))
                 else:
                     scale *= next(iter(x.poly.values())) ** e
         sides.append((lo, degree, scale, factors))
+    return sides
+
+
+def packed_terms(
+    sides: Sequence[Side], floor: int = 0
+) -> Tuple[List[int], int, lp.Product, lp.Product]:
+    """The two `exchange_sides` as (low, width, plus term, minus term), each
+    x^low times a packed (scale, factors) product for `laurent.signed_sum`.
+    Both terms are shifted by the componentwise minimum `low` of their lo,
+    so every exponent met is nonnegative, and one lane width holds the
+    largest total degree a term reaches and `floor` (x_k's when dividing).
+    The powers come from the operands, which may keep them."""
     low = list(map(min, sides[0][0], sides[1][0]))
     width = lp.lane_width(max([d + sum(lo) - sum(low) for lo, d, _, _ in sides] + [floor]))
     terms = [
-        (scale, [lp.power_packed(x.packed(width), e) for x, e in factors]
+        (scale, [x.power(width, e) for x, e in factors]
          + [{lp.exponent_key(list(map(_isub, lo, low)), width): 1}])
         for lo, _, scale, factors in sides
     ]
@@ -261,12 +272,12 @@ def exchange_packed(
     column: Sequence[int], k: int, cluster: Operands, plus: Exponent, minus: Exponent
 ) -> Poly:
     """(p+ prod x_j^[b_jk]+ + p- prod x_j^[-b_jk]+) / x_k: `laurent.signed_sum`
-    of the two `packed_terms`, divided by `laurent.div_packed` in its lanes.
-    NotDivisible means the input is no seed (the Laurent property fails); a
-    vanishing quotient, possible with signed coefficients, raises
-    InvalidSeed."""
+    of the two `packed_terms`, divided by `laurent.div_packed` in its lanes,
+    which uses the sum up.  NotDivisible means the input is no seed (the
+    Laurent property fails); a vanishing quotient, possible with signed
+    coefficients, raises InvalidSeed."""
     xk = cluster[k]
-    low, width, f, g = packed_terms(column, cluster, plus, minus, xk.degree)
+    low, width, f, g = packed_terms(exchange_sides(column, cluster, plus, minus), xk.degree)
     quot = lp.div_packed(lp.signed_sum([f, g]), xk.packed(width), len(low), width)
     if not quot:
         raise InvalidSeed("zero cluster variable")
@@ -280,22 +291,40 @@ def exchanged(seed: Seed, k: int) -> Poly:
     return exchange_packed(col, k, operands(seed.cluster, col, k), *frozen_pair(col, seed.n))
 
 
-def mutate_seed(seed: Seed, k: int) -> Seed:
-    """Seed mutation in direction k: `exchanged`, then a rebuild.
+def mutation_walk(seed: Seed, word: Iterable[int]) -> Iterator[Seed]:
+    """The seed after each mutation of the word, left to right.
 
-    The result skips `Seed._check`: mutation keeps the shape, the ambient
-    arity and the skew-symmetrizer, and `exchange_packed` checks the one
-    new entry.
+    The walk keeps one operand per cluster position, made when an exchange
+    first needs it, with its packings and powers, so a step packs and
+    raises only what changed.  A step replaces position k alone, and the
+    operand of the variable it replaces is dropped with its powers.  Each
+    seed skips `Seed._check`: mutation keeps the shape, the ambient arity
+    and the skew-symmetrizer, and `exchange_packed` checks the one new
+    entry.
     """
-    cluster = list(seed.cluster)
-    cluster[k] = exchanged(seed, k)
-    return Seed.trusted(mutate_matrix(seed.btilde, k), cluster, seed.var_names)
+    ops: List[Optional[lp.Operand]] = [None] * seed.n
+    for k in word:
+        _check_direction(k, seed.n)
+        col = [row[k] for row in seed.btilde]
+        for j, x in enumerate(seed.cluster):
+            if ops[j] is None and (col[j] or j == k):
+                ops[j] = lp.Operand(x, keep_powers=True)
+        cluster = list(seed.cluster)
+        cluster[k] = exchange_packed(col, k, ops, *frozen_pair(col, seed.n))
+        ops[k] = None
+        seed = Seed.trusted(mutate_matrix(seed.btilde, k), cluster, seed.var_names)
+        yield seed
+
+
+def mutate_seed(seed: Seed, k: int) -> Seed:
+    """Seed mutation in direction k: the one-step `mutation_walk`."""
+    return next(mutation_walk(seed, (k,)))
 
 
 def mutate_word(seed: Seed, word: Sequence[int]) -> Seed:
-    """Apply mutations left to right."""
-    for k in word:
-        seed = mutate_seed(seed, k)
+    """Apply mutations left to right, along one `mutation_walk`."""
+    for seed in mutation_walk(seed, word):
+        pass
     return seed
 
 
@@ -343,8 +372,14 @@ def hatted_pair(
 ) -> RationalPair:
     """The hatted variable (p+ / p-) * prod_i x_i^b_ij of a seed with the
     coefficient pair (plus, minus), normalized or not: the two
-    `packed_terms`, each evaluated by `laurent.signed_sum` and unpacked."""
-    low, width, f, g = packed_terms(column, operands(cluster, column), plus, minus)
+    `exchange_sides`, each a monomial read off as it is or else packed by
+    `packed_terms`, evaluated by `laurent.signed_sum` and unpacked."""
+    sides = exchange_sides(column, operands(cluster, column), plus, minus)
+    if not any(factors for _, _, _, factors in sides):
+        # both terms are monomials scale x^lo: nothing to pack or decode
+        (lo_f, _, scale_f, _), (lo_g, _, scale_g, _) = sides
+        return {tuple(lo_f): scale_f}, {tuple(lo_g): scale_g}
+    low, width, f, g = packed_terms(sides)
     return lp.unpack(lp.signed_sum([f]), low, width), lp.unpack(lp.signed_sum([g]), low, width)
 
 

@@ -381,6 +381,32 @@ def test_fixture_stdout_matches_golden_digest(runner, argv, fmt):
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == GOLDEN_FIXTURES[argv, fmt]
 
 
+# sha256 of `mutate --word 1,2,1,0,2,0,1,0` on the Markov quiver, without
+# and with the frozen row (1, -1, 0): stdout, and the --out file; recorded
+# from the implementation that divided with Johnson's quotient heap and
+# wrote each seed through seeds.seed_to_json
+GOLDEN_MUTATE = {
+    ("markov", "stdout"): "f35031964b32b4ad8c75f91415c6c213344bdbced05bff393ac36d33e47e5082",
+    ("markov", "out"): "8fe42bb40fdbea95cad31f99e8c2f61d2c5bb8b636e29ede0048364447796385",
+    ("markov_frozen", "stdout"):
+        "523934184af098662b5825e101f42abe74e0de156ecdcc21ad3483b81e6480a7",
+    ("markov_frozen", "out"): "d0981d364ffac8816d16707c97b13339af666791f05998d086152b5d54cdc510",
+}
+
+
+@pytest.mark.parametrize("name", ["markov", "markov_frozen"])
+def test_mutate_output_matches_golden_digest(runner, tmp_path, name):
+    btilde = [[0, 2, -2], [-2, 0, 2], [2, -2, 0]] + [[1, -1, 0]] * (name == "markov_frozen")
+    path = write_seed(tmp_path, name, sd.initial_seed(btilde, ["x0", "x1", "x2", "y0"][:len(btilde)]))
+    argv = ["mutate", path, "--word", "1,2,1,0,2,0,1,0"]
+    result = runner.invoke(cl.main, argv)
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == GOLDEN_MUTATE[name, "stdout"]
+    out = tmp_path / "out.json"
+    assert runner.invoke(cl.main, argv + ["--out", str(out)]).exit_code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_MUTATE[name, "out"]
+
+
 def test_explore_rejects_failed_division(runner, tmp_path):
     result = runner.invoke(cl.main, ["explore", a2_path(tmp_path, [lp.add(lp.mul(X1, X1), X1), X2])])
     assert result.exit_code == 2

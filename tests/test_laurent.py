@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import textwrap
+from heapq import heappop, heappush
 
 import pytest
 import sympy
@@ -180,6 +181,104 @@ class TestExactDivision:
         assert q == lp.monomial((1, 1, -1), 3)
 
 
+def johnson_div_packed(fp, gp, arity, width):
+    """The division loop `laurent.div_packed` replaced, kept verbatim as its
+    reference: a max-heap merges the terms of f with the products q_i g_j
+    (Johnson, SIGSAM Bull. 1974), equal keys chained so that each monomial
+    is popped once."""
+    guard = lp._guard(arity, width)
+    if len(gp) == 1:
+        ((lead_g, cg),) = gp.items()
+        if any((m - lead_g) & guard for m in fp):
+            raise lp.NotDivisible("leading monomial not divisible")
+        if any(c % cg for c in fp.values()):
+            raise lp.NotDivisible("leading coefficient not divisible over Z")
+        return {m - lead_g: c // cg for m, c in fp.items()}
+    f_keys = sorted(fp, reverse=True)
+    g_keys = sorted(gp, reverse=True)
+    lead_g, g_keys = g_keys[0], g_keys[1:]
+    cg = gp[lead_g]
+    g_coefs = [gp[key] for key in g_keys]
+    last_g = len(g_keys) - 1
+    q_keys = []
+    q_coefs = []
+    # heap of negated remainder keys, each present once; `chains` maps a key
+    # to the pairs (i, j) whose products q_i * g_j land on it
+    heap = []
+    chains = {}
+    next_f, n_f = 0, len(f_keys)
+    while next_f < n_f or heap:
+        if heap and (next_f == n_f or -heap[0] >= f_keys[next_f]):
+            m = -heappop(heap)
+            c = 0
+            for i, j in chains.pop(m):
+                c -= q_coefs[i] * g_coefs[j]
+                if j < last_g:
+                    j += 1
+                    key = q_keys[i] + g_keys[j]
+                    chain = chains.get(key)
+                    if chain is None:
+                        chains[key] = [(i, j)]
+                        heappush(heap, -key)
+                    else:
+                        chain.append((i, j))
+            if next_f < n_f and f_keys[next_f] == m:
+                c += fp[m]
+                next_f += 1
+        else:
+            m = f_keys[next_f]
+            c = fp[m]
+            next_f += 1
+        if not c:
+            continue
+        d = m - lead_g
+        if d & guard:
+            raise lp.NotDivisible("leading monomial not divisible")
+        q, r = divmod(c, cg)
+        if r:
+            raise lp.NotDivisible("leading coefficient not divisible over Z")
+        i = len(q_keys)
+        q_keys.append(d)
+        q_coefs.append(q)
+        key = d + g_keys[0]
+        chain = chains.get(key)
+        if chain is None:
+            chains[key] = [(i, 0)]
+            heappush(heap, -key)
+        else:
+            chain.append((i, 0))
+    return dict(zip(q_keys, q_coefs))
+
+
+def _division(divide, fp, gp, arity, width):
+    """The quotient's (key, coefficient) pairs in order, or the message of
+    the NotDivisible raised; the dividend is passed as a copy."""
+    try:
+        return list(divide(dict(fp), gp, arity, width).items())
+    except lp.NotDivisible as exc:
+        return str(exc)
+
+
+@st.composite
+def packed_operands(draw, max_terms: int = 12):
+    """(q, g, arity, width): packed q and g whose product every lane of the
+    width holds.  Narrow exponents and coefficients make terms of q g
+    cancel; wide ones fill the lanes."""
+    width = draw(st.sampled_from([8, 16, 32, 64, 80]))
+    arity = draw(st.integers(1, 4))
+    top = (1 << (width - 1)) // (2 * arity) - 1
+    lane = draw(st.sampled_from([2, top]))
+    coef = draw(st.sampled_from([2, 1 << 70]))
+
+    def packed(min_terms):
+        terms = draw(st.lists(st.tuples(
+            st.lists(st.integers(0, lane), min_size=arity, max_size=arity),
+            st.integers(-coef, coef).filter(bool)), min_size=min_terms, max_size=max_terms))
+        return {lp.exponent_key(e, width): c for e, c in terms}
+
+    return packed(0), packed(1), arity, width
+
+
 class TestPackedKernel:
     @pytest.mark.parametrize("big", [2 ** 6, 2 ** 14, 2 ** 30, 2 ** 62, 2 ** 70])
     def test_every_lane_width_matches_sympy(self, big):
@@ -214,6 +313,40 @@ class TestPackedKernel:
         for e in ((half, 0), (0, -half)):
             with pytest.raises(ValueError):
                 lp.Operand({e: 1, (0, 0): 1}).packed(width)
+
+    @given(packed_operands(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_division_matches_johnson_on_products(self, operands, keep_zeros):
+        # f = q g, with the terms that cancel dropped or kept as zeros: the
+        # quotient is q, in the old loop's order, descending when g has
+        # more than one term
+        q, g, arity, width = operands
+        f = lp._add_product({}, q, g, 1) if keep_zeros else lp.mul_packed(q, g)
+        ours = _division(lp.div_packed, f, g, arity, width)
+        assert ours == _division(johnson_div_packed, f, g, arity, width)
+        assert dict(ours) == q
+        if len(g) > 1:
+            assert ours == sorted(ours, reverse=True)
+
+    @given(packed_operands(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_division_fails_as_johnson_does(self, operands, data):
+        # q g changed by one term: the same NotDivisible message from both
+        # loops, for one-term and for multi-term divisors
+        q, g, arity, width = operands
+        f = lp.mul_packed(q, g)
+        lane = 2 if data.draw(st.booleans()) else (1 << (width - 1)) // (2 * arity) - 1
+        e = data.draw(st.lists(st.integers(0, lane), min_size=arity, max_size=arity))
+        key = data.draw(st.sampled_from(sorted(f))) if f and data.draw(st.booleans()) \
+            else lp.exponent_key(e, width)
+        c = f.get(key, 0) + data.draw(st.integers(-5, 5).filter(bool))
+        f = {**f, key: c} if c else {k: v for k, v in f.items() if k != key}
+        ours = _division(lp.div_packed, f, g, arity, width)
+        assert ours == _division(johnson_div_packed, f, g, arity, width)
+        if len(g) > 1:
+            assert ours in ("leading monomial not divisible",
+                            "leading coefficient not divisible over Z")
+
 
     @given(ARITIES, st.lists(st.tuples(st.integers(-3, 3), st.lists(
         polys(spread=st.integers(0, 4), offset=False), min_size=1, max_size=3)), max_size=4))

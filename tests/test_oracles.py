@@ -13,6 +13,10 @@ out one-variable generators; `composite_identity` reads each column set
 from the flat-to-band case on all rows, which is decided by one quadratic
 Plücker identity per case.  Their references are the catalog scan, the
 trial division by every frozen generator, and term-by-term substitution.
+
+The command line writes each seed from one template per term; its
+reference is the JSON object of `seeds.seed_to_json` written by the
+command line's JSON writer.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
 
+from clusterkit import cli as cl
 from clusterkit import grassmann as gr
 from clusterkit import lattice as la
 from clusterkit import laurent as lp
@@ -249,8 +254,33 @@ def rectangular_btilde(draw):
     return draw(int_matrices(n + m, n, 4))
 
 
+@st.composite
+def odd_seeds(draw):
+    """Seeds of rank 0-3 with 0-4 frozen rows, names that JSON escapes, and
+    cluster variables with negative exponents and coefficients that are
+    signed or wider than 64 bits."""
+    n = draw(st.integers(0, 3))
+    m = draw(st.integers(0, 4))
+    upper = {(i, j): draw(st.integers(-3, 3)) for i in range(n) for j in range(i + 1, n)}
+    principal = [[upper.get((i, j), -upper.get((j, i), 0)) for j in range(n)] for i in range(n)]
+    btilde = principal + draw(int_matrices(m, n, 4)) if n else [[] for _ in range(m)]
+    names = draw(st.lists(st.text(max_size=4), min_size=n + m, max_size=n + m))
+    exps = st.tuples(*[st.integers(-(2 ** 40), 2 ** 40) | st.integers(-3, 3)] * (n + m))
+    coefs = st.integers(-(2 ** 70), 2 ** 70).filter(bool) | st.sampled_from([1, -1])
+    cluster = [draw(st.dictionaries(exps, coefs, min_size=1, max_size=5)) for _ in range(n)]
+    return sd.Seed(btilde, cluster, names)
+
+
 # ---------------------------------------------------------------------------
 # properties
+
+
+@settings(max_examples=200)
+@given(odd_seeds(), st.sampled_from(["\n", "\n  ", "\n    ", "\n      "]))
+def test_seed_writer_matches_seed_to_json(seed, nl):
+    # the CLI's one seed writer fills a template per term; its reference is
+    # the JSON object of seeds.seed_to_json written by the CLI's JSON writer
+    assert cl._seed_text(seed, nl) == cl._json_text(sd.seed_to_json(seed), nl)
 
 
 @settings(max_examples=400)

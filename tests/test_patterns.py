@@ -16,6 +16,8 @@ import clusterkit.patterns as pt
 import clusterkit.quasihom as qh
 import clusterkit.seeds as sd
 
+from point_oracle import P61, exchange_value, value_at
+
 GR35_BTILDE = [
     [0, 1],
     [-1, 0],
@@ -644,21 +646,6 @@ def test_streamed_writers_cover_truncated_and_rank_zero_graphs():
         assert graph_dot(graph) == reference_graph_dot(graph)
 
 
-P61 = 2 ** 61 - 1
-
-
-def value_at(poly, point):
-    """A Laurent polynomial at a point mod 2^61 - 1, by plain modular
-    powers: no clusterkit arithmetic."""
-    total = 0
-    for exp, coef in poly.items():
-        term = coef
-        for x, e in zip(point, exp):
-            term = term * pow(x, e, P61) % P61
-        total += term
-    return total % P61
-
-
 def test_every_e6_exchange_relation_holds_at_a_random_point():
     # x_k x_k' = p+ prod x_j^[b_jk]+ + p- prod x_j^[-b_jk]+ for every edge
     # (i, k, j), at one seeded random point mod 2^61 - 1 with no division:
@@ -676,14 +663,8 @@ def test_every_e6_exchange_relation_holds_at_a_random_point():
         cluster = [values[v] for v in ids] + point[n:]
         for k, j in nbrs.items():
             (fresh,) = set(graph.nodes[j].ids) - set(ids)
-            plus = minus = 1
-            for x, row in zip(cluster, btilde):
-                e = row[k]
-                if e > 0:
-                    plus = plus * pow(x, e, P61) % P61
-                elif e < 0:
-                    minus = minus * pow(x, -e, P61) % P61
-            assert values[ids[k]] * values[fresh] % P61 == (plus + minus) % P61, (i, k, j)
+            assert values[ids[k]] * values[fresh] % P61 == exchange_value(btilde, cluster, k), \
+                (i, k, j)
             edges += 1
     assert edges == 4998
 

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterkit import laurent as lp
 from clusterkit import seeds as sd
+
+from point_oracle import P61, exchange_value, mutated_matrix, value_at
+
+MARKOV = [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]
 
 # Rank-2 seed on the Grassmannian of 3-planes in 5-space, base cluster
 # (D235, D245); generator order D235, D245, D123, D234, D345, D145, D125.
@@ -133,6 +139,29 @@ class TestSeedMutation:
         a, b, c = (sum(x.values()) for x in reached.cluster)
         assert (a, b, c) == (151620880341401, 6684339842, 7561)
         assert a * a + b * b + c * c == 3 * a * b * c
+
+    @pytest.mark.parametrize("frozen", [[], [[1, -1, 0]]], ids=["plain", "frozen"])
+    def test_every_markov_exchange_holds_at_a_random_point(self, frozen):
+        # x_k x_k' = p+ prod x^[b]+ + p- prod x^[-b]+ at every step of the
+        # words 0,1,2,0,... of length 9 and 10 (one walk) and of 10 seeded
+        # words of length 8, with the matrices mutated by the oracle
+        btilde = MARKOV + frozen
+        seed = sd.initial_seed(btilde, ["a", "b", "c", "f"][: len(btilde)])
+        rng = random.Random(len(btilde))
+        point = [rng.randrange(2, P61) for _ in btilde]
+        words = [[k % 3 for k in range(10)]]
+        while len(words) < 11:
+            word = [rng.randrange(3)]
+            while len(word) < 8:
+                word.append(rng.choice([k for k in range(3) if k != word[-1]]))
+            words.append(word)
+        for word in words:
+            b, values = btilde, point[:]
+            for k, reached in zip(word, sd.mutation_walk(seed, word)):
+                new = value_at(reached.cluster[k], point)
+                assert values[k] * new % P61 == exchange_value(b, values, k), (word, k)
+                b, values[k] = mutated_matrix(b, k), new
+                assert reached.btilde == b
 
     def test_direction_out_of_range_survives_optimize(self, run_optimized):
         # a typed error, not an assert that python -O would strip

@@ -139,8 +139,9 @@ def test_every_definition_is_reached():
 
 
 def test_one_division_loop():
-    # the heap merge lives in laurent.div_packed alone: every exact division,
-    # the packed exchanges of seeds and patterns included, runs through it
+    # the division loop and its heap of remainder keys live in
+    # laurent.div_packed alone: every exact division, the packed exchanges
+    # of seeds and patterns included, runs through it
     heap = {"heappush", "heappop"}
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -209,8 +210,10 @@ def test_one_packed_form():
 
 def test_one_exchange_relation():
     # mutation, orbit mutation, hatted variables and exploration all build
-    # their exchange terms in seeds.packed_terms: no other loop multiplies
-    # cluster variables into terms, and no module outside laurent divides
+    # their exchange terms in seeds.packed_terms, which takes each power
+    # from its operand (`x.power`), so that a mutation walk may keep them:
+    # no other loop multiplies cluster variables into terms, seeds raises
+    # nothing packed itself, and no module outside laurent divides
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
              for path in SOURCES}
 
@@ -219,16 +222,19 @@ def test_one_exchange_relation():
 
     for name, tree in trees.items():
         assert not calls(tree) & {"lp.exact_div", "exact_div"}, f"{name} calls exact_div"
-    products = {"lp.mul", "lp.power", "lp.mul_packed", "lp.power_packed"}
+    products = {"mul", "power", "mul_packed", "power_packed"}
     kinds = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     loops = {
         func.name
         for func in ast.walk(trees["seeds.py"]) if isinstance(func, ast.FunctionDef)
         for loop in ast.walk(func) if isinstance(loop, kinds)
-        if products & {ast.unparse(node) for node in ast.walk(loop)
-                       if isinstance(node, ast.Attribute)}
+        if products & {node.attr for node in ast.walk(loop) if isinstance(node, ast.Attribute)}
     }
     assert loops == {"packed_terms"}
+    packed_terms = next(func for func in ast.walk(trees["seeds.py"])
+                        if isinstance(func, ast.FunctionDef) and func.name == "packed_terms")
+    assert "x.power" in calls(packed_terms)
+    assert not calls(trees["seeds.py"]) & {"lp.power_packed", "lp.mul_packed"}
     for name in ("orbits.py", "quasihom.py"):
         assert not calls(trees[name]) & {"lp.mul", "lp.power", "lp.exact_div"}, name
 
@@ -286,3 +292,20 @@ def test_one_signed_sum():
             assert _term_loops(tree) == [], f"{name} sums terms itself"
     assert "_signed_sum" not in {node.name for node in trees["grassmann.py"].body
                                  if isinstance(node, ast.FunctionDef)}
+
+
+def test_cli_writes_seeds_through_one_writer():
+    # every seed the command line prints or writes goes through cli._seed_text,
+    # which `_json_text` calls for a seed; seeds.seed_to_json is left to the
+    # Python API and to the writer's reference test
+    tree = ast.parse((TESTS.parent / "src" / "clusterkit" / "cli.py").read_text(encoding="utf-8"))
+    names = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(tree)
+             if isinstance(node, (ast.Attribute, ast.Name))}
+    assert "seed_to_json" not in names
+    callers = {
+        func.name
+        for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "_seed_text"
+    }
+    assert callers == {"_json_text"}
