@@ -67,10 +67,9 @@ content, the one left is the minor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import lattice as la
 from . import laurent as lp
@@ -96,8 +95,7 @@ class UnsupportedContext(Exception):
     """The rectangle cluster needs k >= 2 and n − k >= 2."""
 
 
-@dataclass(frozen=True)
-class GenericMatrixContext:
+class GenericMatrixContext(NamedTuple):
     """Dimensions k < n; the generic matrix has n−k rows and n columns, the
     band matrix the same rows with support i <= j <= i+k."""
 
@@ -415,46 +413,52 @@ def irreducible_minors(ctx: GenericMatrixContext) -> List[MinorSpec]:
 
 
 def non_frozen_irreducible_minors(ctx: GenericMatrixContext) -> List[MinorSpec]:
-    named = _frozen(ctx)[1]
-    return [pair for pair in irreducible_minors(ctx) if pair not in named]
+    position = _frozen(ctx)[1]
+    return [pair for pair in irreducible_minors(ctx) if pair not in position]
 
 
 @lru_cache(maxsize=None)
-def _frozen(ctx: GenericMatrixContext) -> Tuple[frozenset, Dict[MinorSpec, str]]:
-    """Frozen Plücker sets, and the frozen band generators' names keyed by
-    (rows, columns) in `band_frozen_specs` order."""
-    named = {(i, j): name for name, i, j in band_frozen_specs(ctx)}
-    return frozenset(plucker_frozen_sets(ctx)), named
+def _frozen(
+    ctx: GenericMatrixContext,
+) -> Tuple[frozenset, Dict[MinorSpec, int], List[str]]:
+    """Frozen Plücker sets; the frozen band generators' positions in
+    `band_frozen_specs` order, keyed by (rows, columns); and their names in
+    that order."""
+    specs = band_frozen_specs(ctx)
+    position = {(i, j): p for p, (_, i, j) in enumerate(specs)}
+    return frozenset(plucker_frozen_sets(ctx)), position, [name for name, _, _ in specs]
 
 
 @lru_cache(maxsize=None)
 def _split_image(
     ctx: GenericMatrixContext, cols: IndexSet
-) -> Tuple[Tuple[int, ...], Optional[MinorSpec]]:
-    """The band image on sorted `cols` read off its blocks: the exponent,
-    0 or 1, of each frozen generator in `band_frozen_specs` order, and the
-    one block that is not frozen, None for a frozen coordinate."""
-    intervals, named = _frozen(ctx)
+) -> Tuple[FrozenSet[int], Optional[MinorSpec]]:
+    """The band image on sorted `cols` read off its blocks: the content, as
+    the positions in `band_frozen_specs` of the frozen generators among the
+    blocks (each has exponent 1, the blocks being on disjoint rows), and
+    the one block that is not frozen, None for a frozen coordinate."""
+    intervals, position = _frozen(ctx)[:2]
     blocks = _blocks(ctx, 1, cols)
-    rest = [block for block in blocks if block not in named]
+    rest = [block for block in blocks if block not in position]
     want = 0 if cols in intervals else 1
     if len(rest) != want or not all(row_solid_irreducible(ctx, i[0], j) for i, j in rest):
         raise NoFactorization(f"image of {plucker_name(cols)} has non-frozen factors {rest}")
-    found = set(blocks)
-    return tuple(int(spec in found) for spec in named), rest[0] if rest else None
+    content = frozenset(position[block] for block in blocks if block in position)
+    return content, rest[0] if rest else None
 
 
 def _factored(
     ctx: GenericMatrixContext, raw: Sequence[int], what: str
-) -> Tuple[IndexSet, Tuple[int, ...], Optional[MinorSpec]]:
+) -> Tuple[IndexSet, FrozenSet[int], Optional[MinorSpec]]:
     sign, cols = reduce_plucker_index(ctx, raw)
     if sign == 0:
         raise InvalidIndex(f"zero coordinate has no {what}")
     return (cols, *_split_image(ctx, cols))
 
 
-def _named(ctx: GenericMatrixContext, content: Tuple[int, ...]) -> Dict[str, int]:
-    return {name: e for name, e in zip(_frozen(ctx)[1].values(), content) if e}
+def _named(ctx: GenericMatrixContext, content: FrozenSet[int]) -> Dict[str, int]:
+    names = _frozen(ctx)[2]
+    return {names[p]: 1 for p in sorted(content)}
 
 
 def factor_fstar(
@@ -493,15 +497,19 @@ def tropical_c_check(
     *rest, ri, rj, rk, rl = residues
 
     # distinct residues: each coordinate is its sorted set, with no sign to drop
-    def vec(p: int, q: int) -> Tuple[int, ...]:
+    def vec(p: int, q: int) -> FrozenSet[int]:
         return _split_image(ctx, tuple(sorted(rest + [p, q])))[0]
 
-    def tot(p1: Tuple[int, int], p2: Tuple[int, int]) -> List[int]:
-        return [x + y for x, y in zip(vec(*p1), vec(*p2))]
+    # a content holds each generator once, so a product of two coordinates
+    # has exponent 1 or 2 on the generators in either content and 2 on those
+    # in both; the minimum of two products keeps what both have at each level
+    def tot(p1: Tuple[int, int], p2: Tuple[int, int]) -> Tuple[FrozenSet[int], ...]:
+        a, b = vec(*p1), vec(*p2)
+        return a | b, a & b
 
-    lhs = tot((ri, rk), (rj, rl))
-    rhs = [min(x, y) for x, y in zip(tot((ri, rj), (rk, rl)), tot((rj, rk), (ri, rl)))]
-    return lhs == rhs
+    once, twice = tot((ri, rk), (rj, rl))
+    (once1, twice1), (once2, twice2) = tot((ri, rj), (rk, rl)), tot((rj, rk), (ri, rl))
+    return once == once1 & once2 and twice == twice1 & twice2
 
 
 def tropical_cases(
@@ -678,8 +686,7 @@ def quintic_relation_checks(ctx: GenericMatrixContext) -> List[Dict[str, object]
     return records
 
 
-@dataclass
-class GrassmannFixture:
+class GrassmannFixture(NamedTuple):
     """Matched cluster presentations of the two sides, with the monomial
     map between them."""
 
@@ -701,26 +708,25 @@ def build_fixture(ctx: GenericMatrixContext) -> GrassmannFixture:
     """
     pinned = (ctx.k, ctx.n) == (2, 5)
     mutable_sets, gr_btilde = _rectangle_layout(ctx, 1 if pinned else 0)
-    frozen_sets = plucker_frozen_sets(ctx)
-    all_sets = mutable_sets + frozen_sets
+    all_sets = mutable_sets + plucker_frozen_sets(ctx)
     gr_names = [plucker_name(cols) for cols in all_sets]
-    factored = [factor_fstar(ctx, cols) for cols in mutable_sets]
+    # every set is sorted; only the mutable ones have a non-frozen block
+    images = [_split_image(ctx, cols) for cols in all_sets]
+    num = len(mutable_sets)
     band_specs = [
-        (band_name(i_set, j_set), i_set, j_set) for _, i_set, j_set in factored
+        (band_name(i_set, j_set), i_set, j_set) for _, (i_set, j_set) in images[:num]
     ] + band_frozen_specs(ctx)
     band_names = [name for name, _, _ in band_specs]
     if len(set(band_names)) != len(band_names):
         raise NoFactorization("band generator names collide")
-    row_of = {name: row for row, name in enumerate(band_names)}
+    # band row col is the minor of mutable column col, and row num + p the
+    # frozen generator at position p
     matrix = la.zeros(len(band_specs), len(all_sets))
-    for col, (content, i_set, j_set) in enumerate(factored):
-        matrix[row_of[band_name(i_set, j_set)]][col] = 1
-        for name, e in content.items():
-            matrix[row_of[name]][col] += e
-    num = len(mutable_sets)
-    for offset, cols in enumerate(frozen_sets):
-        for name, e in content_exponents(ctx, cols).items():
-            matrix[row_of[name]][num + offset] += e
+    for col, (content, minor) in enumerate(images):
+        if minor is not None:
+            matrix[col][col] = 1
+        for p in content:
+            matrix[num + p][col] = 1
     return GrassmannFixture(
         ctx=ctx,
         gr_seed=sd.initial_seed(gr_btilde, gr_names),

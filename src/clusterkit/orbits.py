@@ -14,25 +14,25 @@ coefficient pairs.  `seeds_equivalent` decides this and returns the witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import laurent as lp
 from . import seeds as sd
 from .laurent import Exponent, Poly
 
 
-@dataclass(frozen=True)
-class Rescaling:
+class Rescaling(
+    NamedTuple("Rescaling", [("c", Tuple[Exponent, ...]), ("d", Tuple[Exponent, ...])])
+):
     """Group element (c, d) acting on seeds; entries are frozen monomials."""
 
-    c: Tuple[Exponent, ...]
-    d: Tuple[Exponent, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.c) != len(self.d):
+    def __new__(cls, c: Tuple[Exponent, ...], d: Tuple[Exponent, ...]):
+        if len(c) != len(d):
             raise ValueError("c and d must have equal rank")
+        return super().__new__(cls, c, d)
 
 
 class SeedLike:

@@ -63,9 +63,8 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Callable, Dict, FrozenSet, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Sequence, Tuple
 
 from . import laurent as lp
 from . import quasihom as qh
@@ -128,8 +127,7 @@ class Variables:
         return found
 
 
-@dataclass(slots=True)
-class PatternNode:
+class PatternNode(NamedTuple):
     """One unlabeled seed: the first representative reached, as the ids of
     its cluster and its extended exchange matrix, and its mutation word.
     `seed` rebuilds it over the interned variable objects."""
@@ -137,7 +135,7 @@ class PatternNode:
     word: Tuple[int, ...]
     ids: Tuple[int, ...]
     btilde: Rows
-    variables: Variables = field(repr=False)
+    variables: Variables
 
     @property
     def seed(self) -> sd.Seed:
@@ -149,8 +147,7 @@ class PatternNode:
         )
 
 
-@dataclass
-class ExplorationGraph:
+class ExplorationGraph(NamedTuple):
     nodes: List[PatternNode]
     adjacency: List[Dict[int, int]]
     hit_depth: bool
@@ -262,8 +259,7 @@ def star_neighborhood(graph: ExplorationGraph, node: int) -> List[NerveEdge]:
     return [(word, k) for k in sorted(graph.adjacency[node])]
 
 
-@dataclass
-class QuasiAutomorphism:
+class QuasiAutomorphism(NamedTuple):
     """A relabeled explored seed the base pattern maps onto, with the
     witnessing monomial map in the rerooted coordinates."""
 

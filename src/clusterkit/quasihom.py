@@ -16,8 +16,7 @@ approximated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import lattice as la
 from . import laurent as lp
@@ -298,8 +297,7 @@ def normalization_map(m: MonomialMap) -> Callable[[Poly], Exponent]:
     return c
 
 
-@dataclass(frozen=True)
-class Grading:
+class Grading(NamedTuple):
     """Integer grading rows annihilating an extended matrix on the left."""
 
     rows: Tuple[Tuple[int, ...], ...]

@@ -12,9 +12,8 @@ monomial map between seed contexts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import lattice as la
 from . import orbits as ob
@@ -35,8 +34,7 @@ class ExceptionalSurface(Exception):
     """Surface whose symmetry group is not captured by mapping classes."""
 
 
-@dataclass(frozen=True)
-class SurfaceShape:
+class SurfaceShape(NamedTuple):
     """Topological type: genus, punctures, and cilia per boundary component."""
 
     genus: int
@@ -77,25 +75,23 @@ def check_surface(shape: SurfaceShape) -> None:
         raise ExceptionalSurface("four-punctured sphere has exotic symmetries")
 
 
-@dataclass(frozen=True)
-class EvenComponent:
+class EvenComponent(NamedTuple("EvenComponent", [("kind", str), ("cilia", int)])):
     """One even component: a puncture, or a boundary circle with evenly many
     cilia carrying the alternating black-white coloring."""
 
-    kind: str
-    cilia: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("puncture", "boundary"):
-            raise InvalidSurfaceData(f"unknown component kind {self.kind!r}")
-        if self.kind == "puncture" and self.cilia:
+    def __new__(cls, kind: str, cilia: int = 0):
+        if kind not in ("puncture", "boundary"):
+            raise InvalidSurfaceData(f"unknown component kind {kind!r}")
+        if kind == "puncture" and cilia:
             raise InvalidSurfaceData("puncture carries no cilia")
-        if self.kind == "boundary" and (self.cilia <= 0 or self.cilia % 2):
+        if kind == "boundary" and (cilia <= 0 or cilia % 2):
             raise InvalidSurfaceData("even boundary component needs even cilia")
+        return super().__new__(cls, kind, cilia)
 
 
-@dataclass(frozen=True)
-class EvenComponentTable:
+class EvenComponentTable(NamedTuple):
     components: Tuple[EvenComponent, ...]
 
     @property
@@ -143,8 +139,7 @@ def end_sign(end: End, table: EvenComponentTable) -> int:
     return 1 if end[2] == "ccw" else -1
 
 
-@dataclass(frozen=True)
-class Lamination:
+class Lamination(NamedTuple):
     """Curve system given by end descriptors plus optional coordinate data.
 
     Shear coordinates are indexed by the arcs of a fixed triangulation,
@@ -181,22 +176,24 @@ def pairing_vector(lam: Lamination, table: EvenComponentTable) -> List[int]:
     return out
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
+class SignedPermutation(
+    NamedTuple("SignedPermutation", [("matrix", Tuple[Tuple[int, ...], ...])])
+):
     """Square matrix with exactly one entry of +-1 in every row and column."""
 
-    matrix: Tuple[Tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        r = len(self.matrix)
-        for row in self.matrix:
+    def __new__(cls, matrix: Tuple[Tuple[int, ...], ...]):
+        r = len(matrix)
+        for row in matrix:
             if len(row) != r or any(v not in (-1, 0, 1) for v in row):
                 raise InvalidSurfaceData("not a signed permutation matrix")
             if sum(abs(v) for v in row) != 1:
                 raise InvalidSurfaceData("row needs exactly one nonzero entry")
         for j in range(r):
-            if sum(abs(row[j]) for row in self.matrix) != 1:
+            if sum(abs(row[j]) for row in matrix) != 1:
                 raise InvalidSurfaceData("column needs exactly one nonzero entry")
+        return super().__new__(cls, matrix)
 
     @property
     def r(self) -> int:
@@ -283,20 +280,22 @@ def shear_relation_check(
     return la.vec_mat(measures, boundary_matrix) == [-2 * b for b in lam.shear]
 
 
-@dataclass(frozen=True)
-class ArcPairingTable:
+class ArcPairingTable(
+    NamedTuple("ArcPairingTable", [("rows", Tuple[Tuple[int, ...], ...])])
+):
     """Pairing of each triangulation arc with each even component, from the
     signs of the arc ends."""
 
-    rows: Tuple[Tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        width = len(self.rows[0]) if self.rows else 0
-        for row in self.rows:
+    def __new__(cls, rows: Tuple[Tuple[int, ...], ...]):
+        width = len(rows[0]) if rows else 0
+        for row in rows:
             if len(row) != width:
                 raise InvalidSurfaceData("ragged pairing table")
             if any(not -2 <= v <= 2 for v in row):
                 raise InvalidSurfaceData("arc pairing outside [-2, 2]")
+        return super().__new__(cls, rows)
 
     @property
     def num_components(self) -> int:
@@ -356,8 +355,7 @@ TWIST_SEED_MATRIX = [
 ]
 
 
-@dataclass
-class AnnulusFixture:
+class AnnulusFixture(NamedTuple):
     """Annulus with two cilia per boundary circle and a doubled curve as the
     single lamination row.
 

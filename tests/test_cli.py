@@ -1322,6 +1322,16 @@ def test_import_leaves_click_out():
     assert done.stderr == "[]\n[]\n"
 
 
+def test_import_leaves_dataclasses_out():
+    # nor inspect, which dataclasses imports; -S keeps site-packages from
+    # importing either first
+    code = ("import sys, clusterkit.cli\n"
+            "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])\n")
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=_child_env(),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
+
+
 def reference_parser():
     """The parser that the standard library builds from the command table,
     one sub-parser per command: the reading `_parse` must agree with."""

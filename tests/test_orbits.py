@@ -363,3 +363,12 @@ def test_frozen_ratio():
     assert ob.frozen_ratio(lp.mul(f, x1), f, 1) is None
     assert ob.frozen_ratio(lp.scale(f, -1), f, 1) is None
     assert ob.frozen_ratio(lp.mul(f, f), f, 1) is None
+
+
+def test_rescalings_compare_by_value():
+    r = ob.Rescaling(((1, 0),), ((0, 1),))
+    same = ob.Rescaling(((1, 0),), ((0, 1),))
+    assert r == same and hash(r) == hash(same)
+    assert r != ob.Rescaling(((1, 0),), ((0, 2),))
+    with pytest.raises(AttributeError):
+        r.c = same.c

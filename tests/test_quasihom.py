@@ -500,3 +500,9 @@ def test_input_checks_survive_optimize(run_optimized):
                 continue
             raise SystemExit(f"call {i} raised no {error.__name__}")
     """))
+
+
+def test_gradings_refuse_field_assignment():
+    grading = qh.Grading(((1, 0, -1),))
+    with pytest.raises(AttributeError):
+        grading.rows = ()

@@ -35,6 +35,13 @@ def test_integer_kernels_import_no_fractions(path):
     assert "fractions" not in _imported_modules(path), f"{path.name} imports fractions"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_records_import_no_dataclasses(path):
+    # records are NamedTuples: dataclasses imports inspect and runs a
+    # generated class body per record on every start
+    assert "dataclasses" not in _imported_modules(path), f"{path.name} imports dataclasses"
+
+
 def test_cli_enumerates_no_cases():
     # case enumeration lives with the mathematics in the modules; the
     # command line renders what their check suites return

@@ -444,3 +444,23 @@ def test_identity_is_found_at_the_base_node():
         for r in base_records
     )
     assert not [r for r in base_records if r.direction == "opposite"]
+
+
+@pytest.mark.parametrize("record, field", [
+    (ANNULUS, "genus"),
+    (sf.EvenComponent("boundary", 2), "cilia"),
+    (sf.component_table(ANNULUS), "components"),
+    (sf.Lamination(((("odd",), ("odd",)),)), "shear"),
+    (ACTIONS["component_swap"], "matrix"),
+    (sf.ArcPairingTable(((1, -1), (-1, 1))), "rows"),
+], ids=lambda x: x if isinstance(x, str) else type(x).__name__)
+def test_records_refuse_field_assignment(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+
+
+def test_signed_permutations_compare_by_value():
+    swap = sf.SignedPermutation(((0, 1), (1, 0)))
+    assert swap == ACTIONS["component_swap"] and hash(swap) == hash(ACTIONS["component_swap"])
+    assert swap != sf.SignedPermutation(((0, -1), (1, 0)))
+    assert len(set(sf.signed_permutation_group(2))) == 8
