@@ -95,12 +95,11 @@ class UnsupportedContext(Exception):
     """The rectangle cluster needs k >= 2 and n − k >= 2."""
 
 
-class GenericMatrixContext(NamedTuple):
+class GenericMatrixContext(NamedTuple("GenericMatrixContext", [("k", int), ("n", int)])):
     """Dimensions k < n; the generic matrix has n−k rows and n columns, the
     band matrix the same rows with support i <= j <= i+k."""
 
-    k: int
-    n: int
+    __slots__ = ()
 
     @property
     def rows(self) -> int:
@@ -188,7 +187,7 @@ def _fast_det(entries: Sequence[Sequence[lp.Packed]]) -> lp.Packed:
                 below = bin(mask & (bit - 1)).count("1")
                 sign = -1 if (t + below) % 2 else 1
                 products.setdefault(mask | bit, []).append((sign, [minor, entry]))
-        level = {mask: lp.signed_sum(terms) for mask, terms in products.items()}
+        level = {mask: lp.signed_sum(terms)[0] for mask, terms in products.items()}
     return level.get((1 << len(entries)) - 1, {})
 
 
@@ -216,7 +215,7 @@ def _plucker_fast(
     if sign == 0:
         return {}
     det = _sorted_plucker_fast(ctx, cols, chart)
-    return det if sign > 0 else lp.signed_sum([(-1, [det])])
+    return det if sign > 0 else lp.signed_sum([(-1, [det])])[0]
 
 
 def plucker(ctx: GenericMatrixContext, raw: Sequence[int]) -> Poly:
@@ -305,11 +304,11 @@ def _flattoband_holds(ctx: GenericMatrixContext, a: int, s: int, j_set: IndexSet
         return not lp.signed_sum(
             [((-1) ** pos, [_g_entry_fast(ctx, a, j, True), _completed(ctx, a + 1, s - 1, rest)])
              for pos, j, rest in lower]
-            + [(-1, [_completed(ctx, a + 1, 0, ()), _completed(ctx, a, s, j_set)])])
+            + [(-1, [_completed(ctx, a + 1, 0, ()), _completed(ctx, a, s, j_set)])])[0]
     # s = 1, or a lower case failed (only on perturbed entries): decide directly
     minor = _fast_det([[_g_entry_fast(ctx, i, j, True) for j in j_set] for i in range(a, a + s)])
     runs = [_completed(ctx, i, 0, ()) for i in range(a + 1, a + s)]
-    return not lp.signed_sum([(1, [minor]), (-1, runs + [_completed(ctx, a, s, j_set)])])
+    return not lp.signed_sum([(1, [minor]), (-1, runs + [_completed(ctx, a, s, j_set)])])[0]
 
 
 def flattoband_check(
@@ -436,12 +435,19 @@ def _split_image(
     """The band image on sorted `cols` read off its blocks: the content, as
     the positions in `band_frozen_specs` of the frozen generators among the
     blocks (each has exponent 1, the blocks being on disjoint rows), and
-    the one block that is not frozen, None for a frozen coordinate."""
+    the one block that is not frozen, None for a frozen coordinate.
+
+    Every block is an irreducible row-solid minor, so none is cut again
+    (module docstring, with p = 1 and s = n−k).  The image is nonzero: the
+    sorted columns j_0 < … < j_{s−1} of an s-subset of [1, n] have t
+    columns below j_t and s−1−t above it, so 1+t <= j_t <= k+1+t.  A block
+    keeps its columns on the same rows, so it is nonzero too, and the cut
+    test at each t inside it reads the same entries as on the whole image,
+    which cut only at the block's ends."""
     intervals, position = _frozen(ctx)[:2]
     blocks = _blocks(ctx, 1, cols)
     rest = [block for block in blocks if block not in position]
-    want = 0 if cols in intervals else 1
-    if len(rest) != want or not all(row_solid_irreducible(ctx, i[0], j) for i, j in rest):
+    if len(rest) != (0 if cols in intervals else 1):
         raise NoFactorization(f"image of {plucker_name(cols)} has non-frozen factors {rest}")
     content = frozenset(position[block] for block in blocks if block in position)
     return content, rest[0] if rest else None
@@ -674,7 +680,7 @@ def quintic_relation_checks(ctx: GenericMatrixContext) -> List[Dict[str, object]
         lhs = [(full, cols) for cols in left] if cofactor else left
         terms = [(1, values(lhs))] + [(-1, values(tuple(cofactor) + part))
                                       for part in (first, second)]
-        out.update(summands=[names(first), names(second)], holds=not lp.signed_sum(terms))
+        out.update(summands=[names(first), names(second)], holds=not lp.signed_sum(terms)[0])
         return out
 
     minors = QUINTIC_MINOR_RELATIONS
@@ -686,17 +692,19 @@ def quintic_relation_checks(ctx: GenericMatrixContext) -> List[Dict[str, object]
     return records
 
 
-class GrassmannFixture(NamedTuple):
+class GrassmannFixture(NamedTuple("GrassmannFixture", [
+    ("ctx", GenericMatrixContext),
+    ("gr_seed", sd.Seed),
+    ("band_seed", sd.Seed),
+    ("fstar_map", qh.MonomialMap),
+    ("gstar_map", Optional[qh.MonomialMap]),
+    ("gr_sets", List[IndexSet]),
+    ("band_specs", List[Tuple[str, IndexSet, IndexSet]]),
+])):
     """Matched cluster presentations of the two sides, with the monomial
     map between them."""
 
-    ctx: GenericMatrixContext
-    gr_seed: sd.Seed
-    band_seed: sd.Seed
-    fstar_map: qh.MonomialMap
-    gstar_map: Optional[qh.MonomialMap]
-    gr_sets: List[IndexSet]
-    band_specs: List[Tuple[str, IndexSet, IndexSet]]
+    __slots__ = ()
 
 
 def build_fixture(ctx: GenericMatrixContext) -> GrassmannFixture:

@@ -32,6 +32,20 @@ dividend's minimum serves as well.  `unpack` decodes keys and multiplies
 back by x^low.  Widths of 8, 16, 32 and 64 bits decode through `struct`,
 wider ones lane by lane.
 
+Exact minima.  The minimum is additive exactly, not only as a bound: the
+Newton polytope of a product is the Minkowski sum of its factors'
+(Ostrowski, 1921), each vertex of the sum is the sum of one vertex of each
+factor in one way only, so its coefficient is a product of nonzero ones,
+and each coordinate's minimum over the support is attained at a vertex.
+So a product of operands times a monomial has a known minimum, x_k's
+quotient of a sum of two such terms has the minimum of the sum less
+x_k's, and the sum's minimum is the terms' common one unless a key of
+one term cancels a key of the other.  `signed_sum` reports whether any key
+summed to zero, and `Operand.packed_form` keeps a quotient packed when
+none did: its degree is read off the degree lane of its largest key, and
+its polynomial is decoded only when asked for.  Packed at the lane width
+of its own degree, equal polynomials have equal packings.
+
 `div_packed` is the single division loop; `exact_div` packs both sides as
 operands, divides there and unpacks once.  It is the classical division
 over a hashed remainder: the remainder is a dict from key to coefficient,
@@ -401,7 +415,8 @@ class Operand:
     per width asked for; a width whose lanes hold `degree` holds it, and a
     narrower one raises ValueError.  An operand made with `keep_powers`
     also keeps each power it is asked for, per width and exponent, for as
-    long as it lives."""
+    long as it lives.  `packed_form` makes one from a packing, and `poly`
+    is decoded from it the first time it is asked for."""
 
     __slots__ = ("poly", "low", "degree", "_packed", "_powers")
 
@@ -410,6 +425,33 @@ class Operand:
         self.degree = max(map(sum, f)) - sum(self.low) if len(f) > 1 else 0
         self._packed: Dict[int, Packed] = {}
         self._powers: Optional[Dict[Tuple[int, int], Packed]] = {} if keep_powers else None
+
+    @classmethod
+    def packed_form(
+        cls, fp: Packed, low: Exponent, width: int, keep_powers: bool = False
+    ) -> Operand:
+        """The operand x^low f of a nonzero packed f whose every variable
+        lane reaches 0, so that `low` is its exact minimum.  The degree is
+        the degree lane of the largest key.  The packing is kept at `width`
+        when that is `lane_width(degree)`, the width every operand of that
+        degree is interned at, and decoded and packed afresh otherwise."""
+        degree = max(fp) >> (width * len(low))
+        if lane_width(degree) != width:
+            return cls(unpack(fp, low, width), keep_powers)
+        out = cls.__new__(cls)
+        out.low, out.degree = low, degree
+        out._packed = {width: fp}
+        out._powers = {} if keep_powers else None
+        return out
+
+    def __getattr__(self, name: str) -> Poly:
+        # only an unset slot gets here: the `poly` of a `packed_form`
+        # operand, decoded from its one packing when first asked for
+        if name != "poly":
+            raise AttributeError(name)
+        ((width, fp),) = self._packed.items()
+        self.poly = unpack(fp, self.low, width)
+        return self.poly
 
     def packed(self, width: int) -> Packed:
         fp = self._packed.get(width)
@@ -449,11 +491,12 @@ def mul_packed(f: Packed, g: Packed) -> Packed:
     return _drop_zeros(_add_product({}, f, g, 1))
 
 
-def signed_sum(products: Sequence[Product]) -> Packed:
+def signed_sum(products: Sequence[Product]) -> Tuple[Packed, bool]:
     """Sum of scale times the product of the factors over (scale, factors)
     of one width whose lanes hold every product, each last factor multiplied
-    straight into the sum; no factor is changed, so caches may share them.
-    A lone factor starts an empty sum scaled, its keys shared, not rebuilt."""
+    straight into the sum, and whether a key summed to zero on the way;
+    no factor is changed, so caches may share them.  A lone factor starts
+    an empty sum scaled, its keys shared, not rebuilt."""
     out: Packed = {}
     for scale, factors in products:
         *head, last = factors
@@ -461,7 +504,8 @@ def signed_sum(products: Sequence[Product]) -> Packed:
             _add_product(out, reduce(mul_packed, head) if head else {0: 1}, last, scale)
         else:
             out = {key: scale * c for key, c in last.items()}
-    return _drop_zeros(out)
+    size = len(out)
+    return _drop_zeros(out), len(out) < size
 
 
 def _add_product(out: Packed, f: Packed, g: Packed, scale: int) -> Packed:
@@ -509,6 +553,9 @@ def div_packed(fp: Packed, gp: Packed, arity: int, width: int) -> Packed:
     guard = _guard(arity, width)
     if len(gp) == 1:
         ((lead_g, cg),) = gp.items()
+        if not lead_g and cg == 1:
+            # a packed operand that is a monomial with coefficient 1 is 1
+            return fp
         if any((m - lead_g) & guard for m in fp):
             raise NotDivisible("leading monomial not divisible")
         if any(c % cg for c in fp.values()):
@@ -549,9 +596,11 @@ def div_packed(fp: Packed, gp: Packed, arity: int, width: int) -> Packed:
 
 
 def _drop_zeros(out: Packed) -> Packed:
-    # in place: a copy would double the peak memory of a large product
-    for key in [key for key, c in out.items() if not c]:
-        del out[key]
+    # in place: a copy would double the peak memory of a large product;
+    # the scan for a zero runs in C, and most sums have none
+    if 0 in out.values():
+        for key in [key for key, c in out.items() if not c]:
+            del out[key]
     return out
 
 

@@ -121,7 +121,7 @@ def mutate_seedlike(sl: SeedLike, k: int) -> SeedLike:
         raise ValueError(f"direction {k} out of range for rank {n}")
     column = [row[k] for row in sl.b]
     cluster = list(sl.cluster)
-    cluster[k] = sd.exchange_packed(column, k, sd.operands(sl.cluster, column, k), *sl.pairs[k])
+    cluster[k] = sd.exchange_packed(column, k, sd.operands(sl.cluster, column, k), *sl.pairs[k]).poly
     pairs: List[sd.Pair] = []
     for j in range(n):
         if j == k:

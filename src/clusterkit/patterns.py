@@ -7,7 +7,11 @@ is exactly the unlabeled exchange graph.
 Interning.  One exploration holds each distinct cluster variable once, in a
 `Variables` table, under a small integer id and as a packed operand
 (`laurent.Operand`, packed once per lane width); a node is its mutation
-word, the id tuple of its cluster and its extended exchange matrix.
+word, the id tuple of its cluster and its extended exchange matrix.  A
+variable is keyed by its minimum exponent and its packing at the lane
+width of its own degree, so a quotient of `seeds.exchange_packed`, which
+arrives packed there, is interned on ints and decoded only once, for
+output or for `PatternNode.seed`.
 
 Identity and adjacency are the cluster alone.  Theorem: for a seed of a
 skew-symmetrizable pattern of geometric type, (1) a seed is determined by
@@ -106,52 +110,59 @@ def canonical_key(ids: Sequence[int]) -> Tuple[int, ...]:
 
 
 class Variables:
-    """The distinct cluster variables of one exploration: `polys[i]` is the
-    variable with id i, over the ambient variables `names`, and
-    `operands[i]` the same variable readied for packed exchanges."""
+    """The distinct cluster variables of one exploration: `operands[i]` is
+    the variable with id i as a packed operand, over the ambient variables
+    `names`, and `polys[i]` its polynomial, decoded once by the operand.
 
-    __slots__ = ("polys", "operands", "names", "_ids")
+    A variable is interned on its minimum exponent and its packing at the
+    lane width of its degree, a frozenset of int pairs, so no exponent tuple
+    is hashed: equal polynomials have equal minima, degrees and hence
+    packings, and a packing at one width and shift is injective."""
+
+    __slots__ = ("operands", "names", "_ids")
 
     def __init__(self, names: List[str]):
-        self.polys: List[Poly] = []
         self.operands: List[lp.Operand] = []
         self.names = names
-        self._ids: Dict[FrozenSet[Tuple[Exponent, int]], int] = {}
+        self._ids: Dict[Tuple[Exponent, FrozenSet[Tuple[int, int]]], int] = {}
 
-    def intern(self, x: Poly) -> int:
-        """The id of x, a new one if no equal polynomial has one yet."""
-        found = self._ids.setdefault(frozenset(x.items()), len(self.polys))
-        if found == len(self.polys):
-            self.polys.append(x)
-            self.operands.append(lp.Operand(x))
+    @property
+    def polys(self) -> List[Poly]:
+        return [x.poly for x in self.operands]
+
+    def intern(self, x: lp.Operand) -> int:
+        """The id of x, a new one if no equal variable has one yet."""
+        key = (x.low, frozenset(x.packed(lp.lane_width(x.degree)).items()))
+        found = self._ids.setdefault(key, len(self.operands))
+        if found == len(self.operands):
+            self.operands.append(x)
         return found
 
 
-class PatternNode(NamedTuple):
+class PatternNode(NamedTuple("PatternNode", [
+    ("word", Tuple[int, ...]), ("ids", Tuple[int, ...]), ("btilde", Rows), ("variables", Variables),
+])):
     """One unlabeled seed: the first representative reached, as the ids of
     its cluster and its extended exchange matrix, and its mutation word.
     `seed` rebuilds it over the interned variable objects."""
 
-    word: Tuple[int, ...]
-    ids: Tuple[int, ...]
-    btilde: Rows
-    variables: Variables
+    __slots__ = ()
 
     @property
     def seed(self) -> sd.Seed:
-        polys = self.variables.polys
+        operands = self.variables.operands
         return sd.Seed.trusted(
             [list(row) for row in self.btilde],
-            [polys[i] for i in self.ids],
+            [operands[i].poly for i in self.ids],
             self.variables.names,
         )
 
 
-class ExplorationGraph(NamedTuple):
-    nodes: List[PatternNode]
-    adjacency: List[Dict[int, int]]
-    hit_depth: bool
-    hit_nodes: bool
+class ExplorationGraph(NamedTuple("ExplorationGraph", [
+    ("nodes", List[PatternNode]), ("adjacency", List[Dict[int, int]]),
+    ("hit_depth", bool), ("hit_nodes", bool),
+])):
+    __slots__ = ()
 
     @property
     def complete(self) -> bool:
@@ -181,9 +192,10 @@ def explore(
     variables = Variables(initial.var_names)
     # ids then order the initial cluster as sorting its terms does, so an
     # input with equal entries names the same pair as a term sort would
-    for x in sorted(initial.cluster, key=lambda x: sorted(x.items())):
-        variables.intern(x)
-    ids = tuple(map(variables.intern, initial.cluster))
+    cluster = list(map(lp.Operand, initial.cluster))
+    for j in sorted(range(n), key=lambda j: sorted(initial.cluster[j].items())):
+        variables.intern(cluster[j])
+    ids = tuple(map(variables.intern, cluster))
     canonical_key(ids)
     nodes: List[PatternNode] = []
     adjacency: List[Dict[int, int]] = []
@@ -259,14 +271,14 @@ def star_neighborhood(graph: ExplorationGraph, node: int) -> List[NerveEdge]:
     return [(word, k) for k in sorted(graph.adjacency[node])]
 
 
-class QuasiAutomorphism(NamedTuple):
+class QuasiAutomorphism(NamedTuple("QuasiAutomorphism", [
+    ("node", int), ("permutation", Tuple[int, ...]), ("matrix_map", qh.MonomialMap),
+    ("direction", str),
+])):
     """A relabeled explored seed the base pattern maps onto, with the
     witnessing monomial map in the rerooted coordinates."""
 
-    node: int
-    permutation: Tuple[int, ...]
-    matrix_map: qh.MonomialMap
-    direction: str
+    __slots__ = ()
 
 
 def find_quasi_automorphisms(
@@ -313,11 +325,11 @@ def _rendered(graph: ExplorationGraph, escape: Callable[[str], str]) -> List[str
     """The escaped rendering of every interned variable the graph's
     clusters hold, by id: each is rendered once."""
     variables = graph.nodes[0].variables
-    out: List[str] = [""] * len(variables.polys)
+    out: List[str] = [""] * len(variables.operands)
     for node in graph.nodes:
         for i in node.ids:
             if not out[i]:
-                out[i] = escape(lp.to_str(variables.polys[i], variables.names))
+                out[i] = escape(lp.to_str(variables.operands[i].poly, variables.names))
     return out
 
 

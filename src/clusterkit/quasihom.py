@@ -297,10 +297,10 @@ def normalization_map(m: MonomialMap) -> Callable[[Poly], Exponent]:
     return c
 
 
-class Grading(NamedTuple):
+class Grading(NamedTuple("Grading", [("rows", Tuple[Tuple[int, ...], ...])])):
     """Integer grading rows annihilating an extended matrix on the left."""
 
-    rows: Tuple[Tuple[int, ...], ...]
+    __slots__ = ()
 
 
 def proportional(

@@ -14,6 +14,7 @@ cross multiplication; no rational-function normal form is ever needed.
 from __future__ import annotations
 
 from math import gcd
+from operator import add as _iadd
 from operator import sub as _isub
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -24,7 +25,7 @@ Matrix = List[List[int]]
 Pair = Tuple[Exponent, Exponent]
 RationalPair = Tuple[Poly, Poly]
 Operands = Sequence[Optional[lp.Operand]]
-Side = Tuple[Sequence[int], int, int, List[Tuple[lp.Operand, int]]]
+Side = List  # [lo, degree, scale, (operand, exponent) factors] of one exchange term
 
 
 class InvalidSeed(Exception):
@@ -214,7 +215,7 @@ def coefficient_pair(seed: Seed, k: int) -> Tuple[Poly, Poly]:
 
 
 def operands(cluster: Sequence[Poly], column: Sequence[int], k: int = -1) -> Operands:
-    """The cluster as operands of `packed_terms`: x_k and the x_j with
+    """The cluster as operands of `exchange_sides`: x_k and the x_j with
     b_jk != 0, None elsewhere."""
     return [lp.Operand(x) if e or j == k else None
             for j, (x, e) in enumerate(zip(cluster, column))]
@@ -222,30 +223,28 @@ def operands(cluster: Sequence[Poly], column: Sequence[int], k: int = -1) -> Ope
 
 def exchange_sides(
     column: Sequence[int], cluster: Operands, plus: Exponent, minus: Exponent
-) -> List[Side]:
+) -> Tuple[Side, Side]:
     """The exchange terms p+ prod x_j^[b_jk]+ and p- prod x_j^[-b_jk]+ at k
-    as (lo, degree, scale, factors), from column k (entries past the
-    cluster are ignored), the cluster as operands where b_jk != 0, and p+,
-    p- as ambient exponent vectors.  A term is scale x^lo times the product
-    of (x^-low_j x_j)^e over its factors (x_j, e), and x^lo its exact
-    minimum exponent (minima add); lo starts at the coefficient's exponent,
-    which a rescaled pair may make negative.  A monomial operand (degree 0)
-    only moves lo and scales the term, so a term without factors is the
-    monomial scale x^lo, and `degree` is the largest total degree of the
-    product."""
-    sides = []
-    for lo, sign in ((plus, 1), (minus, -1)):
-        degree, scale, factors = 0, 1, []
-        for x, e in zip(cluster, column):
-            e *= sign
-            if e > 0:
-                lo = [a + e * b for a, b in zip(lo, x.low)]
-                if x.degree:
-                    degree += e * x.degree
-                    factors.append((x, e))
-                else:
-                    scale *= next(iter(x.poly.values())) ** e
-        sides.append((lo, degree, scale, factors))
+    as [lo, degree, scale, factors], both from one pass over column k
+    (entries past the cluster are ignored), the cluster as operands where
+    b_jk != 0, and p+, p- as ambient exponent vectors.  A term is scale x^lo
+    times the product of (x^-low_j x_j)^e over its factors (x_j, e), and
+    x^lo its exact minimum exponent (module docstring of `laurent`); lo
+    starts at the coefficient's exponent, which a rescaled pair may make
+    negative.  A monomial operand (degree 0) only moves lo and scales the
+    term, so a term without factors is the monomial scale x^lo, and
+    `degree` is the largest total degree of the product."""
+    sides = ([plus, 0, 1, []], [minus, 0, 1, []])
+    for x, e in zip(cluster, column):
+        if e:
+            side = sides[e < 0]
+            e = abs(e)
+            side[0] = list(map(_iadd, side[0], x.low if e == 1 else [e * b for b in x.low]))
+            if x.degree:
+                side[1] += e * x.degree
+                side[3].append((x, e))
+            else:
+                side[2] *= next(iter(x.poly.values())) ** e
     return sides
 
 
@@ -258,49 +257,60 @@ def packed_terms(
     so every exponent met is nonnegative, and one lane width holds the
     largest total degree a term reaches and `floor` (x_k's when dividing).
     The powers come from the operands, which may keep them."""
-    low = list(map(min, sides[0][0], sides[1][0]))
-    width = lp.lane_width(max([d + sum(lo) - sum(low) for lo, d, _, _ in sides] + [floor]))
-    terms = [
+    (lo_p, deg_p, _, _), (lo_m, deg_m, _, _) = sides
+    low = [a if a < b else b for a, b in zip(lo_p, lo_m)]
+    shift = sum(low)
+    width = lp.lane_width(max(deg_p + sum(lo_p) - shift, deg_m + sum(lo_m) - shift, floor))
+    plus_term, minus_term = [
         (scale, [x.power(width, e) for x, e in factors]
          + [{lp.exponent_key(list(map(_isub, lo, low)), width): 1}])
         for lo, _, scale, factors in sides
     ]
-    return low, width, terms[0], terms[1]
+    return low, width, plus_term, minus_term
 
 
 def exchange_packed(
-    column: Sequence[int], k: int, cluster: Operands, plus: Exponent, minus: Exponent
-) -> Poly:
-    """(p+ prod x_j^[b_jk]+ + p- prod x_j^[-b_jk]+) / x_k: `laurent.signed_sum`
-    of the two `packed_terms`, divided by `laurent.div_packed` in its lanes,
-    which uses the sum up.  NotDivisible means the input is no seed (the
-    Laurent property fails); a vanishing quotient, possible with signed
+    column: Sequence[int], k: int, cluster: Operands, plus: Exponent, minus: Exponent,
+    keep_powers: bool = False,
+) -> lp.Operand:
+    """(p+ prod x_j^[b_jk]+ + p- prod x_j^[-b_jk]+) / x_k as an operand:
+    `laurent.signed_sum` of the two `packed_terms`, divided by
+    `laurent.div_packed` in their lanes, which uses the sum up.  Unless a
+    key cancelled in the sum, the quotient stays packed: its minimum is the
+    terms' common one less x_k's, and its polynomial is decoded only when
+    asked for.  NotDivisible means the input is no seed (the Laurent
+    property fails); a vanishing quotient, possible with signed
     coefficients, raises InvalidSeed."""
     xk = cluster[k]
     low, width, f, g = packed_terms(exchange_sides(column, cluster, plus, minus), xk.degree)
-    quot = lp.div_packed(lp.signed_sum([f, g]), xk.packed(width), len(low), width)
+    total, cancelled = lp.signed_sum([f, g])
+    quot = lp.div_packed(total, xk.packed(width), len(low), width)
     if not quot:
         raise InvalidSeed("zero cluster variable")
-    return lp.unpack(quot, lp.exp_sub(low, xk.low), width)
+    low = lp.exp_sub(low, xk.low)
+    if cancelled:
+        # the sum's minimum may lie above the terms': decode to find it
+        return lp.Operand(lp.unpack(quot, low, width), keep_powers)
+    return lp.Operand.packed_form(quot, low, width, keep_powers)
 
 
 def exchanged(seed: Seed, k: int) -> Poly:
     """The cluster variable that replaces x_k in the mutation at k."""
     _check_direction(k, seed.n)
     col = [row[k] for row in seed.btilde]
-    return exchange_packed(col, k, operands(seed.cluster, col, k), *frozen_pair(col, seed.n))
+    return exchange_packed(col, k, operands(seed.cluster, col, k), *frozen_pair(col, seed.n)).poly
 
 
 def mutation_walk(seed: Seed, word: Iterable[int]) -> Iterator[Seed]:
     """The seed after each mutation of the word, left to right.
 
-    The walk keeps one operand per cluster position, made when an exchange
-    first needs it, with its packings and powers, so a step packs and
-    raises only what changed.  A step replaces position k alone, and the
-    operand of the variable it replaces is dropped with its powers.  Each
-    seed skips `Seed._check`: mutation keeps the shape, the ambient arity
-    and the skew-symmetrizer, and `exchange_packed` checks the one new
-    entry.
+    The walk keeps one operand per cluster position, with its packings and
+    powers, so a step packs and raises only what changed: an operand is
+    made when an exchange first needs its variable, and a step keeps the
+    operand `exchange_packed` returns for position k, packed in the lanes
+    of that exchange, dropping the replaced one with its powers.  Each seed
+    skips `Seed._check`: mutation keeps the shape, the ambient arity and
+    the skew-symmetrizer, and `exchange_packed` checks the one new entry.
     """
     ops: List[Optional[lp.Operand]] = [None] * seed.n
     for k in word:
@@ -309,9 +319,9 @@ def mutation_walk(seed: Seed, word: Iterable[int]) -> Iterator[Seed]:
         for j, x in enumerate(seed.cluster):
             if ops[j] is None and (col[j] or j == k):
                 ops[j] = lp.Operand(x, keep_powers=True)
+        ops[k] = exchange_packed(col, k, ops, *frozen_pair(col, seed.n), keep_powers=True)
         cluster = list(seed.cluster)
-        cluster[k] = exchange_packed(col, k, ops, *frozen_pair(col, seed.n))
-        ops[k] = None
+        cluster[k] = ops[k].poly
         seed = Seed.trusted(mutate_matrix(seed.btilde, k), cluster, seed.var_names)
         yield seed
 
@@ -373,14 +383,14 @@ def hatted_pair(
     """The hatted variable (p+ / p-) * prod_i x_i^b_ij of a seed with the
     coefficient pair (plus, minus), normalized or not: the two
     `exchange_sides`, each a monomial read off as it is or else packed by
-    `packed_terms`, evaluated by `laurent.signed_sum` and unpacked."""
+    `packed_terms`, evaluated by `laurent.signed_sum` and decoded."""
     sides = exchange_sides(column, operands(cluster, column), plus, minus)
     if not any(factors for _, _, _, factors in sides):
         # both terms are monomials scale x^lo: nothing to pack or decode
         (lo_f, _, scale_f, _), (lo_g, _, scale_g, _) = sides
         return {tuple(lo_f): scale_f}, {tuple(lo_g): scale_g}
     low, width, f, g = packed_terms(sides)
-    return lp.unpack(lp.signed_sum([f]), low, width), lp.unpack(lp.signed_sum([g]), low, width)
+    return lp.unpack(lp.signed_sum([f])[0], low, width), lp.unpack(lp.signed_sum([g])[0], low, width)
 
 
 def hatted_mutation_check(seed: Seed, k: int) -> bool:

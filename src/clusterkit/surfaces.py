@@ -34,12 +34,12 @@ class ExceptionalSurface(Exception):
     """Surface whose symmetry group is not captured by mapping classes."""
 
 
-class SurfaceShape(NamedTuple):
+class SurfaceShape(NamedTuple("SurfaceShape", [
+    ("genus", int), ("punctures", int), ("boundary_cilia", Tuple[int, ...]),
+])):
     """Topological type: genus, punctures, and cilia per boundary component."""
 
-    genus: int
-    punctures: int
-    boundary_cilia: Tuple[int, ...]
+    __slots__ = ()
 
 
 def check_surface(shape: SurfaceShape) -> None:
@@ -91,8 +91,10 @@ class EvenComponent(NamedTuple("EvenComponent", [("kind", str), ("cilia", int)])
         return super().__new__(cls, kind, cilia)
 
 
-class EvenComponentTable(NamedTuple):
-    components: Tuple[EvenComponent, ...]
+class EvenComponentTable(
+    NamedTuple("EvenComponentTable", [("components", Tuple[EvenComponent, ...])])
+):
+    __slots__ = ()
 
     @property
     def r(self) -> int:
@@ -139,7 +141,12 @@ def end_sign(end: End, table: EvenComponentTable) -> int:
     return 1 if end[2] == "ccw" else -1
 
 
-class Lamination(NamedTuple):
+class Lamination(NamedTuple("Lamination", [
+    ("curves", Tuple[Curve, ...]),
+    ("shear", Optional[Tuple[int, ...]]),
+    ("arc_measures", Optional[Tuple[int, ...]]),
+    ("boundary_measures", Optional[Tuple[int, ...]]),
+])):
     """Curve system given by end descriptors plus optional coordinate data.
 
     Shear coordinates are indexed by the arcs of a fixed triangulation,
@@ -147,10 +154,16 @@ class Lamination(NamedTuple):
     the coordinate-free curves stay meaningful across triangulations.
     """
 
-    curves: Tuple[Curve, ...]
-    shear: Optional[Tuple[int, ...]] = None
-    arc_measures: Optional[Tuple[int, ...]] = None
-    boundary_measures: Optional[Tuple[int, ...]] = None
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        curves: Tuple[Curve, ...],
+        shear: Optional[Tuple[int, ...]] = None,
+        arc_measures: Optional[Tuple[int, ...]] = None,
+        boundary_measures: Optional[Tuple[int, ...]] = None,
+    ):
+        return super().__new__(cls, curves, shear, arc_measures, boundary_measures)
 
 
 def lamination_to_json(lam: Lamination) -> dict:
@@ -355,7 +368,17 @@ TWIST_SEED_MATRIX = [
 ]
 
 
-class AnnulusFixture(NamedTuple):
+class AnnulusFixture(NamedTuple("AnnulusFixture", [
+    ("table", EvenComponentTable),
+    ("seed", sd.Seed),
+    ("half_turn_word", Tuple[int, ...]),
+    ("twist_seed", sd.Seed),
+    ("twist_word", Tuple[int, ...]),
+    ("twist_map", qh.MonomialMap),
+    ("arc_pairings", ArcPairingTable),
+    ("boundary_matrix", List[List[int]]),
+    ("laminations", Dict[str, Lamination]),
+])):
     """Annulus with two cilia per boundary circle and a doubled curve as the
     single lamination row.
 
@@ -366,15 +389,7 @@ class AnnulusFixture(NamedTuple):
     monomial map into the rerooted twist-seed context.
     """
 
-    table: EvenComponentTable
-    seed: sd.Seed
-    half_turn_word: Tuple[int, ...]
-    twist_seed: sd.Seed
-    twist_word: Tuple[int, ...]
-    twist_map: qh.MonomialMap
-    arc_pairings: ArcPairingTable
-    boundary_matrix: List[List[int]]
-    laminations: Dict[str, Lamination]
+    __slots__ = ()
 
 
 def annulus_fixture() -> AnnulusFixture:

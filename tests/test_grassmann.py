@@ -417,6 +417,16 @@ def test_factorization_contents():
         assert gr.row_solid_irreducible(CTX25, i_set[0], j_set)
 
 
+def test_every_block_of_every_image_is_irreducible():
+    # _split_image cuts each image once: a block of the cut is nonzero and
+    # has no further cut, which its docstring proves and this checks
+    for k, n in ((1, 5), (2, 5), (3, 7), (2, 9), (5, 9), (4, 10)):
+        ctx = gr.make_context(k, n)
+        for cols in combinations(range(1, n + 1), n - k):
+            for rows, j_set in gr._blocks(ctx, 1, cols):
+                assert gr.row_solid_irreducible(ctx, rows[0], j_set), (k, n, cols)
+
+
 def test_factorization_errors():
     with pytest.raises(gr.NoFactorization):
         gr.factor_fstar(CTX25, (1, 2, 3))

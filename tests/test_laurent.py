@@ -357,14 +357,19 @@ class TestPackedKernel:
                   for scale, factors in products]
         before = [[dict(f) for f in factors] for _, factors in packed]
         expected: dict = {}
+        support = set()
         for scale, factors in products:
             term = lp.constant(scale, arity)
             for f in factors:
                 term = lp.mul(term, f)
             expected = lp.add(expected, term)
-        total = lp.signed_sum(packed)
+            support |= set(term)
+        total, cancelled = lp.signed_sum(packed)
         assert 0 not in total.values()
         assert lp.unpack(total, (0,) * arity, width) == expected
+        # a key of a product missing from the sum summed to zero and is
+        # reported; with none reported, the sum holds every product's keys
+        assert cancelled or set(expected) == support
         # the factors are shared with caches, so they are never changed
         assert [factors for _, factors in packed] == before
         if packed and len(packed[0][1]) == 1:

@@ -8,7 +8,7 @@ from itertools import permutations
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 import clusterkit.grassmann as gx
 import clusterkit.laurent as lp
@@ -213,6 +213,72 @@ def test_explore_matches_brute_force_on_markov():
     )
 
 
+@st.composite
+def cancelling_seeds(draw):
+    """(seed, k): a seed over signed variables x_i = +-u_i and one binomial
+    x_j, whose exchange at k cancels a monomial between p+ prod x^[b]+ and
+    p- prod x^[-b]+.  One term of x_j times the rest R of its side is minus
+    the other side, so the sum is the other term times R, and its minimum
+    lies above the terms' common one in some coordinate.  The two terms of
+    x_j are also the two sides of its own exchange up to one monomial, so
+    every first mutation divides."""
+    n, m = draw(st.integers(2, 3)), draw(st.integers(0, 2))
+    b = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            b[i][j] = draw(st.integers(-1, 1))
+            b[j][i] = -b[i][j]
+    b += [[draw(st.integers(-1, 1)) for _ in range(n)] for _ in range(m)]
+    k, j = draw(st.permutations(range(n)))[:2]
+    assume(b[j][k])
+    signs = [draw(st.sampled_from((1, -1))) for _ in range(n)]
+    arity = n + m
+
+    def side(q, sign, skip=None):
+        # p_sign prod x_i^[sign b_iq]+ over i != skip, as (exponent, coefficient)
+        exp, coef = [0] * arity, 1
+        for i, row in enumerate(b):
+            e = sign * row[q]
+            if e > 0 and i != skip:
+                exp[i] += e
+                coef *= signs[i] ** e if i < n else 1
+        return exp, coef
+
+    (r, rc), (o, oc) = side(k, b[j][k], skip=j), side(k, -b[j][k])
+    mu, c = [x - y for x, y in zip(o, r)], -oc * rc
+    (a, ac), (d, dc) = side(j, 1), side(j, -1)
+    v, s = [x - y + z for x, y, z in zip(a, d, mu)], ac * dc * c
+    assume(any(x < y for x, y in zip(mu, v)))
+    cluster = [{tuple(int(t == i) for t in range(arity)): signs[i]} for i in range(n)]
+    cluster[j] = {tuple(v): s, tuple(mu): c}
+    names = [f"x{i}" for i in range(n)] + [f"y{i}" for i in range(m)]
+    return sd.Seed(b, cluster, names), k
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(cancelling_seeds())
+def test_interning_when_a_key_cancels(tuple_exchange, case):
+    # the packed quotient's minimum is the terms' common one only when no
+    # key cancels in their sum; where one does, the operand must still be
+    # the one its polynomial makes, or interning would split equal variables
+    seed, k = case
+    for q in range(seed.n):
+        plus, minus = tuple_exchange(seed.btilde, seed.cluster, q, *sd.coefficient_pair(seed, q))
+        if q == k:
+            assert any(plus.get(e) == -c for e, c in minus.items())
+        column = [row[q] for row in seed.btilde]
+        op = sd.exchange_packed(column, q, sd.operands(seed.cluster, column, q),
+                                *sd.frozen_pair(column, seed.n))
+        assert op.poly == lp.exact_div(lp.add(plus, minus), seed.cluster[q])
+        ref = lp.Operand(op.poly)
+        width = lp.lane_width(ref.degree)
+        assert (op.low, op.degree, op.packed(width)) == (ref.low, ref.degree, ref.packed(width))
+    assert_matches_reference(seed, max_depth=1)
+    rendered = [node["cluster"] for node in json.loads(graph_json(pt.explore(seed, 1)))["nodes"]]
+    assert rendered == [[lp.to_str(x, seed.var_names) for x in s.cluster]
+                        for s, _ in reference_explore(seed, 1, 500)[0]]
+
+
 @pytest.mark.parametrize(
     "b, nodes, mutations, divisions",
     [(a_n(4), 42, 41, 20), (d_n(5), 182, 181, 67)],
@@ -357,7 +423,7 @@ def test_lane_crossing_exchanges_match_the_tuple_path(monkeypatch, tuple_exchang
 
 
 def interned_ids(variables, seed):
-    return tuple(map(variables.intern, seed.cluster))
+    return tuple(variables.intern(lp.Operand(x)) for x in seed.cluster)
 
 
 def test_canonical_key_rejects_equal_cluster_entries():
@@ -646,12 +712,11 @@ def test_streamed_writers_cover_truncated_and_rank_zero_graphs():
         assert graph_dot(graph) == reference_graph_dot(graph)
 
 
-def test_every_e6_exchange_relation_holds_at_a_random_point():
-    # x_k x_k' = p+ prod x_j^[b_jk]+ + p- prod x_j^[-b_jk]+ for every edge
-    # (i, k, j), at one seeded random point mod 2^61 - 1 with no division:
-    # an edge that closed a facet was never divided, so this is its check
-    seed = gx.build_fixture(gx.make_context(3, 7)).gr_seed
-    graph = pt.explore(seed, max_depth=100, max_nodes=30000)
+def exchange_relations_at_a_point(seed, graph):
+    """Check x_k x_k' = p+ prod x_j^[b_jk]+ + p- prod x_j^[-b_jk]+ on every
+    edge (i, k, j) of an exploration of the seed, at one seeded random point
+    mod 2^61 - 1 with no division, and return the number of directed edges.
+    An edge that closed a facet was never divided, so this is its check."""
     polys = graph.nodes[0].variables.polys
     rng = random.Random(2 ** 61 - 1)
     point = [rng.randrange(2, P61) for _ in seed.var_names]
@@ -666,7 +731,24 @@ def test_every_e6_exchange_relation_holds_at_a_random_point():
             assert values[ids[k]] * values[fresh] % P61 == exchange_value(btilde, cluster, k), \
                 (i, k, j)
             edges += 1
-    assert edges == 4998
+    return edges
+
+
+def test_every_e6_exchange_relation_holds_at_a_random_point():
+    seed = gx.build_fixture(gx.make_context(3, 7)).gr_seed
+    graph = pt.explore(seed, max_depth=100, max_nodes=30000)
+    assert exchange_relations_at_a_point(seed, graph) == 4998
+
+
+def test_every_e8_exchange_relation_holds_at_a_random_point():
+    # Gr(3,8) is of finite type E8: 25080 seeds, 128 mutable cluster
+    # variables, 8 directed edges at each seed
+    seed = gx.build_fixture(gx.make_context(3, 8)).gr_seed
+    graph = pt.explore(seed, max_depth=100, max_nodes=30000)
+    assert graph.complete
+    assert len(graph.nodes) == 25080
+    assert len(graph.nodes[0].variables.operands) == 128
+    assert exchange_relations_at_a_point(seed, graph) == 200640
 
 
 def test_limit_checks_survive_optimize(run_optimized):

@@ -1,6 +1,10 @@
 """Source-tree guards that the test suite enforces in place of CI."""
 
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -40,6 +44,25 @@ def test_records_import_no_dataclasses(path):
     # records are NamedTuples: dataclasses imports inspect and runs a
     # generated class body per record on every start
     assert "dataclasses" not in _imported_modules(path), f"{path.name} imports dataclasses"
+
+
+def test_import_compiles_no_annotation_strings():
+    # a class-syntax NamedTuple in a module with `from __future__ import
+    # annotations` has string annotations, which typing compiles into a
+    # ForwardRef each on every start; the records name real types instead
+    code = textwrap.dedent("""
+        import typing
+        made = []
+        init = typing.ForwardRef.__init__
+        typing.ForwardRef.__init__ = lambda self, *a, **kw: made.append(a) or init(self, *a, **kw)
+        import clusterkit.cli
+        print(len(made), made)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(TESTS.parent / "src"), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0 []\n"
 
 
 def test_cli_enumerates_no_cases():
