@@ -68,8 +68,8 @@ content, the one left is the minor.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import combinations, compress
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import lattice as la
 from . import laurent as lp
@@ -431,11 +431,13 @@ def _frozen(
 @lru_cache(maxsize=None)
 def _split_image(
     ctx: GenericMatrixContext, cols: IndexSet
-) -> Tuple[FrozenSet[int], Optional[MinorSpec]]:
+) -> Tuple[int, Optional[MinorSpec]]:
     """The band image on sorted `cols` read off its blocks: the content, as
-    the positions in `band_frozen_specs` of the frozen generators among the
-    blocks (each has exponent 1, the blocks being on disjoint rows), and
-    the one block that is not frozen, None for a frozen coordinate.
+    an int bitmask over the positions in `band_frozen_specs` of the frozen
+    generators among the blocks (each has exponent 1, the blocks being on
+    disjoint rows), and the one block that is not frozen, None for a
+    frozen coordinate.  The cache holds one content per coordinate, so it
+    is a bitmask: an int of a few machine words, not a set of ints.
 
     Every block is an irreducible row-solid minor, so none is cut again
     (module docstring, with p = 1 and s = n−k).  The image is nonzero: the
@@ -449,22 +451,30 @@ def _split_image(
     rest = [block for block in blocks if block not in position]
     if len(rest) != (0 if cols in intervals else 1):
         raise NoFactorization(f"image of {plucker_name(cols)} has non-frozen factors {rest}")
-    content = frozenset(position[block] for block in blocks if block in position)
+    content = sum([1 << position[block] for block in blocks if block in position])
     return content, rest[0] if rest else None
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _at_set_bits(content: int, items: Sequence) -> Iterator:
+    """The items at the set bits of `content`, lowest bit first: the bits
+    are read as bytes, so no Python step is spent on a clear bit."""
+    return compress(items, bin(content)[:1:-1].encode().translate(_BITS))
 
 
 def _factored(
     ctx: GenericMatrixContext, raw: Sequence[int], what: str
-) -> Tuple[IndexSet, FrozenSet[int], Optional[MinorSpec]]:
+) -> Tuple[IndexSet, int, Optional[MinorSpec]]:
     sign, cols = reduce_plucker_index(ctx, raw)
     if sign == 0:
         raise InvalidIndex(f"zero coordinate has no {what}")
     return (cols, *_split_image(ctx, cols))
 
 
-def _named(ctx: GenericMatrixContext, content: FrozenSet[int]) -> Dict[str, int]:
-    names = _frozen(ctx)[2]
-    return {names[p]: 1 for p in sorted(content)}
+def _named(ctx: GenericMatrixContext, content: int) -> Dict[str, int]:
+    return dict.fromkeys(_at_set_bits(content, _frozen(ctx)[2]), 1)
 
 
 def factor_fstar(
@@ -503,13 +513,13 @@ def tropical_c_check(
     *rest, ri, rj, rk, rl = residues
 
     # distinct residues: each coordinate is its sorted set, with no sign to drop
-    def vec(p: int, q: int) -> FrozenSet[int]:
+    def vec(p: int, q: int) -> int:
         return _split_image(ctx, tuple(sorted(rest + [p, q])))[0]
 
     # a content holds each generator once, so a product of two coordinates
     # has exponent 1 or 2 on the generators in either content and 2 on those
     # in both; the minimum of two products keeps what both have at each level
-    def tot(p1: Tuple[int, int], p2: Tuple[int, int]) -> Tuple[FrozenSet[int], ...]:
+    def tot(p1: Tuple[int, int], p2: Tuple[int, int]) -> Tuple[int, int]:
         a, b = vec(*p1), vec(*p2)
         return a | b, a & b
 
@@ -733,7 +743,7 @@ def build_fixture(ctx: GenericMatrixContext) -> GrassmannFixture:
     for col, (content, minor) in enumerate(images):
         if minor is not None:
             matrix[col][col] = 1
-        for p in content:
+        for p in _at_set_bits(content, range(content.bit_length())):
             matrix[num + p][col] = 1
     return GrassmannFixture(
         ctx=ctx,

@@ -35,10 +35,14 @@ clusters, the ends of the edge that exchanges its missing variable.  So
 each new node pops every facet it shares with an explored node from a
 table of open facets and records that edge both ways, and a direction
 still open when its node is expanded leads to a cluster not explored yet,
-by (1) a new seed.  Only there does exploration divide, check the new
-cluster with `canonical_key` and mutate a matrix: a complete run of N
-nodes takes N-1 matrix mutations, and an edge between two explored seeds
-costs a dictionary lookup.
+by (1) a new seed.  Only there does exploration divide and mutate a
+matrix: a complete run of N nodes takes N-1 matrix mutations, and an edge
+between two explored seeds costs a dictionary lookup.  The new cluster
+can repeat an entry only if its new id is one of the old ones, and only
+then is it checked with `canonical_key`.  The new matrix allocates only
+row k and the rows where column k is nonzero: `seeds.mutate_matrix`
+returns every other row as the parent's own object, and each allocated
+row is interned, so equal rows across all node matrices are one tuple.
 
 The memo key.  The new variable of mutation at k is the exchange polynomial
 p+ prod x_j^[b_jk]+ + p- prod x_j^[-b_jk]+, with p+ and p- read off the
@@ -67,7 +71,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Sequence, Tuple
 
 from . import laurent as lp
@@ -177,14 +181,14 @@ def explore(
     Each new node closes every open facet it shares with an explored node
     and records that edge both ways, so a direction still open when its
     node is expanded leads to a new seed: only there does exploration
-    divide, call `canonical_key` and mutate a matrix (module docstring).  A
-    node at `max_depth` keeps no edges.  Hitting either limit flags the
-    graph as truncated instead of failing, since infinite-type patterns
-    never close.  Once `max_nodes` seeds are kept no direction is divided,
-    since each open one leads to a new seed that the cap drops.  Input that
-    is not a seed of any pattern raises `lp.NotDivisible` or
-    `sd.InvalidSeed` from the first division or key that exposes it; when
-    that division lies past either limit, the truncated graph is returned.
+    divide and mutate a matrix (module docstring).  A node at `max_depth`
+    keeps no edges.  Hitting either limit flags the graph as truncated
+    instead of failing, since infinite-type patterns never close.  Once
+    `max_nodes` seeds are kept no direction is divided, since each open one
+    leads to a new seed that the cap drops.  Input that is not a seed of
+    any pattern raises `lp.NotDivisible` or `sd.InvalidSeed` from the first
+    division or key that exposes it; when that division lies past either
+    limit, the truncated graph is returned.
     """
     if max_depth < 0 or max_nodes < 1:
         raise ValueError("need max_depth >= 0 and max_nodes >= 1")
@@ -222,11 +226,11 @@ def explore(
             elif keeps:
                 facets[facet] = (new, j)
 
-    add((), ids, tuple(map(tuple, initial.btilde)))
-    quotients: Dict[tuple, int] = {}
-    operands = variables.operands
     # one tuple per distinct row, shared by every node matrix that holds it
     rows: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+    add((), ids, tuple(rows.setdefault(row, row) for row in map(tuple, initial.btilde)))
+    quotients: Dict[tuple, int] = {}
+    operands = variables.operands
     hit_depth = hit_nodes = False
     while queue:
         idx = queue.popleft()
@@ -245,7 +249,7 @@ def explore(
             column = [row[k] for row in btilde]
             exchange = (
                 ids[k],
-                tuple(sorted((ids[j], column[j]) for j in range(n) if column[j])),
+                tuple(sorted([(i, e) for i, e in zip(ids, column) if e])),
                 tuple(column[n:]),
             )
             new = quotients.get(exchange)
@@ -255,10 +259,17 @@ def explore(
                 ))
                 quotients[exchange] = new
             new_ids = ids[:k] + (new,) + ids[k + 1:]
-            canonical_key(new_ids)
+            if new in ids:
+                # the one way the new cluster can repeat an entry
+                canonical_key(new_ids)
+            # mutation shares the rows with b_ik = 0, already interned here,
+            # so only row k and the rows where the column is nonzero are new
             mutated = sd.mutate_matrix(btilde, k)
-            add(node.word + (k,), new_ids,
-                tuple(rows.setdefault(row, row) for row in map(tuple, mutated)))
+            for i, e in enumerate(column):
+                if e or i == k:
+                    row = tuple(mutated[i])
+                    mutated[i] = rows.setdefault(row, row)
+            add(node.word + (k,), new_ids, tuple(mutated))
     return ExplorationGraph(nodes, adjacency, hit_depth, hit_nodes)
 
 
@@ -353,12 +364,13 @@ def graph_json_chunks(graph: ExplorationGraph) -> Iterator[str]:
                f'\n      "cluster": {cluster}\n    }}')
         head = ","
     head = '\n  ],\n  "edges": ['
+    edge = ',\n      "label": %d,\n      "to": %d\n    }'
     for i, nbrs in enumerate(graph.adjacency):
         if nbrs:
-            yield head + ",".join(
-                f'\n    {{\n      "from": {i},\n      "label": {k},\n      "to": {j}\n    }}'
-                for k, j in sorted(nbrs.items())
-            )
+            # one format of the edge template, repeated, per node
+            each = f'\n    {{\n      "from": {i}' + edge
+            yield head + ",".join([each] * len(nbrs)) % tuple(
+                chain.from_iterable(sorted(nbrs.items())))
             head = ","
     flags = {"complete": graph.complete, "hit_depth": graph.hit_depth,
              "hit_nodes": graph.hit_nodes}

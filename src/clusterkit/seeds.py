@@ -35,27 +35,32 @@ class InvalidSeed(Exception):
 # ---------------------------------------------------------------------------
 # exchange matrices
 
-def mutate_matrix(btilde: Sequence[Sequence[int]], k: int) -> Matrix:
+def mutate_matrix(btilde: Sequence[Sequence[int]], k: int) -> List[Sequence[int]]:
     """Matrix mutation in direction k, applied to all rows.
 
     Row and column k flip sign; entry (i, j) otherwise gains
     sign(b_ik) * [b_ik * b_kj]_+: b_ik times [row k]_+ or [-row k]_+.
+    The result is a new list of rows that shares the rows mutation leaves
+    unchanged: each row i != k with b_ik = 0 is the input row object
+    itself, and only row k and the rows with b_ik != 0 are new lists.  So
+    no caller may write into a row it passes in or gets back: seeds are
+    immutable, and successive seeds of a walk share these rows.
     """
     n = len(btilde[0])
     _check_direction(k, n)
-    pos = [x if x > 0 else 0 for x in btilde[k]]
-    neg = [0 if x > 0 else -x for x in btilde[k]]
+    row_k = btilde[k]
     out = []
     for i, row in enumerate(btilde):
         bik = row[k]
         if i == k:
-            new_row = [-x for x in row]
+            row = [-x for x in row]
+        elif bik > 0:
+            row = [x + bik * y if y > 0 else x for x, y in zip(row, row_k)]
+            row[k] = -bik
         elif bik:
-            new_row = [x + bik * y for x, y in zip(row, pos if bik > 0 else neg)]
-        else:
-            new_row = list(row)
-        new_row[k] = -bik
-        out.append(new_row)
+            row = [x - bik * y if y < 0 else x for x, y in zip(row, row_k)]
+            row[k] = -bik
+        out.append(row)
     return out
 
 

@@ -407,6 +407,43 @@ def test_mutate_output_matches_golden_digest(runner, tmp_path, name):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_MUTATE[name, "out"]
 
 
+# sha256 of the `--format text` stdout of the three commands whose text
+# writers no other test runs, with its exit code, on the Gr(2,5) fixture
+# files, the annulus seed before and after its half turn, and a frozen row
+# (1, 1) that only a rational combination of the rows of "even" reaches;
+# recorded from the implementation whose explore copied every matrix row
+GOLDEN_TEXT = {
+    ("construct-qh", "seed", "band"):
+        (0, "151e5b274597b522364fefd337000fcbb0bb9396dcd26f8e41756b58e0402896"),
+    ("construct-qh", "seed", "annulus"):
+        (1, "5ae4c7780d9d0c29447f25361bccfc18ca053736aa41039da58a67272523f070"),
+    ("construct-qh", "even", "half"):
+        (1, "6290f961ad7013c389abc0f62a6aec63ca492d573284fdb01c22202f3287ef71"),
+    ("gradings", "seed"):
+        (0, "e2313911e6ac69944cec1f1ffd178f7f21d524c7e3bb64c602edd4973c77bcd9"),
+    ("gradings", "band"):
+        (0, "05061eb154bba53ed8a28962a524394ccc1ec3586151761f7c842c9ff7d42b39"),
+    ("orbit-eq", "seed", "seed"):
+        (0, "9f15b5db40b4ef60dce55efd1c35081676273c33557480fd31110f527cefe287"),
+    ("orbit-eq", "annulus", "moved"):
+        (1, "cc240a8b065bb8068d72f0ea0aea60fa55f63b35822b624a6e69b466e1856ded"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_TEXT), ids=" ".join)
+def test_text_writers_match_golden_digest(runner, gr25, tmp_path, argv):
+    _, paths = gr25
+    fx = sf.annulus_fixture()
+    paths["annulus"] = write_seed(tmp_path, "annulus", fx.seed)
+    paths["moved"] = write_seed(tmp_path, "moved", sd.mutate_word(fx.seed, fx.half_turn_word))
+    for name, frozen in [("even", [0, 0]), ("half", [1, 1])]:
+        seed = sd.initial_seed([[0, 2], [-2, 0], frozen], ["a", "b", "c"])
+        paths[name] = write_seed(tmp_path, name, seed)
+    result = runner.invoke(cl.main, [argv[0], *(paths[a] for a in argv[1:]), "--format", "text"])
+    digest = hashlib.sha256(result.stdout_bytes).hexdigest()
+    assert (result.exit_code, digest) == GOLDEN_TEXT[argv]
+
+
 def test_explore_rejects_failed_division(runner, tmp_path):
     result = runner.invoke(cl.main, ["explore", a2_path(tmp_path, [lp.add(lp.mul(X1, X1), X1), X2])])
     assert result.exit_code == 2

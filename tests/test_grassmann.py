@@ -1,6 +1,8 @@
 """Generic-matrix minors, band minors, and the flat-to-band fixtures."""
 
+import gc
 import random
+import tracemalloc
 from functools import lru_cache, reduce
 from itertools import combinations
 
@@ -1035,6 +1037,28 @@ def cold_split():
     gr._split_image.cache_clear()
     yield
     gr._split_image.cache_clear()
+
+
+def test_split_image_cache_holds_little_per_coordinate(cold_split):
+    # the base report caches one split per coordinate, so its memory grows
+    # with this: at (2,60) the cache holds about 640 B per coordinate with
+    # bitmask contents, and 1000 B leaves a margin of about 55 %; contents
+    # stored as frozensets of positions hold about 2700 B and fail
+    ctx = gr.make_context(2, 60)
+    sets = list(combinations(range(1, ctx.n + 1), ctx.rows))
+    gr._frozen(ctx)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for cols in sets:
+            gr._split_image(ctx, cols)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert gr._split_image.cache_info().currsize == len(sets) == 1770
+    assert held / len(sets) < 1000
 
 
 def test_a_second_non_frozen_block_has_no_factorization(monkeypatch, cold_split):

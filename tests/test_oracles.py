@@ -336,6 +336,25 @@ def test_mutate_matrix_matches_reference(btilde, data):
 
 
 @settings(max_examples=300)
+@given(rectangular_btilde(), st.data(), st.sampled_from([list, tuple]))
+def test_mutate_matrix_shares_exactly_the_unchanged_rows(btilde, data, kind):
+    # rows i != k with b_ik = 0 come back as the input row objects; row k
+    # and the rows with b_ik != 0 are new, and the input is left as it was
+    btilde = [kind(row) for row in btilde]
+    before = [list(row) for row in btilde]
+    k = data.draw(st.integers(0, len(btilde[0]) - 1))
+    out = sd.mutate_matrix(btilde, k)
+    assert [list(row) for row in out] == ref_mutate_matrix(before, k)
+    assert [list(row) for row in btilde] == before
+    inputs = {id(row) for row in btilde}
+    for i, (row, new) in enumerate(zip(btilde, out)):
+        if i != k and row[k] == 0:
+            assert new is row
+        else:
+            assert id(new) not in inputs
+
+
+@settings(max_examples=300)
 @given(rectangular_btilde(), st.data())
 def test_matmul_matches_reference(btilde, data):
     left = data.draw(int_matrices(data.draw(st.integers(1, 5)), len(btilde), 4))

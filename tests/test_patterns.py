@@ -321,6 +321,16 @@ def test_gr37_rectangle_seed_closes_on_e6():
     assert len(graph.nodes[0].variables.polys) == 42
 
 
+def test_e6_node_matrices_hold_one_object_per_distinct_row():
+    # mutation shares the rows it leaves unchanged and explore interns the
+    # rows it changes, so equal rows across node matrices are one object
+    graph = pt.explore(gx.build_fixture(gx.make_context(3, 7)).gr_seed,
+                       max_depth=100, max_nodes=30000)
+    rows = [row for node in graph.nodes for row in node.btilde]
+    assert all(type(row) is tuple for row in rows)
+    assert len({id(row) for row in rows}) == len(set(rows))
+
+
 # skew-symmetrizable exchange matrices of the non-simply-laced finite types
 # and their cluster counts (Fomin & Zelevinsky, "Cluster algebras II", 2003)
 NON_SIMPLY_LACED = {
