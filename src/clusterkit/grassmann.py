@@ -13,19 +13,28 @@ presentations of both sides are emitted as seeds over formal generator
 names, wired back to the determinants through the value tables; the
 Plücker side starts from the rectangle cluster for every 2 <= k <= n−2.
 
-The flat-to-band and composite identities are checked in the affine chart
-[I | Y]: the generic matrix with its first m = n−k columns set to the
-identity, leaving an m×k block Y of indeterminates.  The verdict is the
-same as on the generic matrix.  Let F be a polynomial in the Plücker
-coordinates, homogeneous of degree s.  For an m×m matrix g, every maximal
-minor of gX is det(g) times that of X, so F(gX) = det(g)^s·F(X).  Write
-the generic matrix as [A | B].  Wherever det A ≠ 0, [A | B] = A·[I | A⁻¹B],
-so F([A | B]) = det(A)^s·F([I | A⁻¹B]).  If F vanishes on the chart, it
-thus vanishes on the Zariski-dense set det A ≠ 0, hence identically; the
-converse holds because the chart is a specialization.  Each side of each
-identity is a sum of products of s Plücker coordinates, so their
-difference is such an F, decided exactly as a polynomial in Y.  The
-public `plucker` and `g_star` stay on the generic matrix.
+The flat-to-band and composite identities and the pinned (2,5) minor
+relations are checked in the affine chart [I | Y]: the generic matrix with
+its first m = n−k columns set to the identity, leaving an m×k block Y of
+indeterminates.  The verdict is the same as on the generic matrix.  Let F
+be a polynomial in the Plücker coordinates, homogeneous of degree s.  For
+an m×m matrix g, every maximal minor of gX is det(g) times that of X, so
+F(gX) = det(g)^s·F(X).  Write the generic matrix as [A | B].  Wherever
+det A ≠ 0, [A | B] = A·[I | A⁻¹B], so F([A | B]) = det(A)^s·F([I | A⁻¹B]).
+If F vanishes on the chart, it thus vanishes on the Zariski-dense set
+det A ≠ 0, hence identically; the converse holds because the chart is a
+specialization.  Each side of each identity is a sum of products of s
+Plücker coordinates, so their difference is such an F, decided exactly as
+a polynomial in Y; a pinned minor relation has s = 2.  The public
+`plucker` and `g_star` stay on the generic matrix.
+
+A chart coordinate is a signed minor of Y.  Let a_1 < … < a_p be the
+columns of a sorted column set that are at most m, and B the rest.  Column
+a_i of the chart is the unit vector e_{a_i}, so Laplace expansion along the
+first p columns keeps only the rows {a_i}, with sign
+(−1)^(a_1+…+a_p + 1+…+p): the coordinate is (−1)^(a_1+…+a_p + p(p+1)/2)
+times the minor of Y on rows [1, m] ∖ {a_i} and columns B, of size
+m − p = |B| <= min(k, m).
 
 Each flat-to-band case (a, s, J) is decided by induction on rows.  Read
 indices mod n and let each P carry the sort sign of its columns as
@@ -62,7 +71,10 @@ ch. 4), so its determinant, in distinct indeterminates, is irreducible
 (Frobenius, Sitzungsber. Preuss. Akad. Wiss., 1917).  The band ring is a
 UFD and blocks on different rows share no variable, so the blocks are the
 irreducible factors, each once: the frozen generators among them give the
-content, the one left is the minor.
+content, the one left is the minor.  A band-window case (a, s, J) of the
+flat-to-band suite, J sorted in [a, a+s+k−1], has t columns of J below j_t
+and s−1−t above it, so a+t <= j_t <= a+t+k: its minor is nonzero, and it is
+in the irreducible catalog exactly when it is one block.
 """
 
 from __future__ import annotations
@@ -147,10 +159,10 @@ def reduce_plucker_index(
 # rows, on the generic matrix and in the chart alike, and every product on
 # that side multiplies at most ctx.rows of them (minors of at most ctx.rows
 # distinct rows, runs of fewer than ctx.rows coordinates times one more).  A
-# band minor has total degree at most ctx.rows.  A pinned (2,5) relation
-# reaches total degree 6, which 8-bit lanes, the narrowest, hold.  The
-# caches in this module share their values with every caller inside it,
-# and no caller changes one; public functions hand out fresh dicts.
+# band minor has total degree at most ctx.rows.  A pinned (2,5) image
+# relation reaches total degree 6, which 8-bit lanes, the narrowest, hold.
+# The caches in this module share their values with every caller inside
+# it, and no caller changes one; public functions hand out fresh dicts.
 
 
 def _width(ctx: GenericMatrixContext) -> int:
@@ -158,8 +170,7 @@ def _width(ctx: GenericMatrixContext) -> int:
 
 
 def _variable(ctx: GenericMatrixContext, index: int, arity: int) -> lp.Packed:
-    (exp,) = lp.variable(index, arity)
-    return {lp.exponent_key(exp, _width(ctx)): 1}
+    return {lp.variable_key(index, arity, _width(ctx)): 1}
 
 
 def _unpack_x(ctx: GenericMatrixContext, fp: lp.Packed) -> Poly:
@@ -191,11 +202,9 @@ def _fast_det(entries: Sequence[Sequence[lp.Packed]]) -> lp.Packed:
     return level.get((1 << len(entries)) - 1, {})
 
 
-def _matrix_entry(ctx: GenericMatrixContext, chart: bool, r: int, c: int) -> lp.Packed:
-    """Entry in row r (from 0) and column c (from 1) of the generic matrix,
-    or of the chart [I | Y], which sets the first ctx.rows columns to I."""
-    if chart and c <= ctx.rows:
-        return {0: 1} if c == r + 1 else {}
+def _matrix_entry(ctx: GenericMatrixContext, r: int, c: int) -> lp.Packed:
+    """Entry in row r (from 0) and column c (from 1) of the generic matrix;
+    the chart [I | Y] has the same entry right of column ctx.rows."""
     return _variable(ctx, r * ctx.n + c - 1, x_arity(ctx))
 
 
@@ -203,9 +212,13 @@ def _matrix_entry(ctx: GenericMatrixContext, chart: bool, r: int, c: int) -> lp.
 def _sorted_plucker_fast(
     ctx: GenericMatrixContext, cols: IndexSet, chart: bool
 ) -> lp.Packed:
-    return _fast_det(
-        [[_matrix_entry(ctx, chart, r, c) for c in cols] for r in range(ctx.rows)]
-    )
+    """The minor on sorted `cols` of the generic matrix, or of the chart as
+    a signed minor of Y by Laplace along its unit columns (module docstring)."""
+    units = [c for c in cols if c <= ctx.rows] if chart else []
+    rows = [r for r in range(ctx.rows) if r + 1 not in units]
+    det = _fast_det([[_matrix_entry(ctx, r, c) for c in cols[len(units):]] for r in rows])
+    p = len(units)
+    return lp.signed_sum([(-1, [det])])[0] if (sum(units) + p * (p + 1) // 2) % 2 else det
 
 
 def _plucker_fast(
@@ -403,11 +416,12 @@ def row_solid_irreducible(
 
 
 def irreducible_minors(ctx: GenericMatrixContext) -> List[MinorSpec]:
-    """All irreducible row-solid minors, frozen ones included."""
+    """All irreducible row-solid minors, frozen ones included: the band-window
+    cases of one block, each nonzero by the module docstring."""
     return [
         (tuple(_interval(a, a + s - 1)), j_set)
         for a, s, j_set in flattoband_cases(ctx)
-        if row_solid_irreducible(ctx, a, j_set)
+        if len(_blocks(ctx, a, j_set)) == 1
     ]
 
 
@@ -673,7 +687,7 @@ def quintic_relation_checks(ctx: GenericMatrixContext) -> List[Dict[str, object]
 
     # a spec is a Plücker column set or a band (rows, columns) pair
     def values(specs: Sequence) -> List[lp.Packed]:
-        return [_plucker_fast(ctx, x, False) if isinstance(x[0], int) else _band_minor(ctx, *x)
+        return [_plucker_fast(ctx, x, True) if isinstance(x[0], int) else _band_minor(ctx, *x)
                 for x in specs]
 
     def names(specs: Sequence) -> List[str]:

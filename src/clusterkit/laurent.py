@@ -409,6 +409,11 @@ def exponent_key(e: Sequence[int], width: int) -> int:
     return sum(map(_imul, e, _weights(len(e), width)))
 
 
+def variable_key(index: int, arity: int, width: int) -> int:
+    """The packed key of x_index, which is its weight."""
+    return _weights(arity, width)[index]
+
+
 class Operand:
     """A nonzero polynomial f with its componentwise minimum exponent `low`,
     the largest total degree `degree` of x^-low f, and x^-low f packed once

@@ -1,10 +1,12 @@
-"""Exchange relations checked at a random point modulo 2^61 - 1.
+"""Exchange relations and determinants checked at a random point modulo
+2^61 - 1.
 
 Nothing here imports clusterkit: a Laurent polynomial is read as a dict of
 exponent tuples to integer coefficients and evaluated with plain modular
-powers, and exchange matrices are mutated entry by entry.  A relation that
-fails agrees at a random point with probability at most its degree over
-the prime, so the check can only miss a failure, never invent one.
+powers, exchange matrices are mutated entry by entry, and a determinant is
+taken by Gaussian elimination over the prime field.  A relation that fails
+agrees at a random point with probability at most its degree over the
+prime, so the check can only miss a failure, never invent one.
 """
 
 P61 = 2 ** 61 - 1
@@ -43,3 +45,24 @@ def mutated_matrix(btilde, k):
          for j, b in enumerate(row)]
         for i, row in enumerate(btilde)
     ]
+
+
+def det_mod(rows):
+    """Determinant mod 2^61 - 1 of a square integer matrix, by Gaussian
+    elimination; the empty matrix has determinant 1."""
+    a = [[x % P61 for x in row] for row in rows]
+    det = 1
+    for c in range(len(a)):
+        pivot = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            det = -det
+        det = det * a[c][c] % P61
+        inverse = pow(a[c][c], -1, P61)
+        for r in range(c + 1, len(a)):
+            f = a[r][c] * inverse % P61
+            if f:
+                a[r] = [(x - f * y) % P61 for x, y in zip(a[r], a[c])]
+    return det % P61

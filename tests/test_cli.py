@@ -370,6 +370,15 @@ GOLDEN_FIXTURES = {
         "63adffeba7436396d1215f726f5bff2167e47d78536459562b982914ebc379e3",
     ("grassmann --kn 2 24", "json"):
         "37a1cae9b57395b9789efc41037669ea62a0b9fb61d68805c52cc5b31b18d4c9",
+    # the base reports the benchmark runs, recorded from the implementation
+    # that expanded every chart minor as a full determinant and decided the
+    # pinned (2,5) minor relations on the generic matrix
+    ("grassmann --kn 2 5", "json"):
+        "8d785d2ff5f5ec220a4943c6c28ae94fcb56320ce3b808e4fa3c3579e3aae024",
+    ("grassmann --kn 2 6", "json"):
+        "dd584231a85218bf8632814acf673369c8eff8925f19d5e1266b884a68c2eae9",
+    ("grassmann --kn 3 6", "json"):
+        "0275bbf168860e9ab3ca220d7b7aea27b552dcc48caa486cdbd4f4911af8e00b",
 }
 
 

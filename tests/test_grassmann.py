@@ -14,6 +14,7 @@ import clusterkit.grassmann as gr
 import clusterkit.laurent as lp
 import clusterkit.quasihom as qh
 import clusterkit.seeds as sd
+from point_oracle import P61, det_mod, value_at
 
 CTX25 = gr.make_context(2, 5)
 CTX26 = gr.make_context(2, 6)
@@ -976,6 +977,90 @@ def test_composite_identity_rectangle_4_9():
     assert len(results) == 126 and all(holds for _, holds in results)
 
 
+@pytest.mark.parametrize("kn", [(2, 5), (3, 6), (2, 7), (3, 7), (4, 8), (5, 9)])
+def test_chart_minors_match_point_oracle(kn, monkeypatch):
+    # every maximal minor of the chart [I | Y], taken as a signed minor of Y
+    # by Laplace along the unit columns, against Gaussian elimination on
+    # [I | Y] at a random Y; no block is larger than min(k, n - k)
+    ctx = gr.make_context(*kn)
+    m, n = ctx.rows, ctx.n
+    sizes = []
+    fast_det = gr._fast_det
+    monkeypatch.setattr(gr, "_fast_det", lambda rows: sizes.append(len(rows)) or fast_det(rows))
+    # a fresh cache expands every minor through the recording determinant
+    monkeypatch.setattr(gr, "_sorted_plucker_fast", lru_cache(gr._sorted_plucker_fast.__wrapped__))
+    rng = random.Random(10 * ctx.k + n)
+    point = [rng.randrange(P61) for _ in range(gr.x_arity(ctx))]
+    chart = [[int(c == r) if c < m else point[r * n + c] for c in range(n)] for r in range(m)]
+    for cols in combinations(range(1, n + 1), m):
+        value = value_at(gr._unpack_x(ctx, gr._sorted_plucker_fast(ctx, cols, True)), point)
+        assert value == det_mod([[row[c - 1] for c in cols] for row in chart]), cols
+    assert max(sizes) == min(ctx.k, m)
+
+
+def test_pinned_relations_match_point_oracle():
+    # both sides of the fifteen pinned (2,5) records at a random point: the
+    # minor relations on a full random 3x5 matrix, the band and image
+    # relations on random band entries
+    rng = random.Random(25)
+    flat = [[rng.randrange(P61) for _ in range(5)] for _ in range(3)]
+    band = [[rng.randrange(P61) if i <= j <= i + 2 else 0 for j in range(5)] for i in range(3)]
+
+    def minor(matrix, rows, cols):
+        return det_mod([[matrix[i - 1][j - 1] for j in cols] for i in rows])
+
+    def plucker(*cols_list):
+        return reduce(lambda x, y: x * y % P61, [minor(flat, (1, 2, 3), c) for c in cols_list], 1)
+
+    def band_product(specs):
+        return reduce(lambda x, y: x * y % P61, [minor(band, *spec) for spec in specs], 1)
+
+    for l1, l2, a1, a2, b1, b2 in gr.QUINTIC_MINOR_RELATIONS:
+        assert plucker(l1, l2) == (plucker(a1, a2) + plucker(b1, b2)) % P61
+    for left, first, second in gr.QUINTIC_BAND_RELATIONS:
+        assert band_product(left) == (band_product(first) + band_product(second)) % P61
+    for minors, (_, first, second), cofactor in zip(
+        gr.QUINTIC_MINOR_RELATIONS, gr.QUINTIC_BAND_RELATIONS, gr.QUINTIC_IMAGE_COFACTORS
+    ):
+        images = [((1, 2, 3), cols) for cols in minors[:2]]
+        assert band_product(images) == band_product(cofactor) * (
+            band_product(first) + band_product(second)) % P61
+    assert all(record["holds"] for record in gr.quintic_relation_checks(CTX25))
+
+
+@pytest.mark.parametrize("kn", [(4, 10), (5, 11)])
+def test_flattoband_verdicts_match_point_oracle(kn):
+    # both sides of every flat-to-band case on one random integer matrix;
+    # a coordinate is the determinant of its columns as written, read mod n,
+    # so the sort sign and a repeated residue come out of the elimination
+    ctx = gr.make_context(*kn)
+    k, n = ctx.k, ctx.n
+    rng = random.Random(10 * k + n)
+    matrix = [[rng.randrange(P61) for _ in range(n)] for _ in range(ctx.rows)]
+
+    @lru_cache(maxsize=None)
+    def plucker(cols):
+        return det_mod([[row[(c - 1) % n] for c in cols] for row in matrix])
+
+    def verdicts(bump):
+        def g(i, j):
+            if not i <= j <= i + k:
+                return 0
+            return plucker(tuple(range(i + k + 1, n + i)) + (j,)) + ((i, j) == bump)
+
+        out = []
+        for a, s, j_set in gr.flattoband_cases(ctx):
+            rhs = plucker(tuple(range(a + k + s, n + a)) + j_set)
+            for i in range(a, a + s - 1):
+                rhs = rhs * plucker(tuple(range(i + k + 1, n + i + 1))) % P61
+            out.append(det_mod([[g(i, j) for j in j_set] for i in range(a, a + s)]) == rhs)
+        return out
+
+    assert [gr.flattoband_check(ctx, *case) for case in gr.flattoband_cases(ctx)] == verdicts(None)
+    # the oracle can fail: one g_star entry plus 1 breaks some case
+    assert not all(verdicts((1, 1 + k)))
+
+
 def test_caches_hand_out_fresh_values():
     minor = gr.band_minor(CTX26, (1, 2), (2, 3))
     expected = dict(minor)
@@ -1003,8 +1088,9 @@ def test_band_minors_build_the_band_matrix_once(monkeypatch):
     for cache in (gr._band_entries, gr._band_minor):
         cache.cache_clear()
     made = []
-    variable = lp.variable
-    monkeypatch.setattr(lp, "variable", lambda i, arity: made.append(i) or variable(i, arity))
+    variable_key = lp.variable_key
+    monkeypatch.setattr(lp, "variable_key",
+                        lambda i, arity, width: made.append(i) or variable_key(i, arity, width))
     for i_set, j_set in gr.irreducible_minors(CTX36):
         gr.band_minor(CTX36, i_set, j_set)
     assert sorted(made) == list(range(gr.y_arity(CTX36)))
