@@ -383,7 +383,7 @@ def _parse_word(word: str, n: int) -> List[int]:
     labels = []
     for piece in word.split(","):
         try:
-            k = int(piece.strip())
+            k = lp.plain_decimal(piece.strip(), "labels")
         except ValueError:
             raise InputFault({"error": "invalid word", "piece": piece.strip()})
         if not 0 <= k < n:

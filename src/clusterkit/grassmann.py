@@ -388,16 +388,6 @@ def band_frozen_specs(
     return [(band_name(i, j), i, j) for i, j in pairs]
 
 
-def row_solid_nonzero(ctx: GenericMatrixContext, p: int, cols_j: Sequence[int]) -> bool:
-    """Whether the row-solid band minor on rows [p, p+s−1] is nonzero: each
-    sorted column must sit in its own row's band."""
-    j_set = sorted(cols_j)
-    s = len(j_set)
-    if not (1 <= p and p + s - 1 <= ctx.rows and len(set(j_set)) == s):
-        raise InvalidIndex("invalid row-solid shape")
-    return all(p + t <= j_set[t] <= p + t + ctx.k for t in range(s))
-
-
 def _blocks(ctx: GenericMatrixContext, p: int, j_set: IndexSet) -> List[MinorSpec]:
     """Diagonal blocks of the nonzero band minor on rows [p, p+s−1] and
     sorted columns `j_set`, cut by the split rule of the module docstring."""
@@ -407,17 +397,10 @@ def _blocks(ctx: GenericMatrixContext, p: int, j_set: IndexSet) -> List[MinorSpe
     return [(tuple(range(p + a, p + b)), j_set[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
-def row_solid_irreducible(
-    ctx: GenericMatrixContext, p: int, cols_j: Sequence[int]
-) -> bool:
-    """Nonzero and with no block split: a column at its row's band start,
-    or past the previous row's band end, would factor the determinant."""
-    return row_solid_nonzero(ctx, p, cols_j) and len(_blocks(ctx, p, tuple(sorted(cols_j)))) == 1
-
-
 def irreducible_minors(ctx: GenericMatrixContext) -> List[MinorSpec]:
     """All irreducible row-solid minors, frozen ones included: the band-window
-    cases of one block, each nonzero by the module docstring."""
+    cases that `_blocks` leaves in one block, each nonzero by the module
+    docstring."""
     return [
         (tuple(_interval(a, a + s - 1)), j_set)
         for a, s, j_set in flattoband_cases(ctx)
@@ -478,35 +461,19 @@ def _at_set_bits(content: int, items: Sequence) -> Iterator:
     return compress(items, bin(content)[:1:-1].encode().translate(_BITS))
 
 
-def _factored(
-    ctx: GenericMatrixContext, raw: Sequence[int], what: str
-) -> Tuple[IndexSet, int, Optional[MinorSpec]]:
-    sign, cols = reduce_plucker_index(ctx, raw)
-    if sign == 0:
-        raise InvalidIndex(f"zero coordinate has no {what}")
-    return (cols, *_split_image(ctx, cols))
-
-
-def _named(ctx: GenericMatrixContext, content: int) -> Dict[str, int]:
-    return dict.fromkeys(_at_set_bits(content, _frozen(ctx)[2]), 1)
-
-
 def factor_fstar(
     ctx: GenericMatrixContext, raw: Sequence[int]
 ) -> Tuple[Dict[str, int], IndexSet, IndexSet]:
     """Split the band image of a non-frozen Plücker coordinate as frozen
     content times one irreducible row-solid minor: its diagonal blocks,
     which are its irreducible factors (see the module docstring)."""
-    cols, content, minor = _factored(ctx, raw, "factorization")
+    sign, cols = reduce_plucker_index(ctx, raw)
+    if sign == 0:
+        raise InvalidIndex("zero coordinate has no factorization")
+    content, minor = _split_image(ctx, cols)
     if minor is None:
         raise NoFactorization(f"{plucker_name(cols)} is frozen")
-    return _named(ctx, content), minor[0], minor[1]
-
-
-def content_exponents(ctx: GenericMatrixContext, raw: Sequence[int]) -> Dict[str, int]:
-    """Frozen-generator exponents of the band image's frozen part; for a
-    frozen coordinate the image is required to be a full frozen monomial."""
-    return _named(ctx, _factored(ctx, raw, "content")[1])
+    return dict.fromkeys(_at_set_bits(content, _frozen(ctx)[2]), 1), minor[0], minor[1]
 
 
 def tropical_c_check(
@@ -555,8 +522,9 @@ def tropical_cases(
 
 
 def substitute(f: Poly, images: Sequence[Poly], arity: int) -> Poly:
-    """Composition f(images); exponents must be nonnegative.  Kept as the
-    direct form of the composite; `composite_identity` does not use it."""
+    """Composition f(images); exponents must be nonnegative.  The direct
+    form of the composite identity, which `check_suites` decides instead
+    in the chart, as the flat-to-band cases on all rows."""
     out: Poly = {}
     for exp, coef in f.items():
         term = lp.constant(coef, arity)
@@ -567,17 +535,6 @@ def substitute(f: Poly, images: Sequence[Poly], arity: int) -> Poly:
                 term = lp.mul(term, lp.power(images[idx], e))
         out = lp.add(out, term)
     return out
-
-
-def composite_identity(ctx: GenericMatrixContext) -> List[Tuple[IndexSet, bool]]:
-    """Whether substituting the g_star entries into f_star of a coordinate
-    gives the frozen run times that coordinate, for every sorted column set
-    in lexicographic order, decided in the chart.  The substituted band
-    minor is the determinant of the g_star entries on the same columns, so
-    this is the flat-to-band identity on all rows: `flattoband_check` at
-    (1, rows, J)."""
-    return [(cols, flattoband_check(ctx, 1, ctx.rows, cols))
-            for cols in combinations(range(1, ctx.n + 1), ctx.rows)]
 
 
 def _rectangle_layout(

@@ -14,9 +14,9 @@ A monomial is represented by its exponent tuple alone wherever a product of
 generators (rather than a general polynomial) is meant, e.g. the tropical
 operations and `monomial_ratio`.
 
-Packed kernel.  `mul`, `power` and `exact_div` pack their operands once into
-int-keyed dicts and unpack the result once.  An `Operand` is a polynomial f
-with its componentwise minimum exponent `low`; it packs x^-low f, whose
+Packed kernel.  `mul` and `power` pack their operands once into int-keyed
+dicts and unpack the result once.  An `Operand` is a polynomial f with
+its componentwise minimum exponent `low`; it packs x^-low f, whose
 exponents are all nonnegative, once per width.  An exponent e of arity n
 packs to key(e) = sum(e) * 2^(w n) + sum_i e_i * 2^(w (n-1-i)): unsigned
 lanes of w bits, the total degree on top, variable 0 the most significant
@@ -46,10 +46,11 @@ none did: its degree is read off the degree lane of its largest key, and
 its polynomial is decoded only when asked for.  Packed at the lane width
 of its own degree, equal polynomials have equal packings.
 
-`div_packed` is the single division loop; `exact_div` packs both sides as
-operands, divides there and unpacks once.  It is the classical division
-over a hashed remainder: the remainder is a dict from key to coefficient,
-started as f, and its keys sit in a max-heap.  Each step pops the largest
+`div_packed` is the single division loop, and division runs packed only:
+its caller, `seeds.exchange_packed`, hands it an exchange sum and x_k
+packed at one width, so no division goes through exponent tuples.  It is
+the classical division over a hashed remainder: the remainder is a dict
+from key to coefficient, started as f, and its keys sit in a max-heap.  Each step pops the largest
 key, divides its coefficient by g's leading one, and adds -q g_j for every
 other term of g straight into the dict; a key is pushed when it is new to
 the dict.  A product key lies below the key that made it, so each key is
@@ -221,23 +222,6 @@ def min_exponent(f: Poly) -> Exponent:
     return tuple(map(min, zip(*f))) if len(f) > 1 else next(iter(f))
 
 
-def exact_div(f: Poly, g: Poly) -> Poly:
-    """Quotient f/g when g divides f over the integer Laurent ring; raises
-    NotDivisible otherwise.  Both sides are packed as operands, divided by
-    `div_packed`, and the quotient shifted back by the difference of their
-    minima."""
-    if not g:
-        raise NotDivisible("division by the zero polynomial")
-    if not f:
-        return {}
-    _check_arity(f, g)
-    fo, go = Operand(f), Operand(g)
-    width = lane_width(max(fo.degree, go.degree))
-    # the division uses up its dividend, and fo keeps its packing
-    quot = div_packed(dict(fo.packed(width)), go.packed(width), len(fo.low), width)
-    return unpack(quot, exp_sub(fo.low, go.low), width)
-
-
 def monomial_ratio(f: Poly, g: Poly) -> Optional[Exponent]:
     """Exponent e with f = x^e * g, if one exists, else None.
 
@@ -365,6 +349,16 @@ def json_names(values: object, what: str, error: type = ValueError) -> List[str]
     return list(values)
 
 
+def plain_decimal(text: str, what: str) -> int:
+    """The int of a plain decimal string: an optional minus sign, then ASCII
+    digits, nothing else.  `int()` would also take "1_0", "+1", " 7 " and
+    non-ASCII digits; any of them raises ValueError, naming `what`."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{what} must be plain decimals, got {text!r}")
+    return int(text)
+
+
 def from_json(obj: dict) -> Tuple[Poly, List[str]]:
     """Inverse of to_json; validates arity and rejects duplicate exponents.
     A coefficient is a JSON integer or a plain decimal string: an optional
@@ -381,11 +375,7 @@ def from_json(obj: dict) -> Tuple[Poly, List[str]]:
         if type(coef) is not str:
             c = json_ints([coef], "coefficients")[0]
         else:
-            # int() would also take "1_0", " 7 " and non-ASCII digits
-            digits = coef[1:] if coef[:1] == "-" else coef
-            if not (digits.isascii() and digits.isdigit()):
-                raise ValueError(f"coefficient strings must be plain decimals, got {coef!r}")
-            c = int(coef)
+            c = plain_decimal(coef, "coefficient strings")
         if c:
             f[e] = c
     return f, names

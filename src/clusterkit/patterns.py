@@ -77,7 +77,7 @@ from typing import Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Sequen
 from . import laurent as lp
 from . import quasihom as qh
 from . import seeds as sd
-from .laurent import Exponent, Poly
+from .laurent import Exponent
 from .quasihom import NerveEdge
 
 Rows = Tuple[Tuple[int, ...], ...]
@@ -116,7 +116,7 @@ def canonical_key(ids: Sequence[int]) -> Tuple[int, ...]:
 class Variables:
     """The distinct cluster variables of one exploration: `operands[i]` is
     the variable with id i as a packed operand, over the ambient variables
-    `names`, and `polys[i]` its polynomial, decoded once by the operand.
+    `names`; its `poly` is decoded once, when first asked for.
 
     A variable is interned on its minimum exponent and its packing at the
     lane width of its degree, a frozenset of int pairs, so no exponent tuple
@@ -129,10 +129,6 @@ class Variables:
         self.operands: List[lp.Operand] = []
         self.names = names
         self._ids: Dict[Tuple[Exponent, FrozenSet[Tuple[int, int]]], int] = {}
-
-    @property
-    def polys(self) -> List[Poly]:
-        return [x.poly for x in self.operands]
 
     def intern(self, x: lp.Operand) -> int:
         """The id of x, a new one if no equal variable has one yet."""

@@ -93,17 +93,6 @@ class MonomialMap:
             f"{self.dst_mutable}+{len(self.dst_vars) - self.dst_mutable})"
         )
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MonomialMap):
-            return NotImplemented
-        return (
-            self.matrix == other.matrix
-            and self.src_vars == other.src_vars
-            and self.dst_vars == other.dst_vars
-            and self.src_mutable == other.src_mutable
-            and self.dst_mutable == other.dst_mutable
-        )
-
 
 def identity_map(seed: sd.Seed) -> MonomialMap:
     arity = seed.n + seed.m
@@ -211,13 +200,11 @@ def verify_report(
     return report
 
 
-def verify_qh(
-    m: MonomialMap, src: sd.Seed, dst: sd.Seed, allow_opposite: bool = False
-) -> bool:
+def verify_qh(m: MonomialMap, src: sd.Seed, dst: sd.Seed) -> bool:
     """The verdict of verify_report, and False for a map that does not fit
     the seeds.  Seeds of different rank raise PrincipalMismatch."""
     try:
-        return verify_report(m, src, dst, allow_opposite)["verdict"]
+        return verify_report(m, src, dst)["verdict"]
     except InvalidMap:
         return False
 

@@ -9,6 +9,10 @@ error and not an assert.
 The `tuple_exchange` fixture builds the two terms of an exchange relation
 term by term on tuples, the reference for the packed kernel in `seeds`.
 
+The `exact_quotient` fixture divides two nonzero Laurent polynomials with
+`laurent.div_packed` on their `Operand` packings, for the tests that need
+a quotient and not only a check by multiplication.
+
 Neither the suite nor that child writes bytecode caches into the source
 tree, so a checkout stays as fresh after a test run as before it."""
 
@@ -56,3 +60,15 @@ def _tuple_exchange(b, cluster, k, plus, minus):
 @pytest.fixture(scope="session")
 def tuple_exchange():
     return _tuple_exchange
+
+
+def _exact_quotient(f, g):
+    fo, go = lp.Operand(f), lp.Operand(g)
+    width = lp.lane_width(max(fo.degree, go.degree))
+    quot = lp.div_packed(dict(fo.packed(width)), go.packed(width), len(fo.low), width)
+    return lp.unpack(quot, lp.exp_sub(fo.low, go.low), width)
+
+
+@pytest.fixture(scope="session")
+def exact_quotient():
+    return _exact_quotient

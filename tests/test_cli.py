@@ -186,6 +186,17 @@ def test_mutate_rejects_bad_words(runner, gr25):
     assert runner.invoke(cl.main, ["mutate", paths["seed"], "--word", "a"]).exit_code == 2
 
 
+@pytest.mark.parametrize("word", ["1_0", "\u0661", "+1"],
+                         ids=["underscore", "arabic-indic", "plus"])
+def test_mutate_reads_labels_as_plain_decimals(runner, gr25, word):
+    # int() would read these as labels 10, 1 and 1; a label is a plain
+    # decimal by the rule of the coefficient strings in a seed file
+    _, paths = gr25
+    result = runner.invoke(cl.main, ["mutate", paths["seed"], "--word", f" {word} "])
+    assert result.exit_code == 2
+    assert error_payload(result) == {"error": "invalid word", "piece": word}
+
+
 def test_mutate_rejects_missing_file(runner, tmp_path):
     result = runner.invoke(cl.main, ["mutate", str(tmp_path / "none.json")])
     assert result.exit_code == 2
@@ -453,6 +464,45 @@ def test_text_writers_match_golden_digest(runner, gr25, tmp_path, argv):
     assert (result.exit_code, digest) == GOLDEN_TEXT[argv]
 
 
+# sha256 of what a command wrote, stdout then stderr, with its exit code,
+# on the paths that no other test runs through `cli.main`: the text of
+# mutate with an empty word and with --out, the text of verify-qh
+# --inverse, an inverse map that does not chain, and a map into the
+# opposite of the target's pattern with and without --opposite (the one
+# command-line path to seeds.opposite_seed); recorded from the
+# implementation that still had laurent.exact_div
+GOLDEN_PATHS = {
+    ("mutate", "seed", "--word", "", "--format", "text"):
+        (0, "708790a3d59108801f4d17c82be6a53e4ae29b07b4f8dacde3767ec4a461b353"),
+    ("mutate", "seed", "--word", "1,0", "--out", "out.json", "--format", "text"):
+        (0, "9733a75b3bfe911d40441424e7409a6309fb8cd42e2f7d752cb37cab7b507186"),
+    ("verify-qh", "map", "seed", "band", "--inverse", "wmap", "--format", "text"):
+        (0, "d8c4adfc0bb9d5b0f352c5ac68396414a7b1c6adf303bcca011c1b85026286bf"),
+    ("verify-qh", "map", "seed", "band", "--inverse", "unchained"):
+        (2, "967b8c6c8ef65e538d4aa8ae6ddefd3bbce85554715c77c2292e8b81e3acfa4b"),
+    ("verify-qh", "map", "seed", "opposite", "--opposite"):
+        (0, "2f2c785ecf3df13232ea3f9dbac7f625e9e8740c008ed865583cc5e4fa274b30"),
+    ("verify-qh", "map", "seed", "opposite", "--no-opposite"):
+        (1, "e99850c0000e3dd58adbc1020ab882aa9180dfcea84265715a3beb8e918c7f4c"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_PATHS), ids=" ".join)
+def test_other_paths_match_golden_digest(runner, gr25, tmp_path, monkeypatch, argv):
+    fx, paths = gr25
+    monkeypatch.chdir(tmp_path)
+    paths["opposite"] = write_seed(tmp_path, "opposite", sd.opposite_seed(fx.band_seed))
+    # the inverse map renames a source variable, so it reads no variable
+    # that the forward map writes
+    unchained = qh.map_to_json(fx.gstar_map)
+    unchained["src_vars"][0] = "Z"
+    paths["unchained"] = str(tmp_path / "unchained.json")
+    (tmp_path / "unchained.json").write_text(json.dumps(unchained))
+    result = runner.invoke(cl.main, [paths.get(a, a) for a in argv])
+    digest = hashlib.sha256((result.stdout + result.stderr).encode("utf-8")).hexdigest()
+    assert (result.exit_code, digest) == GOLDEN_PATHS[argv]
+
+
 def test_explore_rejects_failed_division(runner, tmp_path):
     result = runner.invoke(cl.main, ["explore", a2_path(tmp_path, [lp.add(lp.mul(X1, X1), X1), X2])])
     assert result.exit_code == 2
@@ -646,7 +696,9 @@ def test_surface_report(runner):
     fx = sf.annulus_fixture()
     assert sd.seed_to_json(sd.seed_from_json(payload["seed"])) == payload["seed"]
     reloaded = qh.map_from_json(payload["twist_map"], fx.seed.n, fx.twist_seed.n)
-    assert reloaded == fx.twist_map
+    assert qh.map_to_json(reloaded) == qh.map_to_json(fx.twist_map)
+    assert (reloaded.src_mutable, reloaded.dst_mutable) == (
+        fx.twist_map.src_mutable, fx.twist_map.dst_mutable)
 
 
 def test_surface_text_format(runner):
@@ -914,8 +966,11 @@ def _set(obj, path, value):
      "coefficient strings must be plain decimals, got ' 7 '"),
     (("cluster", 0, "terms", 0, "coef"), "\u0667",
      "coefficient strings must be plain decimals, got '\u0667'"),
+    (("cluster", 0, "terms", 0, "coef"), "+1",
+     "coefficient strings must be plain decimals, got '+1'"),
 ], ids=["bool-n", "float-btilde", "int-btilde-row", "float-exponent", "float-coefficient",
-        "underscore-coefficient", "spaced-coefficient", "arabic-indic-coefficient"])
+        "underscore-coefficient", "spaced-coefficient", "arabic-indic-coefficient",
+        "plus-coefficient"])
 def test_non_integer_seed_fields_exit_2(runner, tmp_path, path, value, reason):
     # before, int() truncated 1.5 to 1 and read "1_0" as 10 and " 7 " and an
     # Arabic-Indic seven as 7, and the mutation ran on the wrong seed

@@ -8,6 +8,7 @@ from itertools import combinations
 
 import hypothesis.strategies as st
 import pytest
+import sympy
 from hypothesis import given, settings
 
 import clusterkit.grassmann as gr
@@ -355,25 +356,29 @@ def test_band_minor_validation():
 
 
 def test_row_solid_support_criterion():
-    assert gr.row_solid_nonzero(CTX25, 1, (1, 3))
-    assert gr.row_solid_nonzero(CTX25, 2, (3, 4))
-    assert not gr.row_solid_nonzero(CTX25, 1, (4, 5))
-    assert not gr.row_solid_nonzero(CTX25, 3, (1,))
-    with pytest.raises(gr.InvalidIndex):
-        gr.row_solid_nonzero(CTX25, 0, (1,))
-    with pytest.raises(gr.InvalidIndex):
-        gr.row_solid_nonzero(CTX25, 1, (2, 2))
+    # each sorted column must sit in its own row's band
+    assert gr.band_minor(CTX25, (1, 2), (1, 3))
+    assert gr.band_minor(CTX25, (2, 3), (3, 4))
+    assert gr.band_minor(CTX25, (1, 2), (4, 5)) == {}
+    assert gr.band_minor(CTX25, (3,), (1,)) == {}
+
+
+def sympy_factors(ctx, i_set, j_set):
+    """The content and the multiplicities of the irreducible factors that
+    sympy finds in a band minor over the integers."""
+    gens = sympy.symbols(f"y:{gr.y_arity(ctx)}")
+    content, factors = sympy.Poly.from_dict(gr.band_minor(ctx, i_set, j_set), gens).factor_list()
+    return content, [mult for _, mult in factors]
 
 
 def test_row_solid_irreducibility_criterion():
-    assert gr.row_solid_irreducible(CTX25, 1, (2, 3))
-    assert gr.row_solid_irreducible(CTX25, 2, (3, 4))
-    assert gr.row_solid_irreducible(CTX25, 1, (2, 3, 4))
-    # a column at its row start splits off a 1x1 block
-    assert not gr.row_solid_irreducible(CTX25, 1, (1, 3))
-    # a column past the previous row's band end splits the other way
-    assert not gr.row_solid_irreducible(CTX25, 1, (2, 4))
-    assert not gr.row_solid_irreducible(CTX25, 1, (4, 5))
+    for j_set in ((2, 3), (2, 3, 4)):
+        assert sympy_factors(CTX25, (1, 2, 3)[:len(j_set)], j_set) == (1, [1])
+    assert sympy_factors(CTX25, (2, 3), (3, 4)) == (1, [1])
+    # a column at its row start splits off a 1x1 block, and a column past
+    # the previous row's band end splits the other way
+    for j_set in ((1, 3), (2, 4)):
+        assert sympy_factors(CTX25, (1, 2), j_set) == (1, [1, 1])
 
 
 def test_irreducible_minor_counts():
@@ -415,19 +420,22 @@ def test_image_of_every_quintic_coordinate():
 
 def test_factorization_contents():
     for cols, want in CONTENTS_25.items():
-        content, i_set, j_set = gr.factor_fstar(CTX25, cols)
-        assert content == want
-        assert gr.row_solid_irreducible(CTX25, i_set[0], j_set)
+        assert gr.factor_fstar(CTX25, cols)[0] == want
 
 
-def test_every_block_of_every_image_is_irreducible():
-    # _split_image cuts each image once: a block of the cut is nonzero and
-    # has no further cut, which its docstring proves and this checks
-    for k, n in ((1, 5), (2, 5), (3, 7), (2, 9), (5, 9), (4, 10)):
-        ctx = gr.make_context(k, n)
-        for cols in combinations(range(1, n + 1), n - k):
-            for rows, j_set in gr._blocks(ctx, 1, cols):
-                assert gr.row_solid_irreducible(ctx, rows[0], j_set), (k, n, cols)
+@pytest.mark.parametrize("kn", [(2, 5), (3, 6), (2, 7), (3, 7)])
+def test_every_factor_is_irreducible_by_sympy(kn):
+    # the catalog, every minor that factor_fstar returns and every frozen
+    # generator are irreducible, as sympy factors them: the cut rule of the
+    # module docstring is checked from outside, not against itself
+    ctx = gr.make_context(*kn)
+    minors = set(gr.irreducible_minors(ctx))
+    minors |= {(i_set, j_set) for _, i_set, j_set in gr.band_frozen_specs(ctx)}
+    minors |= {gr.factor_fstar(ctx, cols)[1:]
+               for cols in combinations(range(1, ctx.n + 1), ctx.rows)
+               if not gr.is_frozen_plucker(ctx, cols)}
+    for i_set, j_set in sorted(minors):
+        assert sympy_factors(ctx, i_set, j_set) == (1, [1]), (kn, i_set, j_set)
 
 
 def test_factorization_errors():
@@ -436,7 +444,7 @@ def test_factorization_errors():
     with pytest.raises(gr.InvalidIndex):
         gr.factor_fstar(CTX25, (1, 1, 2))
     with pytest.raises(gr.InvalidIndex):
-        gr.content_exponents(CTX25, (2, 7, 3))
+        gr.factor_fstar(CTX25, (2, 7, 3))
 
 
 def test_factorization_round_trip():
@@ -465,9 +473,21 @@ def test_factorization_bijection():
         assert images == set(gr.non_frozen_irreducible_minors(ctx))
 
 
+def image_content(fx, cols):
+    """The frozen content of the band image of sorted `cols`: from
+    `factor_fstar`, or for a frozen coordinate from its column of the
+    fixture's forward map."""
+    if not gr.is_frozen_plucker(fx.ctx, cols):
+        return gr.factor_fstar(fx.ctx, cols)[0]
+    m, col = fx.fstar_map, fx.gr_sets.index(cols)
+    rows = zip(m.dst_vars[m.dst_mutable:], m.matrix[m.dst_mutable:])
+    return {name: row[col] for name, row in rows if row[col]}
+
+
 def test_content_closed_form():
     # diagonal exponents read off containment of an initial or final run
     for ctx in (CTX25, CTX26, CTX36):
+        fx = gr.build_fixture(ctx)
         m, k, n = ctx.rows, ctx.k, ctx.n
         for cols in combinations(range(1, n + 1), m):
             want = {}
@@ -481,7 +501,7 @@ def test_content_closed_form():
                 window = tuple(range(t + 1, m + t + 1))
                 if cols == window:
                     want[gr.band_name(tuple(range(1, m + 1)), window)] = 1
-            assert gr.content_exponents(ctx, cols) == want
+            assert image_content(fx, cols) == want
 
 
 def test_short_relations_among_quintic_minors():
@@ -635,7 +655,7 @@ def test_flattened_case_enumeration():
         assert len(cases) == count
         assert len(set(cases)) == count
         # every enumerated column set meets the row-solid support condition
-        assert all(gr.row_solid_nonzero(ctx, a, j) for a, _, j in cases)
+        assert all(gr.band_minor(ctx, range(a, a + s), j) for a, s, j in cases)
 
 
 def test_flattened_identity_exhaustive():
@@ -668,9 +688,10 @@ def test_tropical_relation_exhaustive():
 def test_tropical_minimum_not_maximum():
     # replacing min by max already fails on the smallest instance
     names = [name for name, _, _ in gr.band_frozen_specs(CTX25)]
+    fx = gr.build_fixture(CTX25)
 
     def vec(pair):
-        exps = gr.content_exponents(CTX25, (5,) + pair)
+        exps = image_content(fx, pair + (5,))
         return [exps.get(name, 0) for name in names]
 
     lhs = [x + y for x, y in zip(vec((1, 3)), vec((2, 4)))]
@@ -764,8 +785,7 @@ def test_rectangle_exchange_smallest_case():
     assert seed.var_names == ["D13", "D12", "D23", "D34", "D14"]
     values = seed_plucker_values(ctx, seed)
     pos, neg = exchange_sides(ctx, seed, values, 0)
-    quotient = lp.exact_div(lp.add(pos, neg), values["D13"])
-    assert lp.equal(quotient, gr.plucker(ctx, (2, 4)))
+    assert lp.equal(lp.mul(gr.plucker(ctx, (2, 4)), values["D13"]), lp.add(pos, neg))
 
 
 def test_rectangle_exchange_quotients():
@@ -775,18 +795,17 @@ def test_rectangle_exchange_quotients():
         for name, cols in wanted.items():
             col = seed.var_names.index(name)
             pos, neg = exchange_sides(ctx, seed, values, col)
-            quotient = lp.exact_div(lp.add(pos, neg), values[name])
-            assert lp.equal(quotient, gr.plucker(ctx, cols))
+            assert lp.equal(lp.mul(gr.plucker(ctx, cols), values[name]), lp.add(pos, neg))
 
 
-def test_rectangle_exchange_leaves_minors():
+def test_rectangle_exchange_leaves_minors(exact_quotient):
     # the inner corner of the 3x6 grid exchanges into a degree-six
     # polynomial that is divisible but not itself a maximal minor
     seed = rectangle_seed(CTX36)
     values = seed_plucker_values(CTX36, seed)
     col = seed.var_names.index("D145")
     pos, neg = exchange_sides(CTX36, seed, values, col)
-    quotient = lp.exact_div(lp.add(pos, neg), values["D145"])
+    quotient = exact_quotient(lp.add(pos, neg), values["D145"])
     assert len(quotient) == 48
     assert {sum(e) for e in quotient} == {6}
     assert not any(
@@ -963,20 +982,6 @@ def test_flattoband_verdicts_on_perturbed_rows(kn, monkeypatch):
     assert failed and direct
 
 
-def test_composite_identity_in_chart():
-    for ctx, count in ((CTX25, 10), (CTX36, 20), (CTX26, 15)):
-        results = gr.composite_identity(ctx)
-        assert [cols for cols, _ in results] == list(
-            combinations(range(1, ctx.n + 1), ctx.rows)
-        )
-        assert len(results) == count and all(holds for _, holds in results)
-
-
-def test_composite_identity_rectangle_4_9():
-    results = gr.composite_identity(gr.make_context(4, 9))
-    assert len(results) == 126 and all(holds for _, holds in results)
-
-
 @pytest.mark.parametrize("kn", [(2, 5), (3, 6), (2, 7), (3, 7), (4, 8), (5, 9)])
 def test_chart_minors_match_point_oracle(kn, monkeypatch):
     # every maximal minor of the chart [I | Y], taken as a signed minor of Y
@@ -1028,37 +1033,91 @@ def test_pinned_relations_match_point_oracle():
     assert all(record["holds"] for record in gr.quintic_relation_checks(CTX25))
 
 
-@pytest.mark.parametrize("kn", [(4, 10), (5, 11)])
-def test_flattoband_verdicts_match_point_oracle(kn):
-    # both sides of every flat-to-band case on one random integer matrix;
-    # a coordinate is the determinant of its columns as written, read mod n,
-    # so the sort sign and a repeated residue come out of the elimination
-    ctx = gr.make_context(*kn)
+def point_verdicts(ctx, matrix, bump=None):
+    """Both sides of every flat-to-band case on one matrix mod 2^61 - 1,
+    with the g_star entry `bump` plus 1.  A coordinate is the determinant of
+    its columns as written, read mod n, so the sort sign and a repeated
+    residue come out of the elimination."""
     k, n = ctx.k, ctx.n
-    rng = random.Random(10 * k + n)
-    matrix = [[rng.randrange(P61) for _ in range(n)] for _ in range(ctx.rows)]
 
     @lru_cache(maxsize=None)
     def plucker(cols):
         return det_mod([[row[(c - 1) % n] for c in cols] for row in matrix])
 
-    def verdicts(bump):
-        def g(i, j):
-            if not i <= j <= i + k:
-                return 0
-            return plucker(tuple(range(i + k + 1, n + i)) + (j,)) + ((i, j) == bump)
+    def g(i, j):
+        if not i <= j <= i + k:
+            return 0
+        return plucker(tuple(range(i + k + 1, n + i)) + (j,)) + ((i, j) == bump)
 
-        out = []
-        for a, s, j_set in gr.flattoband_cases(ctx):
-            rhs = plucker(tuple(range(a + k + s, n + a)) + j_set)
-            for i in range(a, a + s - 1):
-                rhs = rhs * plucker(tuple(range(i + k + 1, n + i + 1))) % P61
-            out.append(det_mod([[g(i, j) for j in j_set] for i in range(a, a + s)]) == rhs)
-        return out
+    out = []
+    for a, s, j_set in gr.flattoband_cases(ctx):
+        rhs = plucker(tuple(range(a + k + s, n + a)) + j_set)
+        for i in range(a, a + s - 1):
+            rhs = rhs * plucker(tuple(range(i + k + 1, n + i + 1))) % P61
+        out.append(det_mod([[g(i, j) for j in j_set] for i in range(a, a + s)]) == rhs)
+    return out
 
-    assert [gr.flattoband_check(ctx, *case) for case in gr.flattoband_cases(ctx)] == verdicts(None)
+
+@pytest.mark.parametrize("kn", [(4, 10), (5, 11), (4, 12)])
+def test_flattoband_verdicts_match_point_oracle(kn):
+    # both sides of every flat-to-band case on one random integer matrix
+    ctx = gr.make_context(*kn)
+    rng = random.Random(10 * ctx.k + ctx.n)
+    matrix = [[rng.randrange(P61) for _ in range(ctx.n)] for _ in range(ctx.rows)]
+    cases = gr.flattoband_cases(ctx)
+    assert [gr.flattoband_check(ctx, *case) for case in cases] == point_verdicts(ctx, matrix)
     # the oracle can fail: one g_star entry plus 1 breaks some case
-    assert not all(verdicts((1, 1 + k)))
+    assert not all(point_verdicts(ctx, matrix, (1, 1 + ctx.k)))
+
+
+def test_flattoband_verdicts_on_a_bumped_entry_match_point_oracle(monkeypatch):
+    # (4,10) with the g_star entry (1, 1 + k) plus 1, in the program's chart
+    # and in the oracle at a point of the chart [I | Y], where the bumped
+    # polynomial takes the bumped value; a bump in row 1 fails only cases
+    # on row 1, so every verdict stays on the induction
+    ctx = gr.make_context(4, 10)
+    m, n, bump = ctx.rows, ctx.n, (1, 1 + ctx.k)
+    g_entry = gr._g_entry_fast
+
+    def perturbed(ctx, i, j, chart):
+        entry = dict(g_entry(ctx, i, j, chart))
+        if (i, j) == bump:
+            entry[0] = entry.get(0, 0) + 1
+        return entry
+
+    monkeypatch.setattr(gr, "_g_entry_fast", perturbed)
+    # a fresh verdict cache sees the perturbed entry
+    monkeypatch.setattr(gr, "_flattoband_holds", lru_cache(gr._flattoband_holds.__wrapped__))
+    rng = random.Random(410)
+    chart = [[int(c == r) if c < m else rng.randrange(P61) for c in range(n)] for r in range(m)]
+    verdicts = [gr.flattoband_check(ctx, *case) for case in gr.flattoband_cases(ctx)]
+    assert verdicts == point_verdicts(ctx, chart, bump)
+    assert not all(verdicts)
+
+
+@pytest.mark.parametrize("kn", [(3, 11), (2, 30)])
+def test_factorizations_match_point_oracle(kn):
+    # the band image of every non-frozen coordinate, the maximal band minor
+    # on its columns, against the product of its content generators and its
+    # minor, all by Gaussian elimination on one random band matrix
+    ctx = gr.make_context(*kn)
+    rng = random.Random(10 * ctx.k + ctx.n)
+    band = [[rng.randrange(P61) if i <= j <= i + ctx.k else 0 for j in range(ctx.n)]
+            for i in range(ctx.rows)]
+
+    def minor(i_set, j_set):
+        return det_mod([[band[i - 1][j - 1] for j in j_set] for i in i_set])
+
+    generators = {name: minor(i_set, j_set) for name, i_set, j_set in gr.band_frozen_specs(ctx)}
+    full = range(1, ctx.rows + 1)
+    for cols in combinations(range(1, ctx.n + 1), ctx.rows):
+        if gr.is_frozen_plucker(ctx, cols):
+            continue
+        content, i_set, j_set = gr.factor_fstar(ctx, cols)
+        value = minor(i_set, j_set)
+        for name, e in content.items():
+            value = value * pow(generators[name], e, P61) % P61
+        assert value and minor(full, cols) == value, cols
 
 
 def test_caches_hand_out_fresh_values():
@@ -1070,10 +1129,6 @@ def test_caches_hand_out_fresh_values():
     expected = dict(content)
     content["Y11"] = 99
     assert gr.factor_fstar(CTX26, (1, 3, 4, 6)) == (expected, i_set, j_set)
-    frozen = gr.content_exponents(CTX26, (1, 2, 3, 4))
-    expected = dict(frozen)
-    frozen.clear()
-    assert gr.content_exponents(CTX26, (1, 2, 3, 4)) == expected
     catalog = gr.non_frozen_irreducible_minors(CTX26)
     expected = list(catalog)
     catalog.clear()
@@ -1102,6 +1157,7 @@ def test_factors_are_the_blocks_of_the_image(kn):
     # blocks of every image multiply back to it, the frozen ones are frozen
     # generators and the other one is the named catalog minor
     ctx = gr.make_context(*kn)
+    fx = gr.build_fixture(ctx)
     full = tuple(range(1, ctx.rows + 1))
     named = {(i, j): name for name, i, j in gr.band_frozen_specs(ctx)}
     for cols in combinations(range(1, ctx.n + 1), ctx.rows):
@@ -1111,7 +1167,7 @@ def test_factors_are_the_blocks_of_the_image(kn):
         rest = [block for block in blocks if block not in named]
         # in `band_frozen_specs` order, the order the reports print
         content = {name: 1 for spec, name in named.items() if spec in blocks}
-        assert list(gr.content_exponents(ctx, cols).items()) == list(content.items())
+        assert list(image_content(fx, cols).items()) == list(content.items())
         if gr.is_frozen_plucker(ctx, cols):
             assert rest == []
         else:
@@ -1154,13 +1210,11 @@ def test_a_second_non_frozen_block_has_no_factorization(monkeypatch, cold_split)
     assert gr._blocks(CTX25, 1, (1, 3, 5)) == [((1,), (1,)), ((2,), (3,)), ((3,), (5,))]
     fewer = {spec: p for spec, p in position.items() if names[p] != "Y35"}
     monkeypatch.setattr(gr, "_frozen", lambda ctx: (intervals, fewer, names))
-    with pytest.raises(gr.NoFactorization):
+    with pytest.raises(gr.NoFactorization, match="non-frozen factors"):
         gr.factor_fstar(CTX25, (1, 3, 5))
-    with pytest.raises(gr.NoFactorization):
-        gr.content_exponents(CTX25, (1, 3, 5))
     # a frozen coordinate whose image keeps a non-frozen block has no content
-    with pytest.raises(gr.NoFactorization):
-        gr.content_exponents(CTX25, (3, 4, 5))
+    with pytest.raises(gr.NoFactorization, match="non-frozen factors"):
+        gr.factor_fstar(CTX25, (3, 4, 5))
 
 
 def test_equal_contexts_share_one_cache_entry():

@@ -8,11 +8,13 @@ forms treat specially and requires the same result.  `solve_left_all` picks
 one solution among many, so its verdicts are checked against sympy's rank
 and Hermite forms and each solution against its equation.
 
-The band-side factorization names its minor from one exponent and shifts
-out one-variable generators; `composite_identity` reads each column set
-from the flat-to-band case on all rows, which is decided by one quadratic
-Plücker identity per case.  Their references are the catalog scan, the
-trial division by every frozen generator, and term-by-term substitution.
+The band-side factorization reads its factors off the blocks of the
+image's zero pattern, and the composite identity on a column set is the
+flat-to-band case on all rows, which is decided by one quadratic Plücker
+identity per case.  Their references share no rule with `grassmann`: the
+catalog is scanned with the cut rule of the `grassmann` docstring written
+out here, the content is found by trial division by every frozen
+generator, and the composite by term-by-term substitution.
 
 The command line writes each seed from one template per term; its
 reference is the JSON object of `seeds.seed_to_json` written by the
@@ -125,25 +127,35 @@ def ref_apply_map(matrix, f):
     return out
 
 
+def ref_one_block(k, p, j_set):
+    """The cut rule of the `grassmann` docstring: the band minor on rows
+    [p, p+s-1] and sorted columns j_0 < ... < j_{s-1} is nonzero when
+    p+t <= j_t <= p+t+k, and one block when no t has j_{t-1} = p+t-1 or
+    j_t > p+t-1+k."""
+    nonzero = all(p + t <= j <= p + t + k for t, j in enumerate(j_set))
+    return nonzero and not any(j_set[t - 1] == p + t - 1 or j_set[t] > p + t - 1 + k
+                               for t in range(1, len(j_set)))
+
+
 def ref_catalog(ctx):
     frozen = {(i, j) for _, i, j in gr.band_frozen_specs(ctx)}
     out = []
     for s in range(1, ctx.rows + 1):
         for p in range(1, ctx.rows - s + 2):
-            for j_set in combinations(range(p, p + s + ctx.k), s):
-                if gr.row_solid_irreducible(ctx, p, j_set):
+            for j_set in combinations(range(1, ctx.n + 1), s):
+                if ref_one_block(ctx.k, p, j_set):
                     out.append((tuple(range(p, p + s)), j_set))
     return [pair for pair in out if pair not in frozen]
 
 
-def ref_split_image(ctx, cols):
+def ref_split_image(ctx, cols, exact_quotient):
     remainder = gr.f_star(ctx, cols)
     content = {}
     for name, i_set, j_set in gr.band_frozen_specs(ctx):
         gen = gr.band_minor(ctx, i_set, j_set)
         while True:
             try:
-                quot = lp.exact_div(remainder, gen)
+                quot = exact_quotient(remainder, gen)
             except lp.NotDivisible:
                 break
             if any(e < 0 for exp in quot for e in exp):
@@ -153,6 +165,12 @@ def ref_split_image(ctx, cols):
     minors = ref_catalog(ctx)
     match = (p for p in minors if lp.equal(remainder, gr.band_minor(ctx, *p)))
     return content, remainder, next(match, None)
+
+
+def composite_identity(ctx):
+    """The composite suite's cases, each the flat-to-band case on all rows."""
+    return [(cols, gr.flattoband_check(ctx, 1, ctx.rows, cols))
+            for cols in combinations(range(1, ctx.n + 1), ctx.rows)]
 
 
 def ref_composite_identity(ctx):
@@ -369,18 +387,23 @@ def test_matmul_matches_reference(btilde, data):
 @pytest.mark.parametrize(
     "kn", [(2, 5), (2, 6), (3, 6), (2, 7), (3, 7), (4, 8), (4, 9), (3, 10), (2, 12)]
 )
-def test_factorization_matches_reference(kn):
+def test_factorization_matches_reference(kn, exact_quotient):
     ctx = gr.make_context(*kn)
     assert gr.non_frozen_irreducible_minors(ctx) == ref_catalog(ctx)
     frozen = gr.plucker_frozen_sets(ctx)
+    fstar = gr.build_fixture(ctx).fstar_map
+    specs = fstar.dst_vars[fstar.dst_mutable:]
     for cols in combinations(range(1, ctx.n + 1), ctx.rows):
-        content, remainder, minor = ref_split_image(ctx, cols)
+        content, remainder, minor = ref_split_image(ctx, cols, exact_quotient)
         assert gr.is_frozen_plucker(ctx, cols) == (cols in frozen)
-        assert gr.content_exponents(ctx, cols) == content
         if cols in frozen:
             assert remainder == lp.constant(1, gr.y_arity(ctx)) and minor is None
             with pytest.raises(gr.NoFactorization):
                 gr.factor_fstar(ctx, cols)
+            # the content of a frozen coordinate is its forward-map column
+            column = fstar.columns[fstar.src_vars.index(gr.plucker_name(cols))]
+            assert dict(zip(specs, column[fstar.dst_mutable:])) == {
+                name: content.get(name, 0) for name in specs}
         else:
             assert gr.factor_fstar(ctx, cols) == (content, *minor)
 
@@ -388,7 +411,7 @@ def test_factorization_matches_reference(kn):
 @pytest.mark.parametrize("kn", [(2, 5), (3, 6), (2, 7)])
 def test_composite_identity_matches_substitution(kn, monkeypatch):
     ctx = gr.make_context(*kn)
-    results = gr.composite_identity(ctx)
+    results = composite_identity(ctx)
     assert results == ref_composite_identity(ctx)
     assert all(holds for _, holds in results)
     # one g_star entry plus 1: both forms see it, case by case
@@ -404,6 +427,6 @@ def test_composite_identity_matches_substitution(kn, monkeypatch):
     # the verdicts are cached per case; a fresh cache sees the perturbed
     # entry, and the shared one comes back untouched after the test
     monkeypatch.setattr(gr, "_flattoband_holds", lru_cache(gr._flattoband_holds.__wrapped__))
-    results = gr.composite_identity(ctx)
+    results = composite_identity(ctx)
     assert results == ref_composite_identity(ctx)
     assert not all(holds for _, holds in results)
