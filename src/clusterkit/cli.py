@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from functools import partial
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple, TypeVar
 
@@ -218,7 +219,7 @@ def _command(
 
 
 def _positive(text: str) -> int:
-    value = int(text)
+    value = lp.plain_decimal(text, "counts")
     if value < 1:
         raise ValueError(text)
     return value
@@ -320,7 +321,8 @@ def _parse(argv: Sequence[str]) -> Tuple[Callable[..., None], str, Dict[str, obj
             try:
                 values.append(text if convert is None else convert(text))
             except ValueError:
-                kind = getattr(convert, "__name__", "").strip("_")
+                # `--kn` reads through a partial of `lp.plain_decimal`, unnamed
+                kind = getattr(convert, "__name__", "int").strip("_")
                 _usage_error(name, f"invalid {kind} value for {flag}: {text!r}")
             if choices is not None and values[-1] not in choices:
                 _usage_error(name, f"invalid choice for {flag}: {text!r} "
@@ -653,8 +655,8 @@ def surface(fmt: str) -> None:
 
 @_command(
     "grassmann",
-    _arg("--kn", nargs=2, type=int, required=True, metavar=("K", "N"),
-         help="Band width and column count, 2 <= K <= N-2."),
+    _arg("--kn", nargs=2, type=partial(lp.plain_decimal, what="K and N"), required=True,
+         metavar=("K", "N"), help="Band width and column count, 2 <= K <= N-2."),
     _arg("--all-checks", action="store_true", help="Run every identity suite."),
 )
 def grassmann(kn: List[int], all_checks: bool, fmt: str) -> None:

@@ -14,8 +14,9 @@ A monomial is represented by its exponent tuple alone wherever a product of
 generators (rather than a general polynomial) is meant, e.g. the tropical
 operations and `monomial_ratio`.
 
-Packed kernel.  `mul` and `power` pack their operands once into int-keyed
-dicts and unpack the result once.  An `Operand` is a polynomial f with
+Packed kernel.  `mul` packs its operands, monomials too, and `power` a
+polynomial of more than one term once into int-keyed dicts, and each
+unpacks the result once.  An `Operand` is a polynomial f with
 its componentwise minimum exponent `low`; it packs x^-low f, whose
 exponents are all nonnegative, once per width.  An exponent e of arity n
 packs to key(e) = sum(e) * 2^(w n) + sum_i e_i * 2^(w (n-1-i)): unsigned
@@ -62,10 +63,11 @@ q_i g_j and pushes and pops each product, where this loop adds it into a
 dict.  Divisibility by the leading monomial of g is one
 subtraction and a test of the top bit of each lane, which is clear on
 every exponent met and set by a borrow, so a quotient term with a negative
-exponent is refused.  A one-term divisor short-cuts to a shift and a scale,
-and `power` squares with each cross term computed once.  An `Operand` made
-with `keep_powers` also keeps the powers it is asked for, so that a
-mutation walk raises each cluster variable once per lane width.
+exponent is refused.  A unit divisor returns the dividend as it is; every
+other divisor, a one-term one too, runs the loop, and there is no other
+short-cut.  `power` squares with each cross term computed once.  An
+`Operand` made with `keep_powers` also keeps the powers it is asked for,
+so that a mutation walk raises each cluster variable once per lane width.
 
 `_add_product`, which adds scale·f·g into a sum in place, is the one product
 loop, and `signed_sum` the one evaluator of a sum of signed products: an
@@ -164,11 +166,6 @@ def mul(f: Poly, g: Poly) -> Poly:
     _check_arity(f, g)
     if not f or not g:
         return {}
-    if len(f) == 1:
-        f, g = g, f
-    if len(g) == 1:
-        ((e, c),) = g.items()
-        return {exp_add(t, e): d * c for t, d in f.items()}
     fo, go = Operand(f), Operand(g)
     width = lane_width(fo.degree + go.degree)
     product = mul_packed(fo.packed(width), go.packed(width))
@@ -190,8 +187,6 @@ def power(f: Poly, k: int) -> Poly:
         raise NotDivisible(f"negative power {k} of a non-monomial")
     if k == 0:
         return constant(1, _arity(f))
-    if k == 1:
-        return dict(f)
     fo = Operand(f)
     width = lane_width(k * fo.degree)
     return unpack(power_packed(fo.packed(width), k), tuple(k * x for x in fo.low), width)
@@ -544,18 +539,13 @@ def div_packed(fp: Packed, gp: Packed, arity: int, width: int) -> Packed:
     quotient exists with nonnegative exponents; NotDivisible otherwise.  The
     package's one division loop (module docstring); it uses up fp as the
     remainder, so a caller that keeps f passes a copy.  The width must hold
-    the total degrees of f and g, which bound every product q_i g_j met."""
+    the total degrees of f and g, which bound every product q_i g_j met.
+    A unit divisor, the key 0 with coefficient 1, returns fp itself; any
+    other one-term divisor runs the loop with no terms below its lead."""
+    if len(gp) == 1 and gp.get(0) == 1:
+        # a packed operand that is a monomial with coefficient 1 is 1
+        return fp
     guard = _guard(arity, width)
-    if len(gp) == 1:
-        ((lead_g, cg),) = gp.items()
-        if not lead_g and cg == 1:
-            # a packed operand that is a monomial with coefficient 1 is 1
-            return fp
-        if any((m - lead_g) & guard for m in fp):
-            raise NotDivisible("leading monomial not divisible")
-        if any(c % cg for c in fp.values()):
-            raise NotDivisible("leading coefficient not divisible over Z")
-        return {m - lead_g: c // cg for m, c in fp.items()}
     lead_g = max(gp)
     cg = gp[lead_g]
     # -g_j for the terms below the lead, so that each step adds q * rest

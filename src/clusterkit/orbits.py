@@ -54,15 +54,13 @@ class SeedLike:
         self.var_names = list(var_names)
         if len(self.cluster) != self.n or len(self.pairs) != self.n:
             raise sd.InvalidSeed("cluster and pairs must match the rank")
+        if any(len(row) != self.n for row in self.b):
+            raise sd.InvalidSeed(f"b is not {self.n} x {self.n}")
         if not all(self.cluster):
             raise sd.InvalidSeed("zero cluster variable")
         arity = len(self.var_names)
         if any(len(e) != arity for e in chain(*self.pairs, *self.cluster)):
             raise sd.InvalidSeed(f"pair or cluster exponents of arity other than {arity}")
-
-    def __repr__(self) -> str:
-        xs = ", ".join(lp.to_str(x, self.var_names) for x in self.cluster)
-        return f"SeedLike(n={self.n}, cluster=[{xs}])"
 
 
 def seedlike_equal(a: SeedLike, b: SeedLike) -> bool:

@@ -86,13 +86,6 @@ class MonomialMap:
                     )
         self.columns = list(zip(*self.matrix)) if rows else [()] * cols
 
-    def __repr__(self) -> str:
-        return (
-            f"MonomialMap({len(self.dst_vars)}x{len(self.src_vars)}, "
-            f"{self.src_mutable}+{len(self.src_vars) - self.src_mutable} -> "
-            f"{self.dst_mutable}+{len(self.dst_vars) - self.dst_mutable})"
-        )
-
 
 def identity_map(seed: sd.Seed) -> MonomialMap:
     arity = seed.n + seed.m

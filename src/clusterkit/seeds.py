@@ -157,8 +157,10 @@ class Seed:
             raise InvalidSeed(
                 f"{len(self.var_names)} variable names for {self.n + self.m} generators"
             )
-        principal = [row[: self.n] for row in self.btilde[: self.n]]
-        if skew_symmetrizer(principal) is None:
+        for i, row in enumerate(self.btilde):
+            if len(row) != self.n:
+                raise InvalidSeed(f"btilde row {i} has {len(row)} entries, not {self.n}")
+        if skew_symmetrizer(self.principal) is None:
             raise InvalidSeed("principal part is not skew-symmetrizable")
         for x in self.cluster:
             if not x:
@@ -183,10 +185,6 @@ class Seed:
     @property
     def principal(self) -> Matrix:
         return [row[: self.n] for row in self.btilde[: self.n]]
-
-    def __repr__(self) -> str:
-        xs = ", ".join(lp.to_str(x, self.var_names) for x in self.cluster)
-        return f"Seed(n={self.n}, m={self.m}, cluster=[{xs}])"
 
 
 def initial_seed(btilde: Sequence[Sequence[int]], var_names: Sequence[str]) -> Seed:
@@ -387,14 +385,9 @@ def hatted_pair(
 ) -> RationalPair:
     """The hatted variable (p+ / p-) * prod_i x_i^b_ij of a seed with the
     coefficient pair (plus, minus), normalized or not: the two
-    `exchange_sides`, each a monomial read off as it is or else packed by
-    `packed_terms`, evaluated by `laurent.signed_sum` and decoded."""
-    sides = exchange_sides(column, operands(cluster, column), plus, minus)
-    if not any(factors for _, _, _, factors in sides):
-        # both terms are monomials scale x^lo: nothing to pack or decode
-        (lo_f, _, scale_f, _), (lo_g, _, scale_g, _) = sides
-        return {tuple(lo_f): scale_f}, {tuple(lo_g): scale_g}
-    low, width, f, g = packed_terms(sides)
+    `exchange_sides`, packed by `packed_terms`, evaluated by
+    `laurent.signed_sum` and decoded; a monomial term packs to one key."""
+    low, width, f, g = packed_terms(exchange_sides(column, operands(cluster, column), plus, minus))
     return lp.unpack(lp.signed_sum([f])[0], low, width), lp.unpack(lp.signed_sum([g])[0], low, width)
 
 

@@ -1525,6 +1525,8 @@ REJECTED = [
     ["mutate", "s.json", "--word", "--format"], ["mutate", "s.json", "--word", "-1,2"],
     ["gradings", "s.json", "--", "--format", "text"], ["--", "gradings", "s.json"],
     ["grassmann"], ["verify-qh", "m.json", "s.json", "d.json", "--opposite=1"],
+    ["grassmann", "--kn", "1_0", "5"], ["grassmann", "--kn", "+3", "5"],
+    ["explore", "s.json", "--max-nodes", "\u0663"],
 ]
 
 

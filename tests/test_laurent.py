@@ -315,14 +315,16 @@ class TestPackedKernel:
     @settings(max_examples=150, deadline=None)
     def test_division_matches_johnson_on_products(self, operands, keep_zeros):
         # f = q g, with the terms that cancel dropped or kept as zeros: the
-        # quotient is q, in the old loop's order, descending when g has
-        # more than one term
+        # quotient is q, in the old loop's order when g has more than one
+        # term, and descending for every divisor but the unit, which
+        # returns f as it is
         q, g, arity, width = operands
         f = lp._add_product({}, q, g, 1) if keep_zeros else lp.mul_packed(q, g)
         ours = _division(lp.div_packed, f, g, arity, width)
-        assert ours == _division(johnson_div_packed, f, g, arity, width)
+        theirs = _division(johnson_div_packed, f, g, arity, width)
+        assert (ours == theirs) if len(g) > 1 else (sorted(ours) == sorted(theirs))
         assert dict(ours) == q
-        if len(g) > 1:
+        if g != {0: 1}:
             assert ours == sorted(ours, reverse=True)
 
     @given(packed_operands(), st.data())

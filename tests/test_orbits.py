@@ -321,6 +321,12 @@ def test_seedlike_rejects_exponents_of_another_arity(cluster, pairs):
         ob.SeedLike(A2_B, cluster, pairs, A2_NAMES)
 
 
+def test_seedlike_rejects_a_b_that_is_not_square():
+    # unchecked, mutate_seedlike reads b[1][0] and raises IndexError
+    with pytest.raises(sd.InvalidSeed):
+        ob.SeedLike([[0, 1], [-1]], A2_CLUSTER, A2_PAIRS, A2_NAMES)
+
+
 @pytest.mark.parametrize("c, d", [
     (((0, 0, 1, 0), (0, 0, 0)), ((0, 0, 0), (0, 0, 0))),
     (((0, 0, 0), (0, 0, 0)), ((0, 0, 0), (0, 0))),

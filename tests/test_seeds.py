@@ -183,10 +183,14 @@ class TestSeedMutation:
 class TestHatted:
     @given(random_seeds())
     def test_initial_exponents_are_btilde_columns(self, seed):
+        # at the base vertex x_i is the ambient variable i, so the two terms
+        # are the monomials of the positive and negative parts of column j
         for j in range(seed.n):
+            column = [row[j] for row in seed.btilde]
             num, den = sd.hatted(seed, j)
-            ratio = lp.monomial_ratio(num, den)
-            assert ratio == tuple(row[j] for row in seed.btilde)
+            assert (num, den) == ({tuple(max(e, 0) for e in column): 1},
+                                  {tuple(max(-e, 0) for e in column): 1})
+            assert lp.monomial_ratio(num, den) == tuple(column)
 
     def test_gr35_hatted_one(self):
         num, den = sd.hatted(gr35_seed(), 0)
@@ -271,3 +275,10 @@ class TestSerialization:
     def test_seed_rejects_non_symmetrizable_principal(self):
         with pytest.raises(sd.InvalidSeed):
             sd.initial_seed([[0, 1], [1, 0]], ["a", "b"])
+
+    @pytest.mark.parametrize("last", [[5], [5, 1, 7]], ids=["short", "long"])
+    def test_seed_rejects_a_frozen_row_of_another_length(self, last):
+        # unchecked, a short row makes mutation and explore raise IndexError,
+        # and mutation cuts a long one to n entries without a word
+        with pytest.raises(sd.InvalidSeed, match="row 2 has"):
+            sd.initial_seed([[0, 1], [-1, 0], last], ["a", "b", "c"])
