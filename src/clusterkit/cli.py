@@ -9,12 +9,15 @@ files that are not seeds of any pattern, and for a command that runs out
 of memory.
 
 JSON text on stdout, in --out files and in exit-2 stderr payloads is exactly
-`json.dumps(obj, indent=2)`, written by `_json_text`, since CPython's C
+`json.dumps(obj, indent=2)`, yielded in pieces by `_json`, since CPython's C
 encoder ignores `indent` before 3.14 and the pure-Python one costs about as
-much as the mutations it reports.  With a 3.14 floor the writer can go.
-The exchange graph is the one payload `patterns` streams instead, as JSON
-or DOT a node at a time, so that neither it nor its text is ever whole in
-memory.
+much as the mutations it reports.  With a 3.14 floor the generator can go.
+Every byte the command line writes, the exchange graph's JSON and DOT from
+`patterns` too, goes through `_write`, which joins pieces into blocks as they
+come, so that no command holds its whole output text.  A command computes
+every value that can raise a typed error before its first write, and a
+payload's generators only format values that exist: an exit 2 leaves stdout
+empty, and only running out of memory or a closed pipe cuts a stream short.
 
 The front end is one table, `_COMMANDS`, filled by `_command` at import:
 each command's function, its arguments and its `--format` choices.
@@ -30,7 +33,9 @@ import os
 import sys
 from functools import partial
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple, TypeVar
+from types import GeneratorType
+from typing import (Callable, Dict, Iterable, Iterator, List, NoReturn, Optional, Sequence,
+                    TextIO, Tuple, TypeVar)
 
 from . import grassmann as gx
 from . import laurent as lp
@@ -53,72 +58,80 @@ class InputFault(Exception):
         self.payload = payload
 
 
-def _json_text(obj: object, nl: str = "\n") -> str:
-    """`json.dumps(obj, indent=2)` for dicts with str keys, lists, tuples,
-    str, int, bool and None, by exact type, and for a seed that of its
-    `sd.seed_to_json` object, written by `_seed_text`; others raise
-    TypeError.  `nl` is the line prefix.  Scalar dict values and all-int or
-    all-str lists are written inline, without a call per item."""
+# the text of each JSON scalar type, which a dict writes inline
+_SCALARS: Dict[type, Callable[..., str]] = {str: _encode_str, int: int.__repr__,
+                                             bool: lambda x: "true" if x else "false",
+                                             type(None): lambda _: "null"}
+
+
+def _json(obj: object, nl: str = "\n") -> Iterator[str]:
+    """The text of `json.dumps(obj, indent=2)` in pieces, for dicts with str
+    keys, lists, tuples, str, int, bool and None, by exact type, for a
+    generator as the list of what it yields, and for a seed as its
+    `sd.seed_to_json` object; others raise TypeError.  `nl` is the line
+    prefix.  Scalar dict values and all-int or all-str lists are written
+    inline, without a piece per item.  A seed is written a term at a time,
+    each term filling one template for the arity and indent, in the
+    descending graded lex order of `laurent.to_json`."""
     kind = type(obj)
-    if kind is str:
-        return _encode_str(obj)
-    if kind is int:
-        return int.__repr__(obj)
     inner = nl + "  "
     if kind is dict:
         if not obj:
-            return "{}"
-        # a key that is not a str raises TypeError in the encoder
-        pairs = [
-            _encode_str(key) + ": " + (
-                _encode_str(value) if type(value) is str
-                else int.__repr__(value) if type(value) is int
-                else _json_text(value, inner)
-            )
-            for key, value in obj.items()
-        ]
-        return "{" + inner + ("," + inner).join(pairs) + nl + "}"
-    if kind is list or kind is tuple:
-        if not obj:
-            return "[]"
-        if all(type(x) is int for x in obj):
-            items = map(int.__repr__, obj)
-        elif all(type(x) is str for x in obj):
-            items = map(_encode_str, obj)
-        else:
-            items = [_json_text(x, inner) for x in obj]
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
-    if obj is None:
-        return "null"
-    if kind is bool:
-        return "true" if obj else "false"
-    if kind is sd.Seed:
-        return _seed_text(obj, nl)
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-
-
-def _seed_text(seed: sd.Seed, nl: str = "\n") -> str:
-    """The one seed writer, which `_json_text` calls for a seed: the text of
-    `_json_text(sd.seed_to_json(seed), nl)`, with no dict built per term.
-    Each term fills one template for the arity and indent, in the
-    descending graded lex order of `laurent.to_json`."""
-    i1, i2, i3, i4, i5, i6 = (nl + "  " * depth for depth in range(1, 7))
-    names = _json_text(seed.var_names, i3)
-    arity = len(seed.var_names)
-    exp = "[" + i6 + ("," + i6).join(["%d"] * arity) + i5 + "]" if arity else "[]"
-    term = "{" + i5 + '"exp": ' + exp + "," + i5 + '"coef": "%d"' + i4 + "}"
-    cluster = [
-        "{" + i3 + '"vars": ' + names + "," + i3 + '"terms": [' + i4 + ("," + i4).join(
-            [term % (*e, x[e]) for e in sorted(x, key=lp.grlex_key, reverse=True)]
-        ) + i3 + "]" + i2 + "}"
-        for x in seed.cluster
-    ]
-    return "".join([
-        "{", i1, '"n": ', str(seed.n), ",", i1, '"m": ', str(seed.m), ",",
-        i1, '"btilde": ', _json_text(seed.btilde, i1), ",",
-        i1, '"cluster": ', "[" + i2 + ("," + i2).join(cluster) + i1 + "]" if cluster else "[]",
-        ",", i1, '"var_names": ', _json_text(seed.var_names, i1), nl, "}",
-    ])
+            yield "{}"
+            return
+        run: List[str] = []  # the scalar pairs since the last nested value
+        lead = "{"
+        for key, value in obj.items():
+            # a key that is not a str raises TypeError in the encoder
+            pair = _encode_str(key) + ": "
+            scalar = _SCALARS.get(type(value))
+            if scalar is not None:
+                run.append(pair + scalar(value))
+                continue
+            run.append(pair)
+            yield lead + inner + ("," + inner).join(run)
+            yield from _json(value, inner)
+            run, lead = [], ","
+        yield (lead + inner + ("," + inner).join(run) if run else "") + nl + "}"
+    elif kind is list or kind is tuple or kind is GeneratorType:
+        if kind is not GeneratorType and obj:
+            if all(type(x) is int for x in obj):
+                yield "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + nl + "]"
+                return
+            if all(type(x) is str for x in obj):
+                yield "[" + inner + ("," + inner).join(map(_encode_str, obj)) + nl + "]"
+                return
+        lead = "["
+        for item in obj:
+            yield lead + inner
+            yield from _json(item, inner)
+            lead = ","
+        yield "[]" if lead == "[" else nl + "]"
+    elif kind is sd.Seed:
+        i1, i2, i3, i4, i5, i6 = (nl + "  " * depth for depth in range(1, 7))
+        arity = len(obj.var_names)
+        exp = "[" + i6 + ("," + i6).join(["%d"] * arity) + i5 + "]" if arity else "[]"
+        term = "{" + i5 + '"exp": ' + exp + "," + i5 + '"coef": "%d"' + i4 + "}"
+        names = "".join(_json(obj.var_names, i3))
+        yield f'{{{i1}"n": {obj.n},{i1}"m": {obj.m},{i1}"btilde": '
+        yield from _json(obj.btilde, i1)
+        yield "," + i1 + '"cluster": '
+        lead = "["
+        for x in obj.cluster:
+            yield lead + i2 + "{" + i3 + '"vars": ' + names + "," + i3 + '"terms": [' + i4
+            form = term
+            for e in sorted(x, key=lp.grlex_key, reverse=True):
+                yield form % (*e, x[e])
+                form = "," + i4 + term
+            yield i3 + "]" + i2 + "}"
+            lead = ","
+        yield ("[]" if lead == "[" else i1 + "]") + "," + i1 + '"var_names": '
+        yield from _json(obj.var_names, i1)
+        yield nl + "}"
+    elif kind in _SCALARS:
+        yield _SCALARS[kind](obj)
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _load_json(path: str) -> dict:
@@ -145,21 +158,32 @@ def _load(path: str, what: str, read: Callable[..., T], *counts: int) -> T:
     raise InputFault({"error": f"invalid {what}", "path": path, "reason": reason})
 
 
+def _write(pieces: Iterable[str], stream: TextIO) -> None:
+    """The one writer: the pieces joined into blocks of about 64 KiB, one
+    write each, then a newline, then a flush, so that a closed stdout pipe
+    surfaces inside `main`."""
+    block: List[str] = []
+    size = 0
+    for piece in pieces:
+        block.append(piece)
+        size += len(piece)
+        if size >= 65536:
+            stream.write("".join(block))
+            block, size = [], 0
+    stream.write("".join(block) + "\n")
+    stream.flush()
+
+
 def _write_json(path: str, obj: object) -> None:
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(_json_text(obj) + "\n")
+            _write(_json(obj), handle)
     except OSError as exc:
         raise InputFault({"error": "unwritable file", "path": path, "reason": str(exc)})
 
 
 def _emit(payload: Payload, fmt: str, lines: Callable[[Payload], List[str]]) -> None:
-    _echo("\n".join(lines(payload)) if fmt == "text" else _json_text(payload))
-
-
-def _echo(text: str) -> None:
-    # flushed at once, so that a closed stdout pipe surfaces inside `main`
-    print(text, flush=True)
+    _write(["\n".join(lines(payload))] if fmt == "text" else _json(payload), sys.stdout)
 
 
 def _finish(ok: bool) -> None:
@@ -257,7 +281,7 @@ def _usage(name: Optional[str]) -> str:
 
 def _usage_error(name: Optional[str], reason: str) -> NoReturn:
     prog = "clusterkit" if name is None else f"clusterkit {name}"
-    sys.stderr.write(f"{_usage(name)}\n{prog}: error: {reason}\n")
+    _write([f"{_usage(name)}\n{prog}: error: {reason}"], sys.stderr)
     raise SystemExit(2)
 
 
@@ -276,7 +300,7 @@ def _help(name: Optional[str]) -> NoReturn:
     rows.append((", ".join(_HELP), "Show this help and exit."))
     width = max(len(left) for left, _ in rows) + 2
     lines = [f"  {left:{width}}{text}".rstrip() for left, text in rows]
-    _echo("\n".join([_usage(name), "", head, "", *lines]))
+    _write(["\n".join([_usage(name), "", head, "", *lines])], sys.stdout)
     raise SystemExit(0)
 
 
@@ -368,7 +392,7 @@ def main(
         raise SystemExit(1)
     else:
         raise SystemExit(0)
-    sys.stderr.write("Error: " + _json_text(payload) + "\n")
+    _write(["Error: ", *_json(payload)], sys.stderr)
     raise SystemExit(2)
 
 
@@ -463,12 +487,10 @@ def explore(seed_file: str, max_depth: int, max_nodes: int, fmt: str) -> None:
     if fmt == "text":
         # the counts come off the graph: no cluster variable is rendered
         edges = sum(map(len, graph.adjacency))
-        _echo(f"nodes: {len(graph.nodes)}\nedges: {edges}\ncomplete: {graph.complete}")
+        _write([f"nodes: {len(graph.nodes)}\nedges: {edges}\ncomplete: {graph.complete}"],
+               sys.stdout)
         return
-    # a node at a time; `_echo` ends the text and flushes inside the command
-    writer = pt.graph_dot_chunks if fmt == "dot" else pt.graph_json_chunks
-    sys.stdout.writelines(writer(graph))
-    _echo("")
+    _write((pt.graph_dot_chunks if fmt == "dot" else pt.graph_json_chunks)(graph), sys.stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -668,6 +690,9 @@ def grassmann(kn: List[int], all_checks: bool, fmt: str) -> None:
     except (gx.InvalidIndex, gx.UnsupportedContext) as exc:
         raise InputFault({"error": "unsupported dimensions", "reason": str(exc)})
     factored = gx.factorizations(ctx)
+    if fmt == "text" and not all_checks:
+        _write([f"fixture k={k} n={n}\nfactorizations: {len(factored)}"], sys.stdout)
+        return
     payload: Payload = {
         "k": k,
         "n": n,
@@ -677,22 +702,20 @@ def grassmann(kn: List[int], all_checks: bool, fmt: str) -> None:
         "band_to_flat": (
             qh.map_to_json(fx.gstar_map) if fx.gstar_map is not None else None
         ),
-        "factorizations": [
+        # a record at a time, as the writer reaches it
+        "factorizations": (
             {
                 "coordinate": gx.plucker_name(cols),
                 "content": dict(sorted(content.items())),
                 "minor": gx.band_name(i_set, j_set),
             }
             for cols, content, i_set, j_set in factored
-        ],
+        ),
     }
     if (k, n) == (2, 5):
         payload["relations"] = gx.quintic_relation_checks(ctx)
     if not all_checks:
-        _emit(payload, fmt, lambda p: [
-            f"fixture k={p['k']} n={p['n']}",
-            f"factorizations: {len(p['factorizations'])}",
-        ])
+        _write(_json(payload), sys.stdout)
         return
     _report(payload, gx.check_suites(fx, factored, payload.get("relations")), fmt)
 

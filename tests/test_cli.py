@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import prod
 
@@ -390,6 +391,14 @@ GOLDEN_FIXTURES = {
         "dd584231a85218bf8632814acf673369c8eff8925f19d5e1266b884a68c2eae9",
     ("grassmann --kn 3 6", "json"):
         "0275bbf168860e9ab3ca220d7b7aea27b552dcc48caa486cdbd4f4911af8e00b",
+    # the text base reports, recorded from the implementation that built the
+    # whole JSON payload before it printed their two lines
+    ("grassmann --kn 2 5", "text"):
+        "68867e019194bad4bf9da24962bf59debf7e4e4537e2ca99da8a1d411f77044a",
+    ("grassmann --kn 2 12", "text"):
+        "e785a113a0f9d65af1948afeebbb169d7609499db77223c39c704a83d625945e",
+    ("grassmann --kn 3 8", "text"):
+        "e59169cb35e277295ab4e0288bf0c730145e75989b94a8634fef683ce9a497cf",
 }
 
 
@@ -470,8 +479,12 @@ def test_text_writers_match_golden_digest(runner, gr25, tmp_path, argv):
 # --inverse, an inverse map that does not chain, and a map into the
 # opposite of the target's pattern with and without --opposite (the one
 # command-line path to seeds.opposite_seed); recorded from the
-# implementation that still had laurent.exact_div
+# implementation that still had laurent.exact_div; and the exit-2 stderr of
+# the text base report on unsupported dimensions, recorded from the
+# implementation that built the whole JSON payload before it printed
 GOLDEN_PATHS = {
+    ("grassmann", "--kn", "1", "5", "--format", "text"):
+        (2, "6396860fb77b3a35cd97e6039f5d093264afc673e00d6649d53a12cf5ba9ba71"),
     ("mutate", "seed", "--word", "", "--format", "text"):
         (0, "708790a3d59108801f4d17c82be6a53e4ae29b07b4f8dacde3767ec4a461b353"),
     ("mutate", "seed", "--word", "1,0", "--out", "out.json", "--format", "text"):
@@ -1242,17 +1255,43 @@ def unlimited_int_str():
         sys.set_int_max_str_digits(before)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(JSON_TREES)
 def test_json_text_is_json_dumps_indent_2(unlimited_int_str, obj):
-    assert cl._json_text(obj) == json.dumps(obj, indent=2)
+    assert "".join(cl._json(obj)) == json.dumps(obj, indent=2)
 
 
 @pytest.mark.parametrize("obj", [1.5, {"a": object()}, [{1, 2}], {1: "one"}, {None: 0}])
 def test_json_text_rejects_other_types(obj):
     # floats and non-str keys never occur in a payload
     with pytest.raises(TypeError):
-        cl._json_text(obj)
+        "".join(cl._json(obj))
+
+
+class CountingSink(io.TextIOBase):
+    """A stdout that keeps nothing: it counts the characters written."""
+
+    written = 0
+
+    def write(self, text):
+        self.written += len(text)
+        return len(text)
+
+
+def test_base_report_is_never_whole_in_memory():
+    # the (2,40) base report in JSON is 1,479,881 bytes; built whole, with
+    # its text, it peaked at about 7 MB under tracemalloc, and streamed it
+    # holds the caches of the fixture (warm or cold) and one block of text
+    sink = CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink), pytest.raises(SystemExit) as exited:
+            cl.main(["grassmann", "--kn", "2", "40"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (exited.value.code, sink.written) == (0, 1479881)
+    assert peak < 2 * sink.written
 
 
 # every subcommand, and one stderr payload: (argv, files written by --out)
@@ -1366,6 +1405,145 @@ def test_fuzzed_inputs_get_an_answer_or_a_typed_error(runner, gr25, tmp_path):
         assert "Traceback" not in result.output
         if result.exit_code == 2:
             json.loads(result.stderr.split("Error: ", 1)[1])
+
+
+# ---------------------------------------------------------------------------
+# the boundary probe
+
+# a valid line of each subcommand, its files named by the fixture file they
+# start from (`copy` is the Gr(2,5) seed again), each run bounded by small
+# --max-depth, --max-nodes and --kn values
+PROBE_LINES = {
+    "mutate": ["mutate", "seed", "--word", "0,1"],
+    "explore": ["explore", "seed", "--max-depth", "2", "--max-nodes", "8"],
+    "verify-qh": ["verify-qh", "map", "seed", "band", "--inverse", "wmap"],
+    "construct-qh": ["construct-qh", "seed", "band"],
+    "gradings": ["gradings", "band"],
+    "orbit-eq": ["orbit-eq", "seed", "copy"],
+    "surface": ["surface"],
+    "grassmann": ["grassmann", "--kn", "2", "5"],
+}
+
+# the values a malformed line gives an option: counts for the options that
+# convert theirs (so --kn stays at most 5), the choices and two that are
+# not, and for the rest words, files (`out` is written, `missing` is not
+# there) and a label out of range
+PROBE_VALUES = {
+    "count": ["0", "1", "2", "3", "5", "-1", "x", "", "1_0", "+2"],
+    "other": ["out", "missing", "seed", "0,1", "9", ""],
+}
+
+
+def _edited(obj, rng):
+    """A copy of obj with one to three fields deleted, retyped, resized or
+    shifted (a list rotated by one place, an integer moved by one).  Each
+    field is found by a walk down from the top that stops at each level
+    with even odds, so that the top-level fields are edited often."""
+    obj = json.loads(json.dumps(obj))
+    for _ in range(rng.randint(1, 3)):
+        parent, key = None, None
+        node = obj
+        while type(node) in (dict, list) and node and (parent is None or rng.random() < 0.5):
+            parent, key = node, rng.choice(list(node) if type(node) is dict else range(len(node)))
+            node = parent[key]
+        if parent is None:
+            break
+        kind = rng.choice(["delete", "retype", "resize", "shift"])
+        if kind == "delete":
+            del parent[key]
+        elif kind == "resize" and type(node) in (list, str) and node:
+            parent[key] = node[:-1] if rng.random() < 0.5 else node + node[-1:]
+        elif kind == "shift" and type(node) is list:
+            parent[key] = node[1:] + node[:1]
+        elif kind == "shift" and type(node) is int:
+            parent[key] = node + rng.choice([-1, 1])
+        else:
+            parent[key] = rng.choice([x for x in (None, True, 2.5, "7", 7, [], {})
+                                      if type(x) is not type(node)])
+    return obj
+
+
+def _malformed(line, rng):
+    """The line with one or two faults drawn from its command's table: a
+    token missing, an option repeated or given values from PROBE_VALUES,
+    too few values, a value inline, an unknown option or extra positional,
+    or a `--` before the rest."""
+    _, _, _, flags, _ = cl._COMMANDS[line[0]]
+    argv = list(line)
+    for _ in range(rng.randint(1, 2)):
+        flag = rng.choice(sorted(flags))
+        _, count, convert, choices, _ = flags[flag]
+        pool = (PROBE_VALUES["count"] if convert is not None
+                else [*choices, "xml", ""] if choices else PROBE_VALUES["other"])
+        values = [rng.choice(pool) for _ in range(count)]
+        fault = rng.randrange(6)
+        if fault == 0 and len(argv) > 1:
+            del argv[rng.randrange(1, len(argv))]
+        elif fault == 1:
+            argv += [flag, *values]
+        elif fault == 2:
+            argv += [flag, *values[1:]]
+        elif fault == 3:
+            argv.append(f"{flag}={rng.choice(pool)}")
+        else:
+            token = "--" if fault == 5 else rng.choice(["--bogus", "-x", "extra", "-"])
+            argv.insert(rng.randrange(1, len(argv) + 1), token)
+    return argv
+
+
+def _probe(runner, argv):
+    """Run a line and check the contract: exit 0, 1 or 2 and no traceback;
+    an exit 2 writes nothing to stdout and a usage error or a payload that
+    names `error` to stderr; an exit 0 or 1 in JSON writes JSON."""
+    result = runner.invoke(cl.main, argv)
+    assert result.exit_code in (0, 1, 2), (argv, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        argv, repr(result.exception))
+    assert "Traceback" not in result.output, argv
+    if result.exit_code == 2:
+        assert result.stdout == "", argv
+        if not result.stderr.startswith("usage: clusterkit"):
+            assert "error" in error_payload(result), argv
+    elif cl._parse(argv)[2]["fmt"] == "json":
+        json.loads(result.stdout)
+    return result.exit_code
+
+
+def test_boundary_probe(runner, gr25, tmp_path, monkeypatch):
+    fx, paths = gr25
+    monkeypatch.chdir(tmp_path)
+    paths["out"], paths["missing"] = str(tmp_path / "out.json"), str(tmp_path / "missing.json")
+    paths["copy"] = paths["seed"]
+    docs = {"seed": sd.seed_to_json(fx.gr_seed), "band": sd.seed_to_json(fx.band_seed),
+            "map": qh.map_to_json(fx.fstar_map), "wmap": qh.map_to_json(fx.gstar_map)}
+    docs["copy"] = docs["seed"]
+    rng = random.Random(20)
+    bad = tmp_path / "bad.json"
+    with_files = [line for line in PROBE_LINES.values() if set(line) & set(docs)]
+    codes = {"edited": set(), "nudged": set(), "malformed": set()}
+    for case in range(600):
+        line = with_files[case % len(with_files)]
+        target = rng.choice([arg for arg in line if arg in docs])
+        bad.write_text(json.dumps(_edited(docs[target], rng)))
+        argv = [str(bad) if arg == target else paths.get(arg, arg) for arg in line]
+        codes["edited"].add(_probe(runner, argv))
+    for case in range(100):
+        # one integer of a map changed: the maps still fit their seeds
+        target = rng.choice(["map", "wmap"])
+        nudged = json.loads(json.dumps(docs[target]))
+        row = rng.choice(nudged["matrix"])
+        row[rng.randrange(len(row))] += rng.choice([-1, 1])
+        bad.write_text(json.dumps(nudged))
+        argv = [str(bad) if arg == target else paths.get(arg, arg)
+                for arg in PROBE_LINES["verify-qh"]]
+        codes["nudged"].add(_probe(runner, argv))
+    for case in range(400):
+        line = PROBE_LINES[sorted(PROBE_LINES)[case % len(PROBE_LINES)]]
+        argv = [paths.get(arg, arg) for arg in _malformed(line, rng)]
+        codes["malformed"].add(_probe(runner, argv))
+    # the probe reaches every exit status: a failed check through the nudged maps
+    assert {0, 1, 2} <= codes["edited"] and 1 in codes["nudged"]
+    assert {0, 2} <= codes["malformed"]
 
 
 # ---------------------------------------------------------------------------

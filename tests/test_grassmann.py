@@ -283,7 +283,7 @@ def _index_cases(ctx):
     return st.tuples(st.just(ctx), st.one_of(increasing, anything).map(tuple))
 
 
-@settings(max_examples=300, derandomize=True)
+@settings(max_examples=300)
 @given(st.sampled_from([CTX25, CTX26, CTX36, gr.make_context(3, 7)]).flatmap(_index_cases))
 def test_reduce_index_matches_brute_force(case):
     ctx, raw = case
@@ -304,7 +304,7 @@ def test_plucker_term_count_and_antisymmetry():
     assert lp.equal(gr.plucker(CTX25, (2, 1, 3)), lp.scale(full, -1))
 
 
-@settings(max_examples=40, derandomize=True)
+@settings(max_examples=40)
 @given(
     st.permutations([1, 3, 4]),
     st.lists(st.integers(min_value=0, max_value=2), min_size=3, max_size=3),
@@ -593,7 +593,7 @@ def test_substitution_ring_map():
             assert lp.equal(composite, lp.mul(run, gr.plucker(ctx, cols)))
 
 
-@settings(max_examples=30, derandomize=True)
+@settings(max_examples=30)
 @given(
     st.dictionaries(
         st.tuples(

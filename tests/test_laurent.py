@@ -312,7 +312,7 @@ class TestPackedKernel:
                 lp.Operand({e: 1, (0, 0): 1}).packed(width)
 
     @given(packed_operands(), st.booleans())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_division_matches_johnson_on_products(self, operands, keep_zeros):
         # f = q g, with the terms that cancel dropped or kept as zeros: the
         # quotient is q, in the old loop's order when g has more than one
@@ -328,7 +328,7 @@ class TestPackedKernel:
             assert ours == sorted(ours, reverse=True)
 
     @given(packed_operands(), st.data())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_division_fails_as_johnson_does(self, operands, data):
         # q g changed by one term: the same NotDivisible message from both
         # loops, for one-term and for multi-term divisors

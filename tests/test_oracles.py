@@ -296,9 +296,10 @@ def odd_seeds(draw):
 @settings(max_examples=200)
 @given(odd_seeds(), st.sampled_from(["\n", "\n  ", "\n    ", "\n      "]))
 def test_seed_writer_matches_seed_to_json(seed, nl):
-    # the CLI's one seed writer fills a template per term; its reference is
-    # the JSON object of seeds.seed_to_json written by the CLI's JSON writer
-    assert cl._seed_text(seed, nl) == cl._json_text(sd.seed_to_json(seed), nl)
+    # the CLI's JSON writer fills a template per term of a seed; its
+    # reference is the JSON object of seeds.seed_to_json written by the same
+    # writer as any other dict
+    assert "".join(cl._json(seed, nl)) == "".join(cl._json(sd.seed_to_json(seed), nl))
 
 
 @settings(max_examples=400)

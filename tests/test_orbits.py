@@ -91,13 +91,13 @@ def seedlike_with_rescaling(DRAW):
     return sl, r
 
 
-@settings(max_examples=40, derandomize=True)
+@settings(max_examples=40)
 @given(embedded_seedlikes())
 def test_identity_rescaling_fixes_seed(sl):
     assert ob.seedlike_equal(ob.apply_rescaling(sl, zero_rescaling(sl)), sl)
 
 
-@settings(max_examples=40, derandomize=True)
+@settings(max_examples=40)
 @given(seedlike_with_rescaling())
 def test_invert_round_trip(pair):
     sl, r = pair
@@ -105,7 +105,7 @@ def test_invert_round_trip(pair):
     assert ob.seedlike_equal(back, sl)
 
 
-@settings(max_examples=40, derandomize=True)
+@settings(max_examples=40)
 @given(seedlike_with_rescaling(), seedlike_with_rescaling())
 def test_compose_matches_sequential(p1, p2):
     sl, r1 = p1
@@ -117,7 +117,7 @@ def test_compose_matches_sequential(p1, p2):
     assert ob.seedlike_equal(seq, joint)
 
 
-@settings(max_examples=40, derandomize=True)
+@settings(max_examples=40)
 @given(seedlike_with_rescaling())
 def test_rescaling_preserves_b_and_hatted(pair):
     sl, r = pair
@@ -127,7 +127,7 @@ def test_rescaling_preserves_b_and_hatted(pair):
         assert sd.rp_equal(hatted(sl, j), hatted(other, j))
 
 
-@settings(max_examples=40, derandomize=True)
+@settings(max_examples=40)
 @given(seedlike_with_rescaling())
 def test_equivalent_recovers_witness(pair):
     sl, r = pair
@@ -135,13 +135,13 @@ def test_equivalent_recovers_witness(pair):
     assert ob.seeds_equivalent(sl, other) == r
 
 
-@settings(max_examples=30, derandomize=True)
+@settings(max_examples=30)
 @given(embedded_seedlikes())
 def test_reflexive_witness_is_identity(sl):
     assert ob.seeds_equivalent(sl, sl) == zero_rescaling(sl)
 
 
-@settings(max_examples=30, derandomize=True)
+@settings(max_examples=30)
 @given(seedlike_with_rescaling())
 def test_symmetric_witness_is_inverse(pair):
     sl, r = pair
@@ -149,7 +149,7 @@ def test_symmetric_witness_is_inverse(pair):
     assert ob.seeds_equivalent(other, sl) == negated(r)
 
 
-@settings(max_examples=30, derandomize=True)
+@settings(max_examples=30)
 @given(seedlike_with_rescaling(), seedlike_with_rescaling())
 def test_transitive_witness_composes(p1, p2):
     a, r1 = p1
@@ -162,7 +162,7 @@ def test_transitive_witness_composes(p1, p2):
     assert w == added(negated(r1), r2)
 
 
-@settings(max_examples=25, derandomize=True)
+@settings(max_examples=25)
 @given(seedlike_with_rescaling(), st.integers(0, 2))
 def test_closure_under_mutation(pair, kraw):
     sl, r = pair
@@ -192,7 +192,7 @@ def extended_matrices(DRAW):
     return principal + frozen, names
 
 
-@settings(max_examples=25, derandomize=True)
+@settings(max_examples=25)
 @given(extended_matrices(), st.lists(st.integers(0, 2), min_size=1, max_size=3))
 def test_representative_tracks_normalized_mutation(mat, word):
     """Mutating the embedded seed and mutating its frozen rows as a matrix
@@ -295,7 +295,7 @@ def rescaled_seedlikes(DRAW):
     ))
 
 
-@settings(max_examples=40, derandomize=True)
+@settings(max_examples=40)
 @given(rescaled_seedlikes())
 def test_packed_exchange_matches_the_tuple_path(tuple_exchange, sl):
     for k in range(sl.n):

@@ -198,7 +198,7 @@ def finite_type_seeds(draw):
     return sd.initial_seed(b + frozen, names)
 
 
-@settings(max_examples=15, derandomize=True, deadline=None)
+@settings(max_examples=15)
 @given(finite_type_seeds())
 def test_explore_matches_brute_force(seed):
     for max_depth in (1, 2, 3):
@@ -255,7 +255,7 @@ def cancelling_seeds(draw):
     return sd.Seed(b, cluster, names), k
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=60)
 @given(cancelling_seeds())
 def test_interning_when_a_key_cancels(tuple_exchange, case):
     # the packed quotient's minimum is the terms' common one only when no
@@ -357,7 +357,7 @@ def non_simply_laced_seeds(draw):
     return kind, sd.initial_seed(b + frozen, names)
 
 
-@settings(max_examples=15, derandomize=True, deadline=None)
+@settings(max_examples=15)
 @given(non_simply_laced_seeds())
 def test_explore_matches_brute_force_beyond_simply_laced(case):
     # |b_jk| = 2 and 3 put powers into the memo key
@@ -480,7 +480,7 @@ def small_seeds(draw):
     return sd.initial_seed(principal + frozen, names)
 
 
-@settings(max_examples=20, derandomize=True, deadline=None)
+@settings(max_examples=20)
 @given(small_seeds(), st.data())
 def test_canonical_key_is_relabeling_invariant(seed, data):
     word = data.draw(st.lists(st.integers(0, seed.n - 1), max_size=2))
@@ -492,7 +492,7 @@ def test_canonical_key_is_relabeling_invariant(seed, data):
         pt.canonical_key(interned_ids(variables, seed))
 
 
-@settings(max_examples=10, derandomize=True, deadline=None)
+@settings(max_examples=10)
 @given(small_seeds())
 def test_dedup_merges_exactly_permutation_matches(seed):
     graph = pt.explore(seed, max_depth=3, max_nodes=30)
@@ -700,7 +700,7 @@ def written_graphs(draw):
                       max_nodes=draw(st.integers(1, 40)))
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=60)
 @given(written_graphs())
 def test_streamed_writers_match_the_whole_payload(graph):
     assert graph_json(graph) == json.dumps(reference_graph_json(graph), indent=2)

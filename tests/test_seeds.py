@@ -116,7 +116,7 @@ class TestSeedMutation:
         assert p2[1] == {(0, 0, 0, 0, 1, 0, 1): 1}  # D345 D125
 
     @given(random_seeds(), st.data())
-    @settings(max_examples=25, deadline=None, derandomize=True)
+    @settings(max_examples=25)
     def test_involution_on_seeds(self, seed, data):
         word = data.draw(st.lists(st.integers(0, seed.n - 1), max_size=3))
         reached = sd.mutate_word(seed, word)
@@ -125,7 +125,7 @@ class TestSeedMutation:
         assert sd.seed_equal(back, reached)
 
     @given(random_seeds(), st.data())
-    @settings(max_examples=25, deadline=None, derandomize=True)
+    @settings(max_examples=25)
     def test_laurent_totality_on_short_walks(self, seed, data):
         word = data.draw(st.lists(st.integers(0, seed.n - 1), max_size=5))
         sd.mutate_word(seed, word)  # must not raise NotDivisible
@@ -199,7 +199,7 @@ class TestHatted:
         assert den == {(0, 1, 1, 0, 0, 0, 0): 1}
 
     @given(random_seeds(), st.data())
-    @settings(max_examples=20, deadline=None, derandomize=True)
+    @settings(max_examples=20)
     def test_propagation_along_walks(self, seed, data):
         word = data.draw(st.lists(st.integers(0, seed.n - 1), max_size=3))
         reached = sd.mutate_word(seed, word)
@@ -259,7 +259,7 @@ class TestIndecomposable:
 
 class TestSerialization:
     @given(random_seeds(), st.data())
-    @settings(max_examples=20, deadline=None, derandomize=True)
+    @settings(max_examples=20)
     def test_json_round_trip(self, seed, data):
         word = data.draw(st.lists(st.integers(0, seed.n - 1), max_size=3))
         reached = sd.mutate_word(seed, word)

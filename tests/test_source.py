@@ -73,10 +73,9 @@ def test_cli_enumerates_no_cases():
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_indented_json_dumps(path):
-    # indented JSON text goes through cli._json_text, which writes it in one
-    # pass, or, for the exchange graph alone, through patterns'
-    # graph_json_chunks, which streams it; json.dump(s) with indent runs the
-    # pure-Python encoder
+    # indented JSON text is yielded in pieces by cli._json, or, for the
+    # exchange graph, by patterns' graph_json_chunks, and written by
+    # cli._write; json.dump(s) with indent runs the pure-Python encoder
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [
         node.lineno
@@ -325,17 +324,19 @@ def test_one_signed_sum():
 
 
 def test_cli_writes_seeds_through_one_writer():
-    # every seed the command line prints or writes goes through cli._seed_text,
-    # which `_json_text` calls for a seed; seeds.seed_to_json is left to the
-    # Python API and to the writer's reference test
+    # every seed the command line prints or writes goes through the seed
+    # branch of cli._json, the one function that tells a seed apart;
+    # seeds.seed_to_json is left to the Python API and to the writer's
+    # reference test
     tree = ast.parse((TESTS.parent / "src" / "clusterkit" / "cli.py").read_text(encoding="utf-8"))
     names = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(tree)
              if isinstance(node, (ast.Attribute, ast.Name))}
     assert "seed_to_json" not in names
-    callers = {
+    writers = {
         func.name
-        for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+        for func in tree.body if isinstance(func, ast.FunctionDef)
         for node in ast.walk(func)
-        if isinstance(node, ast.Call) and ast.unparse(node.func) == "_seed_text"
+        if isinstance(node, ast.Compare)
+        and "sd.Seed" in map(ast.unparse, [node.left, *node.comparators])
     }
-    assert callers == {"_json_text"}
+    assert writers == {"_json"}
