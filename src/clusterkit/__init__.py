@@ -6,8 +6,8 @@ Subpackage layout, roughly bottom-up:
     lattice    integer linear algebra (Hermite form, kernels, solving)
     seeds      extended exchange matrices, seeds, mutation, hatted variables
     orbits     rescaling action and seed-orbit equivalence
-    quasihom   monomial maps between patterns, verification, construction
-    patterns   exchange-pattern exploration, nerves, quasi-automorphism search
+    quasihom   monomial maps between patterns, verification, construction, nerves
+    patterns   exchange-graph exploration, star neighborhoods, quasi-automorphisms
     surfaces   annulus triangulation fixture and lamination/shear checks
     grassmann  Pluecker and band-matrix fixtures and the flat-to-band map
     cli        command line entry points

@@ -706,7 +706,7 @@ def grassmann(kn: List[int], all_checks: bool, fmt: str) -> None:
         "factorizations": (
             {
                 "coordinate": gx.plucker_name(cols),
-                "content": dict(sorted(content.items())),
+                "content": content,
                 "minor": gx.band_name(i_set, j_set),
             }
             for cols, content, i_set, j_set in factored

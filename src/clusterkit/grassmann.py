@@ -177,10 +177,6 @@ def _unpack_x(ctx: GenericMatrixContext, fp: lp.Packed) -> Poly:
     return lp.unpack(fp, (0,) * x_arity(ctx), _width(ctx))
 
 
-def _unpack_y(ctx: GenericMatrixContext, fp: lp.Packed) -> Poly:
-    return lp.unpack(fp, (0,) * y_arity(ctx), _width(ctx))
-
-
 def _fast_det(entries: Sequence[Sequence[lp.Packed]]) -> lp.Packed:
     """Determinant by cofactor expansion row by row: the minors on the
     first t rows, keyed by column mask, are shared across column subsets."""
@@ -268,7 +264,7 @@ def band_minor(
         raise InvalidIndex(f"rows outside [1, {ctx.rows}]")
     if j_set and not (1 <= j_set[0] and j_set[-1] <= ctx.n):
         raise InvalidIndex(f"columns outside [1, {ctx.n}]")
-    return _unpack_y(ctx, _band_minor(ctx, i_set, j_set))
+    return lp.unpack(_band_minor(ctx, i_set, j_set), (0,) * y_arity(ctx), _width(ctx))
 
 
 def f_star(ctx: GenericMatrixContext, raw: Sequence[int]) -> Poly:
@@ -466,14 +462,16 @@ def factor_fstar(
 ) -> Tuple[Dict[str, int], IndexSet, IndexSet]:
     """Split the band image of a non-frozen Plücker coordinate as frozen
     content times one irreducible row-solid minor: its diagonal blocks,
-    which are its irreducible factors (see the module docstring)."""
+    which are its irreducible factors (see the module docstring).  The
+    content maps the generator names to 1 in name order, the order the
+    base report prints."""
     sign, cols = reduce_plucker_index(ctx, raw)
     if sign == 0:
         raise InvalidIndex("zero coordinate has no factorization")
     content, minor = _split_image(ctx, cols)
     if minor is None:
         raise NoFactorization(f"{plucker_name(cols)} is frozen")
-    return dict.fromkeys(_at_set_bits(content, _frozen(ctx)[2]), 1), minor[0], minor[1]
+    return dict.fromkeys(sorted(_at_set_bits(content, _frozen(ctx)[2])), 1), minor[0], minor[1]
 
 
 def tropical_c_check(

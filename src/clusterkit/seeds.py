@@ -25,7 +25,6 @@ Matrix = List[List[int]]
 Pair = Tuple[Exponent, Exponent]
 RationalPair = Tuple[Poly, Poly]
 Operands = Sequence[Optional[lp.Operand]]
-Side = List  # [lo, degree, scale, (operand, exponent) factors] of one exchange term
 
 
 class InvalidSeed(Exception):
@@ -213,30 +212,37 @@ def frozen_pair(column: Sequence[int], n: int) -> Pair:
 
 def coefficient_pair(seed: Seed, k: int) -> Tuple[Poly, Poly]:
     """The frozen monomials (p+_k, p-_k) read off column k of btilde."""
+    _check_direction(k, seed.n)
     plus, minus = frozen_pair([row[k] for row in seed.btilde], seed.n)
     return lp.monomial(plus), lp.monomial(minus)
 
 
 def operands(cluster: Sequence[Poly], column: Sequence[int], k: int = -1) -> Operands:
-    """The cluster as operands of `exchange_sides`: x_k and the x_j with
+    """The cluster as operands of `packed_terms`: x_k and the x_j with
     b_jk != 0, None elsewhere."""
     return [lp.Operand(x) if e or j == k else None
             for j, (x, e) in enumerate(zip(cluster, column))]
 
 
-def exchange_sides(
-    column: Sequence[int], cluster: Operands, plus: Exponent, minus: Exponent
-) -> Tuple[Side, Side]:
+def packed_terms(
+    column: Sequence[int], cluster: Operands, plus: Exponent, minus: Exponent, floor: int = 0
+) -> Tuple[List[int], int, lp.Product, lp.Product]:
     """The exchange terms p+ prod x_j^[b_jk]+ and p- prod x_j^[-b_jk]+ at k
-    as [lo, degree, scale, factors], both from one pass over column k
-    (entries past the cluster are ignored), the cluster as operands where
-    b_jk != 0, and p+, p- as ambient exponent vectors.  A term is scale x^lo
-    times the product of (x^-low_j x_j)^e over its factors (x_j, e), and
-    x^lo its exact minimum exponent (module docstring of `laurent`); lo
-    starts at the coefficient's exponent, which a rescaled pair may make
-    negative.  A monomial operand (degree 0) only moves lo and scales the
-    term, so a term without factors is the monomial scale x^lo, and
-    `degree` is the largest total degree of the product."""
+    as (low, width, plus term, minus term), each x^low times a packed
+    (scale, factors) product for `laurent.signed_sum`, both from one pass
+    over column k (entries past the cluster are ignored), the cluster as
+    operands where b_jk != 0, and p+, p- as ambient exponent vectors.
+
+    A term is scale x^lo times the product of (x^-low_j x_j)^e over its
+    factors (x_j, e), and x^lo its exact minimum exponent (module docstring
+    of `laurent`); lo starts at the coefficient's exponent, which a rescaled
+    pair may make negative.  A monomial operand (degree 0) only moves lo and
+    scales the term, so a term without factors packs to one key.  Both
+    terms are shifted by the componentwise minimum `low` of their lo, so
+    every exponent met is nonnegative, and one lane width holds the largest
+    total degree a term reaches and `floor` (x_k's when dividing).  The
+    powers come from the operands, which may keep them."""
+    # per term: [lo, total degree of the product, scale, factors]
     sides = ([plus, 0, 1, []], [minus, 0, 1, []])
     for x, e in zip(cluster, column):
         if e:
@@ -248,18 +254,6 @@ def exchange_sides(
                 side[3].append((x, e))
             else:
                 side[2] *= next(iter(x.poly.values())) ** e
-    return sides
-
-
-def packed_terms(
-    sides: Sequence[Side], floor: int = 0
-) -> Tuple[List[int], int, lp.Product, lp.Product]:
-    """The two `exchange_sides` as (low, width, plus term, minus term), each
-    x^low times a packed (scale, factors) product for `laurent.signed_sum`.
-    Both terms are shifted by the componentwise minimum `low` of their lo,
-    so every exponent met is nonnegative, and one lane width holds the
-    largest total degree a term reaches and `floor` (x_k's when dividing).
-    The powers come from the operands, which may keep them."""
     (lo_p, deg_p, _, _), (lo_m, deg_m, _, _) = sides
     low = [a if a < b else b for a, b in zip(lo_p, lo_m)]
     shift = sum(low)
@@ -285,7 +279,7 @@ def exchange_packed(
     property fails); a vanishing quotient, possible with signed
     coefficients, raises InvalidSeed."""
     xk = cluster[k]
-    low, width, f, g = packed_terms(exchange_sides(column, cluster, plus, minus), xk.degree)
+    low, width, f, g = packed_terms(column, cluster, plus, minus, xk.degree)
     total, cancelled = lp.signed_sum([f, g])
     quot = lp.div_packed(total, xk.packed(width), len(low), width)
     if not quot:
@@ -376,6 +370,7 @@ def rp_equal(a: RationalPair, b: RationalPair) -> bool:
 def hatted(seed: Seed, j: int) -> RationalPair:
     """The hatted variable at j: (p+_j / p-_j) * prod_i x_i^b_ij, whose
     numerator and denominator are the two exchange terms at j."""
+    _check_direction(j, seed.n)
     column = [row[j] for row in seed.btilde]
     return hatted_pair(column, seed.cluster, *frozen_pair(column, seed.n))
 
@@ -385,9 +380,9 @@ def hatted_pair(
 ) -> RationalPair:
     """The hatted variable (p+ / p-) * prod_i x_i^b_ij of a seed with the
     coefficient pair (plus, minus), normalized or not: the two
-    `exchange_sides`, packed by `packed_terms`, evaluated by
-    `laurent.signed_sum` and decoded; a monomial term packs to one key."""
-    low, width, f, g = packed_terms(exchange_sides(column, operands(cluster, column), plus, minus))
+    `packed_terms`, evaluated by `laurent.signed_sum` and decoded; a
+    monomial term packs to one key."""
+    low, width, f, g = packed_terms(column, operands(cluster, column), plus, minus)
     return lp.unpack(lp.signed_sum([f])[0], low, width), lp.unpack(lp.signed_sum([g])[0], low, width)
 
 

@@ -156,14 +156,8 @@ class Lamination(NamedTuple("Lamination", [
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        curves: Tuple[Curve, ...],
-        shear: Optional[Tuple[int, ...]] = None,
-        arc_measures: Optional[Tuple[int, ...]] = None,
-        boundary_measures: Optional[Tuple[int, ...]] = None,
-    ):
-        return super().__new__(cls, curves, shear, arc_measures, boundary_measures)
+
+Lamination.__new__.__defaults__ = (None, None, None)
 
 
 def lamination_to_json(lam: Lamination) -> dict:
@@ -439,11 +433,7 @@ def annulus_fixture() -> AnnulusFixture:
         twist_word=(0, 1, 2, 3),
         twist_map=twist_map,
         arc_pairings=ArcPairingTable(((1, -1), (-1, 1), (-1, -1), (1, 1))),
-        boundary_matrix=[
-            [0, 0, 1, 1],
-            [0, 0, 1, 1],
-            [-1, -1, 0, 0],
-            [-1, -1, 0, 0],
+        boundary_matrix=[list(row) for row in ANNULUS_SEED_MATRIX[:4]] + [
             [1, 0, -1, 0],
             [0, 1, 0, -1],
             [0, 1, -1, 0],

@@ -206,6 +206,14 @@ class TestHatted:
         k = data.draw(st.integers(0, seed.n - 1))
         assert sd.hatted_mutation_check(reached, k)
 
+    @pytest.mark.parametrize("label", [-1, 3])
+    @pytest.mark.parametrize("read", [sd.hatted, sd.coefficient_pair])
+    def test_label_out_of_range(self, read, label):
+        # -1 would silently read column 2, and 3 would raise a bare IndexError
+        seed = sd.initial_seed(MARKOV, ["x0", "x1", "x2"])
+        with pytest.raises(ValueError, match=f"direction {label} out of range for rank 3"):
+            read(seed, label)
+
     def test_a2_both_directions(self):
         assert sd.hatted_mutation_check(a2_seed(), 0)
         assert sd.hatted_mutation_check(a2_seed(), 1)
