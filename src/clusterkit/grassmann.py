@@ -350,7 +350,7 @@ def flattoband_cases(ctx: GenericMatrixContext) -> List[Tuple[int, int, IndexSet
 def _joined(indices: Sequence[int]) -> str:
     """Indices written out with no separator while each is a single digit,
     else joined by "_", so names stay distinct for any n."""
-    return ("" if all(i < 10 for i in indices) else "_").join(map(str, indices))
+    return ("" if max(indices, default=0) < 10 else "_").join(map(str, indices))
 
 
 def plucker_name(cols: Sequence[int]) -> str:

@@ -1,6 +1,7 @@
 """Exchange-graph exploration, nerves, and quasi-automorphism search."""
 
 import json
+import math
 import random
 import textwrap
 from collections import deque
@@ -48,6 +49,10 @@ MARKOV = [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]
 def a_n(n):
     """Linearly oriented A_n quiver."""
     return [[(j == i + 1) - (i == j + 1) for j in range(n)] for i in range(n)]
+
+
+def a_n_seed(n):
+    return sd.initial_seed(a_n(n), [f"x{i}" for i in range(n)])
 
 
 def pentagon_cases():
@@ -110,11 +115,15 @@ def test_depth_cap_reported():
     assert len(graph.nodes) == 3
 
 
-def test_a6_closes_on_the_catalan_count():
-    graph = pt.explore(sd.initial_seed(a_n(6), [f"x{i}" for i in range(6)]))
+@pytest.mark.parametrize("n", range(2, 10))
+def test_a6_closes_on_the_catalan_count(n):
+    # A_n has Catalan(n+1) seeds, each with n neighbours (Fomin & Zelevinsky,
+    # "Cluster algebras II", 2003)
+    catalan = math.comb(2 * n + 2, n + 1) // (n + 2)
+    graph = pt.explore(a_n_seed(n), max_depth=100, max_nodes=30000)
     assert graph.complete
-    assert len(graph.nodes) == 429
-    assert sum(len(nbrs) for nbrs in graph.adjacency) == 2574
+    assert len(graph.nodes) == catalan
+    assert sum(len(nbrs) for nbrs in graph.adjacency) == n * catalan
 
 
 def test_explore_has_no_rank_cap():
@@ -379,20 +388,25 @@ def test_cluster_key_matches_brute_force_at_deficient_rank(b):
     assert pt.explore(seed).complete
 
 
+def random_skew_symmetrizable(n, rng):
+    """B = S D with S skew-symmetric (entries in [-1, 1]) and D a diagonal
+    of 1s and 2s, so that D B is skew-symmetric."""
+    d = [rng.choice((1, 1, 2)) for _ in range(n)]
+    s = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            s[i][j] = rng.randint(-1, 1)
+            s[j][i] = -s[i][j]
+    return [[s[i][j] * d[j] for j in range(n)] for i in range(n)]
+
+
 def random_skew_symmetrizable_seeds(count, rng):
-    """Seeds over B = S D with S skew-symmetric (entries in [-1, 1]) and D a
-    diagonal of 1s and 2s, so that D B is skew-symmetric, at ranks 2-5,
-    over 0-3 frozen rows with entries in [-1, 1]."""
+    """Seeds over `random_skew_symmetrizable` B at ranks 2-5, over 0-3
+    frozen rows with entries in [-1, 1]."""
     out = []
     for _ in range(count):
         n, m = rng.randint(2, 5), rng.randint(0, 3)
-        d = [rng.choice((1, 1, 2)) for _ in range(n)]
-        s = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                s[i][j] = rng.randint(-1, 1)
-                s[j][i] = -s[i][j]
-        b = [[s[i][j] * d[j] for j in range(n)] for i in range(n)]
+        b = random_skew_symmetrizable(n, rng)
         frozen = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(m)]
         out.append(sd.initial_seed(b + frozen, [f"x{i}" for i in range(n)] +
                                    [f"y{i}" for i in range(m)]))
@@ -554,6 +568,84 @@ def test_a2_trivial_direct_only_without_flag():
     found = pt.find_quasi_automorphisms(graph, seed, include_opposite=False)
     assert len(found) == 5
     assert all(r.direction == "direct" for r in found)
+
+
+def relabeling_cases():
+    """(b, target) pairs: each random b against itself, its negative and a
+    random relabeling of itself, and the rank-4 zero matrix, which every
+    relabeling keeps."""
+    rng = random.Random(41)
+    cases = []
+    for i in range(40):
+        b = random_skew_symmetrizable(rng.randint(2, 6), rng)
+        perm = rng.sample(range(len(b)), len(b))
+        targets = {"self": b, "negated": [[-v for v in row] for row in b],
+                   "relabeled": pt.permute_btilde(b, len(b), perm)}
+        cases += [pytest.param(b, target, id=f"{i}-rank{len(b)}-{kind}")
+                  for kind, target in targets.items()]
+    zero = [[0] * 4 for _ in range(4)]
+    return cases + [pytest.param(zero, zero, id="zero-rank4")]
+
+
+@pytest.mark.parametrize("b, target", relabeling_cases())
+def test_relabelings_match_brute_force(b, target):
+    n = len(b)
+    brute = [p for p in permutations(range(n)) if pt.permute_btilde(b, n, p)[:n] == target]
+    assert list(pt.relabelings(b, target)) == brute
+    if not any(map(any, b)):
+        assert len(brute) == math.factorial(n)
+
+
+def brute_force_quasi_automorphisms(graph, base):
+    """The search as it was first written: every node, every one of the n!
+    relabelings, direct before opposite."""
+    out, kept = [], {}
+    negated = [[-v for v in row] for row in base.principal]
+    for idx, node in enumerate(graph.nodes):
+        for perm in permutations(range(base.n)):
+            permuted = pt.permute_btilde(node.btilde, base.n, perm)
+            candidates = []
+            if permuted[: base.n] == base.principal:
+                candidates.append(("direct", permuted))
+            if permuted[: base.n] == negated:
+                candidates.append(("opposite", [[-v for v in row] for row in permuted]))
+            for direction, target in candidates:
+                m = qh.construct_qh(base.btilde, target, base.var_names, base.var_names)
+                if m is None:
+                    continue
+                bucket = kept.setdefault((idx, direction), [])
+                if any(qh.proportional(m, seen, base.btilde) is not None for seen in bucket):
+                    continue
+                bucket.append(m)
+                out.append((idx, perm, direction, m.matrix))
+    return out
+
+
+def gr_seed(k, n):
+    return gx.build_fixture(gx.make_context(k, n)).gr_seed
+
+
+# complete graphs and their (direct, opposite) record counts: for A_n the
+# n+3 rotations and n+3 reflections of the (n+3)-gon, the cluster
+# automorphism group (Assem, Schiffler & Shramchenko, Proc. LMS 104, 2012)
+QUASI_AUTOMORPHISM_COUNTS = [
+    *[pytest.param(lambda n=n: a_n_seed(n), (n + 3, n + 3), n <= 5, id=f"a{n}")
+      for n in range(2, 9)],
+    pytest.param(lambda: gr_seed(3, 6), (24, 24), True, id="gr36"),
+    pytest.param(lambda: gr_seed(3, 7), (14, 14), False, id="gr37"),
+]
+
+
+@pytest.mark.parametrize("make, counts, brute", QUASI_AUTOMORPHISM_COUNTS)
+def test_quasi_automorphisms_of_complete_graphs(make, counts, brute):
+    seed = make()
+    graph = pt.explore(seed, max_depth=100, max_nodes=30000)
+    assert graph.complete
+    found = pt.find_quasi_automorphisms(graph, seed)
+    assert tuple(sum(r.direction == d for r in found) for d in ("direct", "opposite")) == counts
+    if brute:
+        assert [(r.node, r.permutation, r.direction, r.matrix_map.matrix) for r in found] == \
+            brute_force_quasi_automorphisms(graph, seed)
 
 
 def test_gr35_rotation_found_and_certified():

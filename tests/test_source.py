@@ -189,6 +189,26 @@ def test_one_division_loop():
             assert not named & heap, f"{path.name} uses {sorted(named & heap)}"
 
 
+def test_one_relabeling_search():
+    # relabelings that keep a principal part are found by
+    # patterns.relabelings alone, which prunes each prefix: no loop over
+    # all n! permutations is left in patterns or in the annulus suites
+    # (surfaces.signed_permutation_group enumerates the signed group itself)
+    src = TESTS.parent / "src" / "clusterkit"
+    patterns = ast.parse((src / "patterns.py").read_text(encoding="utf-8"))
+    surfaces = ast.parse((src / "surfaces.py").read_text(encoding="utf-8"))
+    suites = next(node for node in ast.walk(surfaces)
+                  if isinstance(node, ast.FunctionDef) and node.name == "check_suites")
+    for name, tree in (("patterns.py", patterns), ("surfaces.check_suites", suites)):
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
+            node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)} | {
+            alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
+        assert "permutations" not in named, f"{name} uses permutations"
+    assert "relabelings" in {node.attr for node in ast.walk(suites)
+                             if isinstance(node, ast.Attribute)}
+
+
 def test_explore_mutates_matrices_only_for_new_nodes():
     # patterns keys nodes by cluster and divides through seeds.exchange_packed:
     # it packs, unpacks and divides nothing itself, and divides and mutates a
