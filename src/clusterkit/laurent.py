@@ -66,8 +66,8 @@ every exponent met and set by a borrow, so a quotient term with a negative
 exponent is refused.  A unit divisor returns the dividend as it is; every
 other divisor, a one-term one too, runs the loop, and there is no other
 short-cut.  `power` squares with each cross term computed once.  An
-`Operand` made with `keep_powers` also keeps the powers it is asked for,
-so that a mutation walk raises each cluster variable once per lane width.
+`Operand` keeps its powers in the one cache that holds its packing, so
+a walk or an exploration raises a variable once per width and exponent.
 
 `_add_product`, which adds scale·f·g into a sum in place, is the one product
 loop, and `signed_sum` the one evaluator of a sum of signed products: an
@@ -401,25 +401,22 @@ def variable_key(index: int, arity: int, width: int) -> int:
 
 class Operand:
     """A nonzero polynomial f with its componentwise minimum exponent `low`,
-    the largest total degree `degree` of x^-low f, and x^-low f packed once
-    per width asked for; a width whose lanes hold `degree` holds it, and a
-    narrower one raises ValueError.  An operand made with `keep_powers`
-    also keeps each power it is asked for, per width and exponent, for as
-    long as it lives.  `packed_form` makes one from a packing, and `poly`
-    is decoded from it the first time it is asked for."""
+    the largest total degree `degree` of x^-low f, and one cache from
+    (width, k) to (x^-low f)^k packed at that width, kept for as long as
+    the operand lives; the k = 1 entry is the packing.  A width whose
+    lanes hold `degree` holds the packing, and a narrower one raises
+    ValueError.  `packed_form` makes one from a packing, and `poly` is
+    decoded from it the first time it is asked for."""
 
-    __slots__ = ("poly", "low", "degree", "_packed", "_powers")
+    __slots__ = ("poly", "low", "degree", "_powers")
 
-    def __init__(self, f: Poly, keep_powers: bool = False):
+    def __init__(self, f: Poly):
         self.poly, self.low = f, min_exponent(f)
         self.degree = max(map(sum, f)) - sum(self.low) if len(f) > 1 else 0
-        self._packed: Dict[int, Packed] = {}
-        self._powers: Optional[Dict[Tuple[int, int], Packed]] = {} if keep_powers else None
+        self._powers: Dict[Tuple[int, int], Packed] = {}
 
     @classmethod
-    def packed_form(
-        cls, fp: Packed, low: Exponent, width: int, keep_powers: bool = False
-    ) -> Operand:
+    def packed_form(cls, fp: Packed, low: Exponent, width: int) -> Operand:
         """The operand x^low f of a nonzero packed f whose every variable
         lane reaches 0, so that `low` is its exact minimum.  The degree is
         the degree lane of the largest key.  The packing is kept at `width`
@@ -427,42 +424,38 @@ class Operand:
         degree is interned at, and decoded and packed afresh otherwise."""
         degree = max(fp) >> (width * len(low))
         if lane_width(degree) != width:
-            return cls(unpack(fp, low, width), keep_powers)
+            return cls(unpack(fp, low, width))
         out = cls.__new__(cls)
         out.low, out.degree = low, degree
-        out._packed = {width: fp}
-        out._powers = {} if keep_powers else None
+        out._powers = {(width, 1): fp}
         return out
 
     def __getattr__(self, name: str) -> Poly:
         # only an unset slot gets here: the `poly` of a `packed_form`
-        # operand, decoded from its one packing when first asked for
+        # operand, decoded from its first cache entry, the packing
         if name != "poly":
             raise AttributeError(name)
-        ((width, fp),) = self._packed.items()
+        (width, _), fp = next(iter(self._powers.items()))
         self.poly = unpack(fp, self.low, width)
         return self.poly
 
     def packed(self, width: int) -> Packed:
-        fp = self._packed.get(width)
+        fp = self._powers.get((width, 1))
         if fp is None:
             if self.degree >= 1 << (width - 1):
                 raise ValueError(f"degree {self.degree} does not fit a {width}-bit lane")
             # packing is linear, so key(e - low) = key(e) - key(low)
             weights, base = _weights(len(self.low), width), exponent_key(self.low, width)
             fp = {sum(map(_imul, e, weights)) - base: c for e, c in self.poly.items()}
-            self._packed[width] = fp
+            self._powers[width, 1] = fp
         return fp
 
     def power(self, width: int, k: int) -> Packed:
         """(x^-low f)^k for k >= 1, packed at a width whose lanes hold k
         times `degree`; the caller changes none of it."""
-        powers = self._powers
-        if powers is None:
-            return power_packed(self.packed(width), k)
-        fp = powers.get((width, k))
+        fp = self._powers.get((width, k))
         if fp is None:
-            fp = powers[width, k] = power_packed(self.packed(width), k)
+            fp = self._powers[width, k] = power_packed(self.packed(width), k)
         return fp
 
 

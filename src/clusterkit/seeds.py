@@ -241,7 +241,7 @@ def packed_terms(
     terms are shifted by the componentwise minimum `low` of their lo, so
     every exponent met is nonnegative, and one lane width holds the largest
     total degree a term reaches and `floor` (x_k's when dividing).  The
-    powers come from the operands, which may keep them."""
+    powers come from the operands, which keep them."""
     # per term: [lo, total degree of the product, scale, factors]
     sides = ([plus, 0, 1, []], [minus, 0, 1, []])
     for x, e in zip(cluster, column):
@@ -267,17 +267,17 @@ def packed_terms(
 
 
 def exchange_packed(
-    column: Sequence[int], k: int, cluster: Operands, plus: Exponent, minus: Exponent,
-    keep_powers: bool = False,
+    column: Sequence[int], k: int, cluster: Operands, plus: Exponent, minus: Exponent
 ) -> lp.Operand:
     """(p+ prod x_j^[b_jk]+ + p- prod x_j^[-b_jk]+) / x_k as an operand:
     `laurent.signed_sum` of the two `packed_terms`, divided by
     `laurent.div_packed` in their lanes, which uses the sum up.  Unless a
     key cancelled in the sum, the quotient stays packed: its minimum is the
-    terms' common one less x_k's, and its polynomial is decoded only when
-    asked for.  NotDivisible means the input is no seed (the Laurent
-    property fails); a vanishing quotient, possible with signed
-    coefficients, raises InvalidSeed."""
+    terms' common one less x_k's, its cache starts with that packing as
+    its first power, and its polynomial is decoded only when asked for.
+    NotDivisible means the input is no seed (the Laurent property fails);
+    a vanishing quotient, possible with signed coefficients, raises
+    InvalidSeed."""
     xk = cluster[k]
     low, width, f, g = packed_terms(column, cluster, plus, minus, xk.degree)
     total, cancelled = lp.signed_sum([f, g])
@@ -287,8 +287,8 @@ def exchange_packed(
     low = lp.exp_sub(low, xk.low)
     if cancelled:
         # the sum's minimum may lie above the terms': decode to find it
-        return lp.Operand(lp.unpack(quot, low, width), keep_powers)
-    return lp.Operand.packed_form(quot, low, width, keep_powers)
+        return lp.Operand(lp.unpack(quot, low, width))
+    return lp.Operand.packed_form(quot, low, width)
 
 
 def exchanged(seed: Seed, k: int) -> Poly:
@@ -301,13 +301,14 @@ def exchanged(seed: Seed, k: int) -> Poly:
 def mutation_walk(seed: Seed, word: Iterable[int]) -> Iterator[Seed]:
     """The seed after each mutation of the word, left to right.
 
-    The walk keeps one operand per cluster position, with its packings and
-    powers, so a step packs and raises only what changed: an operand is
-    made when an exchange first needs its variable, and a step keeps the
-    operand `exchange_packed` returns for position k, packed in the lanes
-    of that exchange, dropping the replaced one with its powers.  Each seed
-    skips `Seed._check`: mutation keeps the shape, the ambient arity and
-    the skew-symmetrizer, and `exchange_packed` checks the one new entry.
+    The walk keeps one operand per cluster position, with its one cache of
+    packings and powers, so a step packs and raises only what changed: an
+    operand is made when an exchange first needs its variable, and a step
+    keeps the operand `exchange_packed` returns for position k, packed in
+    the lanes of that exchange, dropping the replaced one with its cache.
+    Each seed skips `Seed._check`: mutation keeps the shape, the ambient
+    arity and the skew-symmetrizer, and `exchange_packed` checks the one
+    new entry.
     """
     ops: List[Optional[lp.Operand]] = [None] * seed.n
     for k in word:
@@ -315,8 +316,8 @@ def mutation_walk(seed: Seed, word: Iterable[int]) -> Iterator[Seed]:
         col = [row[k] for row in seed.btilde]
         for j, x in enumerate(seed.cluster):
             if ops[j] is None and (col[j] or j == k):
-                ops[j] = lp.Operand(x, keep_powers=True)
-        ops[k] = exchange_packed(col, k, ops, *frozen_pair(col, seed.n), keep_powers=True)
+                ops[j] = lp.Operand(x)
+        ops[k] = exchange_packed(col, k, ops, *frozen_pair(col, seed.n))
         cluster = list(seed.cluster)
         cluster[k] = ops[k].poly
         seed = Seed.trusted(mutate_matrix(seed.btilde, k), cluster, seed.var_names)

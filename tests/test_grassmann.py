@@ -701,6 +701,16 @@ def test_tropical_minimum_not_maximum():
     assert lhs != [max(x, y) for x, y in zip(one, two)]
 
 
+def test_tropical_failure_names_its_case(monkeypatch):
+    # the check fails on one instance, which the suite writes out
+    real = gr.tropical_c_check
+    monkeypatch.setattr(gr, "tropical_c_check", lambda ctx, base, *quad: (
+        (tuple(base), quad) != ((5,), (1, 2, 3, 4)) and real(ctx, base, *quad)))
+    suites = gr.check_suites(gr.build_fixture(CTX25), gr.factorizations(CTX25), None)
+    failed = {name: failures for name, _, failures in suites if failures}
+    assert failed == {"tropical_contents": ["base [5], quad [1, 2, 3, 4]"]}
+
+
 def test_tropical_check_matches_exponent_vectors(monkeypatch):
     # the check on content sets gives the verdict of the componentwise
     # minimum over exponent vectors, on made-up contents that break the

@@ -319,6 +319,20 @@ def test_capped_explore_divides_only_below_the_cap(monkeypatch):
     assert len(divided) == 199
 
 
+def test_explore_raises_each_packing_once(monkeypatch):
+    # an interned operand keeps the powers it is asked for, so each Markov
+    # variable is squared once per lane width, not again at every exchange
+    # whose column holds it
+    raised = []
+    power = lp.power_packed
+    monkeypatch.setattr(lp, "power_packed",
+                        lambda fp, k: raised.append((frozenset(fp.items()), k)) or power(fp, k))
+    graph = pt.explore(sd.initial_seed(MARKOV, ["a", "b", "c"]), max_depth=4, max_nodes=1000)
+    assert (graph.hit_depth, len(graph.nodes)) == (True, 46)
+    assert {k for _, k in raised} == {2}
+    assert len(raised) == len(set(raised)) == 21
+
+
 def test_gr37_rectangle_seed_closes_on_e6():
     # Gr(3,7) is of finite type E6: 833 seeds, 42 mutable cluster variables
     graph = pt.explore(gx.build_fixture(gx.make_context(3, 7)).gr_seed,

@@ -118,6 +118,13 @@ def test_apply_map_merges_colliding_terms():
     assert qh.apply_map(m, {(1, 0): 1, (0, 1): 1}) == {(1,): 2}
 
 
+def test_apply_map_drops_cancelled_terms():
+    m = qh.MonomialMap([[1, 1, 0], [0, 0, 1]], ["a", "b", "c"], ["z", "w"], 3, 2)
+    f = {(1, 0, 0): 1, (0, 1, 0): -1, (0, 0, 1): 3}
+    assert qh.apply_map(m, f) == {(0, 1): 3}
+    assert qh.apply_map(m, {(1, 0, 0): 2, (0, 1, 0): -2}) == {}
+
+
 def test_apply_map_arity_mismatch():
     m = qh.MonomialMap([[1, 1]], ["a", "b"], ["z"], 2, 1)
     with pytest.raises(ValueError):
@@ -350,6 +357,15 @@ def test_proportional_rejects_non_kernel_difference():
     assert qh.proportional(fstar(), m2, GR35_BTILDE) is None
 
 
+def test_proportional_rejects_mutable_difference():
+    # the maps differ in a mutable row, which no grading can change
+    matrix = [row[:] for row in FSTAR_MATRIX]
+    matrix[1][0] += 1
+    m2 = qh.MonomialMap(matrix, GR35_NAMES, BAND_NAMES, 2, 2)
+    assert qh.proportional(fstar(), m2, GR35_BTILDE) is None
+    assert qh.proportional(m2, m2, GR35_BTILDE) is not None
+
+
 def test_composite_rescales_every_generator():
     comp = qh.compose_maps(gstar(), fstar())
     scale = exp(7, p5=1, p6=1)
@@ -410,6 +426,24 @@ def test_nerve_fail_on_mutable_perturbation():
     matrix[1][0] += 1
     m = qh.MonomialMap(matrix, GR35_NAMES, BAND_NAMES, 2, 2)
     assert qh.check_on_nerve(m, STAR_NERVE, gr_seed(), band_seed()) == "fail"
+
+
+def test_nerve_fail_when_direct_and_opposite_both_break():
+    # the cluster entries y and 1 + y are no seed, and the two matrices
+    # differ in one frozen entry; each exchange gives the same variable in
+    # both, so the identity map passes every variable check.  At label 1
+    # the exchange terms match in order; at label 0 the sum 1 + y + y^2
+    # splits as y^2 + (1 + y) in one and 1 + y(1 + y) in the other, so
+    # neither order matches.  Label 1 comes first, so the verdict is
+    # reached at the last edge
+    names = ["x0", "x1", "y"]
+    y = lp.variable(2, 3)
+    cluster = [y, lp.add(y, lp.constant(1, 3))]
+    src = sd.Seed([[0, 1], [-1, 0], [2, 0]], cluster, names)
+    dst = sd.Seed([[0, 1], [-1, 0], [-1, 0]], cluster, names)
+    assert [sd.exchanged(src, k) for k in (0, 1)] == [sd.exchanged(dst, k) for k in (0, 1)]
+    m = qh.identity_map(src)
+    assert qh.check_on_nerve(m, [((), 1), ((), 0)], src, dst) == "fail"
 
 
 def test_nerve_missing_label():

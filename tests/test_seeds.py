@@ -232,6 +232,13 @@ class TestHatted:
         # away from it the propagation law is a formal identity and survives
         assert sd.hatted_mutation_check(corrupted, 1)
 
+    def test_nonzero_diagonal_fails_propagation(self):
+        # `Seed` rejects a nonzero diagonal entry; past that check, mutation
+        # at 0 still divides, x' = (x + 1) / x, but carries the hatted
+        # variable x to x / (x + 1), where the rule asks for its inverse
+        seed = sd.Seed.trusted([[1]], [lp.variable(0, 1)], ["x"])
+        assert not sd.hatted_mutation_check(seed, 0)
+
     def test_mutated_seed_inverts_hatted_at_k(self):
         seed = gr35_seed()
         mutated = sd.mutate_seed(seed, 0)

@@ -388,6 +388,14 @@ def test_half_turn_seed_admits_no_direct_map():
     assert candidates == 4
 
 
+def test_half_turn_failure_names_the_relabeling():
+    # with an empty half-turn word the base seed is its own image, and the
+    # identity is the one relabeling that the orbit test accepts
+    fx = sf.annulus_fixture()._replace(half_turn_word=())
+    suites = {name: failures for name, _, failures in sf.check_suites(fx)}
+    assert suites["half_turn_inequivalent"] == ["equivalent under relabeling (0, 1, 2, 3)"]
+
+
 def test_half_turn_seed_is_not_orbit_equivalent():
     fx = sf.annulus_fixture()
     base = ob.seedlike_from_seed(fx.seed)
