@@ -185,8 +185,6 @@ def _fast_det(entries: Sequence[Sequence[lp.Packed]]) -> lp.Packed:
         # the signed cofactor products of each minor on the first t+1 rows
         products: Dict[int, List[lp.Product]] = {}
         for mask, minor in level.items():
-            if not minor:
-                continue
             for j, entry in enumerate(row):
                 bit = 1 << j
                 if mask & bit or not entry:
@@ -485,6 +483,8 @@ def tropical_c_check(
     """
     if not i < j < k2 < l:
         raise InvalidIndex("need strictly increasing i < j < k < l")
+    if len(base) != ctx.rows - 2:
+        raise InvalidIndex(f"base needs {ctx.rows - 2} indices, got {len(base)}")
     touched = list(base) + [i, j, k2, l]
     residues = [(c - 1) % ctx.n + 1 for c in touched]
     if len(set(residues)) != ctx.rows + 2:
@@ -523,6 +523,8 @@ def substitute(f: Poly, images: Sequence[Poly], arity: int) -> Poly:
     """Composition f(images); exponents must be nonnegative.  The direct
     form of the composite identity, which `check_suites` decides instead
     in the chart, as the flat-to-band cases on all rows."""
+    if f and len(images) != len(next(iter(f))):
+        raise InvalidIndex(f"substitution needs one image per variable, got {len(images)}")
     out: Poly = {}
     for exp, coef in f.items():
         term = lp.constant(coef, arity)

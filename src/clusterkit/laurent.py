@@ -42,10 +42,11 @@ So a product of operands times a monomial has a known minimum, x_k's
 quotient of a sum of two such terms has the minimum of the sum less
 x_k's, and the sum's minimum is the terms' common one unless a key of
 one term cancels a key of the other.  `signed_sum` reports whether any key
-summed to zero, and `Operand.packed_form` keeps a quotient packed when
-none did: its degree is read off the degree lane of its largest key, and
-its polynomial is decoded only when asked for.  Packed at the lane width
-of its own degree, equal polynomials have equal packings.
+summed to zero, and `Operand.packed_form` keeps a quotient packed, at the
+width it was divided at, when none did: its degree is read off the degree
+lane of its largest key, and its polynomial is decoded only when asked
+for.  Packed at the lane width of its own degree, equal polynomials have
+equal packings.
 
 `div_packed` is the single division loop, and division runs packed only:
 its caller, `seeds.exchange_packed`, hands it an exchange sum and x_k
@@ -157,7 +158,9 @@ def scale(f: Poly, coef: int) -> Poly:
 
 
 def shift(f: Poly, e: Exponent) -> Poly:
-    """Multiply by the monomial x^e."""
+    """Multiply by the monomial x^e, of the polynomial's arity."""
+    if f and len(e) != _arity(f):
+        raise ValueError(f"shift exponent of arity {len(e)} for arity {_arity(f)}")
     return {exp_add(t, e): c for t, c in f.items()}
 
 
@@ -266,9 +269,12 @@ def tropicalize(f: Poly, num_mutable: int) -> Exponent:
 # printing, JSON
 
 def to_str(f: Poly, names: Sequence[str]) -> str:
-    """Readable form like '2*a*b^2 - c', terms in descending graded lex."""
+    """Readable form like '2*a*b^2 - c', terms in descending graded lex;
+    one name per variable."""
     if not f:
         return "0"
+    if len(names) != _arity(f):
+        raise ValueError(f"{len(names)} variable names for arity {_arity(f)}")
     pieces: List[str] = []
     for e in sorted(f, key=grlex_key, reverse=True):
         c = f[e]
@@ -320,27 +326,18 @@ def json_object(value: object, what: str, error: type = ValueError) -> dict:
     return value
 
 
-def json_ints(values: object, what: str, error: type = ValueError) -> List[int]:
-    """The values as a list when they are a JSON list of integers; any other
-    value, or a float, bool or string in the list, raises `error` instead of
-    being iterated, truncated or coerced."""
+def json_items(values: object, what: str, item: type, error: type = ValueError) -> list:
+    """The values as a list when they are a JSON list whose every entry has
+    type `item`, int or str; any other value, or an entry of another type
+    (a float, bool or string among integers, a number among strings),
+    raises `error` instead of being iterated, truncated, coerced or split
+    into characters."""
+    kind = "integers" if item is int else "strings"
     if type(values) is not list:
-        raise error(f"{what} must be a list of integers, got {values!r}")
+        raise error(f"{what} must be a list of {kind}, got {values!r}")
     for x in values:
-        if type(x) is not int:
-            raise error(f"{what} must be integers, got {x!r}")
-    return list(values)
-
-
-def json_names(values: object, what: str, error: type = ValueError) -> List[str]:
-    """The values as a list when they are a JSON list of strings; a string,
-    a number or any other value raises `error` instead of being split into
-    characters or turned into a name."""
-    if type(values) is not list:
-        raise error(f"{what} must be a list of strings, got {values!r}")
-    for x in values:
-        if type(x) is not str:
-            raise error(f"{what} must be strings, got {x!r}")
+        if type(x) is not item:
+            raise error(f"{what} must be {kind}, got {x!r}")
     return list(values)
 
 
@@ -358,17 +355,17 @@ def from_json(obj: dict) -> Tuple[Poly, List[str]]:
     """Inverse of to_json; validates arity and rejects duplicate exponents.
     A coefficient is a JSON integer or a plain decimal string: an optional
     minus sign and ASCII digits, nothing else."""
-    names = json_names(obj["vars"], "vars")
+    names = json_items(obj["vars"], "vars", str)
     f: Poly = {}
     for term in json_list(obj["terms"], "terms"):
-        e = tuple(json_ints(json_object(term, "terms entries")["exp"], "exponents"))
+        e = tuple(json_items(json_object(term, "terms entries")["exp"], "exponents", int))
         if len(e) != len(names):
             raise ValueError(f"exponent arity {len(e)} != {len(names)} variables")
         if e in f:
             raise ValueError(f"duplicate exponent {e}")
         coef = term["coef"]
         if type(coef) is not str:
-            c = json_ints([coef], "coefficients")[0]
+            c = json_items([coef], "coefficients", int)[0]
         else:
             c = plain_decimal(coef, "coefficient strings")
         if c:
@@ -419,14 +416,11 @@ class Operand:
     def packed_form(cls, fp: Packed, low: Exponent, width: int) -> Operand:
         """The operand x^low f of a nonzero packed f whose every variable
         lane reaches 0, so that `low` is its exact minimum.  The degree is
-        the degree lane of the largest key.  The packing is kept at `width`
-        when that is `lane_width(degree)`, the width every operand of that
-        degree is interned at, and decoded and packed afresh otherwise."""
-        degree = max(fp) >> (width * len(low))
-        if lane_width(degree) != width:
-            return cls(unpack(fp, low, width))
+        the degree lane of the largest key.  The packing is kept at `width`,
+        whatever it is, as the first cache entry: `packed` packs at any
+        other width on demand, from `poly`, which is decoded from it."""
         out = cls.__new__(cls)
-        out.low, out.degree = low, degree
+        out.low, out.degree = low, max(fp) >> (width * len(low))
         out._powers = {(width, 1): fp}
         return out
 

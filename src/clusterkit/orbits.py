@@ -114,14 +114,13 @@ def mutate_seedlike(sl: SeedLike, k: int) -> SeedLike:
     Any other representative differs by a rescaling, which seeds_equivalent
     absorbs.
     """
-    n = sl.n
-    if not 0 <= k < n:
-        raise ValueError(f"direction {k} out of range for rank {n}")
+    # the matrix first: it checks the direction before any entry is read
+    b = sd.mutate_matrix(sl.b, k)
     column = [row[k] for row in sl.b]
     cluster = list(sl.cluster)
     cluster[k] = sd.exchange_packed(column, k, sd.operands(sl.cluster, column, k), *sl.pairs[k]).poly
     pairs: List[sd.Pair] = []
-    for j in range(n):
+    for j in range(sl.n):
         if j == k:
             pairs.append((sl.pairs[k][1], sl.pairs[k][0]))
             continue
@@ -131,7 +130,7 @@ def mutate_seedlike(sl: SeedLike, k: int) -> SeedLike:
             pairs.append((lp.exp_add(pj_plus, _scaled(sl.pairs[k][0], bkj)), pj_minus))
         else:
             pairs.append((pj_plus, lp.exp_add(pj_minus, _scaled(sl.pairs[k][1], -bkj))))
-    return SeedLike(sd.mutate_matrix(sl.b, k), cluster, pairs, sl.var_names)
+    return SeedLike(b, cluster, pairs, sl.var_names)
 
 
 def frozen_ratio(f: Poly, g: Poly, num_mutable: int) -> Optional[Exponent]:

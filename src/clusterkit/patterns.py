@@ -10,8 +10,9 @@ Interning.  One exploration holds each distinct cluster variable once, in a
 mutation word, the id tuple of its cluster and its extended exchange
 matrix.  A variable is keyed by its minimum exponent and its packing at
 the lane width of its own degree, so a quotient of
-`seeds.exchange_packed`, which arrives packed there, is interned on ints
-and decoded only once, for output or for `PatternNode.seed`.
+`seeds.exchange_packed`, which nearly always arrives packed there (it
+keeps the width it was divided at), is interned on ints and decoded only
+once, for output or for `PatternNode.seed`.
 
 Identity and adjacency are the cluster alone.  Theorem: for a seed of a
 skew-symmetrizable pattern of geometric type, (1) a seed is determined by
@@ -74,7 +75,6 @@ prefixes per seed on average and 8 at most, where n! is 40320.
 from __future__ import annotations
 
 import json
-from collections import deque
 from itertools import chain
 from typing import Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Sequence, Tuple
 
@@ -176,7 +176,9 @@ class ExplorationGraph(NamedTuple("ExplorationGraph", [
 def explore(
     initial: sd.Seed, max_depth: int = 16, max_nodes: int = 500
 ) -> ExplorationGraph:
-    """Breadth-first mutation closure up to relabeling.
+    """Breadth-first mutation closure up to relabeling.  Nodes are
+    appended in breadth-first order, so the node list is the queue: the
+    loop expands them in turn while `add` appends.
 
     Each new node closes every open facet it shares with an explored node
     and records that edge both ways, so a direction still open when its
@@ -206,13 +208,11 @@ def explore(
     # open facet (cluster id bitmask less one bit) -> (node, label); only a
     # node that keeps edges opens one
     facets: Dict[int, Tuple[int, int]] = {}
-    queue: deque = deque()
 
     def add(word: Tuple[int, ...], ids: Tuple[int, ...], btilde: Rows) -> None:
         new = len(nodes)
         nodes.append(PatternNode(word, ids, btilde, variables))
         adjacency.append({})
-        queue.append(new)
         keeps = len(word) < max_depth
         bits = [1 << i for i in ids]
         mask = sum(bits)
@@ -232,9 +232,7 @@ def explore(
     quotients: Dict[tuple, int] = {}
     operands = variables.operands
     hit_depth = hit_nodes = False
-    while queue:
-        idx = queue.popleft()
-        node = nodes[idx]
+    for idx, node in enumerate(nodes):
         if len(node.word) >= max_depth:
             hit_depth = True
             continue
@@ -275,6 +273,8 @@ def explore(
 
 def star_neighborhood(graph: ExplorationGraph, node: int) -> List[NerveEdge]:
     """The n tree edges at one vertex, as a nerve anchored at its word."""
+    if not 0 <= node < len(graph.nodes):
+        raise ValueError(f"node {node} out of range for {len(graph.nodes)} nodes")
     word = graph.nodes[node].word
     missing = [k for k in range(len(graph.nodes[node].ids)) if k not in graph.adjacency[node]]
     if missing:
@@ -327,6 +327,9 @@ def find_quasi_automorphisms(
     per proportionality class.  On a truncated graph the list is a lower
     bound, nothing more.
     """
+    rank = len(graph.nodes[0].ids)
+    if base.n != rank:
+        raise qh.PrincipalMismatch(f"base of rank {base.n} for a graph of rank {rank}")
     out: List[QuasiAutomorphism] = []
     kept: Dict[Tuple[int, str], List[qh.MonomialMap]] = {}
     signs = {"direct": 1, "opposite": -1} if include_opposite else {"direct": 1}

@@ -107,11 +107,11 @@ def map_from_json(obj: dict, src_mutable: int, dst_mutable: int) -> MonomialMap:
     them from the seed context the map travels with."""
     obj = lp.json_object(obj, "the top level", InvalidMap)
     matrix = [
-        lp.json_ints(row, "map entries", InvalidMap)
+        lp.json_items(row, "map entries", int, InvalidMap)
         for row in lp.json_list(obj["matrix"], "matrix", InvalidMap)
     ]
-    src_vars = lp.json_names(obj["src_vars"], "src_vars", InvalidMap)
-    dst_vars = lp.json_names(obj["dst_vars"], "dst_vars", InvalidMap)
+    src_vars = lp.json_items(obj["src_vars"], "src_vars", str, InvalidMap)
+    dst_vars = lp.json_items(obj["dst_vars"], "dst_vars", str, InvalidMap)
     return MonomialMap(matrix, src_vars, dst_vars, src_mutable, dst_mutable)
 
 

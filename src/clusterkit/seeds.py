@@ -45,7 +45,7 @@ def mutate_matrix(btilde: Sequence[Sequence[int]], k: int) -> List[Sequence[int]
     no caller may write into a row it passes in or gets back: seeds are
     immutable, and successive seeds of a walk share these rows.
     """
-    n = len(btilde[0])
+    n = len(btilde[0]) if btilde else 0
     _check_direction(k, n)
     row_k = btilde[k]
     out = []
@@ -434,16 +434,16 @@ def seed_to_json(seed: Seed) -> dict:
 
 def seed_from_json(obj: dict) -> Seed:
     obj = lp.json_object(obj, "the top level", InvalidSeed)
-    n, m = lp.json_ints([obj["n"], obj["m"]], "n and m", InvalidSeed)
+    n, m = lp.json_items([obj["n"], obj["m"]], "n and m", int, InvalidSeed)
     if n < 0 or m < 0:
         raise InvalidSeed(f"n and m must be nonnegative, got n={n}, m={m}")
     btilde = [
-        lp.json_ints(row, "btilde entries", InvalidSeed)
+        lp.json_items(row, "btilde entries", int, InvalidSeed)
         for row in lp.json_list(obj["btilde"], "btilde", InvalidSeed)
     ]
     if len(btilde) != n + m or any(len(row) != n for row in btilde):
         raise InvalidSeed(f"btilde shape is not {n + m} x {n}")
-    names = lp.json_names(obj["var_names"], "var_names", InvalidSeed)
+    names = lp.json_items(obj["var_names"], "var_names", str, InvalidSeed)
     cluster = []
     for entry in lp.json_list(obj["cluster"], "cluster", InvalidSeed):
         poly, poly_names = lp.from_json(lp.json_object(entry, "cluster entries", InvalidSeed))

@@ -323,6 +323,9 @@ def residue(
     """
     if len(shear) != len(table.rows):
         raise InvalidSurfaceData("shear vector length differs from arc count")
+    if not 0 <= comp < table.num_components:
+        raise InvalidSurfaceData(
+            f"component {comp} out of range for {table.num_components} components")
     return sum(row[comp] * b for row, b in zip(table.rows, shear))
 
 

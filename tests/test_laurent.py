@@ -118,6 +118,13 @@ class TestRingAxioms:
         for c in lp.mul(f, f).values():
             assert type(c) is int
 
+    def test_scaling_by_zero_leaves_no_terms(self):
+        # not the terms with coefficient 0
+        assert lp.scale({(1, 0): 3, (0, 2): -1}, 0) == {}
+
+    def test_positive_power_of_zero_is_zero(self):
+        assert lp.power({}, 3) == {}
+
 
 class TestSympyOracle:
     @given(polys(), polys())
@@ -289,6 +296,13 @@ class TestPackedKernel:
         assert exact_quotient(product, f) == g
         assert lp.power(f, 2) == lp.mul(f, f)
         assert lp.power(f, 3) == lp.mul(f, lp.mul(f, f))
+
+    def test_operand_has_no_attribute_but_its_fields(self):
+        # a packed operand decodes `poly` on demand, and only `poly`
+        x = lp.Operand({(1, 0): 1, (0, 1): 1})
+        with pytest.raises(AttributeError):
+            x.missing
+        assert not hasattr(x, "missing")
 
     @pytest.mark.parametrize("bound", [0, 1, 127, 128, 2 ** 31, 2 ** 63, 2 ** 80])
     def test_pack_round_trip_at_the_lane_bound(self, bound):

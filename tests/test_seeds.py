@@ -85,6 +85,9 @@ class TestMatrixMutation:
     def test_symmetrizer_rejects_same_sign_pair(self):
         assert sd.skew_symmetrizer([[0, 1], [1, 0]]) is None
 
+    def test_symmetrizer_rejects_a_non_square_matrix(self):
+        assert sd.skew_symmetrizer([[0, 1]]) is None
+
 
 class TestSeedMutation:
     def test_a2_first_exchange(self):
@@ -270,6 +273,10 @@ class TestIndecomposable:
             [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0]]
         )
         assert sd.is_indecomposable([[0]])
+
+    def test_empty_matrix_is_indecomposable(self):
+        # the graph on no vertices is connected
+        assert sd.is_indecomposable([])
 
 
 class TestSerialization:

@@ -360,3 +360,28 @@ def test_cli_writes_seeds_through_one_writer():
         and "sd.Seed" in map(ast.unparse, [node.left, *node.comparators])
     }
     assert writers == {"_json"}
+
+
+def test_no_second_copies():
+    # explore's node list is its queue, one reader checks a typed JSON list,
+    # a packed operand keeps the packing it is made with at any width, and
+    # orbit mutation leaves its direction check to seeds.mutate_matrix
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in SOURCES}
+
+    def names(tree):
+        return {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(tree)
+                if isinstance(node, (ast.Attribute, ast.Name, ast.FunctionDef))} | {
+            alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
+
+    assert "deque" not in names(trees["patterns.py"])
+    for name, tree in trees.items():
+        assert not names(tree) & {"json_ints", "json_names"}, name
+    packed_form = next(node for node in ast.walk(trees["laurent.py"])
+                       if isinstance(node, ast.FunctionDef) and node.name == "packed_form")
+    assert "unpack" not in {ast.unparse(node.func) for node in ast.walk(packed_form)
+                            if isinstance(node, ast.Call)}
+    texts = [node.value for node in ast.walk(trees["orbits.py"])
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    assert not [text for text in texts if "out of range" in text]
