@@ -625,10 +625,7 @@ def orbit_eq(left_file: str, right_file: str, fmt: str) -> None:
     )
     payload: Payload = {"equivalent": witness is not None}
     if witness is not None:
-        payload["rescaling"] = {
-            "c": [list(e) for e in witness.c],
-            "d": [list(e) for e in witness.d],
-        }
+        payload["rescaling"] = witness._asdict()
     _emit(payload, fmt, _orbit_lines)
     _finish(witness is not None)
 

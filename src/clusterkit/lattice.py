@@ -54,6 +54,8 @@ def vec_mat(v: Sequence[int], a: Sequence[Sequence[int]]) -> Vector:
 
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> Vector:
+    if a and len(a[0]) != len(v):
+        raise ValueError("inner dimensions differ")
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 

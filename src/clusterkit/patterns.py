@@ -95,7 +95,10 @@ def permute_btilde(
     btilde: Sequence[Sequence[int]], n: int, perm: Sequence[int]
 ) -> List[List[int]]:
     """Relabel mutable indices: principal rows and all columns move, frozen
-    rows stay put."""
+    rows stay put.  A perm that is no permutation of range(n) raises
+    ValueError."""
+    if sorted(perm) != list(range(n)):
+        raise ValueError(f"{list(perm)} is not a permutation of range({n})")
     out = []
     for i in range(len(btilde)):
         src_row = btilde[perm[i]] if i < n else btilde[i]
@@ -302,8 +305,12 @@ def relabelings(
     with the sorted row and column of its index, which a relabeling
     keeps, and a prefix is extended only by an image whose new row and
     column match, diagonal included, so no relabeling that a mismatched
-    prefix rules out is visited."""
+    prefix rules out is visited.  A principal part of another size than
+    btilde's rank raises ValueError."""
     n = len(principal)
+    rank = len(btilde[0]) if btilde else 0
+    if n != rank:
+        raise ValueError(f"principal part of size {n} for a matrix of rank {rank}")
     held, wanted = ([(sorted(m[i][:n]), sorted([row[i] for row in m[:n]])) for i in range(n)]
                     for m in (btilde, principal))
     images = [[v for v in range(n) if held[v] == target] for target in wanted]
@@ -325,17 +332,23 @@ def find_quasi_automorphisms(
     permutation and then direct before opposite, the row-span solver is
     asked for a map; per target and orientation, solutions are kept one
     per proportionality class.  On a truncated graph the list is a lower
-    bound, nothing more.
+    bound, nothing more.  A base of another rank raises PrincipalMismatch,
+    one with another number of frozen rows ValueError.
     """
     rank = len(graph.nodes[0].ids)
     if base.n != rank:
         raise qh.PrincipalMismatch(f"base of rank {base.n} for a graph of rank {rank}")
+    frozen = len(graph.nodes[0].btilde) - rank
+    if base.m != frozen:
+        raise ValueError(f"frozen row counts differ: base {base.m}, graph {frozen}")
     out: List[QuasiAutomorphism] = []
     kept: Dict[Tuple[int, str], List[qh.MonomialMap]] = {}
     signs = {"direct": 1, "opposite": -1} if include_opposite else {"direct": 1}
+    principals = [(direction, [[sign * v for v in row] for row in base.principal])
+                  for direction, sign in signs.items()]
     for idx, node in enumerate(graph.nodes):
-        found = [(perm, direction) for direction, sign in signs.items() for perm in relabelings(
-            node.btilde, [[sign * v for v in row] for row in base.principal])]
+        found = [(perm, direction) for direction, principal in principals
+                 for perm in relabelings(node.btilde, principal)]
         for perm, direction in sorted(found):
             target = [[signs[direction] * v for v in row]
                       for row in permute_btilde(node.btilde, base.n, perm)]

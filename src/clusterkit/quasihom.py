@@ -165,9 +165,10 @@ def verify_report(
     the source extended matrix to the target one, and the frozen monomial
     ratio of each source cluster variable's image to its target counterpart
     (None when there is none).  The verdict is their conjunction; with
-    allow_opposite, a failed direct test is retried against the opposite
-    target seed.  Seeds of different rank raise PrincipalMismatch, and a map
-    that does not fit the seeds raises InvalidMap.
+    allow_opposite, the principal parts and matrices may match negated
+    instead, as the opposite target seed has the same cluster over -B~,
+    but the report's fields stay the direct ones.  Seeds of different rank
+    raise PrincipalMismatch, and a map that does not fit raises InvalidMap.
     """
     if src.n != dst.n:
         raise PrincipalMismatch("principal ranks must agree")
@@ -179,17 +180,20 @@ def verify_report(
         ob.frozen_ratio(apply_map(m, x), y, dst.n)
         for x, y in zip(src.cluster, dst.cluster)
     ]
+    image = la.matmul(m.matrix, src.btilde)
     report = {
         "principal_equal": src.principal == dst.principal,
-        "matrix_identity": la.matmul(m.matrix, src.btilde) == dst.btilde,
+        "matrix_identity": image == dst.btilde,
         "variables": [
             {"name": name, "frozen_ratio": None if r is None else list(r), "ok": r is not None}
             for name, r in zip(src.var_names, ratios)
         ],
     }
-    report["verdict"] = (
-        report["principal_equal"] and report["matrix_identity"] and None not in ratios
-    ) or (allow_opposite and verify_report(m, src, sd.opposite_seed(dst))["verdict"])
+    matched = report["principal_equal"] and report["matrix_identity"]
+    if allow_opposite and not matched:
+        opposite = [[-x for x in row] for row in dst.btilde]
+        matched = image == opposite and src.principal == [r[: dst.n] for r in opposite[: dst.n]]
+    report["verdict"] = matched and None not in ratios
     return report
 
 
@@ -381,17 +385,17 @@ def check_on_nerve(
     relation must match the target's pair with one common ratio, either in
     order (target pattern) or crossed (its opposite).  Targets whose
     exchange matrix decomposes are rejected, since the two cases would not
-    be mutually exclusive.
+    be mutually exclusive; mutation keeps decomposability, so the target
+    is tested at the first vertex alone.
     """
     edges = list(nerve)
     vertices = nerve_vertices(edges, src_seed.n)
-    src_at: Dict[Tuple[int, ...], sd.Seed] = {}
-    dst_at: Dict[Tuple[int, ...], sd.Seed] = {}
-    for v in vertices:
-        src_at[v] = sd.mutate_word(src_seed, v)
-        dst_at[v] = sd.mutate_word(dst_seed, v)
-        if not sd.is_indecomposable(dst_at[v].principal):
-            raise DecomposableTarget(f"target at vertex {v} decomposes")
+    src_at = {v: sd.mutate_word(src_seed, v) for v in vertices}
+    dst_at = {v: sd.mutate_word(dst_seed, v) for v in vertices}
+    # for i, j != k, mutation at k changes b_ij only if b_ik b_kj != 0, so it
+    # joins no two components; an involution, it splits none either
+    if not sd.is_indecomposable(dst_at[vertices[0]].principal):
+        raise DecomposableTarget(f"target at vertex {vertices[0]} decomposes")
     direct_all = opposite_all = True
     for word, label in edges:
         a = reduce_word(word)

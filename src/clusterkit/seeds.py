@@ -308,11 +308,12 @@ def mutation_walk(seed: Seed, word: Iterable[int]) -> Iterator[Seed]:
     the lanes of that exchange, dropping the replaced one with its cache.
     Each seed skips `Seed._check`: mutation keeps the shape, the ambient
     arity and the skew-symmetrizer, and `exchange_packed` checks the one
-    new entry.
+    new entry.  The matrix is mutated first, so `mutate_matrix` rejects a
+    direction out of range before any entry is read.
     """
     ops: List[Optional[lp.Operand]] = [None] * seed.n
     for k in word:
-        _check_direction(k, seed.n)
+        btilde = mutate_matrix(seed.btilde, k)
         col = [row[k] for row in seed.btilde]
         for j, x in enumerate(seed.cluster):
             if ops[j] is None and (col[j] or j == k):
@@ -320,7 +321,7 @@ def mutation_walk(seed: Seed, word: Iterable[int]) -> Iterator[Seed]:
         ops[k] = exchange_packed(col, k, ops, *frozen_pair(col, seed.n))
         cluster = list(seed.cluster)
         cluster[k] = ops[k].poly
-        seed = Seed.trusted(mutate_matrix(seed.btilde, k), cluster, seed.var_names)
+        seed = Seed.trusted(btilde, cluster, seed.var_names)
         yield seed
 
 
@@ -336,31 +337,21 @@ def mutate_word(seed: Seed, word: Sequence[int]) -> Seed:
     return seed
 
 
-def opposite_seed(seed: Seed) -> Seed:
-    """Same cluster over the negated extended exchange matrix."""
-    return Seed([[-x for x in row] for row in seed.btilde], seed.cluster, seed.var_names)
-
-
 # ---------------------------------------------------------------------------
 # hatted variables
-
-def rp_mul(a: RationalPair, b: RationalPair) -> RationalPair:
-    return lp.mul(a[0], b[0]), lp.mul(a[1], b[1])
-
 
 def rp_inv(a: RationalPair) -> RationalPair:
     return a[1], a[0]
 
 
-def rp_power(a: RationalPair, k: int) -> RationalPair:
-    # components are nonzero by construction, so lp.power handles k = 0
-    if k < 0:
-        return rp_power(rp_inv(a), -k)
-    return lp.power(a[0], k), lp.power(a[1], k)
-
-
-def rp_plus_one(a: RationalPair) -> RationalPair:
-    return lp.add(a[0], a[1]), a[1]
+def rp_propagated(yj: RationalPair, yk: RationalPair, b: int) -> RationalPair:
+    """y_j * y_k^[b]+ * (y_k + 1)^-b, the propagation of y_j by mutation
+    at k with b = b_kj.  With y_k = N / D, y_k + 1 = (N + D) / D, so it is
+    y_j N^b / (N + D)^b for b >= 0 and y_j (N + D)^-b / D^-b for b < 0."""
+    num, den = yk
+    plus_one = lp.add(num, den)
+    top, bottom = (num, plus_one) if b >= 0 else (plus_one, den)
+    return lp.mul(yj[0], lp.power(top, abs(b))), lp.mul(yj[1], lp.power(bottom, abs(b)))
 
 
 def rp_equal(a: RationalPair, b: RationalPair) -> bool:
@@ -392,31 +383,20 @@ def hatted_mutation_check(seed: Seed, k: int) -> bool:
 
     Recomputes the hatted tuple from the mutated seed and compares it with
     the propagation rule applied to the current tuple: inversion at k, and
-    y_j * y_k^[b_kj]+ * (y_k + 1)^(-b_kj) away from k.  A seed that cannot
-    even be mutated (exchange division fails) checks false rather than
-    raising: such data is not a seed of any pattern.
+    `rp_propagated`, the closed form of y_j * y_k^[b_kj]+ * (y_k + 1)^-b_kj,
+    away from k.  A seed that cannot even be mutated (exchange division
+    fails) checks false rather than raising: such data is not a seed of
+    any pattern.
     """
     try:
         mutated = mutate_seed(seed, k)
     except lp.NotDivisible:
         return False
     before = [hatted(seed, j) for j in range(seed.n)]
-    after = [hatted(mutated, j) for j in range(seed.n)]
-    for j in range(seed.n):
-        if j == k:
-            expected = rp_inv(before[k])
-        else:
-            bkj = seed.btilde[k][j]
-            expected = rp_mul(
-                before[j],
-                rp_mul(
-                    rp_power(before[k], max(bkj, 0)),
-                    rp_power(rp_plus_one(before[k]), -bkj),
-                ),
-            )
-        if not rp_equal(after[j], expected):
-            return False
-    return True
+    return all(
+        rp_equal(hatted(mutated, j), rp_inv(before[k]) if j == k
+                 else rp_propagated(before[j], before[k], seed.btilde[k][j]))
+        for j in range(seed.n))
 
 
 # ---------------------------------------------------------------------------

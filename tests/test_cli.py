@@ -112,6 +112,11 @@ def write_seed(tmp_path, name, seed):
     return str(path)
 
 
+def opposite(seed):
+    """The opposite seed: the same cluster over the negated matrix."""
+    return sd.Seed([[-x for x in row] for row in seed.btilde], seed.cluster, seed.var_names)
+
+
 def evaluated(f, vals):
     """The Laurent polynomial f at exact rational values."""
     return sum(c * prod(Fraction(v) ** k for v, k in zip(vals, e)) for e, c in f.items())
@@ -478,7 +483,8 @@ def test_text_writers_match_golden_digest(runner, gr25, tmp_path, argv):
 # mutate with an empty word and with --out, the text of verify-qh
 # --inverse, an inverse map that does not chain, and a map into the
 # opposite of the target's pattern with and without --opposite (the one
-# command-line path to seeds.opposite_seed); recorded from the
+# command-line path to the negated matrix test of qh.verify_report, which
+# was the one path to seeds.opposite_seed until it went); recorded from the
 # implementation that still had laurent.exact_div; and the exit-2 stderr of
 # the text base report on unsupported dimensions, recorded from the
 # implementation that built the whole JSON payload before it printed
@@ -504,7 +510,7 @@ GOLDEN_PATHS = {
 def test_other_paths_match_golden_digest(runner, gr25, tmp_path, monkeypatch, argv):
     fx, paths = gr25
     monkeypatch.chdir(tmp_path)
-    paths["opposite"] = write_seed(tmp_path, "opposite", sd.opposite_seed(fx.band_seed))
+    paths["opposite"] = write_seed(tmp_path, "opposite", opposite(fx.band_seed))
     # the inverse map renames a source variable, so it reads no variable
     # that the forward map writes
     unchained = qh.map_to_json(fx.gstar_map)

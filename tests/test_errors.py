@@ -23,10 +23,14 @@ def _map(dst: str, src_mutable: int = 1):
     return qh.MonomialMap([[1]], ["a"], [dst], src_mutable, 1)
 
 
+_A2 = sd.initial_seed([[0, 1], [-1, 0]], ["a", "b"])
+
+
 def _a2_graph():
-    return pt.explore(sd.initial_seed([[0, 1], [-1, 0]], ["a", "b"]))
+    return pt.explore(_A2)
 
 
+_A2_FROZEN = sd.initial_seed([[0, 1], [-1, 0], [1, 0]], ["a", "b", "p"])
 _A3 = sd.initial_seed([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], ["a", "b", "c"])
 _PAIRINGS = sf.ArcPairingTable(((1, 0), (0, 1)))
 
@@ -45,6 +49,8 @@ ERRORS = [
     (lambda: lp.shift({(1, 1): 1}, (1,)), ValueError, "shift exponent of arity 1 for arity 2"),
     # lattice
     (lambda: la.vec_mat([1, 2], [[1]]), ValueError, "inner dimensions differ"),
+    (lambda: la.mat_vec([[1, 2]], [1]), ValueError, "inner dimensions differ"),
+    (lambda: la.mat_vec([[1, 2]], [1, 2, 3]), ValueError, "inner dimensions differ"),
     (lambda: la.solve_left_all([[1, 0]], [[1]]), ValueError, "right-hand side has wrong length"),
     # seeds
     (lambda: sd.mutate_matrix([[0]], 3), ValueError, "direction 3 out of range for rank 1"),
@@ -82,6 +88,18 @@ ERRORS = [
     (lambda: pt.star_neighborhood(_a2_graph(), -1), ValueError, "node -1 out of range for 5 nodes"),
     (lambda: pt.find_quasi_automorphisms(_a2_graph(), _A3), qh.PrincipalMismatch,
      "base of rank 3 for a graph of rank 2"),
+    (lambda: pt.find_quasi_automorphisms(_a2_graph(), _A2_FROZEN), ValueError,
+     "frozen row counts differ: base 1, graph 0"),
+    (lambda: pt.find_quasi_automorphisms(pt.explore(_A2_FROZEN), _A2), ValueError,
+     "frozen row counts differ: base 0, graph 1"),
+    (lambda: pt.relabelings([[0, 1], [-1, 0]], [[0]]), ValueError,
+     "principal part of size 1 for a matrix of rank 2"),
+    (lambda: pt.relabelings([[0, 1], [-1, 0]], [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]), ValueError,
+     "principal part of size 3 for a matrix of rank 2"),
+    (lambda: pt.permute_btilde([[0, 1], [-1, 0]], 2, [0]), ValueError,
+     "[0] is not a permutation of range(2)"),
+    (lambda: pt.permute_btilde([[0, 1], [-1, 0]], 2, [0, 0]), ValueError,
+     "[0, 0] is not a permutation of range(2)"),
     # grassmann
     (lambda: gx.substitute({(1, 1): 1}, [{(1,): 1}], 1), gx.InvalidIndex,
      "one image per variable, got 1"),

@@ -23,6 +23,7 @@ command line's JSON writer.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -289,6 +290,28 @@ def odd_seeds(draw):
     return sd.Seed(btilde, cluster, names)
 
 
+def tame_seeds(rng, count):
+    """Rank 2-3 seeds with 1-2 frozen rows, each walked along a random word
+    of length 0-3: rank-2 doubles and rank-3 paths, whose entries stay
+    small."""
+    out = []
+    for _ in range(count):
+        n = rng.randint(2, 3)
+        btilde = [[0] * n for _ in range(n)]
+        for i in range(n - 1):
+            e = rng.choice([1, 2] if n == 2 else [1]) * rng.choice([1, -1])
+            btilde[i][i + 1], btilde[i + 1][i] = e, -e
+        btilde += [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, 2))]
+        names = [f"x{i}" for i in range(len(btilde))]
+        seed = sd.initial_seed(btilde, names)
+        out.append(sd.mutate_word(seed, [rng.randrange(n) for _ in range(rng.randint(0, 3))]))
+    return out
+
+
+def sympy_laurent(f, gens):
+    return sympy.Add(*[c * sympy.Mul(*[g ** k for g, k in zip(gens, e)]) for e, c in f.items()])
+
+
 # ---------------------------------------------------------------------------
 # properties
 
@@ -431,3 +454,22 @@ def test_composite_identity_matches_substitution(kn, monkeypatch):
     results = composite_identity(ctx)
     assert results == ref_composite_identity(ctx)
     assert not all(holds for _, holds in results)
+
+
+@pytest.mark.parametrize("seed", tame_seeds(random.Random(2007), 8), ids=lambda s: f"n{s.n}m{s.m}")
+def test_rp_propagated_matches_sympy(seed):
+    # the closed form of the hatted propagation against the rule itself,
+    # y_j y_k^[b]+ (y_k + 1)^-b, in sympy's rational functions, for every
+    # sign of b on the seed's own hatted variables
+    gens = sympy.symbols(f"v:{seed.n + seed.m}")
+    hatted = [sd.hatted(seed, j) for j in range(seed.n)]
+    values = [sympy_laurent(num, gens) / sympy_laurent(den, gens) for num, den in hatted]
+    for k in range(seed.n):
+        for j in range(seed.n):
+            if j == k:
+                continue
+            for b in (-2, -1, 0, 1, 2):
+                num, den = sd.rp_propagated(hatted[j], hatted[k], b)
+                rule = values[j] * values[k] ** max(b, 0) * (values[k] + 1) ** -b
+                got = sympy_laurent(num, gens) / sympy_laurent(den, gens)
+                assert sympy.cancel(got - rule) == 0, (k, j, b)

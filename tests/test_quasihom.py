@@ -79,6 +79,11 @@ def gstar():
     return qh.MonomialMap(GSTAR_MATRIX, BAND_NAMES, GR35_NAMES, 2, 2)
 
 
+def opposite(seed):
+    """The opposite seed: the same cluster over the negated matrix."""
+    return sd.Seed([[-x for x in row] for row in seed.btilde], seed.cluster, seed.var_names)
+
+
 def exp(arity, **positions):
     out = [0] * arity
     for key, value in positions.items():
@@ -261,7 +266,7 @@ def test_verify_report_witnesses():
 
 
 def test_verify_report_keeps_direct_witnesses_under_opposite():
-    src, dst = gr_seed(), sd.opposite_seed(band_seed())
+    src, dst = gr_seed(), opposite(band_seed())
     direct = qh.verify_report(fstar(), src, dst)
     either = qh.verify_report(fstar(), src, dst, allow_opposite=True)
     assert direct["verdict"] is False and either["verdict"] is True
@@ -269,6 +274,40 @@ def test_verify_report_keeps_direct_witnesses_under_opposite():
         k: v for k, v in direct.items() if k != "verdict"
     }
     assert direct["principal_equal"] is False
+
+
+@st.composite
+def seed_targets(DRAW):
+    """A random seed with frozen rows and a target for its identity map:
+    the seed itself, its opposite, a copy with one frozen entry changed,
+    or that copy's opposite."""
+    n = DRAW(st.integers(1, 4))
+    m = DRAW(st.integers(1, 2))
+    btilde = [[0] * n for _ in range(n + m)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            btilde[i][j] = DRAW(st.integers(-2, 2))
+            btilde[j][i] = -btilde[i][j]
+    for i in range(n, n + m):
+        btilde[i] = DRAW(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    seed = sd.initial_seed(btilde, [f"x{i}" for i in range(n + m)])
+    changed = [row[:] for row in btilde]
+    changed[DRAW(st.integers(n, n + m - 1))][DRAW(st.integers(0, n - 1))] += DRAW(
+        st.sampled_from([-1, 1]))
+    target = sd.Seed(changed, seed.cluster, seed.var_names) if DRAW(st.booleans()) else seed
+    return seed, opposite(target) if DRAW(st.booleans()) else target
+
+
+@settings(max_examples=200)
+@given(seed_targets())
+def test_opposite_verdict_is_direct_verdict_on_either_target(case):
+    # one pass decides both orientations: the verdict allowing the opposite
+    # is the direct verdict against dst or against its opposite
+    src, dst = case
+    m = qh.identity_map(src)
+    either = qh.verify_report(m, src, dst, allow_opposite=True)["verdict"]
+    assert either is (qh.verify_report(m, src, dst)["verdict"]
+                      or qh.verify_report(m, src, opposite(dst))["verdict"])
 
 
 def test_verify_report_rejects_map_that_does_not_fit():
@@ -417,7 +456,7 @@ def test_nerve_direct():
 
 
 def test_nerve_opposite():
-    dst = sd.opposite_seed(band_seed())
+    dst = opposite(band_seed())
     assert qh.check_on_nerve(fstar(), STAR_NERVE, gr_seed(), dst) == "opposite"
 
 

@@ -385,3 +385,25 @@ def test_no_second_copies():
     texts = [node.value for node in ast.walk(trees["orbits.py"])
              if isinstance(node, ast.Constant) and isinstance(node.value, str)]
     assert not [text for text in texts if "out of range" in text]
+
+
+def test_one_pass_verifiers():
+    # verify_report decides both orientations in one pass over the direct
+    # data, the hatted check propagates in the closed form of
+    # seeds.rp_propagated, and a mutation walk leaves its direction check
+    # to seeds.mutate_matrix
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in SOURCES}
+    for name, tree in trees.items():
+        assert not set(_definitions(tree)) & {"rp_mul", "rp_power", "rp_plus_one",
+                                              "opposite_seed"}, name
+
+    def function(module, name):
+        return next(node for node in ast.walk(trees[module])
+                    if isinstance(node, ast.FunctionDef) and node.name == name)
+
+    def called(func):
+        return {ast.unparse(node.func) for node in ast.walk(func) if isinstance(node, ast.Call)}
+
+    assert "verify_report" not in called(function("quasihom.py", "verify_report"))
+    assert "_check_direction" not in called(function("seeds.py", "mutation_walk"))
