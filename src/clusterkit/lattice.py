@@ -38,23 +38,36 @@ def zeros(m: int, n: int) -> Matrix:
     return [[0] * n for _ in range(m)]
 
 
+def _width(a: Sequence[Sequence[int]]) -> int:
+    """The length of a's rows, 0 for no rows; rows of different lengths
+    raise ValueError instead of being cut short."""
+    n = len(a[0]) if a else 0
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix rows differ in length")
+    return n
+
+
 def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     return [vec_mat(row, b) for row in a]
 
 
 def vec_mat(v: Sequence[int], a: Sequence[Sequence[int]]) -> Vector:
-    """Row vector times matrix, summing x * row over the nonzero x of v."""
+    """Row vector times matrix, summing x * row over the nonzero x of v.
+    Only the rows it adds are compared with the first one's length, so a
+    call costs no pass over the rest of a."""
     if len(v) != len(a):
         raise ValueError("inner dimensions differ")
     out = [0] * len(a[0]) if a else []
     for x, row in zip(v, a):
         if x:
+            if len(row) != len(out):
+                raise ValueError("matrix rows differ in length")
             out = [s + x * y for s, y in zip(out, row)]
     return out
 
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> Vector:
-    if a and len(a[0]) != len(v):
+    if a and _width(a) != len(v):
         raise ValueError("inner dimensions differ")
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
@@ -64,10 +77,9 @@ def hermite_normal_form(a: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix]:
 
     Returns (h, u) where u * a = h, u is unimodular, and h is the canonical
     form described in the module docstring, its columns cleared by
-    least-pivot elimination.
+    least-pivot elimination.  Rows of different lengths raise ValueError.
     """
-    m = len(a)
-    n = len(a[0]) if a else 0
+    m, n = len(a), _width(a)
     # each row is h's row followed by u's, so one row operation does both
     t = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(a)]
     r = 0

@@ -66,9 +66,11 @@ subtraction and a test of the top bit of each lane, which is clear on
 every exponent met and set by a borrow, so a quotient term with a negative
 exponent is refused.  A unit divisor returns the dividend as it is; every
 other divisor, a one-term one too, runs the loop, and there is no other
-short-cut.  `power` squares with each cross term computed once.  An
-`Operand` keeps its powers in the one cache that holds its packing, so
-a walk or an exploration raises a variable once per width and exponent.
+short-cut.  `Operand.power` is the one power builder: it squares with
+each cross term computed once, then multiplies, and keeps each power in
+the one cache that holds its packing, so a walk or an exploration raises
+a variable once per width and exponent; `power` raises through a
+throwaway operand.
 
 `_add_product`, which adds scale·f·g into a sum in place, is the one product
 loop, and `signed_sum` the one evaluator of a sum of signed products: an
@@ -85,7 +87,7 @@ from operator import add as _iadd
 from operator import mul as _imul
 from operator import neg as _ineg
 from operator import sub as _isub
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
 Poly = Dict[Exponent, int]
@@ -124,10 +126,12 @@ def variable(index: int, arity: int) -> Poly:
 
 
 def exp_add(a: Exponent, b: Exponent) -> Exponent:
+    _check_lengths(a, b)
     return tuple(map(_iadd, a, b))
 
 
 def exp_sub(a: Exponent, b: Exponent) -> Exponent:
+    _check_lengths(a, b)
     return tuple(map(_isub, a, b))
 
 
@@ -176,7 +180,8 @@ def mul(f: Poly, g: Poly) -> Poly:
 
 
 def power(f: Poly, k: int) -> Poly:
-    """f^k; negative k only for monomials with a unit coefficient."""
+    """f^k; negative k only for monomials with a unit coefficient.  A
+    polynomial of more than one term is raised by `Operand.power`."""
     if not f:
         if k <= 0:
             raise ValueError(f"zero polynomial to the power {k}")
@@ -192,7 +197,7 @@ def power(f: Poly, k: int) -> Poly:
         return constant(1, _arity(f))
     fo = Operand(f)
     width = lane_width(k * fo.degree)
-    return unpack(power_packed(fo.packed(width), k), tuple(k * x for x in fo.low), width)
+    return unpack(fo.power(width, k), tuple(k * x for x in fo.low), width)
 
 
 def equal(f: Poly, g: Poly) -> bool:
@@ -250,10 +255,13 @@ def tropicalize(f: Poly, num_mutable: int) -> Exponent:
     Mutable exponents (the first num_mutable positions) are zeroed, then the
     terms are folded with trop_add.  Coefficients must all be positive, else
     cancellation could hide a term and break the semifield homomorphism laws;
-    violations raise NegativeCoefficient.
+    violations raise NegativeCoefficient.  A num_mutable outside
+    [0, arity] raises ValueError.
     """
     if not f:
         raise ValueError("the zero polynomial has no tropical value")
+    if not 0 <= num_mutable <= _arity(f):
+        raise ValueError(f"num_mutable {num_mutable} out of range for arity {_arity(f)}")
     parts: List[Exponent] = []
     for e, c in sorted(f.items()):
         if c < 0:
@@ -273,8 +281,7 @@ def to_str(f: Poly, names: Sequence[str]) -> str:
     one name per variable."""
     if not f:
         return "0"
-    if len(names) != _arity(f):
-        raise ValueError(f"{len(names)} variable names for arity {_arity(f)}")
+    _check_names(f, names)
     pieces: List[str] = []
     for e in sorted(f, key=grlex_key, reverse=True):
         c = f[e]
@@ -300,7 +307,9 @@ def to_json(f: Poly, names: Sequence[str]) -> dict:
 
     Coefficients are decimal strings so arbitrarily large integers survive
     any JSON reader.  Terms are in descending graded lex for determinism.
+    One name per variable, as for `to_str`.
     """
+    _check_names(f, names)
     return {
         "vars": list(names),
         "terms": [
@@ -310,19 +319,12 @@ def to_json(f: Poly, names: Sequence[str]) -> dict:
     }
 
 
-def json_list(value: object, what: str, error: type = ValueError) -> list:
-    """The value when it is a JSON list; any other value raises `error`
-    instead of being iterated."""
-    if type(value) is not list:
-        raise error(f"{what} must be a list, got {value!r}")
-    return value
-
-
-def json_object(value: object, what: str, error: type = ValueError) -> dict:
-    """The value when it is a JSON object; any other value raises `error`
-    instead of being indexed."""
-    if type(value) is not dict:
-        raise error(f"{what} must be an object, got {value!r}")
+def json_container(value: Any, what: str, kind: type, error: type = ValueError) -> Any:
+    """The value when its type is `kind`, list for a JSON list or dict for
+    a JSON object; any other value raises `error` instead of being
+    iterated or indexed."""
+    if type(value) is not kind:
+        raise error(f"{what} must be {'a list' if kind is list else 'an object'}, got {value!r}")
     return value
 
 
@@ -357,8 +359,8 @@ def from_json(obj: dict) -> Tuple[Poly, List[str]]:
     minus sign and ASCII digits, nothing else."""
     names = json_items(obj["vars"], "vars", str)
     f: Poly = {}
-    for term in json_list(obj["terms"], "terms"):
-        e = tuple(json_items(json_object(term, "terms entries")["exp"], "exponents", int))
+    for term in json_container(obj["terms"], "terms", list):
+        e = tuple(json_items(json_container(term, "terms entries", dict)["exp"], "exponents", int))
         if len(e) != len(names):
             raise ValueError(f"exponent arity {len(e)} != {len(names)} variables")
         if e in f:
@@ -446,10 +448,17 @@ class Operand:
 
     def power(self, width: int, k: int) -> Packed:
         """(x^-low f)^k for k >= 1, packed at a width whose lanes hold k
-        times `degree`; the caller changes none of it."""
+        times `degree`, and cached: the packing squared, then multiplied
+        by the packing k - 2 times.  The package's one power builder; the
+        caller changes none of it."""
         fp = self._powers.get((width, k))
         if fp is None:
-            fp = self._powers[width, k] = power_packed(self.packed(width), k)
+            fp = base = self.packed(width)
+            if k > 1:
+                fp = _square_packed(base)
+                for _ in range(k - 2):
+                    fp = mul_packed(fp, base)
+                self._powers[width, k] = fp
         return fp
 
 
@@ -511,14 +520,6 @@ def _square_packed(f: Packed) -> Packed:
             key = ki + kj
             out[key] = get(key, 0) + ci * cj
     return _drop_zeros(out)
-
-
-def power_packed(f: Packed, k: int) -> Packed:
-    """f^k for k >= 1; the caller's width must hold its exponents."""
-    out = f if k == 1 else _square_packed(f)
-    for _ in range(k - 2):
-        out = mul_packed(out, f)
-    return out
 
 
 def div_packed(fp: Packed, gp: Packed, arity: int, width: int) -> Packed:
@@ -611,6 +612,17 @@ def _decoder(arity: int, width: int) -> Callable[[int], Exponent]:
 
 def _arity(f: Poly) -> int:
     return len(next(iter(f)))
+
+
+def _check_lengths(a: Exponent, b: Exponent) -> None:
+    # map would stop at the shorter exponent
+    if len(a) != len(b):
+        raise ValueError(f"exponents have different lengths: {len(a)} and {len(b)}")
+
+
+def _check_names(f: Poly, names: Sequence[str]) -> None:
+    if f and len(names) != _arity(f):
+        raise ValueError(f"{len(names)} variable names for arity {_arity(f)}")
 
 
 def _check_arity(f: Poly, g: Poly) -> None:

@@ -68,8 +68,9 @@ monomial map; distinct solutions to one target are deduplicated up to
 proportionality.  `relabelings` finds those relabelings without trying
 all n!: it fixes the image of one index at a time, among the indices of
 equal sorted row and column, and extends a prefix only while the new row
-and column match, so on the complete Gr(3,8) (E8) graph it keeps 1.8
-prefixes per seed on average and 8 at most, where n! is 40320.
+matches (the columns then follow, by the theorem in its docstring), so on
+the complete Gr(3,8) (E8) graph it keeps 1.8 prefixes per seed on average
+and 8 at most, where n! is 40320.
 """
 
 from __future__ import annotations
@@ -95,15 +96,22 @@ def permute_btilde(
     btilde: Sequence[Sequence[int]], n: int, perm: Sequence[int]
 ) -> List[List[int]]:
     """Relabel mutable indices: principal rows and all columns move, frozen
-    rows stay put.  A perm that is no permutation of range(n) raises
-    ValueError."""
+    rows stay put.  A perm that is no permutation of range(n), or fewer
+    than n rows or rows of another length than n, raise ValueError."""
     if sorted(perm) != list(range(n)):
         raise ValueError(f"{list(perm)} is not a permutation of range({n})")
+    _check_rows(btilde, n)
     out = []
     for i in range(len(btilde)):
         src_row = btilde[perm[i]] if i < n else btilde[i]
         out.append([src_row[perm[j]] for j in range(n)])
     return out
+
+
+def _check_rows(m: Sequence[Sequence[int]], n: int) -> None:
+    # a short or missing row would raise IndexError, a long one be cut short
+    if len(m) < n or not set(map(len, m)) <= {n}:
+        raise ValueError(f"need at least {n} rows of {n} entries")
 
 
 def canonical_key(ids: Sequence[int]) -> Tuple[int, ...]:
@@ -301,24 +309,42 @@ def relabelings(
     """Every permutation p, in increasing order, with btilde[p[i]][p[j]] ==
     principal[i][j] for all mutable i and j: the relabelings under which
     `permute_btilde` carries btilde's principal part onto `principal`.
+    Both principal parts must be skew-symmetrizable, as those of seeds
+    are; both callers, `find_quasi_automorphisms` and the annulus
+    half-turn suite, pass such.
+
     The images of indices 0, 1, ... are fixed in turn, each among those
     with the sorted row and column of its index, which a relabeling
-    keeps, and a prefix is extended only by an image whose new row and
-    column match, diagonal included, so no relabeling that a mismatched
-    prefix rules out is visited.  A principal part of another size than
-    btilde's rank raises ValueError."""
+    keeps, and a prefix is extended only by an image whose new row
+    matches, diagonal included, so no relabeling that a mismatched prefix
+    rules out is visited.  The rows give the lower triangle, and the
+    upper one follows.  Theorem: two skew-symmetrizable matrices B and P
+    with equal lower triangles and, at each index, equal sorted rows and
+    equal sorted columns are equal.  Proof: with symmetrizers d and e and
+    r_i = d_i / e_i, b_ij = p_ij r_j / r_i above the diagonal.  As the
+    entries below it agree, row i of B holds the p_ij r_j / r_i (j > i)
+    in some order of the p_ij, and column i the p_ji r_i / r_j (j < i)
+    in some order of the p_ji; multiplying the nonzero ones makes log r_i
+    the mean of log r over i's higher neighbours and over its lower
+    ones, hence over all of them.  So a maximum of log r spreads over
+    its component of the nonzero pattern, r is constant there, and
+    B = P.
+
+    A principal part of another size than btilde's rank, or rows of
+    another length, raise ValueError."""
     n = len(principal)
     rank = len(btilde[0]) if btilde else 0
     if n != rank:
         raise ValueError(f"principal part of size {n} for a matrix of rank {rank}")
-    held, wanted = ([(sorted(m[i][:n]), sorted([row[i] for row in m[:n]])) for i in range(n)]
+    _check_rows(btilde, n)
+    _check_rows(principal, n)
+    held, wanted = ([(sorted(row[:n]), sorted(column)) for row, column in zip(m, zip(*m[:n]))]
                     for m in (btilde, principal))
     images = [[v for v in range(n) if held[v] == target] for target in wanted]
     found: List[Tuple[int, ...]] = [()]
     for k, row in enumerate(principal):
         found = [p + (v,) for p in found for v in images[k] if v not in p and all(
-            btilde[v][q] == row[i] and btilde[q][v] == principal[i][k]
-            for i, q in enumerate(p + (v,)))]
+            btilde[v][q] == row[i] for i, q in enumerate(p + (v,)))]
     return found
 
 
@@ -329,7 +355,9 @@ def find_quasi_automorphisms(
 
     For every node and every relabeling of it that `relabelings` finds to
     reproduce the base's principal part (or its negative), in order of
-    permutation and then direct before opposite, the row-span solver is
+    permutation and then direct before opposite (a seed's principal part
+    is skew-symmetrizable, as is its negative and every mutation of it,
+    which `relabelings` needs), the row-span solver is
     asked for a map; per target and orientation, solutions are kept one
     per proportionality class.  On a truncated graph the list is a lower
     bound, nothing more.  A base of another rank raises PrincipalMismatch,

@@ -105,10 +105,10 @@ def map_to_json(m: MonomialMap) -> dict:
 def map_from_json(obj: dict, src_mutable: int, dst_mutable: int) -> MonomialMap:
     """Mutable counts are not part of the wire format; the caller supplies
     them from the seed context the map travels with."""
-    obj = lp.json_object(obj, "the top level", InvalidMap)
+    obj = lp.json_container(obj, "the top level", dict, InvalidMap)
     matrix = [
         lp.json_items(row, "map entries", int, InvalidMap)
-        for row in lp.json_list(obj["matrix"], "matrix", InvalidMap)
+        for row in lp.json_container(obj["matrix"], "matrix", list, InvalidMap)
     ]
     src_vars = lp.json_items(obj["src_vars"], "src_vars", str, InvalidMap)
     dst_vars = lp.json_items(obj["dst_vars"], "dst_vars", str, InvalidMap)

@@ -43,7 +43,9 @@ def mutate_matrix(btilde: Sequence[Sequence[int]], k: int) -> List[Sequence[int]
     unchanged: each row i != k with b_ik = 0 is the input row object
     itself, and only row k and the rows with b_ik != 0 are new lists.  So
     no caller may write into a row it passes in or gets back: seeds are
-    immutable, and successive seeds of a walk share these rows.
+    immutable, and successive seeds of a walk share these rows.  The row
+    lengths are not checked: exploration calls this once per node, on
+    rows that `Seed` checked at construction.
     """
     n = len(btilde[0]) if btilde else 0
     _check_direction(k, n)
@@ -109,8 +111,11 @@ def skew_symmetrizer(b: Sequence[Sequence[int]]) -> Optional[List[int]]:
 
 
 def is_indecomposable(b: Sequence[Sequence[int]]) -> bool:
-    """Connectivity of the graph on mutable indices with edges b_ij != 0."""
+    """Connectivity of the graph on mutable indices with edges b_ij != 0.
+    A matrix that is not square raises ValueError."""
     n = len(b)
+    if any(len(row) != n for row in b):
+        raise ValueError(f"matrix of {n} rows is not square")
     if n == 0:
         return True
     seen = {0}
@@ -413,20 +418,21 @@ def seed_to_json(seed: Seed) -> dict:
 
 
 def seed_from_json(obj: dict) -> Seed:
-    obj = lp.json_object(obj, "the top level", InvalidSeed)
+    obj = lp.json_container(obj, "the top level", dict, InvalidSeed)
     n, m = lp.json_items([obj["n"], obj["m"]], "n and m", int, InvalidSeed)
     if n < 0 or m < 0:
         raise InvalidSeed(f"n and m must be nonnegative, got n={n}, m={m}")
     btilde = [
         lp.json_items(row, "btilde entries", int, InvalidSeed)
-        for row in lp.json_list(obj["btilde"], "btilde", InvalidSeed)
+        for row in lp.json_container(obj["btilde"], "btilde", list, InvalidSeed)
     ]
     if len(btilde) != n + m or any(len(row) != n for row in btilde):
         raise InvalidSeed(f"btilde shape is not {n + m} x {n}")
     names = lp.json_items(obj["var_names"], "var_names", str, InvalidSeed)
     cluster = []
-    for entry in lp.json_list(obj["cluster"], "cluster", InvalidSeed):
-        poly, poly_names = lp.from_json(lp.json_object(entry, "cluster entries", InvalidSeed))
+    for entry in lp.json_container(obj["cluster"], "cluster", list, InvalidSeed):
+        poly, poly_names = lp.from_json(
+            lp.json_container(entry, "cluster entries", dict, InvalidSeed))
         if poly_names != names:
             raise InvalidSeed("cluster variable names disagree with var_names")
         cluster.append(poly)

@@ -47,14 +47,25 @@ ERRORS = [
     (lambda: lp.add({(0,): 1}, {(0, 0): 1}), ValueError, "different arities: 1 and 2"),
     (lambda: lp.to_str({(1, 1): 1}, ["a"]), ValueError, "1 variable names for arity 2"),
     (lambda: lp.shift({(1, 1): 1}, (1,)), ValueError, "shift exponent of arity 1 for arity 2"),
+    (lambda: lp.to_json({(1, 0): 1}, ["a"]), ValueError, "1 variable names for arity 2"),
+    (lambda: lp.tropicalize({(1, 0): 1}, 5), ValueError, "num_mutable 5 out of range for arity 2"),
+    (lambda: lp.tropicalize({(1, 0): 1}, -1), ValueError,
+     "num_mutable -1 out of range for arity 2"),
+    (lambda: lp.exp_add((1, 2), (1,)), ValueError, "exponents have different lengths: 2 and 1"),
+    (lambda: lp.exp_sub((1,), (1, 2)), ValueError, "exponents have different lengths: 1 and 2"),
     # lattice
     (lambda: la.vec_mat([1, 2], [[1]]), ValueError, "inner dimensions differ"),
     (lambda: la.mat_vec([[1, 2]], [1]), ValueError, "inner dimensions differ"),
     (lambda: la.mat_vec([[1, 2]], [1, 2, 3]), ValueError, "inner dimensions differ"),
     (lambda: la.solve_left_all([[1, 0]], [[1]]), ValueError, "right-hand side has wrong length"),
+    (lambda: la.vec_mat([1, 1], [[1, 2], [3]]), ValueError, "matrix rows differ in length"),
+    (lambda: la.matmul([[1, 1]], [[1, 2], [3]]), ValueError, "matrix rows differ in length"),
+    (lambda: la.mat_vec([[1, 2], [3]], [1, 1]), ValueError, "matrix rows differ in length"),
+    (lambda: la.hermite_normal_form([[1, 2], [3]]), ValueError, "matrix rows differ in length"),
     # seeds
     (lambda: sd.mutate_matrix([[0]], 3), ValueError, "direction 3 out of range for rank 1"),
     (lambda: sd.mutate_matrix([], 0), ValueError, "direction 0 out of range for rank 0"),
+    (lambda: sd.is_indecomposable([[0, 1], [-1]]), ValueError, "matrix of 2 rows is not square"),
     (lambda: sd.Seed([[0, 1]], [], ["a"]), sd.InvalidSeed, "fewer rows than columns"),
     (lambda: sd.Seed([[0]], [{(0,): 1}], ["a", "b"]), sd.InvalidSeed,
      "2 variable names for 1 generators"),
@@ -96,6 +107,12 @@ ERRORS = [
      "principal part of size 1 for a matrix of rank 2"),
     (lambda: pt.relabelings([[0, 1], [-1, 0]], [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]), ValueError,
      "principal part of size 3 for a matrix of rank 2"),
+    (lambda: pt.relabelings([[0, 1], [-1]], [[0, 1], [-1, 0]]), ValueError,
+     "need at least 2 rows of 2 entries"),
+    (lambda: pt.relabelings([[0, 1], [-1, 0]], [[0, 1], [-1]]), ValueError,
+     "need at least 2 rows of 2 entries"),
+    (lambda: pt.permute_btilde([[0, 1], [-1]], 2, [1, 0]), ValueError,
+     "need at least 2 rows of 2 entries"),
     (lambda: pt.permute_btilde([[0, 1], [-1, 0]], 2, [0]), ValueError,
      "[0] is not a permutation of range(2)"),
     (lambda: pt.permute_btilde([[0, 1], [-1, 0]], 2, [0, 0]), ValueError,

@@ -5,7 +5,8 @@ import math
 import random
 import textwrap
 from collections import deque
-from itertools import permutations
+from functools import lru_cache
+from itertools import permutations, product
 
 import hypothesis.strategies as st
 import pytest
@@ -323,14 +324,13 @@ def test_explore_raises_each_packing_once(monkeypatch):
     # an interned operand keeps the powers it is asked for, so each Markov
     # variable is squared once per lane width, not again at every exchange
     # whose column holds it
-    raised = []
-    power = lp.power_packed
-    monkeypatch.setattr(lp, "power_packed",
-                        lambda fp, k: raised.append((frozenset(fp.items()), k)) or power(fp, k))
+    squared = []
+    square = lp._square_packed
+    monkeypatch.setattr(lp, "_square_packed",
+                        lambda fp: squared.append(frozenset(fp.items())) or square(fp))
     graph = pt.explore(sd.initial_seed(MARKOV, ["a", "b", "c"]), max_depth=4, max_nodes=1000)
     assert (graph.hit_depth, len(graph.nodes)) == (True, 46)
-    assert {k for _, k in raised} == {2}
-    assert len(raised) == len(set(raised)) == 21
+    assert len(squared) == len(set(squared)) == 21
 
 
 def test_gr37_rectangle_seed_closes_on_e6():
@@ -608,6 +608,82 @@ def test_relabelings_match_brute_force(b, target):
     assert list(pt.relabelings(b, target)) == brute
     if not any(map(any, b)):
         assert len(brute) == math.factorial(n)
+
+
+def equal_lower_triangles(n, lower):
+    """The skew-symmetrizable n x n matrices with entries in [-3, 3] whose
+    entries below the diagonal are `lower`, row by row: one for each
+    symmetrizer in {1, 2, 3}^n that makes every entry above the diagonal
+    an integer in range, as sorted tuples of rows."""
+    below = [(i, j) for i in range(n) for j in range(i)]
+    out = set()
+    for d in product((1, 2, 3), repeat=n):
+        # d_i b_ij = -d_j b_ji
+        above = [divmod(-d[i] * v, d[j]) for (i, j), v in zip(below, lower)]
+        if all(r == 0 and abs(q) <= 3 for q, r in above):
+            b = [[0] * n for _ in range(n)]
+            for (i, j), v, (q, _) in zip(below, lower, above):
+                b[i][j], b[j][i] = v, q
+            out.add(tuple(map(tuple, b)))
+    return sorted(out)
+
+
+@lru_cache(maxsize=None)
+def lower_triangle_families():
+    """Every family of equal lower triangles at rank 3, and a seeded sample
+    of 600 at rank 4."""
+    rng = random.Random(45)
+    return ([equal_lower_triangles(3, lower) for lower in product(range(-3, 4), repeat=3)]
+            + [equal_lower_triangles(4, [rng.randint(-3, 3) for _ in range(6)])
+               for _ in range(600)])
+
+
+def signature(b, columns=True):
+    """The sorted row and, unless `columns` is false, the sorted column at
+    each index."""
+    return tuple((sorted(b[i]), sorted(row[i] for row in b) if columns else None)
+                 for i in range(len(b)))
+
+
+COLUMN_PAIR = ([[0, 1, 2], [-3, 0, 0], [-3, 0, 0]], [[0, 2, 1], [-3, 0, 0], [-3, 0, 0]])
+
+
+def test_lower_triangle_and_sorted_rows_and_columns_fix_the_matrix():
+    # the theorem of `pt.relabelings`: in each family of equal lower
+    # triangles, the sorted rows and columns tell the matrices apart; the
+    # sorted rows alone do not, as for COLUMN_PAIR at rank 3
+    row_only = {3: 0, 4: 0}
+    for family in lower_triangle_families():
+        assert len({repr(signature(b)) for b in family}) == len(family)
+        row_only[len(family[0])] += len(family) - len(
+            {repr(signature(b, columns=False)) for b in family})
+    assert row_only == {3: 18, 4: 21}
+    b, p = COLUMN_PAIR
+    assert signature(b, columns=False) == signature(p, columns=False) and b != p
+    pair = {tuple(map(tuple, b)), tuple(map(tuple, p))}
+    assert any(pair <= set(family) for family in lower_triangle_families())
+
+
+def test_relabelings_match_brute_force_on_equal_lower_triangles():
+    # each pair of one family, the target relabeled at random: where the
+    # search keeps a relabeling by rows and signatures, the brute force
+    # compares every entry
+    rng = random.Random(46)
+    for family in lower_triangle_families():
+        for b, p in product(family, repeat=2):
+            n = len(b)
+            perm = rng.sample(range(n), n)
+            target = pt.permute_btilde(p, n, perm)
+            brute = [q for q in permutations(range(n)) if all(
+                b[q[i]][q[j]] == target[i][j] for i in range(n) for j in range(n))]
+            assert pt.relabelings(b, target) == brute
+
+
+def test_relabelings_compare_sorted_columns():
+    # equal lower triangles and sorted rows, but sorted columns differ at
+    # indices 1 and 2, so the identity is no relabeling and only the swap is
+    b, p = COLUMN_PAIR
+    assert pt.relabelings(b, p) == [(0, 2, 1)]
 
 
 def brute_force_quasi_automorphisms(graph, base):

@@ -271,7 +271,7 @@ def test_one_exchange_relation():
 
     for name, tree in trees.items():
         assert not calls(tree) & {"lp.exact_div", "exact_div"}, f"{name} calls exact_div"
-    products = {"mul", "power", "mul_packed", "power_packed"}
+    products = {"mul", "power", "mul_packed"}
     kinds = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     loops = {
         func.name
@@ -283,7 +283,7 @@ def test_one_exchange_relation():
     packed_terms = next(func for func in ast.walk(trees["seeds.py"])
                         if isinstance(func, ast.FunctionDef) and func.name == "packed_terms")
     assert "x.power" in calls(packed_terms)
-    assert not calls(trees["seeds.py"]) & {"lp.power_packed", "lp.mul_packed"}
+    assert not calls(trees["seeds.py"]) & {"lp.mul_packed"}
     for name in ("orbits.py", "quasihom.py"):
         assert not calls(trees[name]) & {"lp.mul", "lp.power", "lp.exact_div"}, name
 
@@ -407,3 +407,20 @@ def test_one_pass_verifiers():
 
     assert "verify_report" not in called(function("quasihom.py", "verify_report"))
     assert "_check_direction" not in called(function("seeds.py", "mutation_walk"))
+
+
+def test_one_implementation_per_concept():
+    # Operand.power builds every power, one check reads a JSON list or
+    # object, and relabelings compares only rows: the upper triangle
+    # follows from the lower one and the sorted rows and columns
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in SOURCES}
+    for name, tree in trees.items():
+        assert not set(_definitions(tree)) & {"power_packed", "json_list", "json_object"}, name
+        named = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not named & {"power_packed", "json_list", "json_object"}, name
+    relabelings = ast.unparse(next(node for node in ast.walk(trees["patterns.py"])
+                                   if isinstance(node, ast.FunctionDef)
+                                   and node.name == "relabelings"))
+    assert "btilde[q][v]" not in relabelings
+    assert "principal[i][k]" not in relabelings

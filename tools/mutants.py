@@ -4,7 +4,9 @@ Each row of `MUTANTS` names a module under src/clusterkit, an exact text
 of it, the text that replaces it, the pytest arguments expected to kill
 the mutant, and the start of the title of the CHANGES.md entry that
 recorded it.  A known survivor is listed with `survives=True`, not left
-out.  For each row the tool copies src/ and tests/ into a temporary
+out.  `typed` rows make one `raise` of a typed error raise RuntimeError
+instead, each killed by the tests/test_errors.py rows that name its
+message.  For each row the tool copies src/ and tests/ into a temporary
 directory, checks that the old text occurs exactly once in the copy,
 applies the edit and runs pytest with -x on the target.  It prints
 "killed" or "survived" per row, and exits 1 when an anchor text does not
@@ -16,6 +18,7 @@ the root of a checkout, with no options:
 """
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -37,6 +40,74 @@ class Mutant(NamedTuple):
 
 ONE_PASS = "One pass per verdict"
 SECOND_COPIES = "Second copies go"
+ONE_IMPLEMENTATION = "One implementation per concept"
+
+
+def typed(module: str, raising: str, words: str) -> Mutant:
+    """The row that makes the `raise` in `raising` raise RuntimeError, to be
+    killed by the tests/test_errors.py rows that `-k words` selects."""
+    return Mutant(module, raising, re.sub(r"raise [\w.]+\(", "raise RuntimeError(", raising),
+                  ("tests/test_errors.py", "-k", words), ONE_IMPLEMENTATION)
+
+
+TYPED = [
+    typed("laurent.py", 'raise ValueError(f"shift exponent', "shift"),
+    typed("laurent.py", 'raise ValueError(f"zero polynomial to the power', "zero and power"),
+    typed("laurent.py", 'raise NotDivisible(f"negative power of coefficient', "coefficient"),
+    typed("laurent.py", 'raise NotDivisible(f"negative power {k}', "monomial"),
+    typed("laurent.py", 'raise ValueError("zero polynomial has no leading', "leading"),
+    typed("laurent.py", 'raise ValueError("zero polynomial has no minimal', "minimal"),
+    typed("laurent.py", 'raise ValueError("tropical operands', "share"),
+    typed("laurent.py", 'raise ValueError("the zero polynomial has no tropical', "tropical"),
+    typed("laurent.py", 'raise ValueError(f"num_mutable', "num_mutable"),
+    typed("laurent.py", 'raise ValueError(f"exponents have different lengths', "lengths"),
+    typed("laurent.py", 'raise ValueError(f"{len(names)} variable names', "variable and names"),
+    typed("laurent.py", 'raise ValueError(\n            f"operands have different arities',
+          "arities"),
+    typed("lattice.py", '        raise ValueError("matrix rows differ in length")\n    return n',
+          "rows and differ"),
+    typed("lattice.py", '                raise ValueError("matrix rows differ in length")',
+          "rows and differ"),
+    typed("lattice.py",
+          '    if len(v) != len(a):\n        raise ValueError("inner dimensions differ")',
+          "inner and dimensions"),
+    typed("lattice.py", 'raise ValueError("right-hand side', "right"),
+    typed("seeds.py", 'raise ValueError(f"direction {k} out of range', "direction"),
+    typed("seeds.py", 'raise ValueError(f"matrix of {n} rows is not square', "square"),
+    typed("seeds.py", 'raise InvalidSeed("btilde has fewer rows', "fewer"),
+    typed("seeds.py", 'raise InvalidSeed(\n                f"{len(self.var_names)} variable names',
+          "generators"),
+    typed("seeds.py", 'raise InvalidSeed("cluster variable has wrong ambient', "ambient"),
+    typed("orbits.py", 'raise ValueError("c and d must', "equal and rank"),
+    typed("orbits.py", 'raise ValueError("rescaling rank mismatch', "rescaling"),
+    typed("orbits.py", 'raise sd.InvalidSeed("cluster and pairs', "pairs"),
+    typed("orbits.py", 'raise sd.InvalidSeed("zero cluster variable', "zero and cluster"),
+    typed("quasihom.py", 'raise InvalidMap("mutable counts out of range', "mutable and counts"),
+    typed("quasihom.py", 'raise InvalidMap("maps differ in variables', "maps and differ"),
+    typed("quasihom.py", 'raise PrincipalMismatch("principal ranks must agree', "ranks and agree"),
+    typed("quasihom.py", 'raise InvalidNerve("empty edge set', "empty"),
+    typed("quasihom.py", 'raise InvalidNerve(f"label out of range', "label"),
+    typed("patterns.py", 'raise ValueError("need max_depth', "max_depth or max_nodes"),
+    typed("patterns.py", 'raise ValueError(f"node {node} out of range', "node and range"),
+    typed("patterns.py", 'raise qh.PrincipalMismatch(f"base of rank', "base and rank"),
+    typed("patterns.py", 'raise ValueError(f"need at least {n} rows', "entries"),
+    typed("grassmann.py", 'raise InvalidIndex(f"substitution needs one image', "image"),
+    typed("grassmann.py", 'raise InvalidIndex(f"base needs', "base and needs"),
+    typed("surfaces.py", 'raise InvalidSurfaceData(f"unknown component kind', "unknown"),
+    typed("surfaces.py", 'raise InvalidSurfaceData("puncture carries no cilia', "carries"),
+    typed("surfaces.py", 'raise InvalidSurfaceData("even boundary component', "even"),
+    typed("surfaces.py",
+          '        raise InvalidSurfaceData("shear vector length differs from arc count")\n'
+          "    return la.vec_mat", "shear"),
+    typed("surfaces.py", 'raise InvalidSurfaceData(\n            f"component {comp} out of range',
+          "component and range"),
+]
+
+# the two NotDivisible tests of laurent.div_packed, in their order there
+MONOMIAL_TEST = ('        if d & guard:\n'
+                 '            raise NotDivisible("leading monomial not divisible")\n')
+COEFFICIENT_TEST = ('        q, r = divmod(c, cg)\n        if r:\n'
+                    '            raise NotDivisible("leading coefficient not divisible over Z")\n')
 
 MUTANTS = [
     Mutant("seeds.py", "(num, plus_one) if b >= 0 else (plus_one, den)",
@@ -57,7 +128,7 @@ MUTANTS = [
     Mutant("seeds.py", "btilde = mutate_matrix(seed.btilde, k)",
            "_check_direction(k, seed.n)\n        btilde = mutate_matrix(seed.btilde, k)",
            ("tests/test_source.py::test_one_pass_verifiers",), ONE_PASS),
-    Mutant("lattice.py", "    if a and len(a[0]) != len(v):", "    if False:",
+    Mutant("lattice.py", "    if a and _width(a) != len(v):", "    if False:",
            ("tests/test_errors.py", "-k", "inner and dimensions"), ONE_PASS),
     Mutant("patterns.py", "    if base.m != frozen:", "    if False:",
            ("tests/test_errors.py", "-k", "frozen and counts"), ONE_PASS),
@@ -84,19 +155,32 @@ MUTANTS = [
     Mutant("quasihom.py", "    if any(any(row) for row in diff[: m1.dst_mutable]):\n        return None\n",
            "", ("tests/test_quasihom.py::test_proportional_rejects_mutable_difference",),
            "One power cache per operand"),
-    Mutant("patterns.py", "btilde[v][q] == row[i] and btilde[q][v] == principal[i][k]",
-           "btilde[v][q] == row[i]", ("tests/test_patterns.py::test_relabelings_match_brute_force",),
-           # killed before the images were filtered by sorted row and column;
-           # since then no input is known where the column half decides
-           "One relabeling search", survives=True),
     Mutant("grassmann.py", " or j_set[t] > p + t - 1 + ctx.k]", "]",
            ("tests/test_grassmann.py::test_every_factor_is_irreducible_by_sympy",),
            "Cut `src/` to its contract"),
     Mutant("seeds.py", "row = [x - bik * y if y < 0 else x", "row = [x - bik * y if y > 0 else x",
            ("tests/test_seeds.py::TestMatrixMutation",), "Integer row arithmetic"),
-    Mutant("lattice.py", "        if x:\n            out = [s + x * y", "        if x > 0:\n            out = [s + x * y",
-           ("tests/test_lattice.py",), "Integer row arithmetic"),
-]
+    Mutant("lattice.py", "        if x:\n            if len(row)",
+           "        if x > 0:\n            if len(row)", ("tests/test_lattice.py",),
+           "Integer row arithmetic"),
+    Mutant("patterns.py", "(sorted(row[:n]), sorted(column))", "sorted(row[:n])",
+           ("tests/test_patterns.py::test_relabelings_compare_sorted_columns",), ONE_IMPLEMENTATION),
+    Mutant("grassmann.py", "(sum(units) + p * (p + 1) // 2) % 2", "sum(units) % 2",
+           ("tests/test_grassmann.py::test_chart_minors_match_point_oracle",),
+           "Grassmann determinants by their structure"),
+    Mutant("cli.py", '    except KeyError as exc:\n        reason = f"missing field {exc}"\n', "",
+           ("tests/test_cli.py::test_boundary_probe",), "One streamed writer for every command"),
+    Mutant("laurent.py", "out = {key: scale * c for key, c in last.items()}",
+           "out = last if scale == 1 else {key: scale * c for key, c in last.items()}",
+           ("tests/test_laurent.py", "-k", "signed_sum_matches_ring_operations"),
+           "One signed-sum evaluator in `laurent`"),
+    Mutant("laurent.py", "        cg *= scale\n", "",
+           ("tests/test_laurent.py", "-k", "signed_sum_matches_ring_operations"),
+           "One signed-sum evaluator in `laurent`"),
+    Mutant("laurent.py", MONOMIAL_TEST + COEFFICIENT_TEST, COEFFICIENT_TEST + MONOMIAL_TEST,
+           ("tests/test_laurent.py", "-k", "division_fails_as_johnson_does"),
+           "Mutation words at product speed"),
+] + TYPED
 
 
 def run(mutant: Mutant) -> str:
