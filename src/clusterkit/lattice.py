@@ -26,6 +26,8 @@ from math import gcd
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
+from .laurent import shape
+
 Matrix = List[List[int]]
 Vector = List[int]
 
@@ -38,37 +40,22 @@ def zeros(m: int, n: int) -> Matrix:
     return [[0] * n for _ in range(m)]
 
 
-def _width(a: Sequence[Sequence[int]]) -> int:
-    """The length of a's rows, 0 for no rows; rows of different lengths
-    raise ValueError instead of being cut short."""
-    n = len(a[0]) if a else 0
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix rows differ in length")
-    return n
-
-
 def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     return [vec_mat(row, b) for row in a]
 
 
 def vec_mat(v: Sequence[int], a: Sequence[Sequence[int]]) -> Vector:
     """Row vector times matrix, summing x * row over the nonzero x of v.
-    Only the rows it adds are compared with the first one's length, so a
-    call costs no pass over the rest of a."""
-    if len(v) != len(a):
-        raise ValueError("inner dimensions differ")
-    out = [0] * len(a[0]) if a else []
+    It checks a's shape, one row per entry of v, for its callers."""
+    out = [0] * shape(a, "matrix", count=len(v))
     for x, row in zip(v, a):
         if x:
-            if len(row) != len(out):
-                raise ValueError("matrix rows differ in length")
             out = [s + x * y for s, y in zip(out, row)]
     return out
 
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> Vector:
-    if a and _width(a) != len(v):
-        raise ValueError("inner dimensions differ")
+    shape(a, "matrix", width=len(v))
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
@@ -79,7 +66,7 @@ def hermite_normal_form(a: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix]:
     form described in the module docstring, its columns cleared by
     least-pivot elimination.  Rows of different lengths raise ValueError.
     """
-    m, n = len(a), _width(a)
+    m, n = len(a), shape(a, "matrix")
     # each row is h's row followed by u's, so one row operation does both
     t = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(a)]
     r = 0
@@ -150,10 +137,9 @@ def solve_left_all(
     rank = len(pivots)
     kernel = [(k, sum(map(mul, k, k))) for k in u[rank:]]
     u_cols, a_cols = [col[:rank] for col in zip(*u)], list(zip(*a))
+    shape(bs, "right-hand sides", width=len(a_cols))
     out: List[Tuple[Optional[Vector], bool]] = []
     for b in bs:
-        if len(b) != len(a_cols):
-            raise ValueError("right-hand side has wrong length")
         solved = _pivot_coordinates(pivots, b)
         if solved is None or solved[1] != 1:
             out.append((None, solved is not None))

@@ -87,7 +87,7 @@ from operator import add as _iadd
 from operator import mul as _imul
 from operator import neg as _ineg
 from operator import sub as _isub
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Sized, Tuple
 
 Exponent = Tuple[int, ...]
 Poly = Dict[Exponent, int]
@@ -126,12 +126,12 @@ def variable(index: int, arity: int) -> Poly:
 
 
 def exp_add(a: Exponent, b: Exponent) -> Exponent:
-    _check_lengths(a, b)
+    shape((a, b), "exponents")
     return tuple(map(_iadd, a, b))
 
 
 def exp_sub(a: Exponent, b: Exponent) -> Exponent:
-    _check_lengths(a, b)
+    shape((a, b), "exponents")
     return tuple(map(_isub, a, b))
 
 
@@ -162,10 +162,10 @@ def scale(f: Poly, coef: int) -> Poly:
 
 
 def shift(f: Poly, e: Exponent) -> Poly:
-    """Multiply by the monomial x^e, of the polynomial's arity."""
+    """Multiply by the monomial x^e, of the polynomial's arity (checked once)."""
     if f and len(e) != _arity(f):
         raise ValueError(f"shift exponent of arity {len(e)} for arity {_arity(f)}")
-    return {exp_add(t, e): c for t, c in f.items()}
+    return {tuple(map(_iadd, t, e)): c for t, c in f.items()}
 
 
 def mul(f: Poly, g: Poly) -> Poly:
@@ -244,8 +244,7 @@ def monomial_ratio(f: Poly, g: Poly) -> Optional[Exponent]:
 
 def trop_add(u: Exponent, v: Exponent) -> Exponent:
     """Tropical sum of two monomials: componentwise minimum of exponents."""
-    if len(u) != len(v):
-        raise ValueError("tropical operands must share arity")
+    shape((u, v), "tropical operands")
     return tuple(min(x, y) for x, y in zip(u, v))
 
 
@@ -343,6 +342,22 @@ def json_items(values: object, what: str, item: type, error: type = ValueError) 
     return list(values)
 
 
+def shape(rows: Sequence[Sized], what: str, width: Optional[int] = None,
+          count: Optional[int] = None, error: type = ValueError) -> int:
+    """The width of `rows`, the one length of its rows: `width` if given,
+    else the first row's, 0 for none.  A row of another length, or a row
+    count other than `count` if given, raises `error` in the one wording of
+    a shape fault: "shape of <what> is <rows> x <lengths>, not <count> x <width>"."""
+    if width is None:
+        width = len(rows[0]) if rows else 0
+    found = set(map(len, rows))
+    if found - {width} or count not in (None, len(rows)):
+        lengths = "/".join(map(str, sorted(found))) or width
+        raise error(f"shape of {what} is {len(rows)} x {lengths}, "
+                    f"not {len(rows) if count is None else count} x {width}")
+    return width
+
+
 def plain_decimal(text: str, what: str) -> int:
     """The int of a plain decimal string: an optional minus sign, then ASCII
     digits, nothing else.  `int()` would also take "1_0", "+1", " 7 " and
@@ -361,8 +376,7 @@ def from_json(obj: dict) -> Tuple[Poly, List[str]]:
     f: Poly = {}
     for term in json_container(obj["terms"], "terms", list):
         e = tuple(json_items(json_container(term, "terms entries", dict)["exp"], "exponents", int))
-        if len(e) != len(names):
-            raise ValueError(f"exponent arity {len(e)} != {len(names)} variables")
+        shape([e], "exponents", width=len(names))
         if e in f:
             raise ValueError(f"duplicate exponent {e}")
         coef = term["coef"]
@@ -614,12 +628,6 @@ def _arity(f: Poly) -> int:
     return len(next(iter(f)))
 
 
-def _check_lengths(a: Exponent, b: Exponent) -> None:
-    # map would stop at the shorter exponent
-    if len(a) != len(b):
-        raise ValueError(f"exponents have different lengths: {len(a)} and {len(b)}")
-
-
 def _check_names(f: Poly, names: Sequence[str]) -> None:
     if f and len(names) != _arity(f):
         raise ValueError(f"{len(names)} variable names for arity {_arity(f)}")
@@ -627,6 +635,4 @@ def _check_names(f: Poly, names: Sequence[str]) -> None:
 
 def _check_arity(f: Poly, g: Poly) -> None:
     if f and g and _arity(f) != _arity(g):
-        raise ValueError(
-            f"operands have different arities: {_arity(f)} and {_arity(g)}"
-        )
+        raise ValueError(f"operands have different arities: {_arity(f)} and {_arity(g)}")

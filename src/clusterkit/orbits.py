@@ -30,8 +30,7 @@ class Rescaling(
     __slots__ = ()
 
     def __new__(cls, c: Tuple[Exponent, ...], d: Tuple[Exponent, ...]):
-        if len(c) != len(d):
-            raise ValueError("c and d must have equal rank")
+        lp.shape((c, d), "rescaling")
         return super().__new__(cls, c, d)
 
 
@@ -52,15 +51,13 @@ class SeedLike:
         self.cluster = [dict(x) for x in cluster]
         self.pairs = [(tuple(p), tuple(q)) for p, q in pairs]
         self.var_names = list(var_names)
-        if len(self.cluster) != self.n or len(self.pairs) != self.n:
-            raise sd.InvalidSeed("cluster and pairs must match the rank")
-        if any(len(row) != self.n for row in self.b):
-            raise sd.InvalidSeed(f"b is not {self.n} x {self.n}")
+        # b is square, with one cluster variable and one pair per row
+        lp.shape(self.b + [self.cluster, self.pairs], "b, cluster and pairs", width=self.n,
+                 error=sd.InvalidSeed)
         if not all(self.cluster):
             raise sd.InvalidSeed("zero cluster variable")
-        arity = len(self.var_names)
-        if any(len(e) != arity for e in chain(*self.pairs, *self.cluster)):
-            raise sd.InvalidSeed(f"pair or cluster exponents of arity other than {arity}")
+        lp.shape(list(chain(*self.pairs, *self.cluster)), "pair and cluster exponents",
+                 width=len(self.var_names), error=sd.InvalidSeed)
 
 
 def seedlike_equal(a: SeedLike, b: SeedLike) -> bool:
@@ -83,13 +80,10 @@ def _scaled(e: Exponent, s: int) -> Exponent:
 
 
 def apply_rescaling(sl: SeedLike, r: Rescaling) -> SeedLike:
-    """x_j divided by c_j; pairs divided by d_j and corrected by c powers."""
+    """x_j divided by c_j; pairs divided by d_j and corrected by c powers.
+    `lp.shift`, `exp_sub` and `exp_add` check the arity of the exponents."""
     n = sl.n
-    if len(r.c) != n:
-        raise ValueError("rescaling rank mismatch")
-    arity = len(sl.var_names)
-    if any(len(e) != arity for es in (r.c, r.d) for e in es):
-        raise ValueError(f"rescaling exponents of arity other than {arity}")
+    lp.shape(r, "rescaling", width=n)
     cluster = [lp.shift(x, lp.exp_neg(c)) for x, c in zip(sl.cluster, r.c)]
     pairs = []
     for j in range(n):

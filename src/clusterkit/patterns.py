@@ -100,18 +100,12 @@ def permute_btilde(
     than n rows or rows of another length than n, raise ValueError."""
     if sorted(perm) != list(range(n)):
         raise ValueError(f"{list(perm)} is not a permutation of range({n})")
-    _check_rows(btilde, n)
+    lp.shape(btilde, "btilde", width=n, count=max(len(btilde), n))
     out = []
     for i in range(len(btilde)):
         src_row = btilde[perm[i]] if i < n else btilde[i]
         out.append([src_row[perm[j]] for j in range(n)])
     return out
-
-
-def _check_rows(m: Sequence[Sequence[int]], n: int) -> None:
-    # a short or missing row would raise IndexError, a long one be cut short
-    if len(m) < n or not set(map(len, m)) <= {n}:
-        raise ValueError(f"need at least {n} rows of {n} entries")
 
 
 def canonical_key(ids: Sequence[int]) -> Tuple[int, ...]:
@@ -304,13 +298,15 @@ class QuasiAutomorphism(NamedTuple("QuasiAutomorphism", [
 
 
 def relabelings(
-    btilde: Sequence[Sequence[int]], principal: Sequence[Sequence[int]]
-) -> List[Tuple[int, ...]]:
-    """Every permutation p, in increasing order, with btilde[p[i]][p[j]] ==
-    principal[i][j] for all mutable i and j: the relabelings under which
-    `permute_btilde` carries btilde's principal part onto `principal`.
-    Both principal parts must be skew-symmetrizable, as those of seeds
-    are; both callers, `find_quasi_automorphisms` and the annulus
+    principal: Sequence[Sequence[int]],
+) -> Callable[[Sequence[Sequence[int]]], List[Tuple[int, ...]]]:
+    """The search that returns, for a btilde, every permutation p, in
+    increasing order, with btilde[p[i]][p[j]] == principal[i][j] for all
+    mutable i and j: the relabelings under which `permute_btilde` carries
+    btilde's principal part onto `principal`.  The principal part is
+    checked, and its sorted rows and columns taken, once, when the search
+    is made.  Both principal parts must be skew-symmetrizable, as those of
+    seeds are; both callers, `find_quasi_automorphisms` and the annulus
     half-turn suite, pass such.
 
     The images of indices 0, 1, ... are fixed in turn, each among those
@@ -327,25 +323,29 @@ def relabelings(
     in some order of the p_ji; multiplying the nonzero ones makes log r_i
     the mean of log r over i's higher neighbours and over its lower
     ones, hence over all of them.  So a maximum of log r spreads over
-    its component of the nonzero pattern, r is constant there, and
-    B = P.
+    its component of the nonzero pattern, r is constant there, and B = P.
 
-    A principal part of another size than btilde's rank, or rows of
-    another length, raise ValueError."""
-    n = len(principal)
-    rank = len(btilde[0]) if btilde else 0
-    if n != rank:
-        raise ValueError(f"principal part of size {n} for a matrix of rank {rank}")
-    _check_rows(btilde, n)
-    _check_rows(principal, n)
-    held, wanted = ([(sorted(row[:n]), sorted(column)) for row, column in zip(m, zip(*m[:n]))]
-                    for m in (btilde, principal))
-    images = [[v for v in range(n) if held[v] == target] for target in wanted]
-    found: List[Tuple[int, ...]] = [()]
-    for k, row in enumerate(principal):
-        found = [p + (v,) for p in found for v in images[k] if v not in p and all(
-            btilde[v][q] == row[i] for i, q in enumerate(p + (v,)))]
-    return found
+    A principal part that is not square, or a btilde with fewer than n
+    rows or rows of another length than n, raise ValueError."""
+    n = lp.shape(principal, "principal part", width=len(principal))
+
+    def signatures(m: Sequence[Sequence[int]]) -> List[Tuple[List[int], List[int]]]:
+        # the sorted row and column of each index of the principal part
+        return [(sorted(row[:n]), sorted(column)) for row, column in zip(m, zip(*m[:n]))]
+
+    wanted = signatures(principal)
+
+    def search(btilde: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
+        lp.shape(btilde, "btilde", width=n, count=max(len(btilde), n))
+        held = signatures(btilde)
+        images = [[v for v in range(n) if held[v] == target] for target in wanted]
+        found: List[Tuple[int, ...]] = [()]
+        for k, row in enumerate(principal):
+            found = [p + (v,) for p in found for v in images[k] if v not in p and all(
+                btilde[v][q] == row[i] for i, q in enumerate(p + (v,)))]
+        return found
+
+    return search
 
 
 def find_quasi_automorphisms(
@@ -372,11 +372,11 @@ def find_quasi_automorphisms(
     out: List[QuasiAutomorphism] = []
     kept: Dict[Tuple[int, str], List[qh.MonomialMap]] = {}
     signs = {"direct": 1, "opposite": -1} if include_opposite else {"direct": 1}
-    principals = [(direction, [[sign * v for v in row] for row in base.principal])
-                  for direction, sign in signs.items()]
+    searches = [(direction, relabelings([[sign * v for v in row] for row in base.principal]))
+                for direction, sign in signs.items()]
     for idx, node in enumerate(graph.nodes):
-        found = [(perm, direction) for direction, principal in principals
-                 for perm in relabelings(node.btilde, principal)]
+        found = [(perm, direction) for direction, search in searches
+                 for perm in search(node.btilde)]
         for perm, direction in sorted(found):
             target = [[signs[direction] * v for v in row]
                       for row in permute_btilde(node.btilde, base.n, perm)]

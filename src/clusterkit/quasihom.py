@@ -67,23 +67,14 @@ class MonomialMap:
         self.dst_vars = list(dst_vars)
         self.src_mutable = src_mutable
         self.dst_mutable = dst_mutable
-        rows = len(self.matrix)
-        if rows != len(self.dst_vars):
-            raise InvalidMap("row count must match target variables")
-        # a map onto no variables has no row to read its width from
-        cols = len(self.matrix[0]) if rows else len(self.src_vars)
-        if any(len(row) != cols for row in self.matrix):
-            raise InvalidMap("ragged matrix")
-        if cols != len(self.src_vars):
-            raise InvalidMap("column count must match source variables")
+        rows, cols = len(self.dst_vars), len(self.src_vars)
+        lp.shape(self.matrix, "matrix", width=cols, count=rows, error=InvalidMap)
         if not 0 <= src_mutable <= cols or not 0 <= dst_mutable <= rows:
             raise InvalidMap("mutable counts out of range")
         for k in range(src_mutable, cols):
             for i in range(dst_mutable):
                 if self.matrix[i][k]:
-                    raise InvalidMap(
-                        f"frozen source column {k} hits mutable target row {i}"
-                    )
+                    raise InvalidMap(f"frozen source column {k} hits mutable target row {i}")
         self.columns = list(zip(*self.matrix)) if rows else [()] * cols
 
 
@@ -141,10 +132,9 @@ def compose_maps(outer: MonomialMap, inner: MonomialMap) -> MonomialMap:
 
 
 def map_exponent(m: MonomialMap, e: Exponent) -> Exponent:
-    """The image exponent: the sum of e_j * column_j over nonzero e_j."""
-    if len(e) != len(m.columns):
-        raise ValueError(f"arity {len(e)} does not match {len(m.src_vars)} source variables")
-    return tuple(la.vec_mat(e, m.columns)) if e else (0,) * len(m.dst_vars)
+    """The image exponent, the sum of e_j * column_j over nonzero e_j (zero
+    with no source variable); `la.vec_mat` checks e's arity."""
+    return tuple(la.vec_mat(e, m.columns) or (0,) * len(m.dst_vars))
 
 
 def map_seed(m: MonomialMap, seed: sd.Seed) -> ob.SeedLike:

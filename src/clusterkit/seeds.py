@@ -113,13 +113,10 @@ def skew_symmetrizer(b: Sequence[Sequence[int]]) -> Optional[List[int]]:
 def is_indecomposable(b: Sequence[Sequence[int]]) -> bool:
     """Connectivity of the graph on mutable indices with edges b_ij != 0.
     A matrix that is not square raises ValueError."""
-    n = len(b)
-    if any(len(row) != n for row in b):
-        raise ValueError(f"matrix of {n} rows is not square")
+    n = lp.shape(b, "matrix", width=len(b))
     if n == 0:
         return True
-    seen = {0}
-    queue = [0]
+    seen, queue = {0}, [0]
     while queue:
         i = queue.pop()
         for j in range(n):
@@ -151,27 +148,19 @@ class Seed:
         self._check()
 
     def _check(self) -> None:
-        if self.m < 0:
-            raise InvalidSeed("btilde has fewer rows than columns")
+        # at least n rows, each of n entries
+        lp.shape(self.btilde, "btilde", count=self.n + max(self.m, 0), error=InvalidSeed)
         if len(self.cluster) != self.n:
-            raise InvalidSeed(
-                f"{len(self.cluster)} cluster variables for rank {self.n}"
-            )
+            raise InvalidSeed(f"{len(self.cluster)} cluster variables for rank {self.n}")
         if len(self.var_names) != self.n + self.m:
             raise InvalidSeed(
-                f"{len(self.var_names)} variable names for {self.n + self.m} generators"
-            )
-        for i, row in enumerate(self.btilde):
-            if len(row) != self.n:
-                raise InvalidSeed(f"btilde row {i} has {len(row)} entries, not {self.n}")
+                f"{len(self.var_names)} variable names for {self.n + self.m} generators")
         if skew_symmetrizer(self.principal) is None:
             raise InvalidSeed("principal part is not skew-symmetrizable")
-        for x in self.cluster:
-            if not x:
-                raise InvalidSeed("zero cluster variable")
-            for e in x:
-                if len(e) != self.n + self.m:
-                    raise InvalidSeed("cluster variable has wrong ambient arity")
+        if not all(self.cluster):
+            raise InvalidSeed("zero cluster variable")
+        lp.shape([e for x in self.cluster for e in x], "cluster exponents",
+                 width=self.n + self.m, error=InvalidSeed)
 
     @classmethod
     def trusted(
@@ -192,10 +181,10 @@ class Seed:
 
 
 def initial_seed(btilde: Sequence[Sequence[int]], var_names: Sequence[str]) -> Seed:
-    """Seed at the base vertex: cluster variables are the ambient variables."""
-    n = len(btilde[0])
+    """Seed at the base vertex: cluster variables are the ambient variables,
+    no more than there are rows, so that `Seed` rejects a short btilde."""
     total = len(btilde)
-    cluster = [lp.variable(i, total) for i in range(n)]
+    cluster = [lp.variable(i, total) for i in range(min(len(btilde[0]), total) if btilde else 0)]
     return Seed(btilde, cluster, var_names)
 
 
@@ -418,16 +407,13 @@ def seed_to_json(seed: Seed) -> dict:
 
 
 def seed_from_json(obj: dict) -> Seed:
+    """A seed file's seed: `Seed` checks btilde's rows, then n and m are compared."""
     obj = lp.json_container(obj, "the top level", dict, InvalidSeed)
     n, m = lp.json_items([obj["n"], obj["m"]], "n and m", int, InvalidSeed)
-    if n < 0 or m < 0:
-        raise InvalidSeed(f"n and m must be nonnegative, got n={n}, m={m}")
     btilde = [
         lp.json_items(row, "btilde entries", int, InvalidSeed)
         for row in lp.json_container(obj["btilde"], "btilde", list, InvalidSeed)
     ]
-    if len(btilde) != n + m or any(len(row) != n for row in btilde):
-        raise InvalidSeed(f"btilde shape is not {n + m} x {n}")
     names = lp.json_items(obj["var_names"], "var_names", str, InvalidSeed)
     cluster = []
     for entry in lp.json_container(obj["cluster"], "cluster", list, InvalidSeed):
@@ -436,5 +422,8 @@ def seed_from_json(obj: dict) -> Seed:
         if poly_names != names:
             raise InvalidSeed("cluster variable names disagree with var_names")
         cluster.append(poly)
-    return Seed(btilde, cluster, names)
+    seed = Seed(btilde, cluster, names)
+    if (seed.n, seed.m) != (n, m):
+        raise InvalidSeed(f"shape of btilde is {seed.n + seed.m} x {seed.n}, not {n + m} x {n}")
+    return seed
 

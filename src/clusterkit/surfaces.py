@@ -17,6 +17,7 @@ from math import factorial
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import lattice as la
+from . import laurent as lp
 from . import orbits as ob
 from . import patterns as pt
 from . import quasihom as qh
@@ -192,9 +193,9 @@ class SignedPermutation(
     __slots__ = ()
 
     def __new__(cls, matrix: Tuple[Tuple[int, ...], ...]):
-        r = len(matrix)
+        r = lp.shape(matrix, "signed permutation", width=len(matrix), error=InvalidSurfaceData)
         for row in matrix:
-            if len(row) != r or any(v not in (-1, 0, 1) for v in row):
+            if any(v not in (-1, 0, 1) for v in row):
                 raise InvalidSurfaceData("not a signed permutation matrix")
             if sum(abs(v) for v in row) != 1:
                 raise InvalidSurfaceData("row needs exactly one nonzero entry")
@@ -227,8 +228,7 @@ def signed_permutation_group(r: int) -> List[SignedPermutation]:
 def lattice_fixed(g: SignedPermutation, vectors: Sequence[Sequence[int]]) -> bool:
     """Whether the lattice spanned by the vectors is carried to itself."""
     vecs = [list(v) for v in vectors]
-    if any(len(v) != g.r for v in vecs):
-        raise InvalidSurfaceData("vector length differs from matrix size")
+    lp.shape(vecs, "vectors", width=g.r, error=InvalidSurfaceData)
     if not vecs:
         return True
     image = [la.mat_vec(g.matrix, v) for v in vecs]
@@ -280,11 +280,8 @@ def shear_relation_check(
     if lam.shear is None or lam.arc_measures is None or lam.boundary_measures is None:
         raise InvalidSurfaceData("lamination lacks shear coordinates or measures")
     measures = list(lam.arc_measures) + list(lam.boundary_measures)
-    if len(measures) != len(boundary_matrix):
-        raise InvalidSurfaceData("measure vector length differs from row count")
-    width = len(boundary_matrix[0]) if boundary_matrix else 0
-    if len(lam.shear) != width:
-        raise InvalidSurfaceData("shear vector length differs from arc count")
+    lp.shape(boundary_matrix, "boundary matrix", width=len(lam.shear), count=len(measures),
+             error=InvalidSurfaceData)
     return la.vec_mat(measures, boundary_matrix) == [-2 * b for b in lam.shear]
 
 
@@ -297,10 +294,8 @@ class ArcPairingTable(
     __slots__ = ()
 
     def __new__(cls, rows: Tuple[Tuple[int, ...], ...]):
-        width = len(rows[0]) if rows else 0
+        lp.shape(rows, "pairing table", error=InvalidSurfaceData)
         for row in rows:
-            if len(row) != width:
-                raise InvalidSurfaceData("ragged pairing table")
             if any(not -2 <= v <= 2 for v in row):
                 raise InvalidSurfaceData("arc pairing outside [-2, 2]")
         return super().__new__(cls, rows)
@@ -321,8 +316,7 @@ def residue(
     For the shear coordinates of a lamination this recovers the pairing of
     the lamination with the component.
     """
-    if len(shear) != len(table.rows):
-        raise InvalidSurfaceData("shear vector length differs from arc count")
+    lp.shape([shear], "shear vector", width=len(table.rows), error=InvalidSurfaceData)
     if not 0 <= comp < table.num_components:
         raise InvalidSurfaceData(
             f"component {comp} out of range for {table.num_components} components")
@@ -338,9 +332,8 @@ def kernel_basis_check(
     independent, and their number equals the corank, so a vector lies in
     the row span precisely when all its residues vanish.
     """
-    n = len(b)
-    if any(len(row) != n for row in b) or len(table.rows) != n:
-        raise InvalidSurfaceData("pairing table does not match the matrix")
+    n = len(table.rows)
+    lp.shape(b, "matrix", width=n, count=n, error=InvalidSurfaceData)
     cols = [table.column(c) for c in range(table.num_components)]
     if any(any(la.mat_vec(b, col)) for col in cols):
         return False
@@ -474,7 +467,7 @@ def check_suites(fx: AnnulusFixture) -> List[Suite]:
     base = ob.seedlike_from_seed(fx.seed)
     half = sd.mutate_word(fx.seed, fx.half_turn_word)
     equivalent = []
-    for perm in pt.relabelings(half.btilde, base.b):
+    for perm in pt.relabelings(base.b)(half.btilde):
         relabeled = sd.Seed.trusted(
             pt.permute_btilde(half.btilde, n, perm),
             [half.cluster[i] for i in perm],

@@ -1081,11 +1081,22 @@ def test_names_are_read_not_coerced(runner, tmp_path, file, path, value, reason)
     ("seed", (), [1], "the top level must be an object, got [1]"),
     ("map", ("matrix",), 5, "matrix must be a list, got 5"),
     ("map", (), [1], "the top level must be an object, got [1]"),
+    # one wording for every shape fault: btilde has n + m rows of n entries,
+    # and a map one row per dst_vars entry and one entry per src_vars entry;
+    # a btilde row the names do not cover is found by `Seed` before the
+    # declared n and m are compared
+    ("seed", ("btilde", 1), [-1], "shape of btilde is 2 x 1/2, not 2 x 2"),
+    ("seed", ("m",), 1, "shape of btilde is 2 x 2, not 3 x 2"),
+    ("seed", ("btilde",), [[0, 1], [-1, 0], [1, 1]], "2 variable names for 3 generators"),
+    ("map", ("matrix", 1), [0], "shape of matrix is 2 x 1/2, not 2 x 2"),
+    ("map", ("matrix",), [[1, 0]], "shape of matrix is 1 x 2, not 2 x 2"),
+    ("map", ("matrix",), [[1, 0, 0], [0, 1, 0]], "shape of matrix is 2 x 3, not 2 x 2"),
 ], ids=["int-btilde", "int-cluster", "int-terms", "list-term", "list-cluster-entry",
-        "list-seed", "int-matrix", "list-map"])
+        "list-seed", "int-matrix", "list-map", "ragged-btilde", "declared-rows",
+        "extra-btilde-row", "ragged-matrix", "matrix-rows", "matrix-columns"])
 def test_container_shape_faults_name_their_field(runner, tmp_path, file, path, value, reason):
-    # before, these gave "'int' object is not iterable" or "list indices
-    # must be integers or slices, not str"
+    # before, the container faults gave "'int' object is not iterable" or
+    # "list indices must be integers or slices, not str"
     objs = {
         "seed": sd.seed_to_json(sd.Seed([[0, 1], [-1, 0]], [X1, X2], ["a", "b"])),
         "map": {"matrix": [[1, 0], [0, 1]], "src_vars": ["a", "b"], "dst_vars": ["a", "b"]},

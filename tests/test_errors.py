@@ -42,7 +42,8 @@ ERRORS = [
     (lambda: lp.power({(0,): 1, (1,): 1}, -1), lp.NotDivisible, "of a non-monomial"),
     (lambda: lp.leading_exponent({}), ValueError, "no leading term"),
     (lambda: lp.min_exponent({}), ValueError, "no minimal exponent"),
-    (lambda: lp.trop_add((0,), (0, 0)), ValueError, "must share arity"),
+    (lambda: lp.trop_add((0,), (0, 0)), ValueError,
+     "shape of tropical operands is 2 x 1/2, not 2 x 1"),
     (lambda: lp.tropicalize({}, 0), ValueError, "no tropical value"),
     (lambda: lp.add({(0,): 1}, {(0, 0): 1}), ValueError, "different arities: 1 and 2"),
     (lambda: lp.to_str({(1, 1): 1}, ["a"]), ValueError, "1 variable names for arity 2"),
@@ -51,34 +52,47 @@ ERRORS = [
     (lambda: lp.tropicalize({(1, 0): 1}, 5), ValueError, "num_mutable 5 out of range for arity 2"),
     (lambda: lp.tropicalize({(1, 0): 1}, -1), ValueError,
      "num_mutable -1 out of range for arity 2"),
-    (lambda: lp.exp_add((1, 2), (1,)), ValueError, "exponents have different lengths: 2 and 1"),
-    (lambda: lp.exp_sub((1,), (1, 2)), ValueError, "exponents have different lengths: 1 and 2"),
+    (lambda: lp.exp_add((1, 2), (1,)), ValueError, "shape of exponents is 2 x 1/2, not 2 x 2"),
+    (lambda: lp.exp_sub((1,), (1, 2)), ValueError, "shape of exponents is 2 x 1/2, not 2 x 1"),
+    (lambda: lp.from_json({"vars": ["a"], "terms": [{"exp": [1, 2], "coef": "1"}]}), ValueError,
+     "shape of exponents is 1 x 2, not 1 x 1"),
     # lattice
-    (lambda: la.vec_mat([1, 2], [[1]]), ValueError, "inner dimensions differ"),
-    (lambda: la.mat_vec([[1, 2]], [1]), ValueError, "inner dimensions differ"),
-    (lambda: la.mat_vec([[1, 2]], [1, 2, 3]), ValueError, "inner dimensions differ"),
-    (lambda: la.solve_left_all([[1, 0]], [[1]]), ValueError, "right-hand side has wrong length"),
-    (lambda: la.vec_mat([1, 1], [[1, 2], [3]]), ValueError, "matrix rows differ in length"),
-    (lambda: la.matmul([[1, 1]], [[1, 2], [3]]), ValueError, "matrix rows differ in length"),
-    (lambda: la.mat_vec([[1, 2], [3]], [1, 1]), ValueError, "matrix rows differ in length"),
-    (lambda: la.hermite_normal_form([[1, 2], [3]]), ValueError, "matrix rows differ in length"),
+    (lambda: la.vec_mat([1, 2], [[1]]), ValueError, "shape of matrix is 1 x 1, not 2 x 1"),
+    (lambda: la.mat_vec([[1, 2]], [1]), ValueError, "shape of matrix is 1 x 2, not 1 x 1"),
+    (lambda: la.mat_vec([[1, 2]], [1, 2, 3]), ValueError, "shape of matrix is 1 x 2, not 1 x 3"),
+    (lambda: la.solve_left_all([[1, 0]], [[1]]), ValueError,
+     "shape of right-hand sides is 1 x 1, not 1 x 2"),
+    (lambda: la.vec_mat([1, 1], [[1, 2], [3]]), ValueError,
+     "shape of matrix is 2 x 1/2, not 2 x 2"),
+    (lambda: la.matmul([[1, 1]], [[1, 2], [3]]), ValueError,
+     "shape of matrix is 2 x 1/2, not 2 x 2"),
+    (lambda: la.mat_vec([[1, 2], [3]], [1, 1]), ValueError,
+     "shape of matrix is 2 x 1/2, not 2 x 2"),
+    (lambda: la.hermite_normal_form([[1, 2], [3]]), ValueError,
+     "shape of matrix is 2 x 1/2, not 2 x 2"),
     # seeds
     (lambda: sd.mutate_matrix([[0]], 3), ValueError, "direction 3 out of range for rank 1"),
     (lambda: sd.mutate_matrix([], 0), ValueError, "direction 0 out of range for rank 0"),
-    (lambda: sd.is_indecomposable([[0, 1], [-1]]), ValueError, "matrix of 2 rows is not square"),
-    (lambda: sd.Seed([[0, 1]], [], ["a"]), sd.InvalidSeed, "fewer rows than columns"),
+    (lambda: sd.is_indecomposable([[0, 1], [-1]]), ValueError,
+     "shape of matrix is 2 x 1/2, not 2 x 2"),
+    (lambda: sd.Seed([[0, 1]], [], ["a"]), sd.InvalidSeed, "shape of btilde is 1 x 2, not 2 x 2"),
+    (lambda: sd.initial_seed([[0, 1]], ["a"]), sd.InvalidSeed,
+     "shape of btilde is 1 x 2, not 2 x 2"),
+    (lambda: sd.initial_seed([[0], [1, 0]], ["a", "b"]), sd.InvalidSeed,
+     "shape of btilde is 2 x 1/2, not 2 x 1"),
     (lambda: sd.Seed([[0]], [{(0,): 1}], ["a", "b"]), sd.InvalidSeed,
      "2 variable names for 1 generators"),
-    (lambda: sd.Seed([[0]], [{(0, 0): 1}], ["a"]), sd.InvalidSeed, "wrong ambient arity"),
+    (lambda: sd.Seed([[0]], [{(0, 0): 1}], ["a"]), sd.InvalidSeed,
+     "shape of cluster exponents is 1 x 2, not 1 x 1"),
     # orbits
-    (lambda: ob.Rescaling(((0,),), ()), ValueError, "c and d must have equal rank"),
+    (lambda: ob.Rescaling(((0,),), ()), ValueError, "shape of rescaling is 2 x 0/1, not 2 x 1"),
     (lambda: ob.apply_rescaling(_seedlike(), ob.Rescaling((), ())), ValueError,
-     "rescaling rank mismatch"),
+     "shape of rescaling is 2 x 0, not 2 x 1"),
     (lambda: ob.mutate_seedlike(_seedlike(), 5), ValueError, "direction 5 out of range"),
     (lambda: ob.SeedLike([[0]], [], [((0,), (0,))], ["x"]), sd.InvalidSeed,
-     "cluster and pairs must match the rank"),
+     "shape of b, cluster and pairs is 3 x 0/1, not 3 x 1"),
     (lambda: ob.SeedLike([[0]], [{(0,): 1}], [], ["x"]), sd.InvalidSeed,
-     "cluster and pairs must match the rank"),
+     "shape of b, cluster and pairs is 3 x 0/1, not 3 x 1"),
     (lambda: ob.SeedLike([[0]], [{}], [((0,), (0,))], ["x"]), sd.InvalidSeed,
      "zero cluster variable"),
     # quasihom
@@ -88,6 +102,13 @@ ERRORS = [
     (lambda: qh.verify_report(_map("b"), sd.initial_seed([[0]], ["a"]),
                               sd.initial_seed([[0, 1], [-1, 0]], ["b", "c"])),
      qh.PrincipalMismatch, "principal ranks must agree"),
+    (lambda: qh.MonomialMap([[1, 0]], ["a", "b"], ["z", "w"], 1, 1), qh.InvalidMap,
+     "shape of matrix is 1 x 2, not 2 x 2"),
+    (lambda: qh.MonomialMap([[1], [2, 3]], ["a"], ["z", "w"], 1, 1), qh.InvalidMap,
+     "shape of matrix is 2 x 1/2, not 2 x 1"),
+    (lambda: qh.MonomialMap([[1, 2]], ["a"], ["z"], 1, 1), qh.InvalidMap,
+     "shape of matrix is 1 x 2, not 1 x 1"),
+    (lambda: qh.map_exponent(_map("b"), (1, 2)), ValueError, "shape of matrix is 1 x 1, not 2 x 1"),
     (lambda: qh.nerve_vertices([], 2), qh.InvalidNerve, "empty edge set"),
     (lambda: qh.nerve_vertices([((), 5)], 2), qh.InvalidNerve, "label out of range"),
     # patterns
@@ -103,16 +124,18 @@ ERRORS = [
      "frozen row counts differ: base 1, graph 0"),
     (lambda: pt.find_quasi_automorphisms(pt.explore(_A2_FROZEN), _A2), ValueError,
      "frozen row counts differ: base 0, graph 1"),
-    (lambda: pt.relabelings([[0, 1], [-1, 0]], [[0]]), ValueError,
-     "principal part of size 1 for a matrix of rank 2"),
-    (lambda: pt.relabelings([[0, 1], [-1, 0]], [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]), ValueError,
-     "principal part of size 3 for a matrix of rank 2"),
-    (lambda: pt.relabelings([[0, 1], [-1]], [[0, 1], [-1, 0]]), ValueError,
-     "need at least 2 rows of 2 entries"),
-    (lambda: pt.relabelings([[0, 1], [-1, 0]], [[0, 1], [-1]]), ValueError,
-     "need at least 2 rows of 2 entries"),
+    (lambda: pt.relabelings([[0]])([[0, 1], [-1, 0]]), ValueError,
+     "shape of btilde is 2 x 2, not 2 x 1"),
+    (lambda: pt.relabelings([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])([[0, 1], [-1, 0]]), ValueError,
+     "shape of btilde is 2 x 2, not 3 x 3"),
+    (lambda: pt.relabelings([[0, 1], [-1, 0]])([[0, 1], [-1]]), ValueError,
+     "shape of btilde is 2 x 1/2, not 2 x 2"),
+    (lambda: pt.relabelings([[0, 1], [-1]]), ValueError,
+     "shape of principal part is 2 x 1/2, not 2 x 2"),
     (lambda: pt.permute_btilde([[0, 1], [-1]], 2, [1, 0]), ValueError,
-     "need at least 2 rows of 2 entries"),
+     "shape of btilde is 2 x 1/2, not 2 x 2"),
+    (lambda: pt.permute_btilde([[0, 1]], 2, [1, 0]), ValueError,
+     "shape of btilde is 1 x 2, not 2 x 2"),
     (lambda: pt.permute_btilde([[0, 1], [-1, 0]], 2, [0]), ValueError,
      "[0] is not a permutation of range(2)"),
     (lambda: pt.permute_btilde([[0, 1], [-1, 0]], 2, [0, 0]), ValueError,
@@ -129,7 +152,17 @@ ERRORS = [
     (lambda: sf.EvenComponent("boundary", 3), sf.InvalidSurfaceData, "needs even cilia"),
     (lambda: sf.shear_relation_check(
         [[1, 0]], sf.Lamination((), shear=(0,), arc_measures=(1,), boundary_measures=())),
-     sf.InvalidSurfaceData, "shear vector length differs from arc count"),
+     sf.InvalidSurfaceData, "shape of boundary matrix is 1 x 2, not 1 x 1"),
+    (lambda: sf.SignedPermutation(((1, 0), (0,))), sf.InvalidSurfaceData,
+     "shape of signed permutation is 2 x 1/2, not 2 x 2"),
+    (lambda: sf.lattice_fixed(sf.signed_identity(2), [[1, 2, 3]]), sf.InvalidSurfaceData,
+     "shape of vectors is 1 x 3, not 1 x 2"),
+    (lambda: sf.ArcPairingTable(((1, -1), (1,))), sf.InvalidSurfaceData,
+     "shape of pairing table is 2 x 1/2, not 2 x 2"),
+    (lambda: sf.residue((1, 2, 3), _PAIRINGS, 0), sf.InvalidSurfaceData,
+     "shape of shear vector is 1 x 3, not 1 x 2"),
+    (lambda: sf.kernel_basis_check([[0, 1], [-1, 0]], sf.ArcPairingTable(((1,),))),
+     sf.InvalidSurfaceData, "shape of matrix is 2 x 2, not 1 x 1"),
     (lambda: sf.residue((1, 1), _PAIRINGS, 5), sf.InvalidSurfaceData,
      "component 5 out of range for 2 components"),
     (lambda: sf.residue((1, 1), _PAIRINGS, -1), sf.InvalidSurfaceData,

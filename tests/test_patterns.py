@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 
 import clusterkit.grassmann as gx
 import clusterkit.laurent as lp
+import clusterkit.orbits as ob
 import clusterkit.patterns as pt
 import clusterkit.quasihom as qh
 import clusterkit.seeds as sd
@@ -605,7 +606,7 @@ def relabeling_cases():
 def test_relabelings_match_brute_force(b, target):
     n = len(b)
     brute = [p for p in permutations(range(n)) if pt.permute_btilde(b, n, p)[:n] == target]
-    assert list(pt.relabelings(b, target)) == brute
+    assert pt.relabelings(target)(b) == brute
     if not any(map(any, b)):
         assert len(brute) == math.factorial(n)
 
@@ -676,14 +677,14 @@ def test_relabelings_match_brute_force_on_equal_lower_triangles():
             target = pt.permute_btilde(p, n, perm)
             brute = [q for q in permutations(range(n)) if all(
                 b[q[i]][q[j]] == target[i][j] for i in range(n) for j in range(n))]
-            assert pt.relabelings(b, target) == brute
+            assert pt.relabelings(target)(b) == brute
 
 
 def test_relabelings_compare_sorted_columns():
     # equal lower triangles and sorted rows, but sorted columns differ at
     # indices 1 and 2, so the identity is no relabeling and only the swap is
     b, p = COLUMN_PAIR
-    assert pt.relabelings(b, p) == [(0, 2, 1)]
+    assert pt.relabelings(p)(b) == [(0, 2, 1)]
 
 
 def brute_force_quasi_automorphisms(graph, base):
@@ -736,6 +737,85 @@ def test_quasi_automorphisms_of_complete_graphs(make, counts, brute):
     if brute:
         assert [(r.node, r.permutation, r.direction, r.matrix_map.matrix) for r in found] == \
             brute_force_quasi_automorphisms(graph, seed)
+
+
+def product_record(graph, first, second):
+    """The product of two records, each as (node, permutation, direction):
+    the quasi-automorphism that applies `first` and then `second`, which
+    sends the base to the seed reached from `second`'s node, relabeled
+    through its permutation, by `first`'s word, then relabeled through
+    `first`'s permutation.  A quasi-automorphism commutes with mutation, so the walk
+    follows `graph.adjacency` on cluster ids, with no Laurent arithmetic.
+    A node's word reaches it from the base with labels kept in place."""
+    (node, relabeling, direction), (idx, second_relabeling, second_direction) = first, second
+    nodes = graph.nodes
+    labeled = [nodes[idx].ids[p] for p in second_relabeling]
+    for k in nodes[node].word:
+        ids = nodes[idx].ids
+        idx = graph.adjacency[idx][ids.index(labeled[k])]
+        # the new cluster differs from the old one in the exchanged id alone
+        (labeled[k],) = set(nodes[idx].ids) - set(ids)
+    perm = tuple(nodes[idx].ids.index(labeled[p]) for p in relabeling)
+    return idx, perm, "direct" if direction == second_direction else "opposite"
+
+
+def record_key(record):
+    return record.node, record.permutation, record.direction
+
+
+def cross_check_product(graph, base, first, second):
+    """The product of `product_record`, recomputed with Laurent arithmetic:
+    `second`'s map carries the clusters along `first`'s word (checked
+    with `qh.apply_map` against the same word from `second`'s rerooted
+    target), and that word, from `second`'s relabeled seed, ends at the
+    product's relabeled seed."""
+    n, names = base.n, base.var_names
+    node, perm, _ = product_record(graph, record_key(first), record_key(second))
+    word = graph.nodes[first.node].word
+    held = graph.nodes[second.node].seed
+    sign = 1 if second.direction == "direct" else -1
+    relabeled_btilde = pt.permute_btilde(held.btilde, n, second.permutation)
+    target = [[sign * v for v in row] for row in relabeled_btilde]
+    rerooted = sd.mutate_word(sd.initial_seed(target, names), word)
+    for x, y in zip(graph.nodes[first.node].seed.cluster, rerooted.cluster):
+        assert ob.frozen_ratio(qh.apply_map(second.matrix_map, x), y, n) is not None
+    relabeled = sd.Seed.trusted(relabeled_btilde, [held.cluster[p] for p in second.permutation],
+                                names)
+    reached = sd.mutate_word(relabeled, word).cluster
+    product_seed = graph.nodes[node].seed.cluster
+    assert [reached[p] for p in first.permutation] == [product_seed[p] for p in perm]
+
+
+@pytest.mark.parametrize("make, cyclic", [
+    *[pytest.param(lambda n=n: a_n_seed(n), n + 3, id=f"a{n}") for n in range(2, 7)],
+    pytest.param(lambda: gr_seed(3, 7), None, id="gr37"),
+])
+def test_quasi_automorphism_records_form_a_group(make, cyclic):
+    # every product of two records is a record, direct times opposite is
+    # opposite, and the direct records form a subgroup of index 2: for A_n
+    # the rotations of the (n+3)-gon, cyclic of order n+3 (Assem, Schiffler
+    # & Shramchenko, Proc. LMS 104, 2012)
+    seed = make()
+    graph = pt.explore(seed, max_depth=100, max_nodes=30000)
+    found = pt.find_quasi_automorphisms(graph, seed)
+    records = set(map(record_key, found))
+    assert len(records) == len(found)
+    identity = (0, tuple(range(seed.n)), "direct")
+    assert identity in records
+    for first, second in product(records, repeat=2):
+        assert product_record(graph, first, second) in records
+    direct = [r for r in records if r[2] == "direct"]
+    assert 2 * len(direct) == len(records)
+    if cyclic is not None:
+        orders = []
+        for r in direct:
+            power, order = r, 1
+            while power != identity and order <= len(records):
+                power, order = product_record(graph, r, power), order + 1
+            orders.append(order)
+        assert max(orders) == len(direct) == cyclic
+    for first, second in list(product(found, repeat=2))[::max(1, len(found) ** 2 // 12)]:
+        cross_check_product(graph, seed, first, second)
 
 
 def test_gr35_rotation_found_and_certified():

@@ -295,5 +295,10 @@ class TestSerialization:
     def test_seed_rejects_a_frozen_row_of_another_length(self, last):
         # unchecked, a short row makes mutation and explore raise IndexError,
         # and mutation cuts a long one to n entries without a word
-        with pytest.raises(sd.InvalidSeed, match="row 2 has"):
+        found = "1/2" if last == [5] else "2/3"
+        with pytest.raises(sd.InvalidSeed, match=f"^shape of btilde is 3 x {found}, not 3 x 2$"):
             sd.initial_seed([[0, 1], [-1, 0], last], ["a", "b", "c"])
+
+    def test_initial_seed_of_no_rows_is_the_rank_0_seed(self):
+        # no rows is rank 0 with no frozen rows, as `Seed` and seed files read it
+        assert sd.seed_equal(sd.initial_seed([], []), sd.Seed([], [], []))

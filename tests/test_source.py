@@ -424,3 +424,41 @@ def test_one_implementation_per_concept():
                                    and node.name == "relabelings"))
     assert "btilde[q][v]" not in relabelings
     assert "principal[i][k]" not in relabelings
+
+
+def _row_length_checks(tree):
+    """(function, line) of every comparison of len(x) for x drawn by a
+    comprehension, and of every set(map(len, ...)): the ways a check reads
+    the length of each row."""
+    out = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and ast.unparse(node).startswith("set(map(len, "):
+                out.append((func.name, node.lineno))
+            if isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
+                drawn = {name.id for gen in node.generators for name in ast.walk(gen.target)
+                         if isinstance(name, ast.Name)}
+                out += [(func.name, sub.lineno) for sub in ast.walk(node.elt)
+                        if isinstance(sub, ast.Compare) and any(
+                            isinstance(side, ast.Call) and ast.unparse(side.func) == "len"
+                            and ast.unparse(side.args[0]) in drawn
+                            for side in [sub.left, *sub.comparators])]
+    return out
+
+
+def test_one_shape_check():
+    # laurent.shape is the one check that every row of a sequence has one
+    # length: the hand-written checks it replaced are gone, and only
+    # seeds.skew_symmetrizer, which answers None for a matrix that is not
+    # square, reads row lengths itself
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in SOURCES}
+    for name, gone in (("lattice.py", "_width"), ("patterns.py", "_check_rows"),
+                       ("laurent.py", "_check_lengths")):
+        assert gone not in _definitions(trees[name])
+    found = {(name, func) for name, tree in trees.items()
+             for func, _ in _row_length_checks(tree)}
+    assert found == {("laurent.py", "shape"), ("seeds.py", "skew_symmetrizer")}
+    assert _row_length_checks(ast.parse("def f(rows):\n    return any(len(r) != 2 for r in rows)"))

@@ -6,13 +6,15 @@ the mutant, and the start of the title of the CHANGES.md entry that
 recorded it.  A known survivor is listed with `survives=True`, not left
 out.  `typed` rows make one `raise` of a typed error raise RuntimeError
 instead, each killed by the tests/test_errors.py rows that name its
-message.  For each row the tool copies src/ and tests/ into a temporary
-directory, checks that the old text occurs exactly once in the copy,
-applies the edit and runs pytest with -x on the target.  It prints
-"killed" or "survived" per row, and exits 1 when an anchor text does not
-occur exactly once, a mutant expected to be killed survives, a known
-survivor is killed or a target names no test, and 0 otherwise.  Run from
-the root of a checkout, with no options:
+message, and `unchecked` rows make one call of the shape check
+`laurent.shape` check nothing.  For each row the tool copies src/ and
+tests/ into a temporary directory, checks that the old text occurs
+exactly once in the copy, applies the edit and runs pytest with -x on
+the target, one row per CPU at a time.  It prints "killed" or
+"survived" per row, in table order, and exits 1 when an anchor text
+does not occur exactly once, a mutant expected to be killed survives, a
+known survivor is killed or a target names no test, and 0 otherwise.
+Run from the root of a checkout, with no options:
 
     python3 tools/mutants.py
 """
@@ -23,6 +25,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple, Tuple
 
@@ -41,14 +44,63 @@ class Mutant(NamedTuple):
 ONE_PASS = "One pass per verdict"
 SECOND_COPIES = "Second copies go"
 ONE_IMPLEMENTATION = "One implementation per concept"
+ONE_SHAPE = "One shape check"
+
+
+def errors(words: str) -> Tuple[str, ...]:
+    # the tests/test_errors.py rows that `-k words` selects
+    return ("tests/test_errors.py", "-k", words)
 
 
 def typed(module: str, raising: str, words: str) -> Mutant:
     """The row that makes the `raise` in `raising` raise RuntimeError, to be
     killed by the tests/test_errors.py rows that `-k words` selects."""
     return Mutant(module, raising, re.sub(r"raise [\w.]+\(", "raise RuntimeError(", raising),
-                  ("tests/test_errors.py", "-k", words), ONE_IMPLEMENTATION)
+                  errors(words), ONE_IMPLEMENTATION)
 
+
+def unchecked(module: str, call: str, target: Tuple[str, ...]) -> Mutant:
+    """The row that makes the one call of `laurent.shape` that `call`
+    starts with check nothing and return 0, to be killed by `target`."""
+    return Mutant(module, call, re.sub(r"\b(lp\.)?shape\(", "(lambda *args, **kw: 0)(", call,
+                                       count=1), target, ONE_SHAPE)
+
+
+# every call of the one shape check, each killed by the rows it guards
+SHAPES = [
+    unchecked("laurent.py", '    shape((a, b), "exponents")\n    return tuple(map(_iadd',
+              errors("exponents")),
+    unchecked("laurent.py", '    shape((a, b), "exponents")\n    return tuple(map(_isub',
+              errors("exponents")),
+    unchecked("laurent.py", '    shape((u, v), "tropical operands")', errors("tropical")),
+    unchecked("laurent.py", '        shape([e], "exponents"', errors("exponents")),
+    unchecked("lattice.py", '    out = [0] * shape(a, "matrix"', errors("shape and matrix")),
+    unchecked("lattice.py", '    shape(a, "matrix", width=len(v))', errors("shape and matrix")),
+    unchecked("lattice.py", '    m, n = len(a), shape(a, "matrix")', errors("shape and matrix")),
+    unchecked("lattice.py", '    shape(bs, "right-hand sides"', errors("right")),
+    unchecked("seeds.py", '    n = lp.shape(b, "matrix"', errors("shape and matrix")),
+    unchecked("seeds.py", '        lp.shape(self.btilde, "btilde"', errors("btilde")),
+    unchecked("seeds.py", '        lp.shape([e for x in self.cluster',
+              errors("cluster and exponents")),
+    unchecked("orbits.py", '        lp.shape((c, d), "rescaling")', errors("rescaling")),
+    unchecked("orbits.py", '        lp.shape(self.b + [self.cluster, self.pairs]', errors("pairs")),
+    unchecked("orbits.py", '        lp.shape(list(chain(*self.pairs, *self.cluster))',
+              ("tests/test_orbits.py", "-k", "seedlike_rejects_exponents")),
+    unchecked("orbits.py", '    lp.shape(r, "rescaling", width=n)', errors("rescaling")),
+    unchecked("quasihom.py", '        lp.shape(self.matrix, "matrix"', errors("shape and matrix")),
+    unchecked("patterns.py",
+              '    lp.shape(btilde, "btilde", width=n, count=max(len(btilde), n))\n    out',
+              errors("btilde")),
+    unchecked("patterns.py", '    n = lp.shape(principal, "principal part"', errors("principal")),
+    unchecked("patterns.py", '        lp.shape(btilde, "btilde"', errors("btilde")),
+    unchecked("surfaces.py", '        r = lp.shape(matrix, "signed permutation"', errors("signed")),
+    unchecked("surfaces.py", '    lp.shape(vecs, "vectors"', errors("vectors")),
+    unchecked("surfaces.py", '    lp.shape(boundary_matrix, "boundary matrix"', errors("boundary")),
+    unchecked("surfaces.py", '        lp.shape(rows, "pairing table"', errors("pairing and table")),
+    unchecked("surfaces.py", '    lp.shape([shear], "shear vector"', errors("shear and vector")),
+    unchecked("surfaces.py", '    lp.shape(b, "matrix", width=n, count=n',
+              errors("shape and matrix")),
+]
 
 TYPED = [
     typed("laurent.py", 'raise ValueError(f"shift exponent', "shift"),
@@ -57,30 +109,14 @@ TYPED = [
     typed("laurent.py", 'raise NotDivisible(f"negative power {k}', "monomial"),
     typed("laurent.py", 'raise ValueError("zero polynomial has no leading', "leading"),
     typed("laurent.py", 'raise ValueError("zero polynomial has no minimal', "minimal"),
-    typed("laurent.py", 'raise ValueError("tropical operands', "share"),
     typed("laurent.py", 'raise ValueError("the zero polynomial has no tropical', "tropical"),
     typed("laurent.py", 'raise ValueError(f"num_mutable', "num_mutable"),
-    typed("laurent.py", 'raise ValueError(f"exponents have different lengths', "lengths"),
+    typed("laurent.py", 'raise error(f"shape of {what}', "shape"),
     typed("laurent.py", 'raise ValueError(f"{len(names)} variable names', "variable and names"),
-    typed("laurent.py", 'raise ValueError(\n            f"operands have different arities',
-          "arities"),
-    typed("lattice.py", '        raise ValueError("matrix rows differ in length")\n    return n',
-          "rows and differ"),
-    typed("lattice.py", '                raise ValueError("matrix rows differ in length")',
-          "rows and differ"),
-    typed("lattice.py",
-          '    if len(v) != len(a):\n        raise ValueError("inner dimensions differ")',
-          "inner and dimensions"),
-    typed("lattice.py", 'raise ValueError("right-hand side', "right"),
+    typed("laurent.py", 'raise ValueError(f"operands have different arities', "arities"),
     typed("seeds.py", 'raise ValueError(f"direction {k} out of range', "direction"),
-    typed("seeds.py", 'raise ValueError(f"matrix of {n} rows is not square', "square"),
-    typed("seeds.py", 'raise InvalidSeed("btilde has fewer rows', "fewer"),
     typed("seeds.py", 'raise InvalidSeed(\n                f"{len(self.var_names)} variable names',
           "generators"),
-    typed("seeds.py", 'raise InvalidSeed("cluster variable has wrong ambient', "ambient"),
-    typed("orbits.py", 'raise ValueError("c and d must', "equal and rank"),
-    typed("orbits.py", 'raise ValueError("rescaling rank mismatch', "rescaling"),
-    typed("orbits.py", 'raise sd.InvalidSeed("cluster and pairs', "pairs"),
     typed("orbits.py", 'raise sd.InvalidSeed("zero cluster variable', "zero and cluster"),
     typed("quasihom.py", 'raise InvalidMap("mutable counts out of range', "mutable and counts"),
     typed("quasihom.py", 'raise InvalidMap("maps differ in variables', "maps and differ"),
@@ -90,15 +126,11 @@ TYPED = [
     typed("patterns.py", 'raise ValueError("need max_depth', "max_depth or max_nodes"),
     typed("patterns.py", 'raise ValueError(f"node {node} out of range', "node and range"),
     typed("patterns.py", 'raise qh.PrincipalMismatch(f"base of rank', "base and rank"),
-    typed("patterns.py", 'raise ValueError(f"need at least {n} rows', "entries"),
     typed("grassmann.py", 'raise InvalidIndex(f"substitution needs one image', "image"),
     typed("grassmann.py", 'raise InvalidIndex(f"base needs', "base and needs"),
     typed("surfaces.py", 'raise InvalidSurfaceData(f"unknown component kind', "unknown"),
     typed("surfaces.py", 'raise InvalidSurfaceData("puncture carries no cilia', "carries"),
     typed("surfaces.py", 'raise InvalidSurfaceData("even boundary component', "even"),
-    typed("surfaces.py",
-          '        raise InvalidSurfaceData("shear vector length differs from arc count")\n'
-          "    return la.vec_mat", "shear"),
     typed("surfaces.py", 'raise InvalidSurfaceData(\n            f"component {comp} out of range',
           "component and range"),
 ]
@@ -128,12 +160,8 @@ MUTANTS = [
     Mutant("seeds.py", "btilde = mutate_matrix(seed.btilde, k)",
            "_check_direction(k, seed.n)\n        btilde = mutate_matrix(seed.btilde, k)",
            ("tests/test_source.py::test_one_pass_verifiers",), ONE_PASS),
-    Mutant("lattice.py", "    if a and _width(a) != len(v):", "    if False:",
-           ("tests/test_errors.py", "-k", "inner and dimensions"), ONE_PASS),
     Mutant("patterns.py", "    if base.m != frozen:", "    if False:",
            ("tests/test_errors.py", "-k", "frozen and counts"), ONE_PASS),
-    Mutant("patterns.py", "    if n != rank:", "    if False:",
-           ("tests/test_errors.py", "-k", "principal and part"), ONE_PASS),
     Mutant("patterns.py", "    if sorted(perm) != list(range(n)):", "    if False:",
            ("tests/test_errors.py", "-k", "permutation"), ONE_PASS),
     Mutant("laurent.py", "    if coef == 0:\n        return {}\n    return {e: c * coef",
@@ -160,9 +188,14 @@ MUTANTS = [
            "Cut `src/` to its contract"),
     Mutant("seeds.py", "row = [x - bik * y if y < 0 else x", "row = [x - bik * y if y > 0 else x",
            ("tests/test_seeds.py::TestMatrixMutation",), "Integer row arithmetic"),
-    Mutant("lattice.py", "        if x:\n            if len(row)",
-           "        if x > 0:\n            if len(row)", ("tests/test_lattice.py",),
+    Mutant("lattice.py", "        if x:\n            out = [s + x * y",
+           "        if x > 0:\n            out = [s + x * y", ("tests/test_lattice.py",),
            "Integer row arithmetic"),
+    Mutant("seeds.py", "min(len(btilde[0]), total)", "len(btilde[0])", errors("btilde"), ONE_SHAPE),
+    Mutant("seeds.py", "    if (seed.n, seed.m) != (n, m):", "    if False:",
+           ("tests/test_cli.py", "-k", "shape_faults and declared"), ONE_SHAPE),
+    Mutant("quasihom.py", " or (0,) * len(m.dst_vars)", "",
+           ("tests/test_quasihom.py::test_apply_map_arity_mismatch",), ONE_SHAPE),
     Mutant("patterns.py", "(sorted(row[:n]), sorted(column))", "sorted(row[:n])",
            ("tests/test_patterns.py::test_relabelings_compare_sorted_columns",), ONE_IMPLEMENTATION),
     Mutant("grassmann.py", "(sum(units) + p * (p + 1) // 2) % 2", "sum(units) % 2",
@@ -180,7 +213,7 @@ MUTANTS = [
     Mutant("laurent.py", MONOMIAL_TEST + COEFFICIENT_TEST, COEFFICIENT_TEST + MONOMIAL_TEST,
            ("tests/test_laurent.py", "-k", "division_fails_as_johnson_does"),
            "Mutation words at product speed"),
-] + TYPED
+] + SHAPES + TYPED
 
 
 def run(mutant: Mutant) -> str:
@@ -205,12 +238,13 @@ def run(mutant: Mutant) -> str:
 
 def main() -> int:
     bad = 0
-    for mutant in MUTANTS:
-        verdict = run(mutant)
-        bad += verdict != ("survived" if mutant.survives else "killed")
-        known = " (known)" if mutant.survives else ""
-        print(f"{verdict + known:17} {mutant.module:12} {mutant.old.strip()[:48]!r:52} "
-              f"{mutant.recorded}", flush=True)
+    # one row per CPU at a time, each in its own copy; printed in table order
+    with ThreadPoolExecutor(os.cpu_count()) as pool:
+        for mutant, verdict in zip(MUTANTS, pool.map(run, MUTANTS)):
+            bad += verdict != ("survived" if mutant.survives else "killed")
+            known = " (known)" if mutant.survives else ""
+            print(f"{verdict + known:17} {mutant.module:12} {mutant.old.strip()[:48]!r:52} "
+                  f"{mutant.recorded}", flush=True)
     print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} rows as recorded")
     return 1 if bad else 0
 
